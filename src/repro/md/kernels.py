@@ -51,3 +51,60 @@ def scatter_add_scalar(out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> 
     if idx.size == 0:
         return
     out += np.bincount(idx, weights=values, minlength=out.shape[0])
+
+
+def pair_deltas(
+    xT: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, out: np.ndarray
+) -> None:
+    """``out[k] = xT[k][pair_i] - xT[k][pair_j]`` for k = 0..2.
+
+    ``xT`` is a contiguous ``(3, N)`` position array, ``out`` ``(4, P)``
+    scratch: rows 0..2 receive the separation components, row 3 is used
+    as the gather temporary (and is free afterwards).
+    """
+    tmp = out[3]
+    for k in range(3):
+        np.take(xT[k], pair_i, out=out[k], mode="clip")
+        np.take(xT[k], pair_j, out=tmp, mode="clip")
+        np.subtract(out[k], tmp, out=out[k])
+
+
+def r2_from_deltas(d: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """Squared length of each separation: ``out = (dx*dx + dz*dz) + dy*dy``.
+
+    The association is load-bearing.  It is exactly what
+    ``np.einsum("ij,ij->i", d, d)`` — the previous spelling, still the
+    oracle under ``tests/md`` — evaluates per row on this NumPy (2.x),
+    independent of row count and alignment; the plain ``x*x + y*y + z*z``
+    differs in the last bit for about a quarter of all rows, which would
+    flip cutoff decisions and every downstream sum.  Write it once, here.
+    """
+    np.multiply(d[0], d[0], out=out)
+    np.multiply(d[2], d[2], out=tmp)
+    np.add(out, tmp, out=out)
+    np.multiply(d[1], d[1], out=tmp)
+    np.add(out, tmp, out=out)
+
+
+def scatter_pair_forces(
+    f: np.ndarray,
+    pair_i: np.ndarray,
+    pair_j: np.ndarray,
+    fpair: np.ndarray,
+    d: np.ndarray,
+    tmp: np.ndarray,
+    half_list: bool,
+) -> None:
+    """``f[i] += fpair * d`` and, for a half list, ``f[j] -= fpair * d``.
+
+    ``d`` is ``(3, P)``; each component's ``fpair * d[k]`` is formed once
+    in contiguous ``tmp`` and fed to ``bincount``.  Per atom row the sum
+    is ``(f + S_i) - S_j`` with both partial sums in pair order — the
+    order :func:`scatter_add_vec` then :func:`scatter_sub_vec` produce.
+    """
+    n = f.shape[0]
+    for k in range(3):
+        np.multiply(fpair, d[k], out=tmp)
+        f[:, k] += np.bincount(pair_i, weights=tmp, minlength=n)
+        if half_list:
+            f[:, k] -= np.bincount(pair_j, weights=tmp, minlength=n)

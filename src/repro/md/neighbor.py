@@ -34,6 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.md.kernels import pair_deltas, r2_from_deltas
+
+
+#: the 27 cell offsets, x-major: the order candidate pairs are generated in
+_STENCIL = np.array(
+    [(ox, oy, oz) for ox in (-1, 0, 1) for oy in (-1, 0, 1) for oz in (-1, 0, 1)],
+    dtype=np.intp,
+)
+
 
 def _ranges_to_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ``arange(starts[k], starts[k]+counts[k])`` vectorized."""
@@ -95,73 +104,62 @@ def build_pairs(
     cell_start = bounds[:-1]
     cell_end = bounds[1:]
 
-    local_mask_sorted = order < nlocal
-
-    # All 27 stencil offsets processed in one batch.  The flattened
-    # (offset, atom) enumeration is offset-major with atoms ascending —
-    # exactly the order a per-offset loop would concatenate in, so the
-    # resulting pair list (and with it every downstream accumulation
-    # order) is unchanged.
-    offsets = np.array(
-        [
-            (ox, oy, oz)
-            for ox in (-1, 0, 1)
-            for oy in (-1, 0, 1)
-            for oz in (-1, 0, 1)
-        ],
-        dtype=np.intp,
-    )
-    sorted_cell3 = cell3[order]
-    ncell3 = sorted_cell3[None, :, :] + offsets[:, None, :]
-    valid = ((ncell3 >= 0) & (ncell3 < ncell)).all(axis=2)
-    # Only local atoms originate pairs.
-    valid &= local_mask_sorted[None, :]
+    # All 27 stencil offsets processed in one batch, over the *local*
+    # atoms only (only they originate pairs).  The flattened (offset,
+    # local atom) enumeration is offset-major with atoms ascending in
+    # cell-sorted position — exactly the order a per-offset loop over the
+    # sorted atoms would concatenate in, so the resulting pair list (and
+    # with it every downstream accumulation order) is unchanged.
+    local_sorted = np.flatnonzero(order < nlocal)
+    nloc = local_sorted.shape[0]
+    local_cell = np.take(cell3, np.take(order, local_sorted), axis=0)
+    valid = np.ones((27, nloc), dtype=bool)
+    for k in range(3):
+        c = local_cell[:, k][None, :] + _STENCIL[:, k][:, None]
+        valid &= (c >= 0) & (c < ncell[k])
     flat = np.flatnonzero(valid.ravel())
     if flat.size == 0:
         e = np.empty(0, dtype=np.intp)
         return e, e
-    nsorted = sorted_cell3.shape[0]
-    src = flat % nsorted
-    ncid = ncell3.reshape(-1, 3)[flat] @ strides
-    starts = cell_start[ncid]
-    counts = cell_end[ncid] - starts
-    have = counts > 0
-    src = src[have]
-    if src.size == 0:
+    at = flat % nloc
+    # cell ids are linear in the cell coordinates: neighbor id = id + offset id
+    ncid = np.take(local_cell @ strides, at) + np.take(_STENCIL @ strides, flat // nloc)
+    starts = np.take(cell_start, ncid)
+    counts = np.take(cell_end, ncid) - starts
+    have = np.flatnonzero(counts > 0)
+    if have.size == 0:
         e = np.empty(0, dtype=np.intp)
         return e, e
-    starts = starts[have]
-    counts = counts[have]
-    i_sorted = np.repeat(src, counts)
-    j_sorted = _ranges_to_indices(starts, counts)
-    i = order[i_sorted]
-    j = order[j_sorted]
+    src = np.take(local_sorted, np.take(at, have))
+    starts = np.take(starts, have)
+    counts = np.take(counts, have)
+    i = np.take(order, np.repeat(src, counts))
+    j = np.take(order, _ranges_to_indices(starts, counts))
 
-    # --- distance + pair rules ---------------------------------------------
-    keep = i != j
-    i, j = i[keep], j[keep]
-    d = x[i] - x[j]
-    keep = np.einsum("ij,ij->i", d, d) < cutoff * cutoff
-    i, j = i[keep], j[keep]
-
-    if not half:
-        return i, j
-
-    j_local = j < nlocal
-    keep_local = j_local & (i < j)
-    if ghost_rule == "all":
-        keep_ghost = ~j_local
-    else:
-        # Lexicographic (z, y, x) coordinate rule for full-shell ghosts.
-        xi, xj = x[i], x[j]
-        gz = xj[:, 2] > xi[:, 2]
-        ez = xj[:, 2] == xi[:, 2]
-        gy = xj[:, 1] > xi[:, 1]
-        ey = xj[:, 1] == xi[:, 1]
-        gx = xj[:, 0] > xi[:, 0]
-        keep_ghost = ~j_local & (gz | (ez & (gy | (ey & gx))))
-    keep = keep_local | keep_ghost
-    return i[keep], j[keep]
+    # --- distance + pair rules: one mask, one compaction --------------------
+    npairs = i.shape[0]
+    xT = np.ascontiguousarray(x.T)
+    d = np.empty((4, npairs))
+    pair_deltas(xT, i, j, d)
+    r2 = np.empty(npairs)
+    r2_from_deltas(d, r2, d[3])
+    keep = (i != j) & (r2 < cutoff * cutoff)
+    if half:
+        # Local-local pairs once (i < j).  Ghosts sit above every local
+        # index, so ``i < j`` also admits every local-ghost pair — the
+        # whole of ghost_rule="all".
+        once = i < j
+        if ghost_rule == "coord":
+            # Lexicographic (z, y, x) rule for full-shell ghosts: keep the
+            # pair only where the ghost is above, i.e. x_i - x_j is below
+            # zero in the first of z, y, x that differs (the sign of a
+            # float difference is the sign of the comparison).
+            dx, dy, dz = d[0], d[1], d[2]
+            ghost_above = (dz < 0) | ((dz == 0) & ((dy < 0) | ((dy == 0) & (dx < 0))))
+            once &= (j < nlocal) | ghost_above
+        keep &= once
+    keep = np.flatnonzero(keep)
+    return np.take(i, keep), np.take(j, keep)
 
 
 def build_pairs_bruteforce(

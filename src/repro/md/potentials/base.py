@@ -18,6 +18,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.md.atoms import Atoms
+from repro.md.pairtiles import PairTile
 
 
 class GhostComm(Protocol):
@@ -60,13 +61,26 @@ class ForceResult:
     ``energy`` and ``virial`` are *owned* contributions: summing them over
     ranks gives the global potential energy and the global scalar virial
     ``sum_pairs r_ij . f_ij`` (+ embedding terms for EAM).
+
+    A kernel run over one rank's ``Atoms`` reports floats.  Run over a
+    multi-rank :class:`~repro.md.pairtiles.PairTile` it reports arrays
+    with one entry per rank of the tile (``tile.ranks`` order), each
+    bit-identical to what the single-rank call reports — see
+    :meth:`per_rank`.
     """
 
-    energy: float = 0.0
-    virial: float = 0.0
+    energy: float | np.ndarray = 0.0
+    virial: float | np.ndarray = 0.0
     #: per-stage seconds spent inside mid-pair communication, if any
     comm_calls: int = 0
     extra: dict = field(default_factory=dict)
+
+    def per_rank(self, n_ranks: int) -> list[tuple[float, float]]:
+        """``(energy, virial)`` of each of the ``n_ranks`` ranks the
+        kernel's input covered."""
+        energy = np.broadcast_to(self.energy, n_ranks).tolist()
+        virial = np.broadcast_to(self.virial, n_ranks).tolist()
+        return list(zip(energy, virial))
 
 
 class PairPotential:
@@ -80,10 +94,14 @@ class PairPotential:
     #: list (3-body potentials scatter triplet forces to j and k), which
     #: obliges the driver to run the reverse exchange
     force_ghosts: bool = False
+    #: whether the kernel honours a tile's ``pair_bounds`` (per-rank
+    #: energy/virial from one call over several ranks); the driver gives
+    #: every other potential one rank per tile
+    rank_tiled: bool = False
 
     def compute(
         self,
-        atoms: Atoms,
+        atoms: Atoms | PairTile,
         pair_i: np.ndarray,
         pair_j: np.ndarray,
         comm: GhostComm | None = None,

@@ -29,7 +29,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from repro.md.atoms import Atoms
-from repro.md.kernels import scatter_add_scalar, scatter_add_vec, scatter_sub_vec
+from repro.md.kernels import scatter_add_scalar, scatter_pair_forces
+from repro.md.pairtiles import PairTile, as_tile
 from repro.md.potentials.base import ForceResult, GhostComm, NullGhostComm, PairPotential
 
 
@@ -62,6 +63,8 @@ class EAMPotential(PairPotential):
     ``rho`` must vanish at ``cutoff``.
     """
 
+    rank_tiled = True
+
     def __init__(
         self,
         phi: Callable,
@@ -86,84 +89,102 @@ class EAMPotential(PairPotential):
     # ------------------------------------------------------------------
     def density_pass(
         self,
-        atoms: Atoms,
+        atoms: Atoms | PairTile,
         pair_i: np.ndarray,
         pair_j: np.ndarray,
         half_list: bool = True,
     ) -> dict:
         """Pass 1: accumulate electron density; returns the scratch dict.
 
-        ``scratch['density']`` has one entry per atom (local then ghost);
-        with a half list, ghost entries hold this rank's contributions to
-        remote atoms and must be reverse-summed to owners before the
-        embedding pass.
+        ``scratch['density']`` has one entry per atom (local then ghost,
+        rank after rank for a tile); with a half list, ghost entries hold
+        this rank's contributions to remote atoms and must be
+        reverse-summed to owners before the embedding pass.  The
+        compacted pairs (``i``, ``j``, ``d`` as ``(3, P)``, ``r``) stay in
+        the tile's own range of the workspace until its ``force_pass``;
+        ``bounds`` delimits each rank's run in them.
         """
-        x = atoms.x
-        n = atoms.ntotal
-        if pair_i.size:
-            d = x[pair_i] - x[pair_j]
-            r2 = np.einsum("ij,ij->i", d, d)
-            mask = r2 < self.cutoff * self.cutoff
-            i, j, d = pair_i[mask], pair_j[mask], d[mask]
-            r = np.sqrt(r2[mask])
-        else:
-            i = j = np.empty(0, dtype=np.intp)
-            d = np.empty((0, 3))
-            r = np.empty(0)
+        tile = as_tile(atoms, pair_i, pair_j)
+        # own=True: the compacted pairs outlive the other tiles' passes
+        keep, i, j, d, r = tile.pairs_inside(
+            pair_i, pair_j, self.cutoff * self.cutoff, own=True
+        )
+        np.sqrt(r, out=r)
+        n = keep.shape[0]
 
-        density = np.zeros(n)
-        if r.size:
+        density = tile.row_scratch("eam.density")
+        density[...] = 0.0
+        if n:
             rho_r = self.rho(r)
             scatter_add_scalar(density, i, rho_r)
             if half_list:
                 scatter_add_scalar(density, j, rho_r)
-        return {"i": i, "j": j, "d": d, "r": r, "density": density, "half": half_list}
+        return {
+            "tile": tile,
+            "i": i,
+            "j": j,
+            "d": d,
+            "r": r,
+            "density": density,
+            "half": half_list,
+            "bounds": np.searchsorted(keep, tile.pair_bounds),
+        }
 
-    def embedding_pass(self, atoms: Atoms, scratch: dict) -> float:
+    def embedding_pass(self, atoms: Atoms | PairTile, scratch: dict) -> float:
         """Embedding energies and derivatives from the complete density.
 
-        Fills ``scratch['fp']`` for local atoms (ghost entries zero until
-        the driver forwards them) and returns the embedding energy.
+        Fills ``scratch['fp']`` for owned atoms (ghost entries zero until
+        the driver forwards them) and returns the embedding energy; the
+        per-rank energies go to ``scratch['embedding_energy']``.  Works
+        on the tile ``density_pass`` recorded in ``scratch``.
         """
-        nlocal = atoms.nlocal
-        rho_local = np.maximum(scratch["density"][:nlocal], 0.0)
-        e_embed = float(np.sum(self.embed(rho_local)))
-        fp = np.zeros(atoms.ntotal)
-        fp[:nlocal] = self.dembed(rho_local)
+        tile: PairTile = scratch["tile"]
+        rows = tile.local_rows
+        rho_local = np.take(scratch["density"], rows, mode="clip")
+        np.maximum(rho_local, 0.0, out=rho_local)
+        e_embed = tile.rank_sums(self.embed(rho_local), tile.local_bounds)
+        fp = tile.row_scratch("eam.fp")
+        fp[...] = 0.0
+        fp[rows] = self.dembed(rho_local)
         scratch["fp"] = fp
         scratch["embedding_energy"] = e_embed
-        return e_embed
+        return float(e_embed.sum())
 
-    def force_pass(self, atoms: Atoms, scratch: dict) -> ForceResult:
+    def force_pass(self, atoms: Atoms | PairTile, scratch: dict) -> ForceResult:
         """Pass 2: pair forces with the embedding chain rule."""
-        f = atoms.f
+        tile: PairTile = scratch["tile"]
         i, j, d, r = scratch["i"], scratch["j"], scratch["d"], scratch["r"]
         fp = scratch["fp"]
         half_list = scratch["half"]
         e_embed = scratch["embedding_energy"]
+        n = r.shape[0]
 
-        energy_pair = 0.0
-        virial = 0.0
-        if r.size:
-            dphi_r = self.dphi(r)
-            drho_r = self.drho(r)
-            du = dphi_r + (fp[i] + fp[j]) * drho_r
-            fpair = -du / r  # f_i += fpair * (x_i - x_j)
-            fvec = fpair[:, None] * d
-            scatter_add_vec(f, i, fvec)
-            if half_list:
-                scatter_sub_vec(f, j, fvec)
-            e_p = self.phi(r)
-            w = fpair * r * r
-            if half_list:
-                energy_pair = float(e_p.sum())
-                virial = float(w.sum())
-            else:
-                energy_pair = 0.5 * float(e_p.sum())
-                virial = 0.5 * float(w.sum())
+        energy_pair = np.zeros(len(tile.ranks))
+        virial = np.zeros(len(tile.ranks))
+        if n:
+            # du = dphi + (fp_i + fp_j) drho;  f_i += (-du / r) (x_i - x_j)
+            fpair, tmp = tile.scratch("work", n, lead=4)[:2]
+            np.take(fp, i, out=fpair, mode="clip")
+            np.take(fp, j, out=tmp, mode="clip")
+            np.add(fpair, tmp, out=fpair)
+            np.multiply(fpair, self.drho(r), out=fpair)
+            np.add(self.dphi(r), fpair, out=fpair)
+            np.negative(fpair, out=fpair)
+            np.divide(fpair, r, out=fpair)
+            scatter_pair_forces(tile.f, i, j, fpair, d, tmp, half_list)
+            w = np.multiply(fpair, r, out=tmp)
+            np.multiply(w, r, out=w)
+            # A directed list visits each pair twice (once per endpoint).
+            scale = 1.0 if half_list else 0.5
+            bounds = scratch["bounds"]
+            energy_pair = scale * tile.rank_sums(self.phi(r), bounds)
+            virial = scale * tile.rank_sums(w, bounds)
 
+        energy = energy_pair + e_embed
+        if tile is not atoms:  # one rank's Atoms: plain floats
+            energy, virial, e_embed = float(energy[0]), float(virial[0]), float(e_embed[0])
         return ForceResult(
-            energy=energy_pair + e_embed,
+            energy=energy,
             virial=virial,
             comm_calls=2 if half_list else 1,
             extra={"embedding_energy": e_embed},
@@ -171,7 +192,7 @@ class EAMPotential(PairPotential):
 
     def compute(
         self,
-        atoms: Atoms,
+        atoms: Atoms | PairTile,
         pair_i: np.ndarray,
         pair_j: np.ndarray,
         comm: GhostComm | None = None,

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.md.atoms import Atoms
-from repro.md.kernels import scatter_add_vec, scatter_sub_vec
+from repro.md.kernels import scatter_pair_forces
+from repro.md.pairtiles import PairTile, as_tile
 from repro.md.potentials.base import ForceResult, GhostComm, PairPotential
 
 
@@ -24,6 +25,8 @@ class LennardJones(PairPotential):
     in by Lorentz-Berthelot mixing (geometric epsilon, arithmetic sigma),
     matching LAMMPS' default ``pair_modify mix``.
     """
+
+    rank_tiled = True
 
     def __init__(
         self,
@@ -95,59 +98,67 @@ class LennardJones(PairPotential):
 
     def compute(
         self,
-        atoms: Atoms,
+        atoms: Atoms | PairTile,
         pair_i: np.ndarray,
         pair_j: np.ndarray,
         comm: GhostComm | None = None,
         half_list: bool = True,
     ) -> ForceResult:
-        """Vectorized LJ force/energy/virial over the pair list."""
-        x = atoms.x
-        f = atoms.f
-        if pair_i.size == 0:
-            return ForceResult()
+        """Vectorized LJ force/energy/virial over the pair list.
 
-        d = x[pair_i] - x[pair_j]
-        r2 = np.einsum("ij,ij->i", d, d)
-
-        if self.n_types == 1:
-            eps = self.epsilon
-            sig2 = self.sigma * self.sigma
-            cut2 = self.cutoff * self.cutoff
-        else:
-            ti = atoms.type[pair_i]
-            tj = atoms.type[pair_j]
-            eps = self._eps[ti, tj]
-            sig = self._sig[ti, tj]
-            sig2 = sig * sig
-            cut = self._cut[ti, tj]
-            cut2 = cut * cut
-
-        mask = r2 < cut2
-        i = pair_i[mask]
-        j = pair_j[mask]
-        d = d[mask]
-        r2 = r2[mask]
+        ``atoms`` is one rank's :class:`Atoms` or a whole-rank
+        :class:`~repro.md.pairtiles.PairTile` (per-rank energy/virial
+        arrays, see :class:`ForceResult`).
+        """
+        tile = as_tile(atoms, pair_i, pair_j)
+        scratch = tile.scratch
+        eps: float | np.ndarray = self.epsilon
+        sig2: float | np.ndarray = self.sigma * self.sigma
+        cut2: float | np.ndarray = self.cutoff * self.cutoff
         if self.n_types != 1:
-            eps = eps[mask]
-            sig2 = sig2[mask]
+            # per-pair cutoffs: type-pair index into the flattened tables
+            npairs = pair_i.shape[0]
+            tpair = scratch("tpair", npairs, np.intp)
+            t = scratch("t", npairs, np.int32)
+            np.take(tile.type, pair_i, out=t, mode="clip")
+            np.multiply(t, self.n_types, out=tpair)
+            np.take(tile.type, pair_j, out=t, mode="clip")
+            np.add(tpair, t, out=tpair)
+            cut2 = scratch("cut2", npairs)
+            np.take((self._cut * self._cut).ravel(), tpair, out=cut2, mode="clip")
 
-        sr2 = sig2 / r2
-        sr6 = sr2 * sr2 * sr2
-        fpair = 24.0 * eps * sr6 * (2.0 * sr6 - 1.0) / r2
-        fvec = fpair[:, None] * d
-        scatter_add_vec(f, i, fvec)
-        if half_list:
-            scatter_sub_vec(f, j, fvec)
+        keep, i, j, d, r2 = tile.pairs_inside(pair_i, pair_j, cut2)
+        n = keep.shape[0]
+        if self.n_types != 1:
+            tkeep = np.take(tpair, keep, out=scratch("tkeep", n, np.intp), mode="clip")
+            eps = np.take(self._eps.ravel(), tkeep, out=scratch("eps", n), mode="clip")
+            sig2 = np.take(
+                (self._sig * self._sig).ravel(), tkeep, out=scratch("sig2", n), mode="clip"
+            )
 
-        e_pair = 4.0 * eps * (sr6 * sr6 - sr6)
-        virial_pair = fpair * r2  # r . f per pair
+        # fpair = 24 eps sr6 (2 sr6 - 1) / r2, evaluated left to right
+        sr6, tmp, fpair, e_pair = scratch("work", n, lead=4)
+        np.divide(sig2, r2, out=tmp)  # sr2
+        np.multiply(tmp, tmp, out=sr6)
+        np.multiply(sr6, tmp, out=sr6)
+        np.multiply(24.0 * eps, sr6, out=fpair)
+        np.multiply(2.0, sr6, out=tmp)
+        np.subtract(tmp, 1.0, out=tmp)
+        np.multiply(fpair, tmp, out=fpair)
+        np.divide(fpair, r2, out=fpair)
+        scatter_pair_forces(tile.f, i, j, fpair, d, tmp, half_list)
 
-        if half_list:
-            energy = float(e_pair.sum())
-            virial = float(virial_pair.sum())
-        else:
-            # Directed list visits each pair twice (once per endpoint).
-            energy = 0.5 * float(e_pair.sum())
-            virial = 0.5 * float(virial_pair.sum())
-        return ForceResult(energy=energy, virial=virial)
+        # e_pair = 4 eps (sr6 sr6 - sr6);  virial_pair = fpair r2 (r . f)
+        np.multiply(sr6, sr6, out=e_pair)
+        np.subtract(e_pair, sr6, out=e_pair)
+        np.multiply(4.0 * eps, e_pair, out=e_pair)
+        virial_pair = np.multiply(fpair, r2, out=tmp)
+
+        # A directed list visits each pair twice (once per endpoint).
+        scale = 1.0 if half_list else 0.5
+        kb = np.searchsorted(keep, tile.pair_bounds)
+        energy = scale * tile.rank_sums(e_pair, kb)
+        virial = scale * tile.rank_sums(virial_pair, kb)
+        if tile is not atoms:  # one rank's Atoms: plain floats
+            return ForceResult(float(energy[0]), float(virial[0]))
+        return ForceResult(energy, virial)

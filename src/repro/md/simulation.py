@@ -38,7 +38,8 @@ from repro.md.atoms import Atoms
 from repro.md.domain import Domain, decompose_grid
 from repro.md.integrate import NVEIntegrator
 from repro.md.neighbor import NeighborList, NeighborSettings
-from repro.md.potentials.base import PairPotential
+from repro.md.pairtiles import TILE_PAIRS, PairTiles, group_ranks
+from repro.md.potentials.base import ForceResult, PairPotential
 from repro.md.region import Box
 from repro.md.stages import Stage, StageTimers
 from repro.md.thermo import Thermo, ThermoSample
@@ -152,7 +153,9 @@ class Simulation:
         self.step_count = 0
         self.rebuilds = 0
         self.samples: list[ThermoSample] = []
-        self._last_results: dict[int, object] = {}
+        self._last_results: dict[int, ForceResult] = {}
+        #: whole-rank Pair tiles, refrozen from the lists by _reneighbor()
+        self._tiles = PairTiles()
 
         # Distribute atoms and per-rank state.
         wrapped = box.wrap(x)
@@ -221,9 +224,9 @@ class Simulation:
         exchange on the plain message plane, purges in-flight traffic of
         the abandoned attempt, refreshes the neighbor lists (the ghost
         rule may change), and re-establishes migration + borders + lists
-        from the ranks' still-consistent owned atoms.  If re-establishing
-        a tier escalates again, the ladder continues; when no tier is
-        left the original error propagates.
+        + Pair tiles from the ranks' still-consistent owned atoms.  If
+        re-establishing a tier escalates again, the ladder continues;
+        when no tier is left the original error propagates.
         """
         while True:
             fallback = self.exchange.fallback_pattern
@@ -245,13 +248,7 @@ class Simulation:
                     self._neigh_settings
                 )
             try:
-                with self.timers.timing(Stage.COMM):
-                    self.exchange.exchange()
-                    self.exchange.borders()
-                with self.timers.timing(Stage.NEIGH):
-                    for rank in range(self.world.size):
-                        atoms = self.atoms_of(rank)
-                        self.neigh_of(rank).build(atoms.x, atoms.nlocal)
+                self._reneighbor()
                 return
             except FaultEscalation as next_exc:
                 exc = next_exc
@@ -259,9 +256,10 @@ class Simulation:
     def _compute_forces_robust(self) -> None:
         """Force computation that survives mid-phase escalations.
 
-        ``_compute_forces`` zeroes forces first, so after a degradation
-        (which re-established ghosts and neighbor lists) it can simply
-        run again from scratch — no partial sums survive.
+        ``_compute_forces`` zeroes every tile's forces as it loads it, so
+        after a degradation (which re-established ghosts, neighbor lists
+        and tiles) it can simply run again from scratch — no partial sums
+        survive.
         """
         while True:
             try:
@@ -283,53 +281,73 @@ class Simulation:
         """Initial borders + neighbor lists + forces (LAMMPS setup())."""
         with TRACER.span("setup", cat="step", track="run", pattern=self.config.pattern):
             try:
-                with self.timers.timing(Stage.COMM):
-                    self.exchange.exchange()
-                    self.exchange.borders()
-                with self.timers.timing(Stage.NEIGH):
-                    for rank in range(self.world.size):
-                        atoms = self.atoms_of(rank)
-                        self.neigh_of(rank).build(atoms.x, atoms.nlocal)
+                self._reneighbor()
             except FaultEscalation as exc:
                 # _degrade re-establishes borders + lists on the new tier.
                 self._degrade(exc)
             self._compute_forces_robust()
             self._setup_done = True
 
+    def _reneighbor(self) -> None:
+        """Migration + borders (Comm), every rank's list (Neigh), and the
+        Pair tiles frozen from those lists.
+
+        The one place lists are built — setup, scheduled rebuilds and the
+        degradation ladder all come through here — so the tiles can never
+        describe an older exchange, ghost set or list than the ranks hold.
+        """
+        with self.timers.timing(Stage.COMM):
+            self.exchange.exchange()
+            self.exchange.borders()
+        with self.timers.timing(Stage.NEIGH):
+            ranks = range(self.world.size)
+            atoms = [self.atoms_of(rank) for rank in ranks]
+            lists = [self.neigh_of(rank) for rank in ranks]
+            for a, neigh in zip(atoms, lists):
+                neigh.build(a.x, a.nlocal)
+            if self.potential.rank_tiled:
+                groups = group_ranks([neigh.n_pairs for neigh in lists], TILE_PAIRS)
+            else:  # the kernel cannot tally per rank: one rank per tile
+                groups = [[rank] for rank in ranks]
+            self._tiles.rebuild(atoms, lists, groups)
+
     def _compute_forces(self) -> None:
-        """Pair stage (+ reverse comm) on every rank."""
+        """Pair stage (+ reverse comm): one kernel call per tile of ranks."""
         pot = self.potential
+        tiles = self._tiles.tiles
         with self.timers.timing(Stage.PAIR):
-            for rank in range(self.world.size):
-                self.atoms_of(rank).zero_forces()
             if hasattr(pot, "density_pass"):
-                scratch = {}
-                for rank in range(self.world.size):
-                    atoms = self.atoms_of(rank)
-                    nl = self.neigh_of(rank)
-                    scratch[rank] = pot.density_pass(
-                        atoms, nl.pair_i, nl.pair_j, half_list=self.half
+                scratch = []
+                for tile in tiles:
+                    tile.load()
+                    scratch.append(
+                        pot.density_pass(
+                            tile, tile.pair_i, tile.pair_j, half_list=self.half
+                        )
                     )
                 if self.half:
                     self.exchange.reverse_sum_scalar_world(
-                        {r: s["density"] for r, s in scratch.items()}
+                        self._rank_views(scratch, "density")
                     )
-                for rank in range(self.world.size):
-                    pot.embedding_pass(self.atoms_of(rank), scratch[rank])
-                self.exchange.forward_scalar_world(
-                    {r: s["fp"] for r, s in scratch.items()}
-                )
-                for rank in range(self.world.size):
-                    self._last_results[rank] = pot.force_pass(
-                        self.atoms_of(rank), scratch[rank]
-                    )
+                for tile, sc in zip(tiles, scratch):
+                    pot.embedding_pass(tile, sc)
+                self.exchange.forward_scalar_world(self._rank_views(scratch, "fp"))
+                results = [pot.force_pass(tile, sc) for tile, sc in zip(tiles, scratch)]
+                for tile in tiles:
+                    tile.store_forces()
             else:
-                for rank in range(self.world.size):
-                    atoms = self.atoms_of(rank)
-                    nl = self.neigh_of(rank)
-                    self._last_results[rank] = pot.compute(
-                        atoms, nl.pair_i, nl.pair_j, half_list=self.half
+                results = []
+                for tile in tiles:
+                    tile.load()
+                    results.append(
+                        pot.compute(tile, tile.pair_i, tile.pair_j, half_list=self.half)
                     )
+                    tile.store_forces()
+            for tile, result in zip(tiles, results):
+                for rank, (energy, virial) in zip(
+                    tile.ranks, result.per_rank(len(tile.ranks))
+                ):
+                    self._last_results[rank] = ForceResult(energy, virial)
         if self.half or self.potential.force_ghosts:
             # Newton's-law runs always reverse; 3-body full-list kernels
             # (Stillinger-Weber/Tersoff style) also scatter triplet forces
@@ -337,6 +355,14 @@ class Simulation:
             # requires newton pair on").
             with self.timers.timing(Stage.COMM):
                 self.exchange.reverse()
+
+    def _rank_views(self, scratch: list[dict], key: str) -> dict[int, np.ndarray]:
+        """``{rank: its rows of scratch[tile][key]}`` over all tiles — the
+        per-rank arrays the exchange's scalar phases update in place."""
+        views: dict[int, np.ndarray] = {}
+        for tile, sc in zip(self._tiles.tiles, scratch):
+            views.update(tile.rank_views(sc[key]))
+        return views
 
     def _needs_rebuild(self) -> bool:
         """The every/check policy of ``neigh_modify`` (Table 2)."""
@@ -374,13 +400,7 @@ class Simulation:
         rebuilt = self._needs_rebuild()
         if rebuilt:
             try:
-                with self.timers.timing(Stage.COMM):
-                    self.exchange.exchange()
-                    self.exchange.borders()
-                with self.timers.timing(Stage.NEIGH):
-                    for rank in range(self.world.size):
-                        atoms = self.atoms_of(rank)
-                        self.neigh_of(rank).build(atoms.x, atoms.nlocal)
+                self._reneighbor()
             except FaultEscalation as exc:
                 self._degrade(exc)
             self.rebuilds += 1
