@@ -12,8 +12,8 @@ work collapses to
 * **pack**: one ``np.take`` gather into a pooled send buffer plus one
   vectorized shift add (forward), and
 * **unpack**: one signed ``bincount`` scatter-add over the concatenated
-  contributions (reverse), shared by the message fast path, the faulted
-  slow path and the RDMA ring drain so all three stay bit-identical.
+  contributions (reverse) — the one drain under all three delivery
+  planes (direct, mailbox, RDMA rings), so they stay bit-identical.
 
 Buffers live in a :class:`BufferPool` that persists across plan rebuilds
 (reneighboring changes the *indices*, not the buffer capacity) and is

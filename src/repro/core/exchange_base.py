@@ -96,6 +96,8 @@ class GhostExchange:
     name: str = "abstract"
     #: next tier of the degradation ladder (None = sturdiest pattern)
     fallback_pattern: str | None = None
+    #: whether the forward/reverse vector phases are one-sided PUTs
+    rdma: bool = False
 
     def __init__(self, world: World, domain: Domain, rcomm: float) -> None:
         if world.grid is None:
@@ -120,13 +122,14 @@ class GhostExchange:
         self._pools: dict[int, BufferPool] = {}
         self._model_cache: dict = {}
         self._plan_builds = 0
+        # Phases delivered without the mailbox (direct and RDMA planes).
         self._fastpath_phases = 0
-        # Phases the _fastpath_ok gate sent down the slow path, by cause
-        # (telemetry feed; the always-on plane itself never gates).
+        # Phases _plane refused the direct plane, by cause (telemetry
+        # feed; the always-on plane itself never gates).
         self._gate_blocks = {"observability": 0, "faults": 0}
-        # Direct-delivery wiring (built with the plans): every send
-        # segment resolved to its destination slice, so a replayed phase
-        # is pure slice copies with no per-message mailbox traffic.
+        # Direct-plane wiring (built with the plans): every send segment
+        # resolved to its destination slice, so a replayed phase is pure
+        # slice copies with no per-message mailbox traffic.
         self._fwd_deliveries: list[tuple[int, int, int, int, int, int]] | None = None
         self._rev_deliveries: list[tuple[int, int, int, int, int, int]] | None = None
         self._phase_msgs: dict = {}
@@ -214,8 +217,8 @@ class GhostExchange:
         forward stage can write packed slices straight into the
         receiver's ghost rows and the reverse stage can collect ghost
         slices straight into the owner's unpack buffer.  If any pairing
-        is missing (sabotaged routes), wiring is dropped and the
-        per-route slow path runs instead.
+        is missing (sabotaged routes), wiring is dropped and
+        :meth:`_plane` never picks the direct plane.
         """
         self._phase_msgs = {}
         size = self.world.size
@@ -238,17 +241,17 @@ class GhostExchange:
         self._fwd_deliveries = fwd
         self._rev_deliveries = rev
 
-    def _phase_messages(self, phase: str, vec: bool, forward: bool) -> list:
-        """The phase's :class:`SentMessage` records, built once per plan.
+    def _phase_messages(self, phase: str, vec: bool, forward: bool) -> tuple[list, int]:
+        """The phase's :class:`SentMessage` records and their byte sum.
 
-        The fast path replays identical traffic every step between
-        reneighborings, so the per-message records are precomputed in
-        the seed's send order (rank-major, segment order) and appended
-        wholesale on each replay.
+        The direct plane replays identical traffic every step between
+        reneighborings, so the per-message records are precomputed once
+        per plan in the seed's send order (rank-major, segment order)
+        and appended wholesale on each replay.
         """
         key = (phase, vec, forward)
-        msgs = self._phase_msgs.get(key)
-        if msgs is None:
+        cached = self._phase_msgs.get(key)
+        if cached is None:
             msgs = []
             for rank in range(self.world.size):
                 plan = self._plans[rank]
@@ -266,16 +269,8 @@ class GhostExchange:
                             phase,
                         )
                     )
-            self._phase_msgs[key] = msgs
-        return msgs
-
-    def _record_phase_traffic(self, log, msgs: list) -> None:
-        """Append one replayed phase's records to the traffic log."""
-        if log.max_messages is None:
-            log.messages.extend(msgs)
-        else:
-            for m in msgs:
-                log.record(m)
+            cached = self._phase_msgs[key] = (msgs, sum(m.nbytes for m in msgs))
+        return cached
 
     def plan_stats(self) -> dict[str, int]:
         """Allocation/reuse counters of the plan cache and buffer pools."""
@@ -349,203 +344,195 @@ class GhostExchange:
         with self._phase_span("pair-reverse"):
             self._reverse_sum_array(arrays, phase="pair-reverse")
 
-    # -- robust receive (the retry policy layer) -----------------------------
-    def _recv(self, transport, rank: int, peer: int, tag: tuple):
-        """Receive with timeout/backoff retries while faults are active.
+    # -- the one replay: pack -> delivery plane -> drain -----------------------
+    # ThreeStageExchange overrides both bodies with its staged swaps; every
+    # other pattern varies only the plane.
+    def _plane(self, phase: str) -> str:
+        """Which delivery plane carries ``phase`` (the one selector).
 
-        Without a fault session this is exactly ``transport.recv`` (the
-        fault layer must add zero cost when disabled).  With one, a
-        missing message triggers up to ``max_retries`` polls: each poll
-        waits the current timeout (accounted as a ``cat="retry"`` model
-        span and in ``retry_model_time``), ages the mailbox's limbo so
-        held messages can land, and doubles the timeout.  Exhaustion —
-        or an exceeded fault budget — escalates so the driver can fall
-        back along :attr:`fallback_pattern`.
-        """
-        session = FAULTS.session
-        if session is None or not session.message_faults:
-            # No message faults armed: a lockstep recv can never miss.
-            return transport.recv(rank, peer, tag)
-        payload = transport.try_recv(rank, peer, tag)
-        if payload is not None:
-            return payload
-        policy = session.policy
-        timeout = policy.base_timeout
-        with TRACER.span(
-            "recv-retry", cat="retry", track="comm",
-            rank=rank, peer=peer, phase=transport.phase,
-        ):
-            for attempt in range(1, policy.max_retries + 1):
-                session.check_budget()
-                session.note_retry(transport.phase)
-                self.retries += 1
-                self.retry_model_time += timeout
-                TRACER.model_span_seq(
-                    "retry-backoff", timeout, cat="retry", track="comm",
-                    attempt=attempt, rank=rank, peer=peer, phase=transport.phase,
-                )
-                transport.fault_poll(rank, peer, tag)
-                payload = transport.try_recv(rank, peer, tag)
-                if payload is not None:
-                    return payload
-                timeout *= policy.backoff
-        TELEMETRY.emit(
-            "retry-exhausted",
-            rank=rank, peer=peer, phase=transport.phase, pattern=self.name,
-            attempts=policy.max_retries,
-        )
-        raise RetryExhaustedError(
-            f"rank {rank} gave up on {peer} tag {tag!r} after "
-            f"{policy.max_retries} retries (phase {transport.phase!r}, "
-            f"pattern {self.name!r})"
-        )
-
-    def _fastpath_ok(self) -> bool:
-        """Whether the pooled zero-copy replay may run.
-
-        An armed fault plane or a **heavyweight** observability session
-        (the per-event tracer or the per-message metrics registry) takes
-        the slow path, which produces bit-identical data through the
-        full bookkeeping.  A session with neither message nor RDMA
-        faults armed cannot touch the data plane (network-kind faults
-        only price modeled time, which is simulated separately), so the
-        fast path stays on — the faults-off guard measures this idle
-        cost.
+        ``"direct"`` — the pre-wired slice copies — unless something
+        needs to see or perturb individual messages: an armed fault
+        plane or a **heavyweight** observability session (the per-event
+        tracer or the per-message metrics registry) gets the same packed
+        buffers through ``"mailbox"`` (the world transport) or, for the
+        vector phases of an ``rdma`` exchange, ``"rdma"`` (PUTs, fence,
+        rings), bit-identically.  A session with neither message nor
+        RDMA faults armed cannot touch the data plane (network-kind
+        faults only price modeled time, which is simulated separately),
+        so it stays direct — the faults-off guard measures this idle
+        cost.  The border stage asks too: its routes are not built yet,
+        so "direct" there means the envelope-free ``send_fast``.
 
         The always-on telemetry plane (:data:`~repro.obs.telemetry
         .TELEMETRY`) is deliberately **not** consulted: it is fed from
         the counters this class already maintains, once per step, so
         live percentiles and the flight recorder coexist with the full
         speedup (the ``telemetry-overhead`` bench guard enforces <5%
-        wall).  Gate refusals are counted per cause for that same feed.
+        wall).  Refusals are counted per cause for that same feed.
         """
         session = FAULTS.session
         if session is not None and (session.message_faults or session.rdma_faults):
             self._gate_blocks["faults"] += 1
-            return False
-        if TRACER.enabled or METRICS.enabled:
+        elif TRACER.enabled or METRICS.enabled:
             self._gate_blocks["observability"] += 1
-            return False
-        return True
+        elif phase == "border" or self._fwd_deliveries is not None:
+            return "direct"
+        return "rdma" if self._is_put(phase) else "mailbox"
 
-    # Subclasses may override for staged execution or RDMA data planes.
+    def _is_put(self, phase: str) -> bool:
+        """Whether ``phase`` moves by one-sided PUT (RDMA PUTs are not
+        logged messages, whichever plane stands in for them)."""
+        return self.rdma and phase in ("forward", "reverse")
+
     def _forward_array(
         self, arrays: dict[int, np.ndarray], apply_shift: bool, phase: str
     ) -> None:
-        transport = self.world.transport
-        transport.set_phase(phase)
-        if self._fastpath_ok():
-            self._plans_current()
-            if self._fwd_deliveries is not None:
-                self._forward_fast(arrays, apply_shift, phase, transport)
-                return
-        for rank in range(self.world.size):
-            data = arrays[rank]
-            for route in self.routes[rank].sends:
-                payload = np.array(data[route.send_idx], copy=True)
-                if apply_shift and payload.ndim == 2:
-                    payload += route.shift
-                transport.send(rank, route.peer, route.tag + (phase,), payload)
-        for rank in range(self.world.size):
-            data = arrays[rank]
-            for route in self.routes[rank].recvs:
-                payload = self._recv(transport, rank, route.peer, route.tag + (phase,))
-                lo, n = route.recv_start, route.recv_count
-                data[lo : lo + n] = payload
-
-    def _forward_fast(
-        self,
-        arrays: dict[int, np.ndarray],
-        apply_shift: bool,
-        phase: str,
-        transport,
-        record: bool = True,
-    ) -> None:
-        """Pooled replay of the forward stage: one gather, direct copies.
-
-        Each rank's send rows are gathered into its pooled buffer by one
-        ``np.take``; the pre-wired deliveries then copy every packed
-        slice straight into the receiver's ghost rows (same bytes the
-        mailbox round trip would move, none of its bookkeeping).  The
-        traffic log still receives the seed's exact per-message records
-        (``record=False`` for the RDMA plane, whose PUTs are not logged
-        messages in the first place).
-        """
-        plans = self._plans
-        size = self.world.size
+        """Owner -> ghost replay: one pooled gather per rank, then the plane."""
+        self.world.transport.set_phase(phase)
+        plans = self._plans_current()
         vec = arrays[0].ndim == 2
         bufs = [
             plans[rank].pack_vec(arrays[rank], apply_shift)
             if vec
             else plans[rank].pack_scalar(arrays[rank])
-            for rank in range(size)
+            for rank in range(self.world.size)
         ]
-        if record:
-            self._record_phase_traffic(
-                transport.log, self._phase_messages(phase, vec, forward=True)
-            )
-        for src, s, e, dst, lo, hi in self._fwd_deliveries:
-            arrays[dst][lo:hi] = bufs[src][s:e]
-        self._fastpath_phases += 1
+        getattr(self, f"_{self._plane(phase)}_forward")(arrays, bufs, phase)
 
     def _reverse_sum_array(self, arrays: dict[int, np.ndarray], phase: str) -> None:
-        transport = self.world.transport
-        transport.set_phase(phase)
-        if self._fastpath_ok():
-            self._plans_current()
-            if self._rev_deliveries is not None:
-                self._reverse_fast(arrays, phase, transport)
-                return
-        plans = self._plans_current()
-        for rank in range(self.world.size):
-            data = arrays[rank]
-            for route in self.routes[rank].recvs:
-                lo, n = route.recv_start, route.recv_count
-                transport.send(
-                    rank, route.peer, route.tag + (phase,), np.array(data[lo : lo + n])
-                )
-        for rank in range(self.world.size):
-            data = arrays[rank]
-            # Collect every contribution before applying any: an
-            # escalation mid-sweep must not leave a half-summed array
-            # behind (the post-degradation force recompute relies on it).
-            received = [
-                self._recv(transport, rank, route.peer, route.tag + (phase,))
-                for route in self.routes[rank].sends
-            ]
-            # Apply through the shared fused plan scatter so slow-path
-            # (faulted/observed) sums stay bit-identical to the fast path.
-            plan = plans[rank]
-            buf = plan.unpack_buffer(vec=data.ndim == 2)
-            for seg, payload in zip(plan.send_segments, received):
-                buf[seg.start : seg.stop] = payload
-            plan.apply_reverse(data, buf)
+        """Ghost -> owner replay: the plane fills every owner's pooled
+        unpack buffer (send-segment order), then one fused scatter each.
 
-    def _reverse_fast(
-        self, arrays: dict[int, np.ndarray], phase: str, transport,
-        record: bool = True,
-    ) -> None:
-        """Pooled replay of the reverse stage with a fused scatter-add.
-
-        Every ghost slice is copied straight into its owner's pooled
-        unpack buffer (in the owner's send-segment order), then each
-        owner applies one fused scatter.  Collect-all-then-apply-all is
-        safe because :meth:`RankPlan.apply_reverse` never writes past
-        the local atoms — the ghost rows being read are never mutated.
+        Collect-all-then-apply-all: an escalation mid-collect must not
+        leave a half-summed array behind (the post-degradation force
+        recompute relies on it), and it is safe because
+        :meth:`RankPlan.apply_reverse` never writes past the local atoms
+        — the ghost rows being read are never mutated.
         """
-        plans = self._plans
-        size = self.world.size
+        self.world.transport.set_phase(phase)
+        plans = self._plans_current()
         vec = arrays[0].ndim == 2
-        bufs = [plans[rank].unpack_buffer(vec) for rank in range(size)]
-        if record:
-            self._record_phase_traffic(
-                transport.log, self._phase_messages(phase, vec, forward=False)
-            )
+        bufs = [plans[rank].unpack_buffer(vec) for rank in range(self.world.size)]
+        getattr(self, f"_{self._plane(phase)}_reverse")(arrays, bufs, phase)
+        for rank, buf in enumerate(bufs):
+            plans[rank].apply_reverse(arrays[rank], buf)
+
+    # -- direct plane: pre-wired slice copies ---------------------------------
+    def _direct_forward(self, arrays, bufs, phase: str) -> None:
+        """Copy every packed slice straight into the receiver's ghost rows
+        (the bytes the mailbox round trip would move, none of its
+        bookkeeping); the traffic log gets the seed's per-message records."""
+        self._direct_account(phase, arrays, forward=True)
+        for src, s, e, dst, lo, hi in self._fwd_deliveries:
+            arrays[dst][lo:hi] = bufs[src][s:e]
+
+    def _direct_reverse(self, arrays, bufs, phase: str) -> None:
+        """Copy every ghost slice straight into its owner's unpack buffer."""
+        self._direct_account(phase, arrays, forward=False)
         for src, lo, hi, dst, s, e in self._rev_deliveries:
             bufs[dst][s:e] = arrays[src][lo:hi]
-        for rank in range(size):
-            plans[rank].apply_reverse(arrays[rank], bufs[rank])
+
+    def _direct_account(self, phase: str, arrays, forward: bool) -> None:
+        if not self._is_put(phase):
+            self.world.transport.log.record_phase(
+                *self._phase_messages(phase, arrays[0].ndim == 2, forward)
+            )
         self._fastpath_phases += 1
+
+    # -- mailbox plane: the fault- and tracer-visible world transport ---------
+    def _mailbox_forward(self, arrays, bufs, phase: str) -> None:
+        transport = self.world.transport
+        for rank, buf in enumerate(bufs):
+            plan = self._plans[rank]
+            for seg, tag in zip(plan.send_segments, plan.tags(phase)[0]):
+                transport.send(rank, seg.peer, tag, buf[seg.start : seg.stop].copy())
+        for rank in range(self.world.size):
+            plan = self._plans[rank]
+            for seg, tag in zip(plan.recv_segments, plan.tags(phase)[1]):
+                arrays[rank][seg.lo : seg.lo + seg.n] = self._recv(
+                    transport, rank, seg.peer, tag
+                )
+
+    def _mailbox_reverse(self, arrays, bufs, phase: str) -> None:
+        transport = self.world.transport
+        for rank in range(self.world.size):
+            plan = self._plans[rank]
+            for seg, tag in zip(plan.recv_segments, plan.tags(phase)[1]):
+                transport.send(
+                    rank, seg.peer, tag, arrays[rank][seg.lo : seg.lo + seg.n].copy()
+                )
+        for rank, buf in enumerate(bufs):
+            plan = self._plans[rank]
+            for seg, tag in zip(plan.send_segments, plan.tags(phase)[0]):
+                buf[seg.start : seg.stop] = self._recv(transport, rank, seg.peer, tag)
+
+    # -- the retry policy layer -----------------------------------------------
+    def _retry(self, poll, span: str, span_args: dict, phase: str, **who):
+        """Timeout/backoff polling while a fault session is active.
+
+        Up to ``max_retries`` attempts: each waits the current timeout
+        (accounted as a ``cat="retry"`` model span and in
+        ``retry_model_time``), then ``poll()`` ages the faulted plane
+        one tick and returns what was awaited — or ``None`` while it is
+        still in flight, which doubles the timeout.  Returns ``None``
+        when the attempts run out; an exceeded fault budget raises from
+        ``check_budget``.  Either way the caller escalates so the
+        driver can fall back along :attr:`fallback_pattern`.
+        """
+        session = FAULTS.session
+        policy = session.policy
+        timeout = policy.base_timeout
+        with TRACER.span(span, cat="retry", track="comm", **span_args):
+            for attempt in range(1, policy.max_retries + 1):
+                session.check_budget()
+                session.note_retry(phase)
+                self.retries += 1
+                self.retry_model_time += timeout
+                TRACER.model_span_seq(
+                    "retry-backoff", timeout, cat="retry", track="comm",
+                    attempt=attempt, **who, phase=phase,
+                )
+                got = poll()
+                if got is not None:
+                    return got
+                timeout *= policy.backoff
+        return None
+
+    def _recv(self, transport, rank: int, peer: int, tag: tuple):
+        """Receive, retrying while message faults are armed.
+
+        Without them this is exactly ``transport.recv`` (the fault layer
+        must add zero cost when disabled: a lockstep recv can never
+        miss).  With them, each retry poll ages the mailbox's limbo so
+        held messages can land.
+        """
+        session = FAULTS.session
+        if session is None or not session.message_faults:
+            return transport.recv(rank, peer, tag)
+        payload = transport.try_recv(rank, peer, tag)
+        if payload is not None:
+            return payload
+
+        def poll():
+            transport.fault_poll(rank, peer, tag)
+            return transport.try_recv(rank, peer, tag)
+
+        phase = transport.phase
+        payload = self._retry(
+            poll, "recv-retry", {"rank": rank, "peer": peer, "phase": phase}, phase,
+            rank=rank, peer=peer,
+        )
+        if payload is not None:
+            return payload
+        attempts = session.policy.max_retries
+        TELEMETRY.emit(
+            "retry-exhausted",
+            rank=rank, peer=peer, phase=phase, pattern=self.name, attempts=attempts,
+        )
+        raise RetryExhaustedError(
+            f"rank {rank} gave up on {peer} tag {tag!r} after "
+            f"{attempts} retries (phase {phase!r}, pattern {self.name!r})"
+        )
 
     # -- migration -------------------------------------------------------------
     def exchange(self) -> None:

@@ -22,7 +22,10 @@ Two data planes:
   stage, reverse-stage forces length-prefix-combined into the 4-deep
   round-robin receive rings.
 
-Both planes produce bit-identical ghost data; tests assert it.
+Both planes produce bit-identical ghost data; tests assert it.  This
+class adds only the RDMA *delivery plane* (:meth:`_rdma_forward` /
+:meth:`_rdma_reverse`) under the base class's one replay; an unobserved,
+fault-free run of either flavour rides the base's direct plane.
 """
 
 from __future__ import annotations
@@ -208,10 +211,10 @@ class P2PExchange(GhostExchange):
         self._clear_routes()
         for rank in range(world.size):
             self.atoms_of(rank).clear_ghosts()
-        # With faults/observability off, border payloads skip the send
-        # envelope (rank checks, fault arming, per-message instants) but
-        # keep the identical traffic records.
-        fast = self._fastpath_ok()
+        # On the direct plane border payloads skip the send envelope
+        # (rank checks, fault arming, per-message instants) but keep the
+        # identical traffic records.
+        fast = self._plane("border") == "direct"
 
         # Send sweep: every rank routes its border atoms to each
         # send-offset neighbor (bin-accelerated when exact).
@@ -298,199 +301,115 @@ class P2PExchange(GhostExchange):
         In hardware this rides in the border-stage descriptor (8 bytes);
         functionally we move a :class:`RemoteWindow` per route.
         """
-        if not TRACER.enabled:
-            self._exchange_windows_impl()
-            return
+        transport = self.world.transport
+        transport.set_phase("border-piggyback")
         with TRACER.span(
             f"{self.name}.window-piggyback", cat="rdma", track="comm", pattern=self.name
         ):
-            self._exchange_windows_impl()
-
-    def _exchange_windows_impl(self) -> None:
-        transport = self.world.transport
-        transport.set_phase("border-piggyback")
-        for rank in range(self.world.size):
-            endpoint = self.endpoints[rank]
-            for n_idx, route in enumerate(self.routes[rank].recvs):
-                window = endpoint.window_for_neighbor(
-                    n_idx, route.recv_start * 3
-                )
-                transport.send(
-                    rank, route.peer, route.tag + ("window",), (n_idx, window)
-                )
-        for rank in range(self.world.size):
-            endpoint = self.endpoints[rank]
-            for s_idx, route in enumerate(self.routes[rank].sends):
-                n_idx, window = self._recv(
-                    transport, rank, route.peer, route.tag + ("window",)
-                )
-                # Keyed by *our* send index; remembers the neighbor's ring
-                # index so reverse-stage puts target the right ring.
-                endpoint.install_remote(s_idx, window)
-                endpoint.remote_ring_index = getattr(
-                    endpoint, "remote_ring_index", {}
-                )
-                endpoint.remote_ring_index[s_idx] = n_idx
-
-    # -- data planes --------------------------------------------------------------------
-    def _forward_array(self, arrays, apply_shift: bool, phase: str) -> None:
-        if self.rdma and apply_shift and phase == "forward":
-            # Unobserved replay: a windowed PUT lands the packed slice at
-            # exactly ``recv_start`` rows of the remote position array —
-            # the pre-wired direct delivery writes the same bytes to the
-            # same rows, so the staged-buffer/ring machinery (which only
-            # *observably* differs under faults, tracing or metrics) is
-            # skipped.  RDMA PUTs are not logged messages, hence no
-            # traffic records.
-            if self._fastpath_ok():
-                self._plans_current()
-                if self._fwd_deliveries is not None:
-                    self.world.transport.set_phase(phase)
-                    self._forward_fast(
-                        arrays, apply_shift, phase, self.world.transport,
-                        record=False,
+            for rank in range(self.world.size):
+                endpoint = self.endpoints[rank]
+                for n_idx, route in enumerate(self.routes[rank].recvs):
+                    window = endpoint.window_for_neighbor(n_idx, route.recv_start * 3)
+                    transport.send(
+                        rank, route.peer, route.tag + ("window",), (n_idx, window)
                     )
-                    return
-            self._forward_rdma()
-            return
-        super()._forward_array(arrays, apply_shift, phase)
+            for rank in range(self.world.size):
+                endpoint = self.endpoints[rank]
+                for s_idx, route in enumerate(self.routes[rank].sends):
+                    _, window = self._recv(
+                        transport, rank, route.peer, route.tag + ("window",)
+                    )
+                    # Keyed by *our* send index: the slot put_positions uses.
+                    endpoint.install_remote(s_idx, window)
 
-    def _forward_rdma(self) -> None:
+    # -- rdma plane: PUTs into registered arrays and receive rings ------------
+    # Selected for the vector phases of an ``rdma`` exchange when faults or
+    # heavyweight observability are on; unobserved, a windowed PUT lands the
+    # packed slice at exactly ``recv_start`` rows of the remote array and the
+    # ring round trip moves each ghost block byte-for-byte into the owner's
+    # pooled buffer — the direct plane writes the same bytes to the same rows
+    # without the staged-buffer/ring machinery.
+    def _rdma_forward(self, arrays, bufs, phase: str) -> None:
         """Forward positions by direct PUT into remote position arrays."""
-        self.world.transport.set_phase("forward")
-        if not TRACER.enabled:
-            self._forward_rdma_impl()
-            return
         with TRACER.span(
             f"{self.name}.forward-rdma", cat="rdma", track="comm", pattern=self.name
         ):
-            self._forward_rdma_impl()
-
-    def _forward_rdma_impl(self) -> None:
-        # One pooled gather per rank replaces the per-route fancy-index
-        # temporaries; put_positions copies the segment into the staged
-        # send buffer, so the pool is free for reuse immediately.  The
-        # packed values are bit-identical to the per-route form.
-        plans = self._plans_current()
-        for rank in range(self.world.size):
-            endpoint = self.endpoints[rank]
-            atoms = self.atoms_of(rank)
-            plan = plans[rank]
-            buf = plan.pack_vec(atoms.x, apply_shift=True)
-            for s_idx, seg in enumerate(plan.send_segments):
-                endpoint.put_positions(s_idx, buf[seg.start : seg.stop])
-        # A PUT completes remotely only after the fence: poll until
-        # every in-flight (fault-deferred) forward PUT has landed.
-        self._rdma_fence("forward")
+            # put_positions copies the segment into the staged send
+            # buffer, so the pool is free for reuse immediately.
+            for rank, buf in enumerate(bufs):
+                endpoint = self.endpoints[rank]
+                for s_idx, seg in enumerate(self._plans[rank].send_segments):
+                    endpoint.put_positions(s_idx, buf[seg.start : seg.stop])
+            # A PUT completes remotely only after the fence: poll until
+            # every in-flight (fault-deferred) forward PUT has landed.
+            self._rdma_fence("forward")
         self._fastpath_phases += 1
 
-    def _reverse_sum_array(self, arrays, phase: str) -> None:
-        if self.rdma and phase == "reverse":
-            # Same replay argument as forward: the ring round trip moves
-            # each ghost block byte-for-byte into the owner's pooled
-            # buffer and applies the shared fused scatter; the direct
-            # delivery is that copy without the ring bookkeeping.
-            if self._fastpath_ok():
-                self._plans_current()
-                if self._rev_deliveries is not None:
-                    self.world.transport.set_phase(phase)
-                    self._reverse_fast(
-                        arrays, phase, self.world.transport, record=False
-                    )
-                    return
-            self._reverse_rdma()
-            return
-        super()._reverse_sum_array(arrays, phase)
-
-    def _reverse_rdma(self) -> None:
+    def _rdma_reverse(self, arrays, bufs, phase: str) -> None:
         """Reverse forces via length-prefixed PUTs into receive rings."""
-        self.world.transport.set_phase("reverse")
-        if not TRACER.enabled:
-            self._reverse_rdma_impl()
-            return
         with TRACER.span(
             f"{self.name}.reverse-rdma", cat="rdma", track="comm", pattern=self.name
         ):
-            self._reverse_rdma_impl()
-
-    def _reverse_rdma_impl(self) -> None:
-        plans = self._plans_current()
-        # Ghost holders put into the owners' rings...
-        for rank in range(self.world.size):
-            endpoint = self.endpoints[rank]
-            atoms = self.atoms_of(rank)
-            for r_idx, route in enumerate(self.routes[rank].recvs):
-                owner_endpoint = self.endpoints[route.peer]
-                # Our recv offset index r_idx pairs with the owner's send
-                # route of the opposite offset; the owner consumes rings in
-                # its own send order, so target the ring it will read.
-                ring = owner_endpoint.recv_rings[
-                    self._owner_ring_index(route.peer, rank, route.tag)
-                ]
-                lo, n = route.recv_start, route.recv_count
-                endpoint.put_into_ring(r_idx, ring, atoms.f[lo : lo + n])
-        # ... and the owners drain them in deterministic order, collecting
-        # each route's block into the pooled buffer and applying one fused
-        # scatter — the same summation the message plane uses, so both
-        # planes stay bitwise identical.
-        for rank in range(self.world.size):
-            endpoint = self.endpoints[rank]
-            atoms = self.atoms_of(rank)
-            plan = plans[rank]
-            buf = plan.unpack_buffer(vec=True)
-            for seg, route in zip(plan.send_segments, self.routes[rank].sends):
-                ring = endpoint.recv_rings[
-                    self._owner_ring_index(rank, route.peer, route.tag)
-                ]
-                data = self._consume_ring(ring, rank, route)
-                forces = split(data, trailing_shape=(3,))
-                if forces.shape[0] != route.count:
-                    raise RuntimeError(
-                        f"reverse payload of {forces.shape[0]} rows does not "
-                        f"match {route.count} border atoms"
+            # Ghost holders put into the owners' rings...
+            for rank in range(self.world.size):
+                endpoint = self.endpoints[rank]
+                for r_idx, seg in enumerate(self._plans[rank].recv_segments):
+                    # Our recv offset index r_idx pairs with the owner's
+                    # send route of the opposite offset; the owner consumes
+                    # rings in its own send order, so target the ring it
+                    # will read.
+                    ring = self.endpoints[seg.peer].recv_rings[
+                        self._owner_ring_index(seg.tag)
+                    ]
+                    endpoint.put_into_ring(
+                        r_idx, ring, arrays[rank][seg.lo : seg.lo + seg.n]
                     )
-                buf[seg.start : seg.stop] = forces
-            plan.apply_reverse(atoms.f, buf)
+            # ... and the owners drain them in deterministic order, each
+            # route's block into the pooled buffer the shared fused scatter
+            # reads — the same summation the message plane uses, so both
+            # planes stay bitwise identical.
+            for rank, buf in enumerate(bufs):
+                endpoint = self.endpoints[rank]
+                for seg in self._plans[rank].send_segments:
+                    ring = endpoint.recv_rings[self._owner_ring_index(seg.tag)]
+                    forces = split(
+                        self._consume_ring(ring, rank, seg.peer), trailing_shape=(3,)
+                    )
+                    if forces.shape[0] != seg.stop - seg.start:
+                        raise RuntimeError(
+                            f"reverse payload of {forces.shape[0]} rows does not "
+                            f"match {seg.stop - seg.start} border atoms"
+                        )
+                    buf[seg.start : seg.stop] = forces
         self._fastpath_phases += 1
 
     # -- RDMA-plane robustness (fence + ring retry) ---------------------------
     def _rdma_fence(self, stage: str) -> None:
         """Poll until every in-flight (fault-deferred) PUT has landed.
 
-        The message-plane analogue is :meth:`_recv`'s retry loop; here
-        each attempt waits the backoff timeout and ages the deferred-PUT
-        store.  Without a fault session — or with nothing in flight —
-        this returns immediately.
+        The message-plane analogue is :meth:`_recv`; here each retry
+        poll ages the deferred-PUT store.  Without a fault session — or
+        with nothing in flight — this returns immediately.
         """
         session = FAULTS.session
         if session is None or session.pending_deferred() == 0:
             return
         hbevents.emit_fence(stage, session.pending_deferred())
-        policy = session.policy
-        timeout = policy.base_timeout
-        with TRACER.span(
-            "rdma-fence", cat="retry", track="comm", stage=stage, pattern=self.name
-        ):
-            for attempt in range(1, policy.max_retries + 1):
-                session.check_budget()
-                session.note_retry(stage)
-                self.retries += 1
-                self.retry_model_time += timeout
-                TRACER.model_span_seq(
-                    "retry-backoff", timeout, cat="retry", track="comm",
-                    attempt=attempt, phase=stage,
-                )
-                session.release_tick()
-                if session.pending_deferred() == 0:
-                    return
-                timeout *= policy.backoff
-        raise RetryExhaustedError(
-            f"{session.pending_deferred()} RDMA PUT(s) still in flight after "
-            f"{policy.max_retries} fence polls (stage {stage!r}, "
-            f"pattern {self.name!r})"
-        )
 
-    def _consume_ring(self, ring, rank: int, route) -> np.ndarray:
+        def poll():
+            session.release_tick()
+            return session.pending_deferred() == 0 or None
+
+        if not self._retry(
+            poll, "rdma-fence", {"stage": stage, "pattern": self.name}, stage
+        ):
+            raise RetryExhaustedError(
+                f"{session.pending_deferred()} RDMA PUT(s) still in flight after "
+                f"{session.policy.max_retries} fence polls (stage {stage!r}, "
+                f"pattern {self.name!r})"
+            )
+
+    def _consume_ring(self, ring, rank: int, peer: int) -> np.ndarray:
         """Consume a receive ring, retrying while its PUT is in flight.
 
         A ring-stale fault leaves the buffer clean (the §3.4 hazard:
@@ -498,39 +417,32 @@ class P2PExchange(GhostExchange):
         raises; each retry ages the deferred store until the PUT lands.
         """
         session = FAULTS.session
-        if session is None:
-            return ring.consume()
         try:
             return ring.consume()
         except BufferOverwriteError:
-            pass
-        policy = session.policy
-        timeout = policy.base_timeout
-        with TRACER.span(
-            "ring-retry", cat="retry", track="comm",
-            rank=rank, peer=route.peer, pattern=self.name,
-        ):
-            for attempt in range(1, policy.max_retries + 1):
-                session.check_budget()
-                session.note_retry("reverse")
-                self.retries += 1
-                self.retry_model_time += timeout
-                TRACER.model_span_seq(
-                    "retry-backoff", timeout, cat="retry", track="comm",
-                    attempt=attempt, rank=rank, peer=route.peer, phase="reverse",
-                )
-                session.release_tick()
-                try:
-                    return ring.consume()
-                except BufferOverwriteError:
-                    timeout *= policy.backoff
-        raise RetryExhaustedError(
-            f"rank {rank} ring from {route.peer} still stale after "
-            f"{policy.max_retries} retries (pattern {self.name!r})"
-        )
+            if session is None:
+                raise
 
-    def _owner_ring_index(self, owner: int, ghost_holder: int, tag: tuple) -> int:
-        """Which of the owner's rings serves this (peer, offset) route.
+        def poll():
+            session.release_tick()
+            try:
+                return ring.consume()
+            except BufferOverwriteError:
+                return None
+
+        data = self._retry(
+            poll, "ring-retry", {"rank": rank, "peer": peer, "pattern": self.name},
+            "reverse", rank=rank, peer=peer,
+        )
+        if data is None:
+            raise RetryExhaustedError(
+                f"rank {rank} ring from {peer} still stale after "
+                f"{session.policy.max_retries} retries (pattern {self.name!r})"
+            )
+        return data
+
+    def _owner_ring_index(self, tag: tuple) -> int:
+        """Which of the owner's rings serves the route tagged ``tag``.
 
         Rings are allocated per recv-offset slot; for reverse traffic we
         reuse the owner's *send* slot index (both sides enumerate offsets

@@ -67,9 +67,6 @@ class ThreeStageExchange(GhostExchange):
 
         for k, swap in enumerate(self.swaps):
             dim, direction = swap.dim, swap.dir
-            if not TRACER.enabled:
-                self._border_swap(k, dim, direction, prev_recv, dim_first)
-                continue
             with TRACER.span(
                 f"swap{k}", cat="swap", track="comm", dim=dim, dir=direction
             ):

@@ -43,6 +43,7 @@ import statistics
 import sys
 import time
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 #: Versioned schema identifier checked by :func:`validate_bench_doc`.
@@ -99,11 +100,11 @@ class BenchConfig:
 #: ``faults-off`` reruns the smoke configs and additionally proves the
 #: disabled fault-injection layer is free (:func:`fault_overhead_guard`);
 #: ``comm-fastpath`` is the exchange-dominated set the plan-cache /
-#: flat-buffer fast path must speed up (gated by the ``speedup``
-#: subcommand); ``telemetry-overhead`` reruns those configs and proves
-#: the always-on telemetry plane costs <5% wall with the fast path still
-#: active (:func:`telemetry_overhead_guard`); ``ci`` is smoke +
-#: comm-fastpath in one artifact.
+#: flat-buffer fast path must speed up (the live record of that speedup
+#: is the perf ledger's ``lj-strong-27r``); ``telemetry-overhead`` reruns
+#: those configs and proves the always-on telemetry plane costs <5% wall
+#: with the fast path still active (:func:`telemetry_overhead_guard`);
+#: ``ci`` is smoke + comm-fastpath in one artifact.
 SUITES: dict[str, tuple[BenchConfig, ...]] = {
     "smoke": (
         BenchConfig("lj", "3stage", (2, 2, 2), rdma=False),
@@ -184,12 +185,10 @@ def run_config(cfg: BenchConfig, repeats: int = 3) -> tuple[dict, object]:
             wall_samples[stage.value].append(sim.timers.wall[stage])
         total_samples.append(sim.timers.total_wall())
 
-    model = {s.value: sim.timers.model[s] for s in Stage}
-    log = sim.world.transport.log
-    phases = sorted({m.phase for m in log.messages})
+    model = _model_stages(sim)
     traffic = {
-        ph: {"count": log.summary(ph).count, "bytes": log.summary(ph).total_bytes}
-        for ph in phases
+        ph: {"count": count, "bytes": nbytes}
+        for ph, (count, nbytes) in _traffic_shape(sim).items()
     }
 
     # Critical path of the modeled forward exchange (rank 0's schedule).
@@ -226,15 +225,16 @@ def run_config(cfg: BenchConfig, repeats: int = 3) -> tuple[dict, object]:
     }
     stats = getattr(sim.exchange, "plan_stats", None)
     if stats is not None:
-        # Allocation-count evidence for the flat-buffer fast path: the
-        # ``speedup`` gate requires zero pool regrowth and a nonzero
-        # fast-path phase count on the comm-fastpath configurations.
+        # Allocation-count evidence for the flat-buffer fast path: CI's
+        # alloc gate requires zero pool regrowth and a nonzero fast-path
+        # phase count on the comm-fastpath configurations.
         record["alloc"] = stats()
     return record, (snapshot, cp)
 
 
-#: Relative wall-clock overhead the *disabled* fault layer may add.
-OVERHEAD_LIMIT = 0.02
+def _model_stages(sim) -> dict:
+    """Modeled (simulated-Fugaku) seconds per stage of one run."""
+    return {s.value: t for s, t in sim.timers.model.items()}
 
 
 def _traffic_shape(sim) -> dict:
@@ -246,58 +246,48 @@ def _traffic_shape(sim) -> dict:
     }
 
 
-def fault_overhead_guard(repeats: int = 5) -> dict:
-    """Prove the fault-injection layer is free when it has nothing to do.
+def overhead_guard(suite: str, arms, limit: float, repeats: int, fastpath: bool) -> dict:
+    """Interleaved A/B proof that the ``on`` arm is (nearly) free.
 
-    Runs every smoke configuration twice per repeat — plain, and inside
-    an *empty* :class:`~repro.faults.plan.FaultPlan` session (layer
-    active, zero faults scheduled) — interleaved so machine drift hits
-    both arms equally, and checks per configuration:
+    ``arms`` is the (off, on) pair of context-manager factories a fresh
+    simulation is built and run under.  Every configuration of ``suite``
+    runs once per arm per repeat — interleaved so machine drift hits
+    both arms equally — and must show:
 
-    * the modeled stage seconds are **exactly** equal: an armed-but-idle
-      session must add zero modeled time;
-    * the traffic shape (per-phase message counts and bytes) is exactly
-      equal: envelope wrapping must not change what is sent;
-    * the wall overhead stays under :data:`OVERHEAD_LIMIT`.  Scheduler
-      noise is bursty and one-sided (a burst only slows a sample), so
-      the estimate is the minimum of the min-over-samples ratio and the
-      best interleaved pair ratio — a lower bound that converges to the
-      true overhead and never false-fails on noise; when it still reads
-      over the limit, sampling escalates (up to 4x) before concluding.
-      The deterministic equality checks are the hard gate; the wall
-      bound is the smoke alarm for gross overhead regressions.
+    * modeled stage seconds **exactly** equal, and the traffic shape
+      (per-phase message counts and bytes) exactly equal;
+    * with ``fastpath``: the exchange's direct plane active in both
+      arms (``fastpath_phases > 0``);
+    * the wall overhead under ``limit``.  Scheduler noise is bursty and
+      one-sided (a burst only slows a sample), so the estimate is the
+      minimum of the min-over-samples ratio and the best interleaved
+      pair ratio — a lower bound that converges to the true overhead and
+      never false-fails on noise; when it still reads over the limit,
+      sampling escalates (up to 4x) before concluding.  The
+      deterministic equality checks are the hard gate; the wall bound is
+      the smoke alarm for gross overhead regressions.
     """
-    from repro.faults import FAULTS, FaultPlan
-    from repro.md.stages import Stage
-
-    plan = FaultPlan(seed=0, faults=())
     entries = []
-    for cfg in SUITES["smoke"]:
-        off_wall: list[float] = []
-        on_wall: list[float] = []
-        off_model = on_model = None
-        off_traffic = on_traffic = None
+    for cfg in SUITES[suite]:
+        walls: tuple[list[float], list[float]] = ([], [])
+        shapes: list = [None, None]
+        phases = [0, 0]
 
         def sample_pair() -> None:
-            nonlocal off_model, on_model, off_traffic, on_traffic
-            sim = build_simulation(cfg)
-            sim.run(cfg.steps)
-            off_wall.append(sim.timers.total_wall())
-            off_model = {s.value: sim.timers.model[s] for s in Stage}
-            off_traffic = _traffic_shape(sim)
-
-            sim = build_simulation(cfg)
-            with FAULTS.inject(plan):
-                sim.run(cfg.steps)
-            on_wall.append(sim.timers.total_wall())
-            on_model = {s.value: sim.timers.model[s] for s in Stage}
-            on_traffic = _traffic_shape(sim)
+            for i, arm in enumerate(arms):
+                with arm():
+                    sim = build_simulation(cfg)
+                    sim.run(cfg.steps)
+                walls[i].append(sim.timers.total_wall())
+                shapes[i] = (_model_stages(sim), _traffic_shape(sim))
+                phases[i] = sim.exchange.plan_stats()["fastpath_phases"]
 
         def overhead_now() -> float:
             # Scheduler noise only ever *slows* a sample, so both the
             # min-over-samples ratio and the best interleaved pair are
             # upper bounds contaminated from above; their minimum is the
             # tightest noise-immune estimate of the true overhead.
+            off_wall, on_wall = walls
             if min(off_wall) <= 0:
                 return 0.0
             global_ratio = min(on_wall) / min(off_wall)
@@ -308,44 +298,75 @@ def fault_overhead_guard(repeats: int = 5) -> dict:
             sample_pair()
         # Real overhead survives more samples; scheduler noise does not.
         # Keep sampling (up to 4x) while the min-ratio looks over limit.
-        while overhead_now() >= OVERHEAD_LIMIT and len(off_wall) < 4 * max(repeats, 1):
+        while overhead_now() >= limit and len(walls[0]) < 4 * max(repeats, 1):
             sample_pair()
         overhead = overhead_now()
+        (off_model, off_traffic), (on_model, on_traffic) = shapes
         entry = {
             "key": cfg.key,
             "model_equal": off_model == on_model,
             "traffic_equal": off_traffic == on_traffic,
-            "wall_off_min": min(off_wall),
-            "wall_on_min": min(on_wall),
+            "wall_off_min": min(walls[0]),
+            "wall_on_min": min(walls[1]),
             "overhead": overhead,
-            "samples": len(off_wall),
-            "ok": off_model == on_model
-            and off_traffic == on_traffic
-            and overhead < OVERHEAD_LIMIT,
+            "samples": len(walls[0]),
         }
+        ok = entry["model_equal"] and entry["traffic_equal"] and overhead < limit
+        if fastpath:
+            entry["fastpath_off"], entry["fastpath_on"] = phases
+            ok = ok and min(phases) > 0
+        entry["ok"] = ok
         entries.append(entry)
-    return {
-        "limit": OVERHEAD_LIMIT,
-        "entries": entries,
-        "ok": all(e["ok"] for e in entries),
-    }
+    return {"limit": limit, "entries": entries, "ok": all(e["ok"] for e in entries)}
 
 
-def render_fault_guard(guard: dict) -> str:
-    """Text summary of one :func:`fault_overhead_guard` result."""
-    lines = [
-        f"fault-layer overhead guard (limit {100 * guard['limit']:g}% wall, "
-        "model/traffic must match exactly):"
-    ]
+def _render_guard(title: str, guard: dict) -> str:
+    lines = [title.format(limit=f"{100 * guard['limit']:g}")]
     for e in guard["entries"]:
+        fastpath = (
+            f"fastpath {e['fastpath_off']}/{e['fastpath_on']} phases (off/on), "
+            if "fastpath_off" in e
+            else ""
+        )
         lines.append(
-            f"  [{'OK' if e['ok'] else 'FAIL':>4}] {e['key']}: "
+            f"  [{'OK' if e['ok'] else 'FAIL':>4}] {e['key']}: {fastpath}"
             f"model {'==' if e['model_equal'] else '!='}, "
             f"traffic {'==' if e['traffic_equal'] else '!='}, "
             f"wall {e['wall_off_min']:.4g}s -> {e['wall_on_min']:.4g}s "
             f"({100 * e['overhead']:+.2f}%)"
         )
     return "\n".join(lines)
+
+
+#: Relative wall-clock overhead the *disabled* fault layer may add.
+OVERHEAD_LIMIT = 0.02
+
+
+def fault_overhead_guard(repeats: int = 5) -> dict:
+    """Prove the fault-injection layer is free when it has nothing to do.
+
+    :func:`overhead_guard` over the smoke suite: plain vs. inside an
+    *empty* :class:`~repro.faults.plan.FaultPlan` session (layer active,
+    zero faults scheduled) — an armed-but-idle session must add zero
+    modeled time, envelope wrapping must not change what is sent, and
+    the wall overhead stays under :data:`OVERHEAD_LIMIT`.
+    """
+    from repro.faults import FAULTS, FaultPlan
+
+    plan = FaultPlan(seed=0, faults=())
+    return overhead_guard(
+        "smoke", (nullcontext, lambda: FAULTS.inject(plan)), OVERHEAD_LIMIT,
+        repeats, fastpath=False,
+    )
+
+
+def render_fault_guard(guard: dict) -> str:
+    """Text summary of one :func:`fault_overhead_guard` result."""
+    return _render_guard(
+        "fault-layer overhead guard (limit {limit}% wall, "
+        "model/traffic must match exactly):",
+        guard,
+    )
 
 
 #: Relative wall-clock overhead the *enabled* telemetry plane may add.
@@ -355,106 +376,28 @@ TELEMETRY_OVERHEAD_LIMIT = 0.05
 def telemetry_overhead_guard(repeats: int = 5) -> dict:
     """Prove the always-on telemetry plane is nearly free on the hot path.
 
-    Runs every ``comm-fastpath`` configuration twice per repeat —
-    telemetry on (the default) and inside
-    :meth:`~repro.obs.telemetry.TelemetryControl.disabled` — interleaved
-    so machine drift hits both arms equally, and checks per
-    configuration:
-
-    * the exchange fast path stays active in **both** arms
-      (``fastpath_phases > 0``): telemetry must never trip
-      ``_fastpath_ok``;
-    * the modeled stage seconds and the traffic shape are exactly
-      equal: counters observe the run, they do not change it;
-    * the wall overhead stays under :data:`TELEMETRY_OVERHEAD_LIMIT`,
-      estimated with the same noise-robust min-ratio lower bound as
-      :func:`fault_overhead_guard` (escalating samples before
-      concluding).
+    :func:`overhead_guard` over the ``comm-fastpath`` configurations:
+    inside :meth:`~repro.obs.telemetry.TelemetryControl.disabled` vs.
+    telemetry on (the default).  Counters observe the run, they do not
+    change it — and they must never push the exchange off its direct
+    plane, so ``fastpath_phases > 0`` is required in **both** arms; the
+    wall overhead stays under :data:`TELEMETRY_OVERHEAD_LIMIT`.
     """
-    from repro.md.stages import Stage
     from repro.obs.telemetry import TELEMETRY
 
-    entries = []
-    for cfg in SUITES["telemetry-overhead"]:
-        off_wall: list[float] = []
-        on_wall: list[float] = []
-        off_model = on_model = None
-        off_traffic = on_traffic = None
-        off_fastpath = on_fastpath = 0
-
-        def sample_pair() -> None:
-            nonlocal off_model, on_model, off_traffic, on_traffic
-            nonlocal off_fastpath, on_fastpath
-            with TELEMETRY.disabled():
-                sim = build_simulation(cfg)
-                sim.run(cfg.steps)
-            off_wall.append(sim.timers.total_wall())
-            off_model = {s.value: sim.timers.model[s] for s in Stage}
-            off_traffic = _traffic_shape(sim)
-            off_fastpath = sim.exchange.plan_stats()["fastpath_phases"]
-
-            sim = build_simulation(cfg)
-            sim.run(cfg.steps)
-            on_wall.append(sim.timers.total_wall())
-            on_model = {s.value: sim.timers.model[s] for s in Stage}
-            on_traffic = _traffic_shape(sim)
-            on_fastpath = sim.exchange.plan_stats()["fastpath_phases"]
-
-        def overhead_now() -> float:
-            if min(off_wall) <= 0:
-                return 0.0
-            global_ratio = min(on_wall) / min(off_wall)
-            pair_ratio = min(on / off for on, off in zip(on_wall, off_wall))
-            return min(global_ratio, pair_ratio) - 1.0
-
-        for _ in range(max(repeats, 1)):
-            sample_pair()
-        while (
-            overhead_now() >= TELEMETRY_OVERHEAD_LIMIT
-            and len(off_wall) < 4 * max(repeats, 1)
-        ):
-            sample_pair()
-        overhead = overhead_now()
-        entry = {
-            "key": cfg.key,
-            "model_equal": off_model == on_model,
-            "traffic_equal": off_traffic == on_traffic,
-            "fastpath_off": off_fastpath,
-            "fastpath_on": on_fastpath,
-            "wall_off_min": min(off_wall),
-            "wall_on_min": min(on_wall),
-            "overhead": overhead,
-            "samples": len(off_wall),
-            "ok": off_model == on_model
-            and off_traffic == on_traffic
-            and off_fastpath > 0
-            and on_fastpath > 0
-            and overhead < TELEMETRY_OVERHEAD_LIMIT,
-        }
-        entries.append(entry)
-    return {
-        "limit": TELEMETRY_OVERHEAD_LIMIT,
-        "entries": entries,
-        "ok": all(e["ok"] for e in entries),
-    }
+    return overhead_guard(
+        "telemetry-overhead", (TELEMETRY.disabled, nullcontext),
+        TELEMETRY_OVERHEAD_LIMIT, repeats, fastpath=True,
+    )
 
 
 def render_telemetry_guard(guard: dict) -> str:
     """Text summary of one :func:`telemetry_overhead_guard` result."""
-    lines = [
-        f"telemetry overhead guard (limit {100 * guard['limit']:g}% wall, "
-        "fast path active in both arms, model/traffic must match exactly):"
-    ]
-    for e in guard["entries"]:
-        lines.append(
-            f"  [{'OK' if e['ok'] else 'FAIL':>4}] {e['key']}: "
-            f"fastpath {e['fastpath_off']}/{e['fastpath_on']} phases (off/on), "
-            f"model {'==' if e['model_equal'] else '!='}, "
-            f"traffic {'==' if e['traffic_equal'] else '!='}, "
-            f"wall {e['wall_off_min']:.4g}s -> {e['wall_on_min']:.4g}s "
-            f"({100 * e['overhead']:+.2f}%)"
-        )
-    return "\n".join(lines)
+    return _render_guard(
+        "telemetry overhead guard (limit {limit}% wall, "
+        "fast path active in both arms, model/traffic must match exactly):",
+        guard,
+    )
 
 
 def model_tables() -> dict:
@@ -953,99 +896,6 @@ def compare(
     return report
 
 
-# -- speedup gate ----------------------------------------------------------
-def speedup_gate(old: dict, new: dict, min_ratio: float = 1.5) -> dict:
-    """Gate the comm-fastpath wall speedup of ``new`` over ``old``.
-
-    For every ``comm-fastpath`` configuration present in the baseline:
-
-    * the wall-total median must be at least ``min_ratio`` times faster;
-    * the modeled stage seconds and the traffic shape must be *exactly*
-      equal — the fast path may only change how bytes move, never what
-      is sent or what the machine model prices;
-    * the candidate's ``alloc`` record must show a working plan cache:
-      ``fastpath_phases > 0`` and ``pool_grow_events == 0`` (the pooled
-      buffers were sized right once and never reallocated).
-    """
-    validate_bench_doc(old)
-    validate_bench_doc(new)
-    keys = [cfg.key for cfg in SUITES["comm-fastpath"]]
-    old_runs = {r["key"]: r for r in old["runs"]}
-    new_runs = {r["key"]: r for r in new["runs"]}
-    entries = []
-    for key in keys:
-        o, n = old_runs.get(key), new_runs.get(key)
-        if o is None or n is None:
-            entries.append(
-                {"key": key, "ok": False,
-                 "why": "missing from " + ("baseline" if o is None else "candidate")}
-            )
-            continue
-        o_med = o["wall"]["total"]["median"]
-        n_med = n["wall"]["total"]["median"]
-        ratio = o_med / n_med if n_med > 0 else math.inf
-        model_equal = o["model"] == n["model"]
-        traffic_equal = o["traffic"] == n["traffic"]
-        alloc = n.get("alloc", {})
-        plan_ok = (
-            alloc.get("fastpath_phases", 0) > 0
-            and alloc.get("pool_grow_events", 1) == 0
-        )
-        why = []
-        if ratio < min_ratio:
-            why.append(f"speedup {ratio:.2f}x < {min_ratio:g}x")
-        if not model_equal:
-            why.append("modeled stage seconds differ")
-        if not traffic_equal:
-            why.append("traffic shape differs")
-        if not plan_ok:
-            why.append(f"alloc gate failed ({alloc or 'no alloc record'})")
-        entries.append(
-            {
-                "key": key,
-                "wall_old": o_med,
-                "wall_new": n_med,
-                "speedup": ratio,
-                "model_equal": model_equal,
-                "traffic_equal": traffic_equal,
-                "alloc": alloc,
-                "ok": not why,
-                "why": "; ".join(why),
-            }
-        )
-    return {
-        "min_ratio": min_ratio,
-        "entries": entries,
-        "ok": bool(entries) and all(e["ok"] for e in entries),
-    }
-
-
-def render_speedup(gate: dict) -> str:
-    """Text summary of one :func:`speedup_gate` result."""
-    lines = [
-        f"comm-fastpath speedup gate (wall >= {gate['min_ratio']:g}x, "
-        "model/traffic exactly equal, pool never regrown):"
-    ]
-    for e in gate["entries"]:
-        if "speedup" not in e:
-            lines.append(f"  [FAIL] {e['key']}: {e['why']}")
-            continue
-        alloc = e["alloc"]
-        detail = (
-            f"wall {e['wall_old']:.4g}s -> {e['wall_new']:.4g}s "
-            f"({e['speedup']:.2f}x), "
-            f"model {'==' if e['model_equal'] else '!='}, "
-            f"traffic {'==' if e['traffic_equal'] else '!='}, "
-            f"plans {alloc.get('plan_builds', '?')} built / "
-            f"{alloc.get('fastpath_phases', '?')} fast phases / "
-            f"{alloc.get('pool_grow_events', '?')} regrows"
-        )
-        lines.append(f"  [{'OK' if e['ok'] else 'FAIL':>4}] {e['key']}: {detail}")
-        if not e["ok"]:
-            lines.append(f"         -> {e['why']}")
-    return "\n".join(lines)
-
-
 # -- report ---------------------------------------------------------------
 def render_report(doc: dict) -> str:
     """Human-readable rendering of one bench artifact."""
@@ -1171,15 +1021,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("artifact")
     rep.add_argument("--csv", default=None, help="also write a per-stage CSV")
 
-    spd = sub.add_parser(
-        "speedup",
-        help="gate the comm-fastpath wall speedup of candidate over baseline",
-    )
-    spd.add_argument("baseline")
-    spd.add_argument("candidate")
-    spd.add_argument("--min", type=float, default=1.5, dest="min_ratio",
-                     help="required wall-median speedup factor (default 1.5)")
-
     scl = sub.add_parser(
         "scaling",
         help="run one config across a rank-grid ladder and write a "
@@ -1300,14 +1141,6 @@ def main(argv=None) -> int:
         if args.csv:
             write_report_csv(args.csv, doc)
             print(f"# csv -> {args.csv}")
-        return 0
-    if args.command == "speedup":
-        gate = speedup_gate(_load(args.baseline), _load(args.candidate), args.min_ratio)
-        print(render_speedup(gate))
-        if not gate["ok"]:
-            print("FAIL: comm-fastpath speedup gate not met")
-            return 1
-        print("OK: comm-fastpath speedup gate met")
         return 0
     if args.command == "scaling":
         from repro.obs.scaling import (

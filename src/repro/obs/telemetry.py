@@ -1,9 +1,9 @@
 """Always-on telemetry: counters, sketches, and the flight recorder.
 
 The third observability tier.  The tracer and the metrics registry are
-*sessions* — heavyweight, per-event, and deliberately disabled on the
-exchange fast path (``GhostExchange._fastpath_ok``) because per-message
-spans/histograms cost more than the pooled replay they would observe.
+*sessions* — heavyweight, per-event, and deliberately kept off the
+exchange's direct delivery plane (``GhostExchange._plane``) because
+per-message spans/histograms cost more than the replay they would observe.
 Telemetry is the tier production cannot turn off: **counter-shaped, not
 event-shaped** (the pMR lesson — per-connection/buffer accounting stays
 on the hot path when it is amortized), so enabling it forfeits nothing.

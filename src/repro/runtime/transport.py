@@ -122,6 +122,18 @@ class TrafficLog:
             self._aggregate(msg)
             self._trim()
 
+    def record_phase(self, msgs: list[SentMessage], nbytes: int) -> None:
+        """Append one replayed phase's records; ``nbytes`` is their byte
+        sum, precomputed with the list, so an unbounded log does no
+        per-message work (a windowed one aggregates each record)."""
+        if self.max_messages is not None:
+            for m in msgs:
+                self.record(m)
+            return
+        self.messages.extend(msgs)
+        self.grand_total_count += len(msgs)
+        self.grand_total_bytes += nbytes
+
     def clear(self) -> None:
         """Drop all records (and aggregates)."""
         self.messages.clear()
@@ -312,8 +324,9 @@ class Transport:
     ) -> None:
         """Hot-path send: deposit + traffic record, nothing else.
 
-        Callers (the exchange fast path) guarantee no fault session is
-        active and tracing/metrics are disabled, and pass the payload
+        Callers (the border stage on the exchange's direct plane)
+        guarantee no message/RDMA fault is armed and tracing/metrics are
+        disabled, and pass the payload
         byte size resolved once at plan-build time — so the rank checks,
         fault envelopes and per-message observability of :meth:`send`
         are all skipped.  ``payload`` may be a zero-copy view of a

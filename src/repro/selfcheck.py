@@ -477,8 +477,8 @@ def _telemetry_checks(
         counters_agree = (
             telem.counter_value("fastpath_phases_total") == stats["fastpath_phases"]
             and telem.counter_value("plan_builds_total") == stats["plan_builds"]
-            and telem.counter_value("messages_total") == log.grand_total_count
-            and telem.counter_value("message_bytes_total") == log.grand_total_bytes
+            and telem.counter_value("messages_total") == log.count()
+            and telem.counter_value("message_bytes_total") == log.total_bytes()
             and telem.counter_value("steps_total") == steps
         )
         report.add(

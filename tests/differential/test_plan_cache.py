@@ -41,11 +41,11 @@ def build_world(grid):
     return world, domain
 
 
-def _lj_sim(seed=7, pattern="p2p", steps=0, **overrides):
+def _lj_sim(seed=7, pattern="p2p", steps=0, rdma=False, newton=True, **overrides):
     x, v, box = random_system(150, seed)
     cfg = SimulationConfig(
-        dt=0.002, skin=0.3, pattern=pattern, rdma=False,
-        neighbor_every=3, newton=True, **overrides,
+        dt=0.002, skin=0.3, pattern=pattern, rdma=rdma,
+        neighbor_every=3, newton=newton, **overrides,
     )
     sim = Simulation(x, v, box, LennardJones(cutoff=1.55), cfg, grid=(2, 2, 2))
     if steps:
@@ -161,6 +161,31 @@ class TestFastSlowEquivalence:
             slow.run(4)
         assert np.array_equal(fast.gather_positions(), slow.gather_positions())
         assert np.array_equal(fast.gather_forces(), slow.gather_forces())
+
+    def _assert_planes_agree(self, **kw):
+        """Direct plane (plain run) == the plane a traced run selects."""
+        fast = _lj_sim(seed=16, **kw)
+        slow = _lj_sim(seed=16, **kw)
+        fast.run(6)
+        with tracing():
+            slow.run(6)
+        assert fast.exchange.plan_stats()["slowpath_phases"] == 0
+        assert slow.exchange.plan_stats()["slowpath_phases"] > 0
+        assert np.array_equal(fast.gather_positions(), slow.gather_positions())
+        assert np.array_equal(fast.gather_forces(), slow.gather_forces())
+        return slow
+
+    def test_full_shell_mailbox_plane_is_bit_identical(self):
+        """newton=False: 26 routes per rank through the shared pack."""
+        slow = self._assert_planes_agree(newton=False)
+        assert all(n == 26 for n in slow.exchange.messages_per_rank().values())
+
+    def test_rdma_plane_is_bit_identical(self):
+        """rdma=True: PUT + fence + ring drain == the direct slice copies."""
+        slow = self._assert_planes_agree(rdma=True)
+        # The traced vector phases rode the rdma plane, not the mailbox.
+        assert slow.exchange.plan_stats()["fastpath_phases"] > 0
+        assert slow.world.transport.log.count("forward") == 0
 
     def test_box_edge_guard(self):
         """The shared fixtures still decompose as the suite assumes."""

@@ -160,6 +160,33 @@ class TestFlushIntegration:
         assert t.counter_value("messages_total") == log.grand_total_count
         assert t.counter_value("message_bytes_total") == log.grand_total_bytes
 
+    @pytest.mark.parametrize("rdma", [False, True], ids=["messages", "rdma"])
+    def test_direct_plane_traffic_reaches_telemetry(self, rdma):
+        """Replayed phases feed the totals the telemetry plane reads.
+
+        The direct plane appends whole phases to the traffic log; the
+        run-lifetime totals (all ``flush_step`` and the flight frames
+        see) must count them like per-message ``record()`` does.
+        """
+        with TELEMETRY.scope():
+            sim = build_sim(pattern="p2p", rdma=rdma)
+            sim.setup()
+            sim.run(STEPS - 1)
+            log = sim.world.transport.log
+            count, nbytes = log.count(), log.total_bytes()
+            sim.step()
+        t = sim.telemetry
+        assert sim.exchange.plan_stats()["slowpath_phases"] == 0
+        assert log.count() > 0
+        assert t.counter_value("messages_total") == log.count()
+        assert t.counter_value("message_bytes_total") == log.total_bytes()
+        frame = t.flight.frames[-1]
+        assert frame["messages"] == log.count() - count
+        assert frame["bytes"] == log.total_bytes() - nbytes
+        if not rdma:
+            # Forward + reverse messages every step, not just border traffic.
+            assert frame["messages"] > 0
+
     def test_telemetry_leaves_fastpath_on(self):
         sim = self.run_sim()
         assert sim.exchange.plan_stats()["fastpath_phases"] > 0
