@@ -1,16 +1,27 @@
 """Border bins: O(1) neighbor targeting for border atoms (section 3.5.2).
 
 Deciding which neighbors need a given border atom naively tests the atom
-against up to 26 ghost regions.  The paper instead cuts each sub-box into
-a 3x3x3 grid at distance ``r_comm`` from the faces: an atom's bin index
-(one ternary digit per axis: low border / interior / high border) is
-computed once, and a precomputed bin -> neighbor-list table finishes the
-job.
+against up to 26 ghost regions.  The paper instead cuts each sub-box at
+distance ``r_comm`` from its faces, classifies every atom once, and lets
+a precomputed class -> neighbor-list table finish the job.
 
-:class:`BorderBins` precomputes that table for any neighbor set (the 13
-half-shell or 26 full-shell offsets) and classifies whole position arrays
-vectorized.  Tests verify it against the brute-force region test
-(:meth:`repro.md.region.SubBox.border_mask`) on random atoms.
+Exactness (why the class is six flags, not one of 27 bins).  For shell
+radius 1, :meth:`repro.md.region.SubBox.border_mask` ``(x, o, r)`` is the
+AND over axes ``k`` of ``x_k >= hi_k - r`` (``o_k = +1``),
+``x_k < lo_k + r`` (``o_k = -1``), *true* (``o_k = 0``): six independent
+flags per atom, and a neighbor needs the atom iff every flag its offset
+requires is set.  A ternary digit per axis (low border / interior / high
+border — the 3x3x3 picture) folds the two flags of an axis into one and
+loses the atoms that sit in *both* borders, which exist as soon as
+``r > a/2`` — the strong-scaling limit the paper is about.  Six bits lose
+nothing for any ``r <= a``, so the 64-code membership table below
+reproduces the 13/26 brute-force sweeps bit for bit there, order
+included: ``np.nonzero`` of the (neighbor, atom) membership matrix is
+row-major, i.e. neighbor-major with atoms ascending — exactly the order
+successive ``np.flatnonzero(border_mask(...))`` calls concatenate in.
+
+Tests verify it against the brute-force region test on random atoms,
+including ``r`` in ``(a/2, a]`` and atoms exactly on the thresholds.
 """
 
 from __future__ import annotations
@@ -19,9 +30,19 @@ import numpy as np
 
 from repro.md.region import SubBox
 
+_AXIS_WEIGHTS = np.array([1, 2, 4], dtype=np.uint8)
+#: 3x3x3 bin id of each six-bit code: digit_k = 1 - low_k + high_k.
+_BIN_OF_CODE = np.array(
+    [
+        sum(3**k * (1 - (code >> k & 1) + (code >> (3 + k) & 1)) for k in range(3))
+        for code in range(64)
+    ],
+    dtype=np.intp,
+)
+
 
 class BorderBins:
-    """3x3x3 binning of a sub-box for border-atom routing.
+    """Six-flag classification of a sub-box for border-atom routing.
 
     Parameters
     ----------
@@ -29,10 +50,12 @@ class BorderBins:
         This rank's sub-box.
     rcomm:
         Ghost-shell thickness (cutoff + skin).  Must not exceed any
-        sub-box edge — bins degenerate otherwise (that long-cutoff regime
-        routes via the generic region test instead).
+        sub-box edge — beyond that a radius-1 shell no longer covers the
+        cutoff (that long-cutoff regime routes via the generic region
+        test instead).
     send_offsets:
-        Neighbor offsets this rank *sends border atoms to*.
+        Neighbor offsets (components in ``{-1, 0, +1}``) this rank
+        *sends border atoms to*.
     """
 
     def __init__(
@@ -47,79 +70,64 @@ class BorderBins:
         if np.any(rcomm > lengths):
             raise ValueError(
                 f"rcomm {rcomm} exceeds sub-box lengths {tuple(lengths)}; "
-                "3x3x3 border bins require sub-boxes wider than the shell"
+                "border bins require sub-boxes wider than the shell"
             )
         self.sub_box = sub_box
         self.rcomm = rcomm
         self.send_offsets = list(send_offsets)
-        self._lo = np.asarray(sub_box.lo)
-        self._hi = np.asarray(sub_box.hi)
-        self._table = self._build_table()
-        # Dense neighbor x bin membership matrix for vectorized routing
-        # (neighbor-major so per-neighbor rows come out contiguous).
-        self._matrix = np.zeros((len(self.send_offsets), 27), dtype=bool)
-        for bin_id, neighbors in enumerate(self._table):
-            self._matrix[neighbors, bin_id] = True
+        # The same float expressions border_mask compares against.
+        self._low_edge = np.asarray(sub_box.lo) + rcomm
+        self._high_edge = np.asarray(sub_box.hi) - rcomm
+        # Neighbor x code membership (neighbor-major so np.nonzero comes
+        # out in send-offset order): code bit k = low flag of axis k,
+        # bit 3+k = high flag.  A neighbor takes a code iff the code
+        # carries every flag its offset requires.
+        required = np.array(
+            [
+                sum(1 << (k if o < 0 else 3 + k) for k, o in enumerate(off) if o)
+                for off in self.send_offsets
+            ],
+            dtype=np.uint8,
+        )
+        codes = np.arange(64, dtype=np.uint8)
+        self._table: np.ndarray = (codes & required[:, None]) == required[:, None]
 
-    def _build_table(self) -> list[list[int]]:
-        """bin id (0..26) -> indices into ``send_offsets`` needing it.
-
-        Bin digit per axis: 0 = within rcomm of the low face, 1 =
-        interior, 2 = within rcomm of the high face.  (With
-        ``rcomm > edge/2`` an atom can be in both borders; digits then
-        prefer low — correctness is preserved because the constructor
-        rejects rcomm > edge, and tests cover the boundary.)  A neighbor
-        with offset ``o`` needs the atom iff for every axis: ``o=+1``
-        requires digit 2, ``o=-1`` requires digit 0, ``o=0`` accepts any.
-        """
-        table: list[list[int]] = [[] for _ in range(27)]
-        for bin_id in range(27):
-            digits = (bin_id % 3, (bin_id // 3) % 3, bin_id // 9)
-            for n_idx, off in enumerate(self.send_offsets):
-                ok = True
-                for d, o in zip(digits, off):
-                    if o > 0 and d != 2:
-                        ok = False
-                        break
-                    if o < 0 and d != 0:
-                        ok = False
-                        break
-                if ok:
-                    table[bin_id].append(n_idx)
-        return table
+    def code_of(self, x: np.ndarray) -> np.ndarray:
+        """Six-bit border code per position: bit ``k`` set when within
+        ``rcomm`` of the low face of axis ``k``, bit ``3 + k`` of the high
+        face (two comparisons per axis, no branching)."""
+        x = np.atleast_2d(x)
+        code: np.ndarray = (x < self._low_edge) @ _AXIS_WEIGHTS
+        code |= ((x >= self._high_edge) @ _AXIS_WEIGHTS) << 3
+        return code
 
     def bin_of(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized bin id per position (positions must be in-box).
+        """The paper's 3x3x3 bin id per position (one ternary digit per
+        axis: 0 low border / 1 interior / 2 high border).
 
-        Digit per axis: 0 = low border, 1 = interior, 2 = high border,
-        computed as two comparisons and an add (no branching).
+        A projection of :meth:`code_of` kept for illustration: an atom in
+        both borders of an axis (``rcomm > edge/2``) has no ternary
+        digit and reads as interior, which is why routing uses the codes.
         """
-        x = np.atleast_2d(x)
-        digit = (x >= self._lo + self.rcomm).astype(np.int8)
-        digit += x >= self._hi - self.rcomm
-        return digit[:, 0] + 3 * digit[:, 1] + 9 * digit[:, 2].astype(np.intp)
+        bins: np.ndarray = _BIN_OF_CODE[self.code_of(x)]
+        return bins
 
-    def neighbors_for_bin(self, bin_id: int) -> list[int]:
-        """Send-offset indices receiving atoms of ``bin_id``."""
-        return self._table[int(bin_id)]
+    def route_flat(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(idx, counts)``: the rows of ``x`` every neighbor needs,
+        concatenated in send-offset order (rows ascending within a
+        neighbor), and how many each neighbor gets.
+
+        One classification and one ``np.nonzero``; ``idx`` is what the
+        13/26 ``np.flatnonzero(border_mask(...))`` sweeps concatenate to.
+        """
+        nbr, idx = np.nonzero(self._table[:, self.code_of(x)])
+        # nonzero hands out strided columns of one (n, 2) block; the plan
+        # gathers through idx every step, so make it contiguous once.
+        return np.ascontiguousarray(idx), np.bincount(nbr, minlength=len(self.send_offsets))
 
     def route(self, x: np.ndarray) -> list[np.ndarray]:
-        """Index arrays of ``x`` to send to each neighbor, bin-accelerated.
-
-        Equivalent to 26 brute-force ``border_mask`` sweeps, but each atom
-        is classified once.  Note the caveat in :meth:`_build_table`: an
-        atom within ``rcomm`` of *both* faces of an axis (possible when
-        ``rcomm > edge/2``) is binned low-first, so this fast path is only
-        exact when ``rcomm <= edge/2``; the exchange falls back to
-        ``border_mask`` otherwise.
-        """
-        bins = self.bin_of(x)
-        membership = self._matrix[:, bins]  # (n_neighbors, natoms), contiguous rows
-        return [
-            np.flatnonzero(membership[k]).astype(np.intp)
-            for k in range(len(self.send_offsets))
-        ]
-
-    def is_exact(self) -> bool:
-        """Whether the fast path is exact (rcomm <= half the sub-box)."""
-        return bool(np.all(self.rcomm <= self.sub_box.lengths / 2.0))
+        """Index arrays of ``x`` to send to each neighbor (views of
+        :meth:`route_flat`'s ``idx``), equal to the brute-force
+        ``border_mask`` sweeps for every ``rcomm`` the constructor accepts."""
+        idx, counts = self.route_flat(x)
+        return np.split(idx, np.cumsum(counts)[:-1])

@@ -152,20 +152,23 @@ class RankPlan:
         recvs: list[RecvRoute],
         nlocal: int,
         pool: BufferPool,
+        flat: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         counts = [route.count for route in sends]
         self.n_pack = int(sum(counts))
-        if sends:
+        if flat is not None:
+            # The border stage gathered through these very arrays (every
+            # send_idx is a slice of fwd_idx): take them as given.
+            self.fwd_idx, self.shift_rows = flat
+        elif self.n_pack:
             self.fwd_idx = np.concatenate([route.send_idx for route in sends])
-        else:
-            self.fwd_idx = np.empty(0, dtype=np.intp)
-        # Per-row shift table: adding it is bit-identical to the seed's
-        # per-route broadcast add (same addends, same dtype).
-        if self.n_pack:
+            # Per-row shift table: adding it is bit-identical to the seed's
+            # per-route broadcast add (same addends, same dtype).
             self.shift_rows = np.repeat(
                 np.stack([route.shift for route in sends]), counts, axis=0
             )
         else:
+            self.fwd_idx = np.empty(0, dtype=np.intp)
             self.shift_rows = np.empty((0, 3), dtype=np.float64)
         self.send_segments: list[_Segment] = []
         cursor = 0

@@ -119,6 +119,10 @@ class GhostExchange:
         self._plan_epoch = 0
         self._plans: dict[int, RankPlan] = {}
         self._plans_built_epoch = -1
+        # Flat (fwd_idx, shift_rows) per rank when the border stage of
+        # epoch _flat_epoch gathered through them already.
+        self._flat: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._flat_epoch = -1
         self._pools: dict[int, BufferPool] = {}
         self._model_cache: dict = {}
         self._plan_builds = 0
@@ -192,6 +196,9 @@ class GhostExchange:
         """The per-rank plans for the current route epoch (built lazily)."""
         if self._plans_built_epoch != self._plan_epoch:
             budget = self._plan_budget()
+            # A plan invalidated without a new border stage is rebuilt
+            # from the route objects alone.
+            flat = self._flat if self._flat_epoch == self._plan_epoch else {}
             for rank in range(self.world.size):
                 pool = self._pools.get(rank)
                 if pool is None:
@@ -203,6 +210,7 @@ class GhostExchange:
                     recvs=rr.recvs,
                     nlocal=self.atoms_of(rank).nlocal,
                     pool=pool,
+                    flat=flat.get(rank),
                 )
             self._wire_deliveries()
             self._plans_built_epoch = self._plan_epoch
@@ -361,7 +369,8 @@ class GhostExchange:
         faults only price modeled time, which is simulated separately),
         so it stays direct — the faults-off guard measures this idle
         cost.  The border stage asks too: its routes are not built yet,
-        so "direct" there means the envelope-free ``send_fast``.
+        so "direct" there means the packed payload slices are written
+        straight into the receivers' ghost rows.
 
         The always-on telemetry plane (:data:`~repro.obs.telemetry
         .TELEMETRY`) is deliberately **not** consulted: it is fed from

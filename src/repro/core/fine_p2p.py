@@ -20,7 +20,10 @@ and the 77 % communication-time cut (Fig. 12) come from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.core.p2p import P2PExchange
 from repro.machine.params import FUGAKU, MachineParams
@@ -28,11 +31,10 @@ from repro.network.simulator import Message
 from repro.network.stacks import SoftwareStack, UtofuStack
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
-from repro.runtime.threadpool import ThreadPoolModel, WorkItem, split_load
+from repro.runtime.threadpool import ThreadPoolModel, lpt_bins
 
 
-@dataclass(frozen=True)
-class ThreadAssignment:
+class ThreadAssignment(NamedTuple):
     """One neighbor message pinned to a communication thread/TNI."""
 
     neighbor_index: int
@@ -128,29 +130,49 @@ class FineGrainedP2PExchange(P2PExchange):
         self, rank: int, bytes_per_atom: int
     ) -> list[ThreadAssignment]:
         routes = self.routes[rank].sends
-        items = [
-            WorkItem(
-                payload=n_idx,
-                cost=self.message_cost(route.count * bytes_per_atom, route.hops),
-            )
-            for n_idx, route in enumerate(routes)
+        nbytes = [route.count * bytes_per_atom for route in routes]
+        hops = [route.hops for route in routes]
+        return self._lpt(nbytes, hops, list(map(self.message_cost, nbytes, hops)))
+
+    def _lpt(
+        self, nbytes: list[int], hops: list[int], costs: list[float]
+    ) -> list[ThreadAssignment]:
+        """One rank's schedule: thread-major, LPT order within a thread."""
+        return [
+            ThreadAssignment(i, nbytes[i], hops[i], thread, thread)
+            for thread, idxs in enumerate(lpt_bins(costs, self.n_comm_threads))
+            for i in idxs
         ]
-        bins = split_load(items, self.n_comm_threads)
-        out = []
-        for thread, bucket in enumerate(bins):
-            for item in bucket:
-                n_idx = item.payload
-                route = routes[n_idx]
-                out.append(
-                    ThreadAssignment(
-                        neighbor_index=n_idx,
-                        nbytes=route.count * bytes_per_atom,
-                        hops=route.hops,
-                        thread=thread,
-                        tni=thread,
-                    )
-                )
-        return out
+
+    def schedule_world(
+        self, counts: np.ndarray, hops: np.ndarray, bytes_per_atom: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Every rank's schedule from one vectorized costing pass.
+
+        ``counts``/``hops`` are the ``(ranks, sends)`` tables of the
+        current routes.  Returns ``(nbytes, hops, thread)`` in each
+        rank's :meth:`comm_schedule` message order and leaves the same
+        :class:`ThreadAssignment` lists :meth:`assign_threads` computes
+        rank by rank in the schedule cache — or ``None`` when the stack
+        cannot cost arrays.
+        """
+        inj_fn = getattr(self.stack, "injection_intervals", None)
+        lat_fn = getattr(self.stack, "software_latencies", None)
+        if inj_fn is None or lat_fn is None:
+            return None
+        nbytes = counts * bytes_per_atom
+        # message_cost elementwise: same terms, same association.
+        costs = inj_fn(nbytes) + lat_fn(nbytes) + self.params.wire_times(nbytes, hops)
+        scheds = [
+            self._lpt(*rows)
+            for rows in zip(nbytes.tolist(), hops.tolist(), costs.tolist())
+        ]
+        for rank, sched in enumerate(scheds):
+            self._sched_cache[(rank, bytes_per_atom)] = sched
+        table = np.fromiter(
+            chain.from_iterable(chain.from_iterable(scheds)), np.int64, 5 * counts.size
+        ).reshape(*counts.shape, 5)
+        return table[:, :, 1], table[:, :, 2], table[:, :, 3]
 
     def comm_schedule(self, rank: int, bytes_per_atom: int = 24) -> list[Message]:
         """Simulator-ready messages for one forward exchange of ``rank``."""

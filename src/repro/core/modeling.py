@@ -12,12 +12,14 @@ this uses the measured ones, and tests check they agree.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.exchange_base import GhostExchange
 from repro.core.fine_p2p import FineGrainedP2PExchange
 from repro.core.three_stage import ThreeStageExchange
 from repro.faults.injector import FAULTS
 from repro.machine.params import FUGAKU, MachineParams
-from repro.network.simulator import Message, NetworkSimulator
+from repro.network.simulator import Message, NetworkSimulator, simulate_owned_rounds
 from repro.network.stacks import MpiStack, SoftwareStack, UtofuStack
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
@@ -61,6 +63,30 @@ def rank_messages(
     ]
 
 
+_PHASE_BYTES = {"forward": 24, "reverse": 24, "border": 32}
+
+
+def _cache_for(exchange: GhostExchange) -> dict | None:
+    """The exchange's plan-epoch model cache, or ``None`` when results
+    must not be cached: traced/metered/faulted runs always re-simulate so
+    their per-round model spans, counters and stall injections stay
+    complete."""
+    if FAULTS.session is not None or TRACER.enabled or METRICS.enabled:
+        return None
+    return getattr(exchange, "_model_cache", None)
+
+
+def _payload(exchange: GhostExchange, phase: str, params: MachineParams):
+    """(stack, bytes per atom, known_length) pricing ``phase``."""
+    bytes_per_atom = _PHASE_BYTES.get(phase)
+    if bytes_per_atom is None:
+        raise ValueError(f"unknown phase {phase!r}")
+    stack = stack_for_exchange(exchange, params)
+    # Message combine / piggyback: uTofu paths always know lengths; the
+    # MPI baseline only for fixed-size forward/reverse replays.
+    return stack, bytes_per_atom, isinstance(stack, UtofuStack) or phase != "border"
+
+
 def modeled_exchange_time(
     exchange: GhostExchange,
     phase: str = "forward",
@@ -72,28 +98,22 @@ def modeled_exchange_time(
     ``phase`` selects the payload width: ``forward``/``reverse`` move 3
     doubles per atom, ``border`` adds the tag (and, under MPI without
     message combine, the extra length message).
+
+    The modeled time is a pure function of the routes, the payload width
+    and the machine params, so with faults and observability off it is
+    served from the exchange's plan-epoch cache (cleared on
+    reneighboring), keyed on exactly those — ``reverse`` is ``forward``'s
+    entry, and two params objects price alike iff they are equal.
     """
-    bytes_per_atom = {"forward": 24, "reverse": 24, "border": 32}.get(phase)
-    if bytes_per_atom is None:
-        raise ValueError(f"unknown phase {phase!r}")
-    # The modeled time is a pure function of the routes, the phase and
-    # the machine params: with faults and observability off it is served
-    # from the exchange's plan-epoch cache (cleared on reneighboring).
-    # Traced/metered/faulted runs always re-simulate so their per-round
-    # model spans, counters and stall injections stay complete.
-    cache_ok = (
-        FAULTS.session is None and not TRACER.enabled and not METRICS.enabled
-    )
-    cache = getattr(exchange, "_model_cache", None)
-    if cache_ok and cache is not None:
-        key = (phase, rank, id(params))
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    stack = stack_for_exchange(exchange, params)
-    # Message combine / piggyback: uTofu paths always know lengths; the
-    # MPI baseline only for fixed-size forward/reverse replays.
-    known = isinstance(stack, UtofuStack) or phase != "border"
+    stack, bytes_per_atom, known = _payload(exchange, phase, params)
+    cache = _cache_for(exchange)
+    if cache is not None:
+        key = (bytes_per_atom, known, params)
+        times = cache.get(key)
+        if times is None:
+            times = cache[key] = [None] * exchange.world.size
+        elif times[rank] is not None:
+            return times[rank]
     sim = NetworkSimulator(stack, params)
     msgs = rank_messages(exchange, rank, bytes_per_atom, known)
 
@@ -105,9 +125,50 @@ def modeled_exchange_time(
         result = sim.run_staged(stages).completion_time
     else:
         result = sim.run_round(msgs).completion_time
-    if cache_ok and cache is not None:
-        cache[(phase, rank, id(params))] = result
+    if cache is not None:
+        times[rank] = result
     return result
+
+
+def _world_times(
+    exchange: GhostExchange, phase: str, params: MachineParams
+) -> list[float] | None:
+    """Every rank's modeled time for ``phase`` from one vectorized pass.
+
+    The flat route table (atoms and hops per send, all ranks) becomes
+    the ``(ranks, messages)`` schedule :func:`rank_messages` would list
+    rank by rank, and :func:`~repro.network.simulator.simulate_owned_rounds`
+    prices it — bit-identical to ``NetworkSimulator.run_round`` per rank
+    — into the plan-epoch cache.  ``None`` when nothing may be cached or
+    the schedule is not one the closed form takes (staged 3-stage swaps,
+    ranks with differing send counts, multi-message protocols, shared
+    TNIs): callers then simulate rank by rank.
+    """
+    cache = _cache_for(exchange)
+    if cache is None or isinstance(exchange, ThreeStageExchange):
+        return None
+    stack, bytes_per_atom, known = _payload(exchange, phase, params)
+    key = (bytes_per_atom, known, params)
+    times = cache.get(key)
+    if times is not None:
+        return None if None in times else times
+    sends = [exchange.routes[rank].sends for rank in range(exchange.world.size)]
+    if len({len(row) for row in sends}) != 1:
+        return None
+    counts = np.array([[route.send_idx.shape[0] for route in row] for row in sends])
+    hops = np.array([[route.hops for route in row] for row in sends])
+    if isinstance(exchange, FineGrainedP2PExchange):
+        schedule = exchange.schedule_world(counts, hops, bytes_per_atom)
+        if schedule is None:
+            return None
+        nbytes, hops, thread = schedule
+    else:
+        nbytes = np.maximum(counts * bytes_per_atom, 8)
+        thread = np.zeros_like(counts)
+    times = simulate_owned_rounds(nbytes, hops, thread, thread, stack, params, known)
+    if times is not None:
+        cache[key] = times
+    return times
 
 
 def modeled_step_comm_time(
@@ -125,25 +186,31 @@ def modeled_step_comm_time(
     Like :func:`modeled_exchange_time`, the result is a pure function
     of the routes, so between reneighborings it is served from the
     exchange's plan-epoch cache (one lookup instead of a max over all
-    ranks' per-phase entries) whenever faults and observability are off.
+    ranks' per-phase entries) whenever faults and observability are off;
+    a miss prices each phase for all ranks at once (:func:`_world_times`).
     """
-    cache_ok = (
-        FAULTS.session is None and not TRACER.enabled and not METRICS.enabled
-    )
-    cache = getattr(exchange, "_model_cache", None)
-    key = ("step", rebuild, newton, id(params))
-    if cache_ok and cache is not None:
+    cache = _cache_for(exchange)
+    key = ("step", rebuild, newton, params)
+    if cache is not None:
         hit = cache.get(key)
         if hit is not None:
             return hit
-    ranks = range(exchange.world.size)
+
+    def slowest(phase: str) -> float:
+        times = _world_times(exchange, phase, params)
+        if times is None:
+            times = [
+                modeled_exchange_time(exchange, phase, params, rank)
+                for rank in range(exchange.world.size)
+            ]
+        return max(times)
+
     if rebuild:
-        t = max(modeled_exchange_time(exchange, "border", params, r) for r in ranks)
-        t *= 1.3  # migration rides along as a sparse extra exchange
+        t = slowest("border") * 1.3  # migration rides along as a sparse extra exchange
     else:
-        t = max(modeled_exchange_time(exchange, "forward", params, r) for r in ranks)
+        t = slowest("forward")
     if newton:
-        t += max(modeled_exchange_time(exchange, "reverse", params, r) for r in ranks)
-    if cache_ok and cache is not None:
+        t += slowest("reverse")
+    if cache is not None:
         cache[key] = t
     return t

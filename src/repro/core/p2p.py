@@ -30,6 +30,8 @@ fault-free run of either flavour rides the base's direct plane.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.core.border_bins import BorderBins
@@ -45,9 +47,37 @@ from repro.core.rdma_buffers import BufferOverwriteError, RdmaEndpoint
 from repro.faults.injector import FAULTS, RetryExhaustedError
 from repro.machine.rdma import RdmaEngine
 from repro.md.domain import Domain
+from repro.md.region import SubBox
 from repro.obs import hbevents
 from repro.obs.trace import TRACER
+from repro.runtime.transport import SentMessage, payload_nbytes
 from repro.runtime.world import World
+
+
+class _BorderGeometry(NamedTuple):
+    """What never changes about one rank's border stage: the domain
+    decomposition and the rank grid are fixed for a run, so peers, PBC
+    shifts, tags, hop counts and the border bins are computed once (only
+    the atom selection is per-call work)."""
+
+    sub: SubBox
+    bins: BorderBins | None  # None: route by border_mask sweeps
+    #: per send offset: (peer, shift, tag, wire tag, hops)
+    sends: list[tuple]
+    #: per recv offset: (src, tag, wire tag, hops, src's send slot)
+    recvs: list[tuple]
+    shifts: np.ndarray  # (n_sends, 3), the send shifts stacked
+
+
+class _BorderPack(NamedTuple):
+    """One rank's packed border payload, all neighbors concatenated."""
+
+    idx: np.ndarray  # send rows, neighbor-major
+    bounds: list[int]  # neighbor k owns rows bounds[k]:bounds[k + 1]
+    shift_rows: np.ndarray
+    x: np.ndarray
+    tag: np.ndarray
+    type: np.ndarray
 
 
 class P2PExchange(GhostExchange):
@@ -88,12 +118,8 @@ class P2PExchange(GhostExchange):
             self.send_offsets = list(self.recv_offsets)
 
         self.use_border_bins = use_border_bins and radius == 1
-        self._bins: dict[int, BorderBins] = {}
-        # Static border geometry per rank: the domain decomposition and
-        # the rank grid never change during a run, so peers, PBC shifts,
-        # tags and hop counts are computed once and replayed by every
-        # border stage (only the atom selection is per-call work).
-        self._geom: dict[int, tuple] = {}
+        self._geom: dict[int, _BorderGeometry] = {}
+        self._window_msgs: tuple[list[SentMessage], int] | None = None
 
         # RDMA plane state
         self.engine: RdmaEngine | None = None
@@ -116,13 +142,8 @@ class P2PExchange(GhostExchange):
     def _routes_tag(self, o_recv: tuple[int, int, int]) -> tuple:
         return ("p2p", o_recv)
 
-    def _border_geometry(self, rank: int) -> tuple:
-        """(sub-box, send geometry, recv geometry) of ``rank``, built once.
-
-        Send geometry is one ``(peer, shift, tag, wire tag, hops)`` tuple
-        per send offset (in offset order); recv geometry one
-        ``(src, tag, wire tag, hops)`` per recv offset.
-        """
+    def _border_geometry(self, rank: int) -> _BorderGeometry:
+        """The static border geometry of ``rank``, built once."""
         geom = self._geom.get(rank)
         if geom is None:
             sub = self.sub_box_of(rank)
@@ -148,10 +169,18 @@ class P2PExchange(GhostExchange):
                         tag,
                         tag + ("border",),
                         offset_hops(o_recv),
+                        self._owner_ring_index(tag),
                     )
                 )
-            geom = (sub, sends, recvs)
-            self._geom[rank] = geom
+            bins = None
+            if self.use_border_bins:
+                try:
+                    bins = BorderBins(sub, self.rcomm, self.send_offsets)
+                except ValueError:  # sub-box thinner than the shell
+                    pass
+            geom = self._geom[rank] = _BorderGeometry(
+                sub, bins, sends, recvs, np.stack([send[1] for send in sends])
+            )
         return geom
 
     # -- analytic sizing -------------------------------------------------------------
@@ -204,105 +233,143 @@ class P2PExchange(GhostExchange):
             self._borders_impl()
 
     def _borders_impl(self) -> None:
+        """Pack every rank's border atoms once, then the delivery plane.
+
+        The shape of the forward/reverse replay: one classification, one
+        ``np.nonzero`` and three ``np.take`` gathers per rank produce the
+        concatenated send rows of all neighbors; ``_plane`` picks who
+        carries the slices; ghosts land in canonical recv-offset order on
+        either plane.  The flat gather arrays are handed on to the
+        :class:`~repro.core.comm_plan.RankPlan` of this epoch.
+        """
         world = self.world
-        transport = world.transport
-        transport.set_phase("border")
+        world.transport.set_phase("border")
         self._ensure_rdma()
         self._clear_routes()
         for rank in range(world.size):
             self.atoms_of(rank).clear_ghosts()
-        # On the direct plane border payloads skip the send envelope
-        # (rank checks, fault arming, per-message instants) but keep the
-        # identical traffic records.
-        fast = self._plane("border") == "direct"
-
-        # Send sweep: every rank routes its border atoms to each
-        # send-offset neighbor (bin-accelerated when exact).
-        for rank in range(world.size):
-            atoms = self.atoms_of(rank)
-            sub, send_geom, _ = self._border_geometry(rank)
-            x_local = atoms.x_local()
-
-            idx_lists = None
-            if self.use_border_bins:
-                bins = self._bins.get(rank)
-                if bins is None or bins.sub_box != sub:
-                    try:
-                        bins = BorderBins(sub, self.rcomm, self.send_offsets)
-                        self._bins[rank] = bins
-                    except ValueError:
-                        bins = None
-                if bins is not None and bins.is_exact():
-                    idx_lists = bins.route(x_local)
-
-            for n_idx, o_send in enumerate(self.send_offsets):
-                if idx_lists is not None:
-                    send_idx = idx_lists[n_idx]
-                else:
-                    mask = sub.border_mask(x_local, o_send, self.rcomm)
-                    send_idx = np.flatnonzero(mask).astype(np.intp)
-                peer, shift, tag, wire_tag, hops = send_geom[n_idx]
-                self.routes[rank].sends.append(
-                    SendRoute(
-                        peer=peer,
-                        send_idx=send_idx,
-                        shift=shift,
-                        tag=tag,
-                        hops=hops,
-                    )
-                )
-                payload = (
-                    atoms.x[send_idx] + shift,
-                    atoms.tag[send_idx],
-                    atoms.type[send_idx],
-                )
-                if fast:
-                    transport.send_fast(
-                        rank, peer, wire_tag, payload,
-                        payload[0].nbytes + payload[1].nbytes + payload[2].nbytes,
-                    )
-                else:
-                    transport.send(rank, peer, wire_tag, payload)
-
-        # Receive sweep: append ghosts in canonical recv-offset order.
-        for rank in range(world.size):
-            atoms = self.atoms_of(rank)
-            _, _, recv_geom = self._border_geometry(rank)
-            for src, tag, wire_tag, hops in recv_geom:
-                if fast:
-                    payload_x, payload_tag, payload_type = transport.recv_fast(
-                        rank, src, wire_tag
-                    )
-                else:
-                    payload_x, payload_tag, payload_type = self._recv(
-                        transport, rank, src, wire_tag
-                    )
-                start, count = atoms.append_ghosts(payload_x, payload_tag, payload_type)
-                self.routes[rank].recvs.append(
-                    RecvRoute(
-                        peer=src,
-                        recv_start=start,
-                        recv_count=count,
-                        tag=tag,
-                        hops=hops,
-                    )
-                )
+        plane = self._plane("border")
+        packs = [self._pack_border(rank) for rank in range(world.size)]
+        getattr(self, f"_{plane}_border")(packs)
+        self._flat = {rank: (pack.idx, pack.shift_rows) for rank, pack in enumerate(packs)}
+        self._flat_epoch = self._plan_epoch
 
         if self.rdma:
-            for rank in range(self.world.size):
+            for rank in range(world.size):
                 atoms = self.atoms_of(rank)
                 if self.endpoints[rank].revalidate(atoms._x, atoms._f):
                     self.reregistrations += 1
-            self._exchange_windows()
+            self._exchange_windows(plane)
 
-    def _exchange_windows(self) -> None:
+    def _pack_border(self, rank: int) -> _BorderPack:
+        """Route ``rank``'s local atoms and gather their payload rows.
+
+        ``idx`` is neighbor-major with rows ascending — the order the
+        per-offset ``flatnonzero`` sweeps concatenate in — so every
+        ``SendRoute.send_idx`` is a slice view of it and the gathers are
+        the per-route ``x[send_idx] + shift`` bit for bit (the shift add
+        stays unconditional: the ``-0.0`` rule of the plan replay).
+        """
+        atoms = self.atoms_of(rank)
+        geom = self._border_geometry(rank)
+        x_local = atoms.x_local()
+        if geom.bins is not None:
+            idx, counts = geom.bins.route_flat(x_local)
+        else:
+            # Long-cutoff shells (radius > 1) and sub-boxes thinner than
+            # the shell: the generic region test, one sweep per offset.
+            parts = [
+                np.flatnonzero(geom.sub.border_mask(x_local, o_send, self.rcomm))
+                for o_send in self.send_offsets
+            ]
+            idx = np.concatenate(parts)
+            counts = [part.shape[0] for part in parts]
+        bounds = [0, *np.cumsum(counts).tolist()]
+        shift_rows = np.repeat(geom.shifts, counts, axis=0)
+        x = np.take(atoms.x, idx, axis=0)
+        x += shift_rows
+        sends = self.routes[rank].sends
+        for k, (peer, shift, tag, _, hops) in enumerate(geom.sends):
+            sends.append(
+                SendRoute(peer, idx[bounds[k] : bounds[k + 1]], shift, tag, hops)
+            )
+        return _BorderPack(
+            idx, bounds, shift_rows, x, np.take(atoms.tag, idx), np.take(atoms.type, idx)
+        )
+
+    def _direct_border(self, packs: list[_BorderPack]) -> None:
+        """Write every payload slice straight into its receiver's ghost
+        rows — one append per rank, no mailbox round trip per route — and
+        log the records the per-message sends would have written."""
+        msgs = []
+        for rank, pack in enumerate(packs):
+            bounds = pack.bounds
+            row_bytes = 3 * pack.x.itemsize + pack.tag.itemsize + pack.type.itemsize
+            for k, (peer, _, _, wire_tag, _) in enumerate(self._border_geometry(rank).sends):
+                msgs.append(
+                    SentMessage(
+                        rank, peer, wire_tag,
+                        row_bytes * (bounds[k + 1] - bounds[k]), "border",
+                    )
+                )
+        self.world.transport.log.record_phase(msgs, sum(m.nbytes for m in msgs))
+        for rank in range(self.world.size):
+            atoms = self.atoms_of(rank)
+            recvs = self.routes[rank].recvs
+            blocks = []
+            start = atoms.ntotal
+            for src, tag, _, hops, slot in self._border_geometry(rank).recvs:
+                pack = packs[src]
+                lo, hi = pack.bounds[slot], pack.bounds[slot + 1]
+                blocks.append((pack.x[lo:hi], pack.tag[lo:hi], pack.type[lo:hi]))
+                recvs.append(RecvRoute(src, start, hi - lo, tag, hops))
+                start += hi - lo
+            atoms.append_ghosts(*(np.concatenate(column) for column in zip(*blocks)))
+
+    def _mailbox_border(self, packs: list[_BorderPack]) -> None:
+        """Every payload slice through ``Transport.send`` and the retrying
+        ``_recv``, one message at a time: what faults act on and the
+        tracer sees."""
+        transport = self.world.transport
+        for rank, pack in enumerate(packs):
+            bounds = pack.bounds
+            for k, (peer, _, _, wire_tag, _) in enumerate(self._border_geometry(rank).sends):
+                rows = slice(bounds[k], bounds[k + 1])
+                transport.send(
+                    rank, peer, wire_tag, (pack.x[rows], pack.tag[rows], pack.type[rows])
+                )
+        for rank in range(self.world.size):
+            atoms = self.atoms_of(rank)
+            recvs = self.routes[rank].recvs
+            for src, tag, wire_tag, hops, _ in self._border_geometry(rank).recvs:
+                start, count = atoms.append_ghosts(
+                    *self._recv(transport, rank, src, wire_tag)
+                )
+                recvs.append(RecvRoute(src, start, count, tag, hops))
+
+    def _exchange_windows(self, plane: str) -> None:
         """Piggyback the ghost offsets + stags to senders (section 3.4).
 
         In hardware this rides in the border-stage descriptor (8 bytes);
-        functionally we move a :class:`RemoteWindow` per route.
+        functionally we move a :class:`RemoteWindow` per route — on the
+        border stage's plane: installed directly (same records logged),
+        or enveloped through the transport one by one.
         """
         transport = self.world.transport
         transport.set_phase("border-piggyback")
+        if plane == "direct":
+            for rank in range(self.world.size):
+                endpoint = self.endpoints[rank]
+                recv_geom = self._border_geometry(rank).recvs
+                for n_idx, route in enumerate(self.routes[rank].recvs):
+                    *_, slot = recv_geom[n_idx]
+                    # Keyed by the *sender's* send index: the slot its
+                    # put_positions uses.
+                    self.endpoints[route.peer].install_remote(
+                        slot, endpoint.window_for_neighbor(n_idx, route.recv_start * 3)
+                    )
+            transport.log.record_phase(*self._window_messages())
+            return
         with TRACER.span(
             f"{self.name}.window-piggyback", cat="rdma", track="comm", pattern=self.name
         ):
@@ -321,6 +388,23 @@ class P2PExchange(GhostExchange):
                     )
                     # Keyed by *our* send index: the slot put_positions uses.
                     endpoint.install_remote(s_idx, window)
+
+    def _window_messages(self) -> tuple[list[SentMessage], int]:
+        """The piggyback phase's traffic records and their byte sum.
+
+        Peers, tags and the payload size never change during a run (every
+        ``(n_idx, RemoteWindow)`` weighs the same), so the records are
+        built once, in the transport sends' rank-major/recv-offset order.
+        """
+        if self._window_msgs is None:
+            nbytes = payload_nbytes((0, self.endpoints[0].window_for_neighbor(0, 0)))
+            msgs = [
+                SentMessage(rank, src, tag + ("window",), nbytes, "border-piggyback")
+                for rank in range(self.world.size)
+                for src, tag, _, _, _ in self._border_geometry(rank).recvs
+            ]
+            self._window_msgs = (msgs, nbytes * len(msgs))
+        return self._window_msgs
 
     # -- rdma plane: PUTs into registered arrays and receive rings ------------
     # Selected for the vector phases of an ``rdma`` exchange when faults or

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class MachineParams:
@@ -122,6 +124,12 @@ class MachineParams:
             raise ValueError(f"hops must be >= 0, got {hops}")
         serial = nbytes / self.link_bandwidth
         return self.rdma_put_latency + max(hops - 1, 0) * self.hop_latency + serial
+
+    def wire_times(self, nbytes: np.ndarray, hops: np.ndarray) -> np.ndarray:
+        """:meth:`wire_time` for arrays of sizes and (non-negative) hop
+        counts, elementwise identical (same terms, same association)."""
+        serial = nbytes / self.link_bandwidth
+        return self.rdma_put_latency + np.maximum(hops - 1, 0) * self.hop_latency + serial
 
     def copy_time(self, nbytes: int) -> float:
         """Time to memcpy ``nbytes`` (pack/unpack of ghost buffers)."""

@@ -259,6 +259,32 @@ def simulate_round(
     )
 
 
+def _round_cost_terms(
+    nbytes: np.ndarray, hops: np.ndarray, stack: SoftwareStack, params: MachineParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """(injection intervals, engine serialization, software latencies,
+    hop terms) of single-wire-message rounds, elementwise what the event
+    loop computes per message — or ``None`` when the stack has no
+    vectorized cost hooks."""
+    inj_fn = getattr(stack, "injection_intervals", None)
+    lat_fn = getattr(stack, "software_latencies", None)
+    if inj_fn is None or lat_fn is None:
+        return None
+    return (
+        np.asarray(inj_fn(nbytes), dtype=np.float64),
+        np.maximum(nbytes / params.link_bandwidth, params.tni_engine_message_time),
+        np.asarray(lat_fn(nbytes), dtype=np.float64),
+        np.maximum(hops - 1.0, 0.0) * params.hop_latency,
+    )
+
+
+def _arrival(eng_start, serial, latency, rdma_latency, hop_term):
+    """The event loop's arrival sum, in its association order (floats or
+    arrays; a zero TNI stall adds exactly ``+ 0.0`` to non-negative
+    times — a bitwise no-op — so it is dropped)."""
+    return eng_start + serial + latency + rdma_latency + hop_term
+
+
 def _simulate_round_batched(
     messages: list[Message],
     stack: SoftwareStack,
@@ -275,22 +301,12 @@ def _simulate_round_batched(
     stream pays data-dependent VCQ-switch overhead the closed form does
     not model).
 
-    Bit-identity rests on three facts: ``np.cumsum`` accumulates
-    sequentially (the same left-to-right sum as ``clock += interval``),
-    the TNI engines are still acquired one-by-one in original message
-    order, and a zero TNI stall adds exactly ``+ 0.0`` to non-negative
-    times (a bitwise no-op), so it can be dropped from the arrival sum.
+    Bit-identity rests on two facts: ``np.cumsum`` accumulates
+    sequentially (the same left-to-right sum as ``clock += interval``)
+    and the TNI engines are still acquired one-by-one in original
+    message order.
     """
-    inj_fn = getattr(stack, "injection_intervals", None)
-    lat_fn = getattr(stack, "software_latencies", None)
-    if inj_fn is None or lat_fn is None:
-        return None
     n = len(messages)
-    if n == 0:
-        return RoundResult(
-            completion_time=start_time, last_injection=start_time,
-            arrivals=[], wire_messages=0,
-        )
     if stack.protocol_message_count(1, False) != 1 and not all(
         m.known_length for m in messages
     ):
@@ -311,14 +327,14 @@ def _simulate_round_batched(
         else:
             idxs.append(i)
 
-    nbytes = np.fromiter((m.nbytes for m in messages), dtype=np.float64, count=n)
-    intervals = np.asarray(inj_fn(nbytes), dtype=np.float64)
-    latencies = np.asarray(lat_fn(nbytes), dtype=np.float64)
-    serial = np.maximum(
-        nbytes / params.link_bandwidth, params.tni_engine_message_time
+    terms = _round_cost_terms(
+        np.fromiter((m.nbytes for m in messages), dtype=np.float64, count=n),
+        np.fromiter((m.hops for m in messages), dtype=np.float64, count=n),
+        stack, params,
     )
-    hops = np.fromiter((m.hops for m in messages), dtype=np.float64, count=n)
-    hop_term = np.maximum(hops - 1.0, 0.0) * params.hop_latency
+    if terms is None:
+        return None
+    intervals, serial, latencies, hop_term = terms
 
     inject = np.empty(n, dtype=np.float64)
     last_injection = start_time
@@ -344,8 +360,7 @@ def _simulate_round_batched(
             engine = engines[tni] = Resource(f"tni{tni}")
         s = serial_l[i]
         eng_start, _eng_end = engine.acquire(inject_l[i], s)
-        # Same association order as the event loop's arrival sum.
-        arrivals.append(eng_start + s + lat_l[i] + rdma_lat + hop_l[i])
+        arrivals.append(_arrival(eng_start, s, lat_l[i], rdma_lat, hop_l[i]))
 
     return RoundResult(
         completion_time=max(arrivals, default=start_time),
@@ -353,6 +368,82 @@ def _simulate_round_batched(
         arrivals=arrivals,
         wire_messages=n,
     )
+
+
+def simulate_owned_rounds(
+    nbytes: np.ndarray,
+    hops: np.ndarray,
+    thread: np.ndarray,
+    tni: np.ndarray,
+    stack: SoftwareStack,
+    params: MachineParams = FUGAKU,
+    known_length: bool = True,
+) -> list[float] | None:
+    """Completion times of many independent rounds in one pass, or ``None``.
+
+    Row ``r`` of the ``(rounds, messages)`` arrays is one rank's round in
+    issue order, simulated with fresh resources from time zero — what
+    ``NetworkSimulator.run_round`` returns as ``completion_time`` for
+    that row's :class:`Message` list, as Python floats, bit for bit.
+
+    The closed form holds when *every injection stream owns its TNI
+    engine for the round*: within a row, two messages share a thread iff
+    they share a TNI.  Then an engine only ever sees one stream, in
+    stream order, so its queue is the recurrence ``start_k =
+    max(inject_k, free); free = start_k + serial_k`` down that stream —
+    run here one stream *position* at a time across all streams of all
+    rows — and no VCQ switch is ever paid.  Refused (``None``; callers
+    fall back to the event loop) for anything else: a stream changing
+    TNI, two streams on one TNI, a stack without vectorized cost hooks or
+    with multi-message protocols for these lengths, and any observer — a
+    fault session, the tracer or the metrics registry — which needs the
+    per-message events.
+
+    Streams are padded to the longest one with zeros: ``np.cumsum`` along
+    a stream is sequential, so ``i1 + i2 + ...`` is the per-stream
+    ``clock += interval`` sum (``0.0 + i1 == i1``), and padding is
+    trailing only — it never feeds an earlier position.
+    """
+    if FAULTS.session is not None or TRACER.enabled or METRICS.enabled:
+        return None
+    if not known_length and stack.protocol_message_count(1, False) != 1:
+        return None
+    rounds, n = nbytes.shape
+    if n == 0:
+        return [0.0] * rounds
+    same_stream = thread[:, :, None] == thread[:, None, :]
+    if not np.array_equal(same_stream, tni[:, :, None] == tni[:, None, :]):
+        return None
+    terms = _round_cost_terms(
+        nbytes.astype(np.float64), hops.astype(np.float64), stack, params
+    )
+    if terms is None:
+        return None
+
+    # A message's stream is named by the stream's first message; its
+    # position is the number of earlier messages of the same stream.
+    stream = same_stream.argmax(axis=2)
+    pos = np.tril(same_stream, -1).sum(axis=2)
+    depth = int(pos.max()) + 1
+    cell = (np.arange(rounds)[:, None], stream, pos)
+
+    def padded(values: np.ndarray) -> np.ndarray:
+        out = np.zeros((rounds, n, depth))
+        out[cell] = values
+        return out
+
+    intervals, serial, latencies, hop_term = (padded(term) for term in terms)
+    inject = np.cumsum(intervals, axis=2)
+    arrival = np.empty_like(inject)
+    free = np.zeros((rounds, n))
+    for k in range(depth):
+        start = np.maximum(inject[:, :, k], free)
+        free = start + serial[:, :, k]
+        arrival[:, :, k] = _arrival(
+            start, serial[:, :, k], latencies[:, :, k],
+            params.rdma_put_latency, hop_term[:, :, k],
+        )
+    return arrival[cell].max(axis=1).tolist()
 
 
 class NetworkSimulator:

@@ -38,22 +38,34 @@ class WorkItem:
             raise ValueError(f"negative cost {self.cost}")
 
 
+def lpt_bins(costs: Sequence[float], n_bins: int) -> list[list[int]]:
+    """LPT-balance item *indices* over ``n_bins`` bins by cost.
+
+    The rule, written once: items in cost-descending order (ties by
+    original index), each to the least-loaded bin (ties by bin index).
+    """
+    if n_bins < 1:
+        raise ValueError(f"n_threads must be >= 1, got {n_bins}")
+    bins: list[list[int]] = [[] for _ in range(n_bins)]
+    loads = [0.0] * n_bins
+    # A stable sort keeps equal costs in original order, reversed or not.
+    for i in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
+        j = loads.index(min(loads))
+        bins[j].append(i)
+        loads[j] += costs[i]
+    return bins
+
+
 def split_load(items: Sequence[WorkItem], n_threads: int) -> list[list[WorkItem]]:
     """LPT-balance ``items`` over ``n_threads`` bins by cost.
 
     Deterministic: ties broken by original order.  Returns ``n_threads``
     lists (some possibly empty when there are fewer items than threads).
     """
-    if n_threads < 1:
-        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
-    bins: list[list[WorkItem]] = [[] for _ in range(n_threads)]
-    loads = [0.0] * n_threads
-    order = sorted(range(len(items)), key=lambda i: (-items[i].cost, i))
-    for i in order:
-        j = min(range(n_threads), key=lambda b: (loads[b], b))
-        bins[j].append(items[i])
-        loads[j] += items[i].cost
-    return bins
+    return [
+        [items[i] for i in idxs]
+        for idxs in lpt_bins([item.cost for item in items], n_threads)
+    ]
 
 
 def makespan(bins: Sequence[Sequence[WorkItem]]) -> float:

@@ -3,13 +3,20 @@
 import pytest
 
 from repro import quick_lj_simulation
+from repro.core import FineGrainedP2PExchange, ThreeStageExchange, modeling
 from repro.core.modeling import (
     modeled_exchange_time,
     modeled_step_comm_time,
+    rank_messages,
     stack_for_exchange,
 )
+from repro.faults import FAULTS, FaultPlan, FaultSpec
+from repro.machine import FUGAKU
 from repro.md import Stage
-from repro.network import MpiStack, UtofuStack
+from repro.network import MpiStack, NetworkSimulator, UtofuStack
+from repro.network.simulator import simulate_owned_rounds
+from repro.obs.trace import tracing
+from repro.runtime import WorkItem, split_load
 
 
 def sim_for(pattern, **kw):
@@ -102,3 +109,132 @@ class TestSimulationIntegration:
             r.count for r in sim.exchange.routes[0].sends
         )
         assert measured == pytest.approx(ana.total_atoms, rel=0.25)
+
+
+# -- one pricing pass per epoch ----------------------------------------------
+def live_exchange(kind):
+    """A 27-rank exchange a few steps into a run (the strong-scaling
+    shape: r_comm > a/2), by pattern; ``serial-pool`` is parallel-p2p
+    with one communication thread."""
+    pattern = {"serial-pool": "parallel-p2p"}.get(kind, kind)
+    sim = quick_lj_simulation(
+        cells=(6, 6, 6), ranks=(3, 3, 3), pattern=pattern, rdma=pattern != "3stage"
+    )
+    sim.run(12)
+    if kind != "serial-pool":
+        return sim.exchange
+    ex = FineGrainedP2PExchange(
+        sim.world, sim.domain, sim.exchange.rcomm, n_comm_threads=1
+    )
+    ex.borders()
+    return ex
+
+
+def event_loop_time(exchange, phase, rank, params=FUGAKU):
+    """One rank's phase on ``NetworkSimulator``, spelled out."""
+    stack = stack_for_exchange(exchange, params)
+    known = isinstance(stack, UtofuStack) or phase != "border"
+    msgs = rank_messages(exchange, rank, {"border": 32}.get(phase, 24), known)
+    sim = NetworkSimulator(stack, params)
+    if isinstance(exchange, ThreeStageExchange):
+        return sim.run_staged([msgs[i : i + 2] for i in range(0, len(msgs), 2)]).completion_time
+    return sim.run_round(msgs).completion_time
+
+
+PHASES = ("border", "forward", "reverse")
+KINDS = ("p2p", "parallel-p2p", "serial-pool", "3stage")
+
+
+class TestWorldPricing:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_step_pricing_equals_the_event_loop_rank_by_rank(self, kind, monkeypatch):
+        ex = live_exchange(kind)
+        expected = {
+            (phase, rank): event_loop_time(ex, phase, rank)
+            for phase in PHASES
+            for rank in range(ex.world.size)
+        }
+        ex._invalidate_plans()  # drop what the run and the oracle cached
+        rounds = []
+        run_round = NetworkSimulator.run_round
+        monkeypatch.setattr(
+            NetworkSimulator, "run_round",
+            lambda self, msgs: rounds.append(len(msgs)) or run_round(self, msgs),
+        )
+        rebuild = modeled_step_comm_time(ex, rebuild=True)
+        plain = modeled_step_comm_time(ex, rebuild=False)
+        if kind != "3stage":
+            assert rounds == []  # every rank priced by the world pass
+        for (phase, rank), t in expected.items():
+            got = modeled_exchange_time(ex, phase, rank=rank)
+            assert got == t and type(got) is float
+        ranks = range(ex.world.size)
+        slowest = {p: max(expected[p, r] for r in ranks) for p in PHASES}
+        assert rebuild == slowest["border"] * 1.3 + slowest["reverse"]
+        assert plain == slowest["forward"] + slowest["reverse"]
+        assert type(rebuild) is float and type(plain) is float
+
+    def test_reverse_is_served_from_forwards_entry(self, monkeypatch):
+        ex = live_exchange("parallel-p2p")
+        ex._invalidate_plans()
+        passes = []
+        monkeypatch.setattr(
+            modeling, "simulate_owned_rounds",
+            lambda *args: passes.append(args[-1]) or simulate_owned_rounds(*args),
+        )
+        modeled_step_comm_time(ex, rebuild=True)  # border + reverse
+        assert len(passes) == 2
+        modeled_step_comm_time(ex, rebuild=False)  # forward == reverse's entry
+        modeled_exchange_time(ex, "forward", rank=5)
+        assert len(passes) == 2
+
+    @pytest.mark.parametrize("kind", ["parallel-p2p", "serial-pool"])
+    def test_world_pass_fills_the_schedule_cache(self, kind):
+        ex = live_exchange(kind)
+        ex._invalidate_plans()
+        modeled_step_comm_time(ex, rebuild=True)
+        assert set(ex._sched_cache) == {
+            (rank, width) for rank in range(ex.world.size) for width in (32, 24)
+        }
+        for (rank, width), sched in ex._sched_cache.items():
+            assert sched == ex._assign_threads_impl(rank, width)
+            assert all(type(v) is int for a in sched for v in a)
+            # ... which is split_load's rule over the scalar costs.
+            routes = ex.routes[rank].sends
+            items = [
+                WorkItem(n, ex.message_cost(route.count * width, route.hops))
+                for n, route in enumerate(routes)
+            ]
+            assert [
+                (item.payload, thread)
+                for thread, bucket in enumerate(split_load(items, ex.n_comm_threads))
+                for item in bucket
+            ] == [(a.neighbor_index, a.thread) for a in sched]
+
+    @pytest.mark.parametrize("kind", ["p2p", "parallel-p2p"])
+    def test_observers_and_refusals_fall_through_to_the_event_loop(self, kind, monkeypatch):
+        ex = live_exchange(kind)
+        ex._invalidate_plans()
+        expected = modeled_step_comm_time(ex, rebuild=True)
+        with tracing():
+            assert modeled_step_comm_time(ex, rebuild=True) == expected
+        stall = FaultSpec(kind="tni-stall", stall=1e-6, probability=0.0)
+        with FAULTS.inject(FaultPlan(faults=(stall,))):
+            assert modeled_step_comm_time(ex, rebuild=True) == expected
+        ex._invalidate_plans()
+        monkeypatch.setattr(modeling, "simulate_owned_rounds", lambda *args: None)
+        assert modeled_step_comm_time(ex, rebuild=True) == expected
+
+    def test_cache_is_keyed_on_the_params_value(self):
+        """A freed params object and its successor at the same address
+        are different machines (the cache used to key on ``id``)."""
+        ex = sim_for("p2p").exchange
+        for i in range(20):
+            first = FUGAKU.evolve(rdma_put_latency=FUGAKU.rdma_put_latency * (2 + i))
+            modeled_step_comm_time(ex, rebuild=False, params=first)
+            del first
+            second = FUGAKU.evolve(rdma_put_latency=FUGAKU.rdma_put_latency * 1000)
+            got = modeled_step_comm_time(ex, rebuild=False, params=second)
+            ex._invalidate_plans()
+            assert got == modeled_step_comm_time(ex, rebuild=False, params=second)
+            ex._invalidate_plans()

@@ -115,9 +115,20 @@ class TestBorderBins:
         ids = bins.bin_of(rng.uniform(0, 10, size=(100, 3)))
         assert ids.min() >= 0 and ids.max() < 27
 
-    def test_exactness_flag(self, sub):
-        assert BorderBins(sub, 2.0, shell_offsets(1)).is_exact()
-        assert not BorderBins(sub, 6.0, shell_offsets(1)).is_exact()
+    def test_exact_beyond_half_the_edge(self, sub):
+        """rcomm = 0.6 a: atoms sit in both borders of an axis, and the
+        six-flag routing still equals the brute-force masks."""
+        offsets = shell_offsets(1)
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0, 10, size=(400, 3))
+        routed = BorderBins(sub, 6.0, offsets).route(x)
+        both = np.intersect1d(
+            routed[offsets.index((-1, 0, 0))], routed[offsets.index((1, 0, 0))]
+        )
+        assert both.size  # the atoms a ternary digit would lose
+        for k, off in enumerate(offsets):
+            brute = np.flatnonzero(sub.border_mask(x, off, 6.0))
+            assert np.array_equal(routed[k], brute)
 
     def test_rcomm_exceeding_subbox_rejected(self, sub):
         with pytest.raises(ValueError):
