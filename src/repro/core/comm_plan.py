@@ -13,7 +13,10 @@ work collapses to
   vectorized shift add (forward), and
 * **unpack**: one signed ``bincount`` scatter-add over the concatenated
   contributions (reverse) — the one drain under all three delivery
-  planes (direct, mailbox, RDMA rings), so they stay bit-identical.
+  planes (direct, mailbox, RDMA rings), so they stay bit-identical
+
+per :class:`Round` of the plan's schedule: one round for the
+direct-neighbour patterns, one per swap for the staged 3-stage sweep.
 
 Buffers live in a :class:`BufferPool` that persists across plan rebuilds
 (reneighboring changes the *indices*, not the buffer capacity) and is
@@ -26,19 +29,22 @@ Bit-identity notes (load-bearing, do not "simplify"):
 * the shift add runs unconditionally over the whole packed block when
   shifts apply — skipping all-zero shifts would turn ``-0.0`` into
   ``+0.0`` relative to the seed path's ``payload += route.shift``;
-* the reverse scatter is bounded to ``data[:scatter_len]`` (the local
-  atoms at plan-build time) so it never writes ghost rows — zero-copy
-  reverse payloads are live views of ghost rows while owners apply.
+* the reverse scatter is bounded to the round's ``data[:scatter_len]``
+  so it never writes the ghost rows that round's planes read — zero-copy
+  reverse payloads are live views of ghost rows while owners apply;
+* a staged round is one swap, never a dimension's pair: an atom both
+  swaps send would be summed ``f + (c+ + c-)`` by one ``bincount`` where
+  the staged replay sums ``(f + c-) + c+`` (docs/performance.md).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.core.ghost import GhostBudget
-from repro.md.kernels import scatter_signed_vec
+from repro.md.kernels import scatter_add_scalar, scatter_signed_vec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (exchange_base imports us)
     from repro.core.exchange_base import RecvRoute, SendRoute
@@ -47,13 +53,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (exchange_base import
 class BufferPool:
     """Preallocated pack/unpack storage for one rank, reused forever.
 
-    Capacity is derived from the analytic ghost maximum when a
-    :class:`GhostBudget` is available (the same dominance rule commlint
+    Capacity is derived from the analytic ghost maximum of the exchange's
+    :class:`GhostBudget` (the same dominance rule commlint
     CL008 enforces for the RDMA rings); growing past it is possible but
     counted in :attr:`grow_events` so benchmarks can gate on zero.
     """
 
-    def __init__(self, budget: GhostBudget | None = None, full_shell: bool = False) -> None:
+    def __init__(self, budget: GhostBudget, full_shell: bool = False) -> None:
         self.budget = budget
         self.full_shell = full_shell
         self.allocations = 0
@@ -67,10 +73,9 @@ class BufferPool:
         return self._vec.shape[0] if self._vec is not None else 0
 
     def _capacity_for(self, rows: int) -> int:
-        if self.budget is not None:
-            analytic = int(self.budget.max_ghost_atoms(self.full_shell))
-            if rows <= analytic:
-                return analytic
+        analytic = int(self.budget.max_ghost_atoms(self.full_shell))
+        if rows <= analytic:
+            return analytic
         # Fallback/growth path: geometric headroom, counted by callers.
         return max(rows, 16) * 2
 
@@ -132,6 +137,28 @@ class _RecvSegment:
         self.nbytes_scalar = n * 8
 
 
+class Round(NamedTuple):
+    """One fenced step of a plan's schedule.
+
+    A direct-neighbour pattern has one round; the staged sweep has one per
+    swap, because a later swap packs rows an earlier one delivered.  Rounds
+    own disjoint row slices of the plan's one pooled buffer, so nothing
+    aliases across them.
+    """
+
+    rows: slice  # this round's rows of fwd_idx / shift_rows / the buffer
+    idx: np.ndarray  # fwd_idx[rows]
+    shifts: np.ndarray  # shift_rows[rows]
+    sends: slice  # its send_segments
+    recvs: slice  # its recv_segments
+    #: reverse scatters touch ``data[:scatter_len]`` only: the rows below
+    #: the round's own landing zone.  Every send row lies there (it was
+    #: present before the round's ghosts were appended) and the ghost rows
+    #: the planes are still reading lie above — while rows an *earlier*
+    #: round delivered may accumulate, which is the staged forwarding.
+    scatter_len: int
+
+
 class RankPlan:
     """Frozen replay plan for one rank, valid until reneighboring."""
 
@@ -141,7 +168,7 @@ class RankPlan:
         "shift_rows",
         "send_segments",
         "recv_segments",
-        "scatter_len",
+        "rounds",
         "pool",
         "_tag_cache",
     )
@@ -153,6 +180,7 @@ class RankPlan:
         nlocal: int,
         pool: BufferPool,
         flat: tuple[np.ndarray, np.ndarray] | None = None,
+        n_rounds: int = 1,
     ) -> None:
         counts = [route.count for route in sends]
         self.n_pack = int(sum(counts))
@@ -181,7 +209,27 @@ class RankPlan:
             _RecvSegment(route.peer, route.recv_start, route.recv_count, route.tag)
             for route in recvs
         ]
-        self.scatter_len = nlocal
+        # Routes arrive in round order, so a round is a run of each list.
+        self.rounds: list[Round] = []
+        s = r = row = 0
+        for k in range(n_rounds):
+            s_lo, r_lo, row_lo = s, r, row
+            while s < len(sends) and sends[s].round == k:
+                row += counts[s]
+                s += 1
+            while r < len(recvs) and recvs[r].round == k:
+                r += 1
+            rows = slice(row_lo, row)
+            self.rounds.append(
+                Round(
+                    rows,
+                    self.fwd_idx[rows],
+                    self.shift_rows[rows],
+                    slice(s_lo, s),
+                    slice(r_lo, r),
+                    recvs[r_lo].recv_start if r_lo < r else nlocal,
+                )
+            )
         self.pool = pool
         self._tag_cache: dict[str, tuple[list[tuple], list[tuple]]] = {}
 
@@ -197,39 +245,43 @@ class RankPlan:
             self._tag_cache[phase] = cached
         return cached
 
+    def round_sends(self, k: int, phase: str) -> zip:
+        """(segment, ``phase`` tag) of every send of round ``k``."""
+        sends = self.rounds[k].sends
+        return zip(self.send_segments[sends], self.tags(phase)[0][sends])
+
+    def round_recvs(self, k: int, phase: str) -> zip:
+        """(segment, ``phase`` tag) of every receive of round ``k``."""
+        recvs = self.rounds[k].recvs
+        return zip(self.recv_segments[recvs], self.tags(phase)[1][recvs])
+
     # -- pack / unpack ------------------------------------------------------
-    def pack_vec(self, data: np.ndarray, apply_shift: bool) -> np.ndarray:
-        """Gather the send rows of a (N, 3) array into the pooled buffer."""
-        buf = self.pool.vec(self.n_pack)
-        out = buf[: self.n_pack]
-        np.take(data, self.fwd_idx, axis=0, out=out)
-        if apply_shift:
-            out += self.shift_rows
-        return buf
-
-    def pack_scalar(self, data: np.ndarray) -> np.ndarray:
-        """Gather the send rows of a 1-D per-atom array."""
-        buf = self.pool.scalar(self.n_pack)
-        np.take(data, self.fwd_idx, out=buf[: self.n_pack])
-        return buf
-
-    def unpack_buffer(self, vec: bool) -> np.ndarray:
-        """The pooled buffer reverse contributions are collected into."""
+    def buffer(self, vec: bool) -> np.ndarray:
+        """The pooled buffer every round packs into / collects into."""
         return self.pool.vec(self.n_pack) if vec else self.pool.scalar(self.n_pack)
 
-    def apply_reverse(self, data: np.ndarray, buf: np.ndarray) -> None:
-        """Fused scatter-add of all collected reverse contributions.
+    def pack(self, data: np.ndarray, buf: np.ndarray, k: int, apply_shift: bool) -> None:
+        """Gather round ``k``'s send rows of a (N, 3) or 1-D per-atom
+        array into its slice of ``buf`` (positions get the PBC shifts)."""
+        rnd = self.rounds[k]
+        out = buf[rnd.rows]
+        if data.ndim == 2:
+            np.take(data, rnd.idx, axis=0, out=out)
+            if apply_shift:
+                out += rnd.shifts
+        else:
+            np.take(data, rnd.idx, out=out)
+
+    def apply_reverse(self, data: np.ndarray, buf: np.ndarray, k: int) -> None:
+        """Fused scatter-add of round ``k``'s collected contributions.
 
         ``buf`` holds one row per packed send row, in send-segment order
         (the same order the seed path iterated routes).  The scatter is
-        bounded to the plan-time local atoms; see the module docstring.
+        bounded to the round's ``scatter_len``; see :class:`Round`.
         """
-        contrib = buf[: self.n_pack]
-        owned = data[: self.scatter_len]
+        rnd = self.rounds[k]
+        owned = data[: rnd.scatter_len]
         if data.ndim == 2:
-            scatter_signed_vec(owned, self.fwd_idx, contrib, 1)
+            scatter_signed_vec(owned, rnd.idx, buf[rnd.rows], 1)
         else:
-            if self.fwd_idx.size:
-                owned += np.bincount(
-                    self.fwd_idx, weights=contrib, minlength=self.scatter_len
-                )
+            scatter_add_scalar(owned, rnd.idx, buf[rnd.rows])

@@ -4,12 +4,15 @@ Both patterns (3-stage and p2p) reduce to the same route abstraction:
 after the **border** stage, each rank holds
 
 * :class:`SendRoute` s — (peer, local/ghost indices to pack, PBC shift to
-  apply, tag), and
-* :class:`RecvRoute` s — (peer, destination ghost range, tag),
+  apply, tag, round), and
+* :class:`RecvRoute` s — (peer, destination ghost range, tag, round),
 
 and the **forward** (positions owner->ghost), **reverse** (forces
 ghost->owner) and EAM mid-pair scalar exchanges are generic replays of
-those routes.  The PBC shift is applied by the *sender* (as real LAMMPS
+those routes, one *round* at a time.  A pattern is a schedule: what a
+subclass adds is its rounds' geometry (peers, shifts, tags) and which
+atoms each round selects — p2p one round to every shell neighbour,
+3-stage one round per swap, each packing what the earlier ones delivered.  The PBC shift is applied by the *sender* (as real LAMMPS
 does in its pack kernels) so the RDMA path — where data lands directly
 in the remote array with no receiver-side unpack — is identical in
 content to the message path.
@@ -22,13 +25,16 @@ performed, which the perfmodel prices on the network simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.comm_plan import BufferPool, RankPlan
+from repro.core.ghost import GhostBudget
 from repro.faults.injector import FAULTS, RetryExhaustedError
 from repro.md.atoms import Atoms
 from repro.md.domain import Domain
+from repro.network.stacks import SoftwareStack, UtofuStack
 from repro.obs.metrics import METRICS
 from repro.obs.telemetry import TELEMETRY
 from repro.obs.trace import NULL_SPAN, TRACER
@@ -45,6 +51,7 @@ class SendRoute:
     shift: np.ndarray  # (3,) PBC shift applied by the sender to positions
     tag: tuple
     hops: int = 1
+    round: int = 0  # which round of the pattern's schedule carries it
 
     @property
     def count(self) -> int:
@@ -60,6 +67,7 @@ class RecvRoute:
     recv_count: int
     tag: tuple
     hops: int = 1
+    round: int = 0
 
 
 @dataclass
@@ -75,11 +83,40 @@ class RankRoutes:
         self.recvs.clear()
 
 
+class RoundGeometry(NamedTuple):
+    """What never changes about one rank's part in one round: the domain
+    decomposition and the rank grid are fixed for a run, so peers, PBC
+    shifts, tags and hop counts are computed once (only the atom
+    selection is per-call work)."""
+
+    #: per send: (peer, shift, tag, wire tag, hops)
+    sends: list[tuple]
+    #: per recv: (src, tag, wire tag, hops, src's send slot in the round)
+    recvs: list[tuple]
+    shifts: np.ndarray  # (n_sends, 3), the send shifts stacked
+
+
+class _BorderPack(NamedTuple):
+    """One rank's packed border payload of one round, sends concatenated."""
+
+    idx: np.ndarray  # send rows, send-major
+    bounds: list[int]  # send j owns rows bounds[j]:bounds[j + 1]
+    shift_rows: np.ndarray
+    x: np.ndarray
+    tag: np.ndarray
+    type: np.ndarray
+
+
+def _cat(parts: tuple[np.ndarray, ...]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 class GhostExchange:
     """Abstract base of the border/forward/reverse/exchange protocol.
 
-    Subclasses implement :meth:`borders` (building routes + initial ghost
-    population); everything else is generic.
+    Subclasses declare a schedule — :attr:`n_rounds`,
+    :meth:`_round_geometry` and :meth:`_select_border` — everything else
+    is generic.
 
     Parameters
     ----------
@@ -87,6 +124,9 @@ class GhostExchange:
         The rank world (must carry a 3D grid) and the decomposed box.
     rcomm:
         Ghost shell thickness = force cutoff + neighbor skin.
+    radius:
+        Shell radius in sub-boxes: how many ranks away a ghost may come
+        from along one axis.
     """
 
     #: half-list ghost rule the pattern requires ("all" or "coord")
@@ -98,15 +138,39 @@ class GhostExchange:
     fallback_pattern: str | None = None
     #: whether the forward/reverse vector phases are one-sided PUTs
     rdma: bool = False
+    #: rounds of the pattern's schedule (fenced: round k+1 packs after
+    #: round k delivered)
+    n_rounds: int = 1
+    #: what the modeled clock prices the pattern on (the paper's pairings:
+    #: p2p on uTofu, the 3-stage baseline on MPI) ...
+    stack_cls: type[SoftwareStack] = UtofuStack
+    #: ... and how many consecutive sends share one fenced stage of it
+    #: (None: every send is in flight at once)
+    sends_per_stage: int | None = None
 
-    def __init__(self, world: World, domain: Domain, rcomm: float) -> None:
+    def __init__(
+        self, world: World, domain: Domain, rcomm: float, radius: int = 1
+    ) -> None:
         if world.grid is None:
             raise ValueError("ghost exchange requires a world with a rank grid")
         if rcomm <= 0:
             raise ValueError(f"rcomm must be positive, got {rcomm}")
+        if radius < 1:
+            raise ValueError(f"shell radius must be >= 1, got {radius}")
+        sub_len = float(np.min(domain.sub_lengths))
+        if rcomm > radius * sub_len:
+            # Ghosts would have to come from further than the schedule
+            # reaches: they would be dropped silently.
+            raise ValueError(
+                f"ghost shell {rcomm:.3f} exceeds shell_radius {radius} x "
+                f"sub-box {sub_len:.3f}; increase shell_radius or use fewer ranks"
+            )
         self.world = world
         self.domain = domain
         self.rcomm = rcomm
+        self.radius = radius
+        # The decomposition is fixed for a run.
+        self._subs = [domain.sub_box(world.grid_pos_of(r)) for r in range(world.size)]
         self.routes: dict[int, RankRoutes] = {
             r: RankRoutes() for r in range(world.size)
         }
@@ -119,11 +183,14 @@ class GhostExchange:
         self._plan_epoch = 0
         self._plans: dict[int, RankPlan] = {}
         self._plans_built_epoch = -1
-        # Flat (fwd_idx, shift_rows) per rank when the border stage of
-        # epoch _flat_epoch gathered through them already.
+        # Flat (fwd_idx, shift_rows) per rank while the routes are the ones
+        # the last border stage gathered through them.
         self._flat: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._flat_epoch = -1
         self._pools: dict[int, BufferPool] = {}
+        self._density: float | None = None  # measured at first use
+        self._budget: GhostBudget | None = None
+        #: (rank, round) -> static geometry, built by the first border stage
+        self._geom: dict[tuple[int, int], RoundGeometry] = {}
         self._model_cache: dict = {}
         self._plan_builds = 0
         # Phases delivered without the mailbox (direct and RDMA planes).
@@ -131,11 +198,11 @@ class GhostExchange:
         # Phases _plane refused the direct plane, by cause (telemetry
         # feed; the always-on plane itself never gates).
         self._gate_blocks = {"observability": 0, "faults": 0}
-        # Direct-plane wiring (built with the plans): every send segment
-        # resolved to its destination slice, so a replayed phase is pure
-        # slice copies with no per-message mailbox traffic.
-        self._fwd_deliveries: list[tuple[int, int, int, int, int, int]] | None = None
-        self._rev_deliveries: list[tuple[int, int, int, int, int, int]] | None = None
+        # Direct-plane wiring (built with the plans), per round: every
+        # send segment resolved to its destination slice, so a replayed
+        # phase is pure slice copies with no per-message mailbox traffic.
+        self._fwd_deliveries: list[list[tuple]] | None = None
+        self._rev_deliveries: list[list[tuple]] | None = None
         self._phase_msgs: dict = {}
 
     # -- helpers ----------------------------------------------------------
@@ -145,7 +212,7 @@ class GhostExchange:
 
     def sub_box_of(self, rank: int):
         """The sub-box owned by ``rank``."""
-        return self.domain.sub_box(self.world.grid_pos_of(rank))
+        return self._subs[rank]
 
     def shift_for_send(self, sender_rank: int, o_send: tuple[int, int, int]) -> np.ndarray:
         """PBC shift the sender applies for the receiver at ``o_send``.
@@ -162,10 +229,25 @@ class GhostExchange:
         o_recv = tuple(-o for o in o_send)
         return self.domain.sub_box(recv_pos).ghost_shift(o_recv, self.domain.box)
 
-    # -- abstract ------------------------------------------------------------
-    def borders(self) -> None:
-        """Rebuild ghost sets and routes on every rank (border stage)."""
+    # -- the schedule a pattern declares -----------------------------------------
+    def _round_geometry(self, rank: int, k: int) -> RoundGeometry:
+        """Peers, shifts, tags and hops of ``rank`` in round ``k``."""
         raise NotImplementedError
+
+    def _select_border(self, rank: int, k: int) -> tuple[np.ndarray, list[int]]:
+        """The atom rows ``rank`` sends in round ``k``, send-major with rows
+        ascending within a send, and the row count of each send."""
+        raise NotImplementedError
+
+    def _border_setup(self) -> None:
+        """One-time preparation before the first border stage."""
+
+    def _border_done(self, plane: str) -> None:
+        """After the last round (``plane`` is the one the stage rode)."""
+
+    def _round_span(self, k: int):
+        """Trace span around border round ``k`` (none by default)."""
+        return NULL_SPAN
 
     def _phase_span(self, phase: str):
         """Trace span wrapping one communication phase of this pattern."""
@@ -187,18 +269,28 @@ class GhostExchange:
         """Bump the plan epoch: cached plans/model results are stale."""
         self._plan_epoch += 1
         self._model_cache.clear()
+        self._flat = {}
 
-    def _plan_budget(self) -> object | None:
-        """GhostBudget used to size the buffer pools (None = grow lazily)."""
-        return None
+    def _plan_budget(self) -> GhostBudget:
+        """The analytic ghost budget sizing buffer pools (and RDMA rings).
+
+        Computed once from the measured density (or a configured one)
+        and reused for every registration and pool allocation.
+        """
+        if self._budget is None:
+            sub_len = float(np.min(self.domain.sub_lengths))
+            if self._density is None:
+                total_atoms = sum(
+                    self.atoms_of(r).nlocal for r in range(self.world.size)
+                )
+                self._density = total_atoms / self.domain.box.volume
+            self._budget = GhostBudget(a=sub_len, r=self.rcomm, density=self._density)
+        return self._budget
 
     def _plans_current(self) -> dict[int, RankPlan]:
         """The per-rank plans for the current route epoch (built lazily)."""
         if self._plans_built_epoch != self._plan_epoch:
             budget = self._plan_budget()
-            # A plan invalidated without a new border stage is rebuilt
-            # from the route objects alone.
-            flat = self._flat if self._flat_epoch == self._plan_epoch else {}
             for rank in range(self.world.size):
                 pool = self._pools.get(rank)
                 if pool is None:
@@ -210,7 +302,10 @@ class GhostExchange:
                     recvs=rr.recvs,
                     nlocal=self.atoms_of(rank).nlocal,
                     pool=pool,
-                    flat=flat.get(rank),
+                    # (a plan invalidated without a new border stage is
+                    # rebuilt from the route objects alone)
+                    flat=self._flat.get(rank),
+                    n_rounds=self.n_rounds,
                 )
             self._wire_deliveries()
             self._plans_built_epoch = self._plan_epoch
@@ -234,18 +329,20 @@ class GhostExchange:
             rank: {(seg.peer, seg.tag): seg for seg in self._plans[rank].recv_segments}
             for rank in range(size)
         }
-        fwd: list[tuple[int, int, int, int, int, int]] = []
-        rev: list[tuple[int, int, int, int, int, int]] = []
-        for rank in range(size):
-            for seg in self._plans[rank].send_segments:
-                rseg = recv_maps[seg.peer].get((rank, seg.tag))
-                if rseg is None or rseg.n != seg.stop - seg.start:
-                    self._fwd_deliveries = None
-                    self._rev_deliveries = None
-                    return
-                hi = rseg.lo + rseg.n
-                fwd.append((rank, seg.start, seg.stop, seg.peer, rseg.lo, hi))
-                rev.append((seg.peer, rseg.lo, hi, rank, seg.start, seg.stop))
+        fwd: list[list[tuple]] = [[] for _ in range(self.n_rounds)]
+        rev: list[list[tuple]] = [[] for _ in range(self.n_rounds)]
+        for k in range(self.n_rounds):
+            for rank in range(size):
+                plan = self._plans[rank]
+                for seg in plan.send_segments[plan.rounds[k].sends]:
+                    rseg = recv_maps[seg.peer].get((rank, seg.tag))
+                    if rseg is None or rseg.n != seg.stop - seg.start:
+                        self._fwd_deliveries = None
+                        self._rev_deliveries = None
+                        return
+                    hi = rseg.lo + rseg.n
+                    fwd[k].append((rank, seg.start, seg.stop, seg.peer, rseg.lo, hi))
+                    rev[k].append((seg.peer, rseg.lo, hi, rank, seg.start, seg.stop))
         self._fwd_deliveries = fwd
         self._rev_deliveries = rev
 
@@ -254,29 +351,27 @@ class GhostExchange:
 
         The direct plane replays identical traffic every step between
         reneighborings, so the per-message records are precomputed once
-        per plan in the seed's send order (rank-major, segment order)
-        and appended wholesale on each replay.
+        per plan in the mailbox plane's send order — round-major (the
+        reverse replay walks the rounds backwards), then rank-major,
+        then segment order — and appended wholesale on each replay.
         """
         key = (phase, vec, forward)
         cached = self._phase_msgs.get(key)
         if cached is None:
             msgs = []
-            for rank in range(self.world.size):
-                plan = self._plans[rank]
-                send_tags, recv_tags = plan.tags(phase)
-                segs, tags = (
-                    (plan.send_segments, send_tags)
-                    if forward
-                    else (plan.recv_segments, recv_tags)
-                )
-                for seg, tag in zip(segs, tags):
-                    msgs.append(
-                        SentMessage(
-                            rank, seg.peer, tag,
-                            seg.nbytes_vec if vec else seg.nbytes_scalar,
-                            phase,
+            rounds = range(self.n_rounds)
+            for k in rounds if forward else reversed(rounds):
+                for rank in range(self.world.size):
+                    plan = self._plans[rank]
+                    segs = plan.round_sends(k, phase) if forward else plan.round_recvs(k, phase)
+                    for seg, tag in segs:
+                        msgs.append(
+                            SentMessage(
+                                rank, seg.peer, tag,
+                                seg.nbytes_vec if vec else seg.nbytes_scalar,
+                                phase,
+                            )
                         )
-                    )
             cached = self._phase_msgs[key] = (msgs, sum(m.nbytes for m in msgs))
         return cached
 
@@ -302,15 +397,9 @@ class GhostExchange:
         (RDMA re-registrations, ring cursors).
         """
         stats = self.plan_stats()
-        counters: dict[str, float] = {
-            "plan_builds": float(stats["plan_builds"]),
-            "fastpath_phases": float(stats["fastpath_phases"]),
-            "slowpath_phases": float(stats["slowpath_phases"]),
-            "pool_allocations": float(stats["pool_allocations"]),
-            "pool_grow_events": float(stats["pool_grow_events"]),
-            "retries": float(self.retries),
-            "retry_model_seconds": self.retry_model_time,
-        }
+        counters = {key: float(value) for key, value in stats.items() if key != "pool_bytes"}
+        counters["retries"] = float(self.retries)
+        counters["retry_model_seconds"] = self.retry_model_time
         gauges: dict[str, float] = {
             "pool_bytes": float(stats["pool_bytes"]),
             "pool_rows_used": float(
@@ -352,9 +441,9 @@ class GhostExchange:
         with self._phase_span("pair-reverse"):
             self._reverse_sum_array(arrays, phase="pair-reverse")
 
-    # -- the one replay: pack -> delivery plane -> drain -----------------------
-    # ThreeStageExchange overrides both bodies with its staged swaps; every
-    # other pattern varies only the plane.
+    # -- the one replay: per round, pack -> delivery plane -> drain ------------
+    # Every pattern runs these bodies; they differ in the plan's round table
+    # and in the plane.
     def _plane(self, phase: str) -> str:
         """Which delivery plane carries ``phase`` (the one selector).
 
@@ -393,87 +482,210 @@ class GhostExchange:
         logged messages, whichever plane stands in for them)."""
         return self.rdma and phase in ("forward", "reverse")
 
+    def _deliverer(self, phase: str, vec: bool, forward: bool):
+        """The plane's per-round delivery method for ``phase``.  The direct
+        plane accounts for the whole phase up front: the traffic log gets
+        the mailbox plane's per-message records, precomputed."""
+        plane = self._plane(phase)
+        if plane == "direct":
+            if not self._is_put(phase):
+                self.world.transport.log.record_phase(
+                    *self._phase_messages(phase, vec, forward)
+                )
+            self._fastpath_phases += 1
+        return getattr(self, f"_{plane}_{'forward' if forward else 'reverse'}")
+
     def _forward_array(
         self, arrays: dict[int, np.ndarray], apply_shift: bool, phase: str
     ) -> None:
-        """Owner -> ghost replay: one pooled gather per rank, then the plane."""
+        """Owner -> ghost replay: per round, one pooled gather per rank,
+        then the plane — so a later round packs what an earlier delivered."""
         self.world.transport.set_phase(phase)
         plans = self._plans_current()
         vec = arrays[0].ndim == 2
-        bufs = [
-            plans[rank].pack_vec(arrays[rank], apply_shift)
-            if vec
-            else plans[rank].pack_scalar(arrays[rank])
-            for rank in range(self.world.size)
-        ]
-        getattr(self, f"_{self._plane(phase)}_forward")(arrays, bufs, phase)
+        bufs = [plans[rank].buffer(vec) for rank in range(self.world.size)]
+        deliver = self._deliverer(phase, vec, forward=True)
+        for k in range(self.n_rounds):
+            for rank, buf in enumerate(bufs):
+                plans[rank].pack(arrays[rank], buf, k, apply_shift)
+            deliver(arrays, bufs, phase, k)
 
     def _reverse_sum_array(self, arrays: dict[int, np.ndarray], phase: str) -> None:
-        """Ghost -> owner replay: the plane fills every owner's pooled
-        unpack buffer (send-segment order), then one fused scatter each.
+        """Ghost -> owner replay, rounds backwards: the plane fills every
+        owner's pooled unpack buffer (send-segment order), then one fused
+        scatter each — before the next round forwards what this one summed.
 
-        Collect-all-then-apply-all: an escalation mid-collect must not
-        leave a half-summed array behind (the post-degradation force
-        recompute relies on it), and it is safe because
-        :meth:`RankPlan.apply_reverse` never writes past the local atoms
-        — the ghost rows being read are never mutated.
+        Collect-all-then-apply-all within a round: an escalation
+        mid-collect must not leave a half-summed array behind (the
+        post-degradation force recompute relies on it), and it is safe
+        because :meth:`RankPlan.apply_reverse` never writes past the
+        round's scatter bound — the ghost rows being read are never
+        mutated.
         """
         self.world.transport.set_phase(phase)
         plans = self._plans_current()
         vec = arrays[0].ndim == 2
-        bufs = [plans[rank].unpack_buffer(vec) for rank in range(self.world.size)]
-        getattr(self, f"_{self._plane(phase)}_reverse")(arrays, bufs, phase)
-        for rank, buf in enumerate(bufs):
-            plans[rank].apply_reverse(arrays[rank], buf)
+        bufs = [plans[rank].buffer(vec) for rank in range(self.world.size)]
+        collect = self._deliverer(phase, vec, forward=False)
+        for k in reversed(range(self.n_rounds)):
+            collect(arrays, bufs, phase, k)
+            for rank, buf in enumerate(bufs):
+                plans[rank].apply_reverse(arrays[rank], buf, k)
 
     # -- direct plane: pre-wired slice copies ---------------------------------
-    def _direct_forward(self, arrays, bufs, phase: str) -> None:
+    def _direct_forward(self, arrays, bufs, phase: str, k: int) -> None:
         """Copy every packed slice straight into the receiver's ghost rows
         (the bytes the mailbox round trip would move, none of its
-        bookkeeping); the traffic log gets the seed's per-message records."""
-        self._direct_account(phase, arrays, forward=True)
-        for src, s, e, dst, lo, hi in self._fwd_deliveries:
+        bookkeeping)."""
+        for src, s, e, dst, lo, hi in self._fwd_deliveries[k]:
             arrays[dst][lo:hi] = bufs[src][s:e]
 
-    def _direct_reverse(self, arrays, bufs, phase: str) -> None:
+    def _direct_reverse(self, arrays, bufs, phase: str, k: int) -> None:
         """Copy every ghost slice straight into its owner's unpack buffer."""
-        self._direct_account(phase, arrays, forward=False)
-        for src, lo, hi, dst, s, e in self._rev_deliveries:
+        for src, lo, hi, dst, s, e in self._rev_deliveries[k]:
             bufs[dst][s:e] = arrays[src][lo:hi]
 
-    def _direct_account(self, phase: str, arrays, forward: bool) -> None:
-        if not self._is_put(phase):
-            self.world.transport.log.record_phase(
-                *self._phase_messages(phase, arrays[0].ndim == 2, forward)
-            )
-        self._fastpath_phases += 1
-
     # -- mailbox plane: the fault- and tracer-visible world transport ---------
-    def _mailbox_forward(self, arrays, bufs, phase: str) -> None:
+    def _mailbox_forward(self, arrays, bufs, phase: str, k: int) -> None:
         transport = self.world.transport
         for rank, buf in enumerate(bufs):
-            plan = self._plans[rank]
-            for seg, tag in zip(plan.send_segments, plan.tags(phase)[0]):
+            for seg, tag in self._plans[rank].round_sends(k, phase):
                 transport.send(rank, seg.peer, tag, buf[seg.start : seg.stop].copy())
         for rank in range(self.world.size):
-            plan = self._plans[rank]
-            for seg, tag in zip(plan.recv_segments, plan.tags(phase)[1]):
+            for seg, tag in self._plans[rank].round_recvs(k, phase):
                 arrays[rank][seg.lo : seg.lo + seg.n] = self._recv(
                     transport, rank, seg.peer, tag
                 )
 
-    def _mailbox_reverse(self, arrays, bufs, phase: str) -> None:
+    def _mailbox_reverse(self, arrays, bufs, phase: str, k: int) -> None:
         transport = self.world.transport
         for rank in range(self.world.size):
-            plan = self._plans[rank]
-            for seg, tag in zip(plan.recv_segments, plan.tags(phase)[1]):
+            for seg, tag in self._plans[rank].round_recvs(k, phase):
                 transport.send(
                     rank, seg.peer, tag, arrays[rank][seg.lo : seg.lo + seg.n].copy()
                 )
         for rank, buf in enumerate(bufs):
-            plan = self._plans[rank]
-            for seg, tag in zip(plan.send_segments, plan.tags(phase)[0]):
+            for seg, tag in self._plans[rank].round_sends(k, phase):
                 buf[seg.start : seg.stop] = self._recv(transport, rank, seg.peer, tag)
+
+    # -- border stage: the same rounds, building the routes --------------------
+    def borders(self) -> None:
+        """Rebuild ghost sets and routes on every rank (border stage)."""
+        with self._phase_span("border"):
+            self._borders_impl()
+
+    def _borders_impl(self) -> None:
+        """Per round: pack every rank's selected atoms once, then the plane.
+
+        The shape of the forward/reverse replay: one selection and three
+        ``np.take`` gathers per rank produce the concatenated send rows of
+        the round; ``_plane`` picks who carries the slices; ghosts land in
+        canonical recv order on either plane, and the next round selects
+        among them.  The flat gather arrays are handed on to the
+        :class:`~repro.core.comm_plan.RankPlan` of this epoch.
+        """
+        world = self.world
+        world.transport.set_phase("border")
+        if not self._geom:
+            self._geom = {
+                (rank, k): self._round_geometry(rank, k)
+                for rank in range(world.size)
+                for k in range(self.n_rounds)
+            }
+        self._border_setup()
+        self._clear_routes()
+        for rank in range(world.size):
+            self.atoms_of(rank).clear_ghosts()
+        plane = self._plane("border")
+        deliver = getattr(self, f"_{plane}_border")
+        rounds = []
+        for k in range(self.n_rounds):
+            with self._round_span(k):
+                packs = [self._pack_border(rank, k) for rank in range(world.size)]
+                deliver(packs, k)
+            rounds.append(packs)
+        self._flat = {
+            rank: (
+                _cat(tuple(pack.idx for pack in packs)),
+                _cat(tuple(pack.shift_rows for pack in packs)),
+            )
+            for rank, packs in enumerate(zip(*rounds))
+        }
+        self._border_done(plane)
+
+    def _pack_border(self, rank: int, k: int) -> _BorderPack:
+        """Gather the payload rows ``rank`` sends in round ``k``.
+
+        ``idx`` is send-major with rows ascending, so every
+        ``SendRoute.send_idx`` is a slice view of it and the gathers are
+        the per-route ``x[send_idx] + shift`` bit for bit (the shift add
+        stays unconditional: the ``-0.0`` rule of the plan replay).
+        """
+        atoms = self.atoms_of(rank)
+        geom = self._geom[rank, k]
+        idx, counts = self._select_border(rank, k)
+        bounds = [0, *np.cumsum(counts).tolist()]
+        shift_rows = np.repeat(geom.shifts, counts, axis=0)
+        x = np.take(atoms.x, idx, axis=0)
+        x += shift_rows
+        sends = self.routes[rank].sends
+        for j, (peer, shift, tag, _, hops) in enumerate(geom.sends):
+            sends.append(
+                SendRoute(peer, idx[bounds[j] : bounds[j + 1]], shift, tag, hops, k)
+            )
+        return _BorderPack(
+            idx, bounds, shift_rows, x, np.take(atoms.tag, idx), np.take(atoms.type, idx)
+        )
+
+    def _direct_border(self, packs: list[_BorderPack], k: int) -> None:
+        """Write every payload slice straight into its receiver's ghost
+        rows — one append per rank, no mailbox round trip per route — and
+        log the records the per-message sends would have written."""
+        msgs = []
+        for rank, pack in enumerate(packs):
+            bounds = pack.bounds
+            row_bytes = 3 * pack.x.itemsize + pack.tag.itemsize + pack.type.itemsize
+            for j, (peer, _, _, wire_tag, _) in enumerate(self._geom[rank, k].sends):
+                msgs.append(
+                    SentMessage(
+                        rank, peer, wire_tag,
+                        row_bytes * (bounds[j + 1] - bounds[j]), "border",
+                    )
+                )
+        self.world.transport.log.record_phase(msgs, sum(m.nbytes for m in msgs))
+        for rank in range(self.world.size):
+            atoms = self.atoms_of(rank)
+            recvs = self.routes[rank].recvs
+            blocks = []
+            start = atoms.ntotal
+            for src, tag, _, hops, slot in self._geom[rank, k].recvs:
+                pack = packs[src]
+                lo, hi = pack.bounds[slot], pack.bounds[slot + 1]
+                blocks.append((pack.x[lo:hi], pack.tag[lo:hi], pack.type[lo:hi]))
+                recvs.append(RecvRoute(src, start, hi - lo, tag, hops, k))
+                start += hi - lo
+            atoms.append_ghosts(*(_cat(column) for column in zip(*blocks)))
+
+    def _mailbox_border(self, packs: list[_BorderPack], k: int) -> None:
+        """Every payload slice through ``Transport.send`` and the retrying
+        ``_recv``, one message at a time: what faults act on and the
+        tracer sees."""
+        transport = self.world.transport
+        for rank, pack in enumerate(packs):
+            bounds = pack.bounds
+            for j, (peer, _, _, wire_tag, _) in enumerate(self._geom[rank, k].sends):
+                rows = slice(bounds[j], bounds[j + 1])
+                transport.send(
+                    rank, peer, wire_tag, (pack.x[rows], pack.tag[rows], pack.type[rows])
+                )
+        for rank in range(self.world.size):
+            atoms = self.atoms_of(rank)
+            recvs = self.routes[rank].recvs
+            for src, tag, wire_tag, hops, _ in self._geom[rank, k].recvs:
+                start, count = atoms.append_ghosts(
+                    *self._recv(transport, rank, src, wire_tag)
+                )
+                recvs.append(RecvRoute(src, start, count, tag, hops, k))
 
     # -- the retry policy layer -----------------------------------------------
     def _retry(self, poll, span: str, span_args: dict, phase: str, **who):

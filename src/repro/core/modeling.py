@@ -16,11 +16,10 @@ import numpy as np
 
 from repro.core.exchange_base import GhostExchange
 from repro.core.fine_p2p import FineGrainedP2PExchange
-from repro.core.three_stage import ThreeStageExchange
 from repro.faults.injector import FAULTS
 from repro.machine.params import FUGAKU, MachineParams
 from repro.network.simulator import Message, NetworkSimulator, simulate_owned_rounds
-from repro.network.stacks import MpiStack, SoftwareStack, UtofuStack
+from repro.network.stacks import SoftwareStack, UtofuStack
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 
@@ -28,11 +27,9 @@ from repro.obs.trace import TRACER
 def stack_for_exchange(
     exchange: GhostExchange, params: MachineParams = FUGAKU
 ) -> SoftwareStack:
-    """The software stack a pattern implies: baseline 3-stage runs on
+    """The software stack the pattern declares: baseline 3-stage runs on
     MPI, the p2p exchanges on uTofu (the paper's pairings)."""
-    if isinstance(exchange, ThreeStageExchange):
-        return MpiStack(params=params)
-    return UtofuStack(params=params)
+    return exchange.stack_cls(params=params)
 
 
 def rank_messages(
@@ -117,11 +114,9 @@ def modeled_exchange_time(
     sim = NetworkSimulator(stack, params)
     msgs = rank_messages(exchange, rank, bytes_per_atom, known)
 
-    if isinstance(exchange, ThreeStageExchange):
-        # Two sends per swap level form one stage (Fig. 4 barriers).
-        stages: list[list[Message]] = []
-        for i in range(0, len(msgs), 2):
-            stages.append(msgs[i : i + 2])
+    fence = exchange.sends_per_stage
+    if fence:
+        stages = [msgs[i : i + fence] for i in range(0, len(msgs), fence)]
         result = sim.run_staged(stages).completion_time
     else:
         result = sim.run_round(msgs).completion_time
@@ -140,12 +135,12 @@ def _world_times(
     rank by rank, and :func:`~repro.network.simulator.simulate_owned_rounds`
     prices it — bit-identical to ``NetworkSimulator.run_round`` per rank
     — into the plan-epoch cache.  ``None`` when nothing may be cached or
-    the schedule is not one the closed form takes (staged 3-stage swaps,
+    the schedule is not one the closed form takes (fenced stages,
     ranks with differing send counts, multi-message protocols, shared
     TNIs): callers then simulate rank by rank.
     """
     cache = _cache_for(exchange)
-    if cache is None or isinstance(exchange, ThreeStageExchange):
+    if cache is None or exchange.sends_per_stage:
         return None
     stack, bytes_per_atom, known = _payload(exchange, phase, params)
     key = (bytes_per_atom, known, params)

@@ -22,21 +22,20 @@ Two data planes:
   stage, reverse-stage forces length-prefix-combined into the 4-deep
   round-robin receive rings.
 
-Both planes produce bit-identical ghost data; tests assert it.  This
-class adds only the RDMA *delivery plane* (:meth:`_rdma_forward` /
-:meth:`_rdma_reverse`) under the base class's one replay; an unobserved,
-fault-free run of either flavour rides the base's direct plane.
+Both planes produce bit-identical ghost data; tests assert it.  Under the
+base class's one replay this class is a one-round schedule — geometry
+(:meth:`_round_geometry`) and border-atom selection
+(:meth:`_select_border`) — plus the RDMA *delivery plane*
+(:meth:`_rdma_forward` / :meth:`_rdma_reverse`); an unobserved, fault-free
+run of either flavour rides the base's direct plane.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from repro.core.border_bins import BorderBins
-from repro.core.exchange_base import GhostExchange, RecvRoute, SendRoute
-from repro.core.ghost import GhostBudget
+from repro.core.exchange_base import GhostExchange, RoundGeometry
 from repro.core.message_combine import split
 from repro.core.patterns import (
     half_shell_offsets,
@@ -47,37 +46,10 @@ from repro.core.rdma_buffers import BufferOverwriteError, RdmaEndpoint
 from repro.faults.injector import FAULTS, RetryExhaustedError
 from repro.machine.rdma import RdmaEngine
 from repro.md.domain import Domain
-from repro.md.region import SubBox
 from repro.obs import hbevents
 from repro.obs.trace import TRACER
 from repro.runtime.transport import SentMessage, payload_nbytes
 from repro.runtime.world import World
-
-
-class _BorderGeometry(NamedTuple):
-    """What never changes about one rank's border stage: the domain
-    decomposition and the rank grid are fixed for a run, so peers, PBC
-    shifts, tags, hop counts and the border bins are computed once (only
-    the atom selection is per-call work)."""
-
-    sub: SubBox
-    bins: BorderBins | None  # None: route by border_mask sweeps
-    #: per send offset: (peer, shift, tag, wire tag, hops)
-    sends: list[tuple]
-    #: per recv offset: (src, tag, wire tag, hops, src's send slot)
-    recvs: list[tuple]
-    shifts: np.ndarray  # (n_sends, 3), the send shifts stacked
-
-
-class _BorderPack(NamedTuple):
-    """One rank's packed border payload, all neighbors concatenated."""
-
-    idx: np.ndarray  # send rows, neighbor-major
-    bounds: list[int]  # neighbor k owns rows bounds[k]:bounds[k + 1]
-    shift_rows: np.ndarray
-    x: np.ndarray
-    tag: np.ndarray
-    type: np.ndarray
 
 
 class P2PExchange(GhostExchange):
@@ -98,11 +70,8 @@ class P2PExchange(GhostExchange):
         ring_depth: int = 4,
         density: float | None = None,
     ) -> None:
-        super().__init__(world, domain, rcomm)
-        if radius < 1:
-            raise ValueError(f"shell radius must be >= 1, got {radius}")
+        super().__init__(world, domain, rcomm, radius)
         self.newton = newton
-        self.radius = radius
         self.rdma = rdma
         self.ring_depth = ring_depth
         # Half list over a half shell needs no coordinate tie-break;
@@ -118,14 +87,13 @@ class P2PExchange(GhostExchange):
             self.send_offsets = list(self.recv_offsets)
 
         self.use_border_bins = use_border_bins and radius == 1
-        self._geom: dict[int, _BorderGeometry] = {}
+        self._bins: dict[int, BorderBins] = {}
         self._window_msgs: tuple[list[SentMessage], int] | None = None
 
         # RDMA plane state
         self.engine: RdmaEngine | None = None
         self.endpoints: dict[int, RdmaEndpoint] = {}
         self._density = density
-        self._budget: GhostBudget | None = None
         self.reregistrations = 0
 
     def telemetry_feed(self) -> tuple[dict[str, float], dict[str, float]]:
@@ -142,63 +110,55 @@ class P2PExchange(GhostExchange):
     def _routes_tag(self, o_recv: tuple[int, int, int]) -> tuple:
         return ("p2p", o_recv)
 
-    def _border_geometry(self, rank: int) -> _BorderGeometry:
-        """The static border geometry of ``rank``, built once."""
-        geom = self._geom.get(rank)
-        if geom is None:
-            sub = self.sub_box_of(rank)
-            sends = []
-            for o_send in self.send_offsets:
-                o_recv = tuple(-o for o in o_send)
-                tag = self._routes_tag(o_recv)
-                sends.append(
-                    (
-                        self.peer_for(rank, o_send),
-                        self.shift_for_send(rank, o_send),
-                        tag,
-                        tag + ("border",),
-                        offset_hops(o_send),
-                    )
+    def _round_geometry(self, rank: int, k: int) -> RoundGeometry:
+        """The one round: a send to and a recv from every shell offset."""
+        sends = []
+        for o_send in self.send_offsets:
+            o_recv = tuple(-o for o in o_send)
+            tag = self._routes_tag(o_recv)
+            sends.append(
+                (
+                    self.peer_for(rank, o_send),
+                    self.shift_for_send(rank, o_send),
+                    tag,
+                    tag + ("border",),
+                    offset_hops(o_send),
                 )
-            recvs = []
-            for o_recv in self.recv_offsets:
-                tag = self._routes_tag(o_recv)
-                recvs.append(
-                    (
-                        self.peer_for(rank, o_recv),
-                        tag,
-                        tag + ("border",),
-                        offset_hops(o_recv),
-                        self._owner_ring_index(tag),
-                    )
-                )
-            bins = None
-            if self.use_border_bins:
-                try:
-                    bins = BorderBins(sub, self.rcomm, self.send_offsets)
-                except ValueError:  # sub-box thinner than the shell
-                    pass
-            geom = self._geom[rank] = _BorderGeometry(
-                sub, bins, sends, recvs, np.stack([send[1] for send in sends])
             )
-        return geom
-
-    # -- analytic sizing -------------------------------------------------------------
-    def _plan_budget(self) -> GhostBudget:
-        """The analytic ghost budget sizing RDMA rings *and* buffer pools.
-
-        Computed once from the measured density (or the configured one)
-        and reused for every registration and pool allocation.
-        """
-        if self._budget is None:
-            sub_len = float(np.min(self.domain.sub_lengths))
-            if self._density is None:
-                total_atoms = sum(
-                    self.atoms_of(r).nlocal for r in range(self.world.size)
+        recvs = []
+        for o_recv in self.recv_offsets:
+            tag = self._routes_tag(o_recv)
+            recvs.append(
+                (
+                    self.peer_for(rank, o_recv),
+                    tag,
+                    tag + ("border",),
+                    offset_hops(o_recv),
+                    self._owner_ring_index(tag),
                 )
-                self._density = total_atoms / self.domain.box.volume
-            self._budget = GhostBudget(a=sub_len, r=self.rcomm, density=self._density)
-        return self._budget
+            )
+        return RoundGeometry(sends, recvs, np.stack([send[1] for send in sends]))
+
+    def _select_border(self, rank: int, k: int) -> tuple[np.ndarray, list[int]]:
+        """Route ``rank``'s local atoms to the send offsets: neighbor-major
+        with rows ascending — the order the per-offset ``flatnonzero``
+        sweeps concatenate in."""
+        x_local = self.atoms_of(rank).x_local()
+        if self.use_border_bins:
+            bins = self._bins.get(rank)
+            if bins is None:
+                bins = self._bins[rank] = BorderBins(
+                    self.sub_box_of(rank), self.rcomm, self.send_offsets
+                )
+            return bins.route_flat(x_local)
+        # Long-cutoff shells (radius > 1): the generic region test, one
+        # sweep per offset.
+        sub = self.sub_box_of(rank)
+        parts = [
+            np.flatnonzero(sub.border_mask(x_local, o_send, self.rcomm))
+            for o_send in self.send_offsets
+        ]
+        return np.concatenate(parts), [part.shape[0] for part in parts]
 
     # -- RDMA setup -----------------------------------------------------------------
     def _ensure_rdma(self) -> None:
@@ -226,126 +186,16 @@ class P2PExchange(GhostExchange):
                 full_shell=self.full_shell,
             )
 
-    # -- border stage ----------------------------------------------------------------
-    def borders(self) -> None:
-        """Direct border exchange with every shell neighbor."""
-        with self._phase_span("border"):
-            self._borders_impl()
+    # -- border stage hooks ----------------------------------------------------------
+    _border_setup = _ensure_rdma
 
-    def _borders_impl(self) -> None:
-        """Pack every rank's border atoms once, then the delivery plane.
-
-        The shape of the forward/reverse replay: one classification, one
-        ``np.nonzero`` and three ``np.take`` gathers per rank produce the
-        concatenated send rows of all neighbors; ``_plane`` picks who
-        carries the slices; ghosts land in canonical recv-offset order on
-        either plane.  The flat gather arrays are handed on to the
-        :class:`~repro.core.comm_plan.RankPlan` of this epoch.
-        """
-        world = self.world
-        world.transport.set_phase("border")
-        self._ensure_rdma()
-        self._clear_routes()
-        for rank in range(world.size):
-            self.atoms_of(rank).clear_ghosts()
-        plane = self._plane("border")
-        packs = [self._pack_border(rank) for rank in range(world.size)]
-        getattr(self, f"_{plane}_border")(packs)
-        self._flat = {rank: (pack.idx, pack.shift_rows) for rank, pack in enumerate(packs)}
-        self._flat_epoch = self._plan_epoch
-
+    def _border_done(self, plane: str) -> None:
         if self.rdma:
-            for rank in range(world.size):
+            for rank in range(self.world.size):
                 atoms = self.atoms_of(rank)
                 if self.endpoints[rank].revalidate(atoms._x, atoms._f):
                     self.reregistrations += 1
             self._exchange_windows(plane)
-
-    def _pack_border(self, rank: int) -> _BorderPack:
-        """Route ``rank``'s local atoms and gather their payload rows.
-
-        ``idx`` is neighbor-major with rows ascending — the order the
-        per-offset ``flatnonzero`` sweeps concatenate in — so every
-        ``SendRoute.send_idx`` is a slice view of it and the gathers are
-        the per-route ``x[send_idx] + shift`` bit for bit (the shift add
-        stays unconditional: the ``-0.0`` rule of the plan replay).
-        """
-        atoms = self.atoms_of(rank)
-        geom = self._border_geometry(rank)
-        x_local = atoms.x_local()
-        if geom.bins is not None:
-            idx, counts = geom.bins.route_flat(x_local)
-        else:
-            # Long-cutoff shells (radius > 1) and sub-boxes thinner than
-            # the shell: the generic region test, one sweep per offset.
-            parts = [
-                np.flatnonzero(geom.sub.border_mask(x_local, o_send, self.rcomm))
-                for o_send in self.send_offsets
-            ]
-            idx = np.concatenate(parts)
-            counts = [part.shape[0] for part in parts]
-        bounds = [0, *np.cumsum(counts).tolist()]
-        shift_rows = np.repeat(geom.shifts, counts, axis=0)
-        x = np.take(atoms.x, idx, axis=0)
-        x += shift_rows
-        sends = self.routes[rank].sends
-        for k, (peer, shift, tag, _, hops) in enumerate(geom.sends):
-            sends.append(
-                SendRoute(peer, idx[bounds[k] : bounds[k + 1]], shift, tag, hops)
-            )
-        return _BorderPack(
-            idx, bounds, shift_rows, x, np.take(atoms.tag, idx), np.take(atoms.type, idx)
-        )
-
-    def _direct_border(self, packs: list[_BorderPack]) -> None:
-        """Write every payload slice straight into its receiver's ghost
-        rows — one append per rank, no mailbox round trip per route — and
-        log the records the per-message sends would have written."""
-        msgs = []
-        for rank, pack in enumerate(packs):
-            bounds = pack.bounds
-            row_bytes = 3 * pack.x.itemsize + pack.tag.itemsize + pack.type.itemsize
-            for k, (peer, _, _, wire_tag, _) in enumerate(self._border_geometry(rank).sends):
-                msgs.append(
-                    SentMessage(
-                        rank, peer, wire_tag,
-                        row_bytes * (bounds[k + 1] - bounds[k]), "border",
-                    )
-                )
-        self.world.transport.log.record_phase(msgs, sum(m.nbytes for m in msgs))
-        for rank in range(self.world.size):
-            atoms = self.atoms_of(rank)
-            recvs = self.routes[rank].recvs
-            blocks = []
-            start = atoms.ntotal
-            for src, tag, _, hops, slot in self._border_geometry(rank).recvs:
-                pack = packs[src]
-                lo, hi = pack.bounds[slot], pack.bounds[slot + 1]
-                blocks.append((pack.x[lo:hi], pack.tag[lo:hi], pack.type[lo:hi]))
-                recvs.append(RecvRoute(src, start, hi - lo, tag, hops))
-                start += hi - lo
-            atoms.append_ghosts(*(np.concatenate(column) for column in zip(*blocks)))
-
-    def _mailbox_border(self, packs: list[_BorderPack]) -> None:
-        """Every payload slice through ``Transport.send`` and the retrying
-        ``_recv``, one message at a time: what faults act on and the
-        tracer sees."""
-        transport = self.world.transport
-        for rank, pack in enumerate(packs):
-            bounds = pack.bounds
-            for k, (peer, _, _, wire_tag, _) in enumerate(self._border_geometry(rank).sends):
-                rows = slice(bounds[k], bounds[k + 1])
-                transport.send(
-                    rank, peer, wire_tag, (pack.x[rows], pack.tag[rows], pack.type[rows])
-                )
-        for rank in range(self.world.size):
-            atoms = self.atoms_of(rank)
-            recvs = self.routes[rank].recvs
-            for src, tag, wire_tag, hops, _ in self._border_geometry(rank).recvs:
-                start, count = atoms.append_ghosts(
-                    *self._recv(transport, rank, src, wire_tag)
-                )
-                recvs.append(RecvRoute(src, start, count, tag, hops))
 
     def _exchange_windows(self, plane: str) -> None:
         """Piggyback the ghost offsets + stags to senders (section 3.4).
@@ -360,7 +210,7 @@ class P2PExchange(GhostExchange):
         if plane == "direct":
             for rank in range(self.world.size):
                 endpoint = self.endpoints[rank]
-                recv_geom = self._border_geometry(rank).recvs
+                recv_geom = self._geom[rank, 0].recvs
                 for n_idx, route in enumerate(self.routes[rank].recvs):
                     *_, slot = recv_geom[n_idx]
                     # Keyed by the *sender's* send index: the slot its
@@ -401,7 +251,7 @@ class P2PExchange(GhostExchange):
             msgs = [
                 SentMessage(rank, src, tag + ("window",), nbytes, "border-piggyback")
                 for rank in range(self.world.size)
-                for src, tag, _, _, _ in self._border_geometry(rank).recvs
+                for src, tag, _, _, _ in self._geom[rank, 0].recvs
             ]
             self._window_msgs = (msgs, nbytes * len(msgs))
         return self._window_msgs
@@ -413,8 +263,10 @@ class P2PExchange(GhostExchange):
     # ring round trip moves each ghost block byte-for-byte into the owner's
     # pooled buffer — the direct plane writes the same bytes to the same rows
     # without the staged-buffer/ring machinery.
-    def _rdma_forward(self, arrays, bufs, phase: str) -> None:
-        """Forward positions by direct PUT into remote position arrays."""
+    def _rdma_forward(self, arrays, bufs, phase: str, k: int) -> None:
+        """Forward positions by direct PUT into remote position arrays
+        (an rdma exchange's plan has one round: window slots and rings
+        are numbered by segment)."""
         with TRACER.span(
             f"{self.name}.forward-rdma", cat="rdma", track="comm", pattern=self.name
         ):
@@ -429,7 +281,7 @@ class P2PExchange(GhostExchange):
             self._rdma_fence("forward")
         self._fastpath_phases += 1
 
-    def _rdma_reverse(self, arrays, bufs, phase: str) -> None:
+    def _rdma_reverse(self, arrays, bufs, phase: str, k: int) -> None:
         """Reverse forces via length-prefixed PUTs into receive rings."""
         with TRACER.span(
             f"{self.name}.reverse-rdma", cat="rdma", track="comm", pattern=self.name
@@ -535,11 +387,3 @@ class P2PExchange(GhostExchange):
         o_recv = tag[1]
         o_send = tuple(-o for o in o_recv)
         return self.send_offsets.index(o_send)
-
-    # -- schedule export (consumed by the perfmodel) -----------------------------------------
-    def message_schedule(self, rank: int, bytes_per_atom: int = 24):
-        """(nbytes, hops) of this rank's forward-stage sends."""
-        return [
-            (route.count * bytes_per_atom, route.hops)
-            for route in self.routes[rank].sends
-        ]

@@ -114,13 +114,6 @@ class Simulation:
         self.domain = Domain(box, grid)
 
         rcomm = potential.cutoff + config.skin
-        sub_len = float(np.min(self.domain.sub_lengths))
-        if rcomm > config.shell_radius * sub_len:
-            raise ValueError(
-                f"ghost shell {rcomm:.3f} exceeds shell_radius "
-                f"{config.shell_radius} x sub-box {sub_len:.3f}; increase "
-                "shell_radius or use fewer ranks"
-            )
         self._rcomm = rcomm
         if config.traffic_window is not None:
             self.world.transport.log.set_window(config.traffic_window)
@@ -187,34 +180,22 @@ class Simulation:
         rdma = cfg.rdma if rdma is None else rdma
         newton = cfg.newton and not self.potential.needs_full_list
         if pattern == "3stage":
-            if not newton:
-                # Full shell is what 3-stage builds anyway; the list type
-                # is decided by `half` below.
-                pass
+            # Full shell whatever `newton`: the list type is `self.half`.
             return ThreeStageExchange(
                 self.world, self.domain, rcomm, radius=cfg.shell_radius
             )
-        if pattern == "p2p":
-            return P2PExchange(
-                self.world,
-                self.domain,
-                rcomm,
-                newton=newton,
-                radius=cfg.shell_radius,
-                rdma=rdma,
-                use_border_bins=cfg.use_border_bins,
-            )
-        if pattern == "parallel-p2p":
-            return FineGrainedP2PExchange(
-                self.world,
-                self.domain,
-                rcomm,
-                newton=newton,
-                radius=cfg.shell_radius,
-                rdma=rdma,
-                use_border_bins=cfg.use_border_bins,
-            )
-        raise ValueError(f"unknown communication pattern {pattern!r}")
+        p2p = {"p2p": P2PExchange, "parallel-p2p": FineGrainedP2PExchange}.get(pattern)
+        if p2p is None:
+            raise ValueError(f"unknown communication pattern {pattern!r}")
+        return p2p(
+            self.world,
+            self.domain,
+            rcomm,
+            newton=newton,
+            radius=cfg.shell_radius,
+            rdma=rdma,
+            use_border_bins=cfg.use_border_bins,
+        )
 
     # -- graceful degradation (fault-budget escalation) -----------------
     def _degrade(self, exc: FaultEscalation) -> None:

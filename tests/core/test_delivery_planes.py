@@ -6,6 +6,8 @@ the ``rdma`` PUT/fence/ring machinery.  Each cell below runs exactly one
 forward phase and one reverse phase and checks which plane carried them,
 how the ``plan_stats()`` counters moved, and what reached the traffic
 log (PUT phases are never logged messages, whichever plane stands in).
+The selector serves every pattern: the staged 3-stage exchange sits in
+the table beside the two p2p flavours.
 """
 
 from contextlib import nullcontext
@@ -13,7 +15,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from repro.core import P2PExchange
+from repro.core import P2PExchange, ThreeStageExchange
 from repro.faults import FAULTS, FaultPlan, FaultSpec
 from repro.obs.metrics import collecting
 from repro.obs.trace import tracing
@@ -38,13 +40,21 @@ REGIMES = {
 }
 
 
+FLAVOURS = {
+    "messages": lambda world, domain: P2PExchange(world, domain, rcomm=2.0),
+    "rdma": lambda world, domain: P2PExchange(world, domain, rcomm=2.0, rdma=True),
+    "3stage": lambda world, domain: ThreeStageExchange(world, domain, rcomm=2.0),
+}
+
+
 @pytest.mark.parametrize("kind", ["vector", "scalar"])
-@pytest.mark.parametrize("rdma", [False, True], ids=["messages", "rdma"])
+@pytest.mark.parametrize("flavour", list(FLAVOURS))
 @pytest.mark.parametrize("regime", list(REGIMES))
-def test_plane_selection_table(regime, rdma, kind):
+def test_plane_selection_table(regime, flavour, kind):
     context, cause, direct = REGIMES[regime]
     world, domain, _, _ = build_world((2, 2, 2), natoms=300, seed=3)
-    ex = P2PExchange(world, domain, rcomm=2.0, rdma=rdma)
+    ex = FLAVOURS[flavour](world, domain)
+    rdma = ex.rdma
     ex.borders()
     ex._plans_current()
     if regime == "deliveries-unwired":

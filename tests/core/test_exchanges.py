@@ -147,6 +147,52 @@ class TestThreeStageStructure:
         assert 777 in a7.tag[a7.nlocal :]
 
 
+FULL_SHELL = {
+    "3stage": ThreeStageExchange,
+    "p2p-full": lambda w, d, **kw: P2PExchange(w, d, newton=False, **kw),
+}
+
+
+class TestShellWithinReach:
+    """(4, 2, 2) ranks of a 12 sigma box: the thinnest sub-box edge is 3."""
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize("pattern", list(FULL_SHELL))
+    def test_shell_beyond_the_schedules_reach_is_refused(self, pattern, radius):
+        """rcomm > radius x sub-box edge used to return with ghosts missing
+        (only ``Simulation`` guarded it)."""
+        world, domain, _, _ = build_world((4, 2, 2), natoms=400, seed=2)
+        with pytest.raises(ValueError, match="exceeds shell_radius"):
+            FULL_SHELL[pattern](world, domain, rcomm=3.0 * radius + 0.5, radius=radius)
+
+    @pytest.mark.parametrize("pattern", list(FULL_SHELL))
+    def test_radius_two_shell_is_complete(self, pattern):
+        """rcomm 3.5 at radius 2: every periodic image inside the shell
+        of a rank's sub-box arrives, exactly once."""
+        world, domain, x, tags = build_world((4, 2, 2), natoms=400, seed=2)
+        ex = FULL_SHELL[pattern](world, domain, rcomm=3.5, radius=2)
+        ex.borders()
+        images = [
+            (int(t), *np.round(p + 12.0 * np.array(s), 9))
+            for s in np.ndindex(3, 3, 3)
+            for t, p in zip(tags, x - 12.0)
+        ]
+        for rank in range(world.size):
+            sub, atoms = ex.sub_box_of(rank), ex.atoms_of(rank)
+            lo, hi = np.array(sub.lo) - 3.5, np.array(sub.hi) + 3.5
+            owned = set(atoms.tag[: atoms.nlocal].tolist())
+            want = sorted(
+                im for im in images
+                if np.all(im[1:] >= lo) and np.all(im[1:] < hi)
+                and not (im[0] in owned and sub.contains(np.array([im[1:]]))[0])
+            )
+            got = sorted(
+                (int(t), *np.round(p, 9))
+                for t, p in zip(atoms.tag[atoms.nlocal :], atoms.x[atoms.nlocal :])
+            )
+            assert got == want
+
+
 class TestForwardReverse:
     @pytest.mark.parametrize("make", [
         lambda w, d: ThreeStageExchange(w, d, rcomm=2.0),

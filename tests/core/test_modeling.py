@@ -3,7 +3,7 @@
 import pytest
 
 from repro import quick_lj_simulation
-from repro.core import FineGrainedP2PExchange, ThreeStageExchange, modeling
+from repro.core import FineGrainedP2PExchange, modeling
 from repro.core.modeling import (
     modeled_exchange_time,
     modeled_step_comm_time,
@@ -136,7 +136,7 @@ def event_loop_time(exchange, phase, rank, params=FUGAKU):
     known = isinstance(stack, UtofuStack) or phase != "border"
     msgs = rank_messages(exchange, rank, {"border": 32}.get(phase, 24), known)
     sim = NetworkSimulator(stack, params)
-    if isinstance(exchange, ThreeStageExchange):
+    if exchange.sends_per_stage:
         return sim.run_staged([msgs[i : i + 2] for i in range(0, len(msgs), 2)]).completion_time
     return sim.run_round(msgs).completion_time
 

@@ -1,0 +1,197 @@
+"""3-stage exchange outputs, pinned as digests taken at the pre-round-table commit.
+
+``golden_three_stage.json`` was written by this module's ``--write``
+entry point at the last commit whose ``ThreeStageExchange`` had its own
+per-swap send/recv bodies; the exchange has ridden the shared plan
+replay since, and must reproduce every digest bit for bit.  Only
+exchange-level outputs are hashed — gathers, IEEE adds and sequential
+``bincount`` sums, so the digests do not depend on the platform — and
+float arrays as ``arr + 0.0`` (``-0.0 == 0.0``, as every bit-identity
+test here treats it).
+
+Regenerate (only when the *inputs* below change, never to absorb a
+behaviour change)::
+
+    PYTHONPATH=src python tests/core/test_three_stage_golden.py --write
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.core import ThreeStageExchange
+from repro.md import Box, Domain
+from repro.md.atoms import Atoms
+from repro.md.lattice import fcc_lattice
+from repro.runtime import World
+
+GOLDEN = Path(__file__).with_name("golden_three_stage.json")
+
+#: name -> (grid, atoms, box edge, rcomm, radius); atoms == "fcc" is the
+#: `lj-3stage-27r` ledger shape (864 atoms, sub-box 3.36 < 2 x rcomm, so
+#: one atom rides both swaps of a dimension).
+SHAPES = {
+    "27r-lj": ((3, 3, 3), "fcc", 10.08, 2.8, 1),
+    "8r": ((2, 2, 2), 300, 12.0, 2.0, 1),
+    "12r-radius2": ((3, 2, 2), 600, 12.0, 1.5, 2),  # empty repetition swaps
+    "16r-long-cutoff": ((4, 2, 2), 400, 12.0, 3.5, 2),  # rcomm > sub-box edge
+    "self-neighbour": ((2, 1, 1), 200, 12.0, 2.0, 1),
+    "sparse": ((2, 2, 2), 6, 12.0, 2.0, 1),  # ranks with nothing to send
+}
+
+
+def _exchange(name: str) -> ThreeStageExchange:
+    grid, natoms, edge, rcomm, radius = SHAPES[name]
+    rng = np.random.default_rng(sorted(SHAPES).index(name))
+    box = Box((0, 0, 0), (edge,) * 3)
+    if natoms == "fcc":
+        x, _ = fcc_lattice((6, 6, 6), edge / 6)
+        x = box.wrap(x + (rng.random(x.shape) - 0.5) * 0.2)
+    else:
+        x = rng.random((natoms, 3)) * edge
+    world = World(int(np.prod(grid)), grid=grid)
+    domain = Domain(box, grid)
+    groups = domain.scatter(x)
+    for rank in range(world.size):
+        idx = groups.get(world.grid_pos_of(rank), np.empty(0, dtype=np.intp))
+        atoms = Atoms()
+        atoms.set_local(
+            x[idx], np.zeros((idx.size, 3)), idx.astype(np.int64), (idx % 3).astype(np.int32)
+        )
+        world.ranks[rank].state["atoms"] = atoms
+    return ThreeStageExchange(world, domain, rcomm=rcomm, radius=radius)
+
+
+class _Digest:
+    def __init__(self) -> None:
+        self._h = hashlib.sha256()
+
+    def add(self, *values) -> None:
+        for value in values:
+            if isinstance(value, np.ndarray):
+                if value.dtype.kind == "f":
+                    value = value + 0.0
+                self._h.update(f"{value.dtype.str}{value.shape}".encode())
+                self._h.update(np.ascontiguousarray(value).tobytes())
+            else:
+                self._h.update(repr(value).encode())
+
+    def hex(self) -> str:
+        return self._h.hexdigest()
+
+
+def _plain(tag: tuple) -> tuple:
+    return tuple(int(t) if isinstance(t, (int, np.integer)) else t for t in tag)
+
+
+def digests(name: str) -> dict[str, str]:
+    """Section -> SHA-256 of everything the exchange produced for it."""
+    ex = _exchange(name)
+    world = ex.world
+    ranks = range(world.size)
+    rng = np.random.default_rng(1000 + sorted(SHAPES).index(name))
+    out: dict[str, str] = {}
+
+    ex.borders()
+    d = _Digest()
+    for r in ranks:
+        a = ex.atoms_of(r)
+        d.add(a.nlocal, a.x[a.nlocal :], a.tag[a.nlocal :], a.type[a.nlocal :])
+    out["borders"] = d.hex()
+
+    d = _Digest()
+    for r in ranks:
+        for s in ex.routes[r].sends:
+            d.add(int(s.peer), s.send_idx.astype(np.int64), s.shift, _plain(s.tag), int(s.hops))
+        for v in ex.routes[r].recvs:
+            d.add(int(v.peer), int(v.recv_start), int(v.recv_count), _plain(v.tag), int(v.hops))
+    out["routes"] = d.hex()
+
+    d = _Digest()
+    for r in ranks:
+        a = ex.atoms_of(r)
+        a.x_local()[:] += (rng.random((a.nlocal, 3)) - 0.5) * 0.02
+    ex.forward()
+    for r in ranks:
+        d.add(ex.atoms_of(r).x)
+    out["forward"] = d.hex()
+
+    d = _Digest()
+    for r in ranks:
+        a = ex.atoms_of(r)
+        a.f[:] = rng.random((a.ntotal, 3)) - 0.5
+    ex.reverse()
+    for r in ranks:
+        d.add(ex.atoms_of(r).f)
+    out["reverse"] = d.hex()
+
+    d = _Digest()
+    scalars = {r: rng.random(ex.atoms_of(r).ntotal) for r in ranks}
+    ex.forward_scalar_world(scalars)
+    for r in ranks:
+        d.add(scalars[r])
+    out["scalar_forward"] = d.hex()
+
+    d = _Digest()
+    scalars = {r: rng.random(ex.atoms_of(r).ntotal) for r in ranks}
+    ex.reverse_sum_scalar_world(scalars)
+    for r in ranks:
+        d.add(scalars[r])
+    out["scalar_reverse"] = d.hex()
+
+    d = _Digest()
+    for m in world.transport.log.messages:
+        d.add((int(m.src), int(m.dst), _plain(m.tag), int(m.nbytes), m.phase))
+    out["traffic"] = d.hex()
+    world.transport.assert_drained()
+    return out
+
+
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_matches_pre_round_table_digests(name):
+    golden = json.loads(GOLDEN.read_text())
+    assert digests(name) == golden[name]
+
+
+def traced_event_classes(path: Path) -> dict[str, int]:
+    """Event multiset of a traced 5-step ``--pattern 3stage`` CLI run,
+    keyed by ``(name, cat, ph, sorted arg keys)``."""
+    from repro.cli import main
+    from repro.obs.metrics import METRICS
+
+    METRICS.reset()  # instruments an earlier run left would export as counter tracks
+    argv = "--atoms 256 --ranks 2 2 2 --steps 5 --pattern 3stage --model-time --trace"
+    assert main([*argv.split(), str(path)]) == 0
+    classes: dict[str, int] = {}
+    for event in json.loads(path.read_text())["traceEvents"]:
+        key = repr(
+            (event.get("name"), event.get("cat"), event.get("ph"), sorted(event.get("args", {})))
+        )
+        classes[key] = classes.get(key, 0) + 1
+    return classes
+
+
+def test_traced_run_event_multiset(tmp_path, capsys):
+    """What a traced 3-stage run records — the mailbox plane's per-message
+    instants, the ``swap{k}`` spans, the staged pricer's ``barrier`` model
+    spans — is what it recorded before: 2851 events in 28 classes."""
+    classes = traced_event_classes(tmp_path / "run.trace.json")
+    capsys.readouterr()
+    assert sum(classes.values()) == 2851
+    assert classes == json.loads(GOLDEN.read_text())["traced-cli-run"]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    import tempfile
+
+    golden = {name: digests(name) for name in SHAPES}
+    with tempfile.TemporaryDirectory() as tmp:
+        golden["traced-cli-run"] = traced_event_classes(Path(tmp) / "run.trace.json")
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
+    print(f"wrote {GOLDEN}")

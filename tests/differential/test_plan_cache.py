@@ -10,12 +10,17 @@ ways that could go wrong do not:
   per-step invalidation must be bit-identical),
 * the *fast* path (plans + pooled buffers) differing from the traced
   slow path (per-route Python loops, the seed semantics).
+
+Every pattern rides the same plans: the ``...ThreeStage`` classes rerun
+each test with ``pattern = "3stage"`` (twelve-round plans at radius 2).
 """
 
 import numpy as np
+import pytest
 
 from repro import LennardJones, Simulation, SimulationConfig
-from repro.core import P2PExchange
+from repro.core import P2PExchange, ThreeStageExchange
+from repro.faults import FAULTS, FaultPlan, FaultSpec
 from repro.md import Box, Domain
 from repro.md.atoms import Atoms
 from repro.obs.trace import tracing
@@ -53,7 +58,19 @@ def _lj_sim(seed=7, pattern="p2p", steps=0, rdma=False, newton=True, **overrides
     return sim
 
 
+def armed_but_silent():
+    """A message-fault session that can never fire: mailbox plane, no faults."""
+    return FAULTS.inject(
+        FaultPlan(seed=0, faults=(FaultSpec(kind="drop", probability=0.0),))
+    )
+
+
 class TestPlanInvalidation:
+    pattern = "p2p"
+    fresh_exchange = staticmethod(
+        lambda world, domain, rcomm: P2PExchange(world, domain, rcomm, newton=True)
+    )
+
     def test_cached_run_matches_paranoid_invalidation(self):
         """Rebuilding every plan before every step changes nothing.
 
@@ -61,8 +78,8 @@ class TestPlanInvalidation:
         epoch cache must produce bit-identical positions, velocities and
         forces to the run that throws every plan away each step.
         """
-        cached = _lj_sim(seed=11)
-        paranoid = _lj_sim(seed=11)
+        cached = _lj_sim(seed=11, pattern=self.pattern)
+        paranoid = _lj_sim(seed=11, pattern=self.pattern)
         cached.setup()
         paranoid.setup()
         for _ in range(10):
@@ -75,7 +92,7 @@ class TestPlanInvalidation:
 
     def test_migration_and_borders_bump_epoch(self):
         """exchange() and borders() both invalidate; forward() reuses."""
-        sim = _lj_sim(seed=12)
+        sim = _lj_sim(seed=12, pattern=self.pattern)
         sim.setup()
         ex = sim.exchange
         epoch = ex._plan_epoch
@@ -89,7 +106,7 @@ class TestPlanInvalidation:
 
     def test_plan_builds_track_reneighborings(self):
         """One plan build per borders epoch, not per phase."""
-        sim = _lj_sim(seed=13)
+        sim = _lj_sim(seed=13, pattern=self.pattern)
         sim.run(10)  # neighbor_every=3 -> setup + 3 rebuilds
         stats = sim.exchange.plan_stats()
         assert stats["plan_builds"] == 1 + sim.rebuilds
@@ -106,7 +123,7 @@ class TestPlanInvalidation:
         # Step 6 reneighbors and positions only drift on the *next*
         # step, so border-time routes and current atoms still agree —
         # the precondition for comparing against a from-scratch build.
-        sim = _lj_sim(seed=14, steps=6)
+        sim = _lj_sim(seed=14, steps=6, pattern=self.pattern)
         x_state = {
             r: sim.atoms_of(r).x[: sim.atoms_of(r).nlocal].copy()
             for r in range(sim.world.size)
@@ -120,7 +137,7 @@ class TestPlanInvalidation:
             dst = world.ranks[r].state["atoms"]
             n = src.nlocal
             dst.set_local(x_state[r], src.v[:n].copy(), src.tag[:n].copy())
-        fresh = P2PExchange(world, domain, rcomm=sim.exchange.rcomm, newton=True)
+        fresh = self.fresh_exchange(world, domain, sim.exchange.rcomm)
         fresh.borders()
         for r in range(world.size):
             a, b = sim.atoms_of(r), fresh.atoms_of(r)
@@ -135,11 +152,19 @@ class TestPlanInvalidation:
             assert ghosts_a == ghosts_b
 
 
+class TestPlanInvalidationThreeStage(TestPlanInvalidation):
+    pattern = "3stage"
+    fresh_exchange = staticmethod(ThreeStageExchange)
+
+
 class TestFastSlowEquivalence:
+    pattern = "p2p"
+    routes_per_rank_full_shell = 26
+
     def test_traced_slow_path_is_bit_identical(self):
         """TRACER on (slow per-route path) == TRACER off (fast path)."""
-        fast = _lj_sim(seed=15)
-        slow = _lj_sim(seed=15)
+        fast = _lj_sim(seed=15, pattern=self.pattern)
+        slow = _lj_sim(seed=15, pattern=self.pattern)
         fast.run(6)
         with tracing():
             slow.run(6)
@@ -151,10 +176,10 @@ class TestFastSlowEquivalence:
         from repro.md.presets import PRESETS
 
         fast = PRESETS["eam"].simulation(
-            (4, 4, 4), (2, 2, 2), pattern="p2p", rdma=False, thermo_every=0
+            (4, 4, 4), (2, 2, 2), pattern=self.pattern, rdma=False, thermo_every=0
         )
         slow = PRESETS["eam"].simulation(
-            (4, 4, 4), (2, 2, 2), pattern="p2p", rdma=False, thermo_every=0
+            (4, 4, 4), (2, 2, 2), pattern=self.pattern, rdma=False, thermo_every=0
         )
         fast.run(4)
         with tracing():
@@ -162,12 +187,12 @@ class TestFastSlowEquivalence:
         assert np.array_equal(fast.gather_positions(), slow.gather_positions())
         assert np.array_equal(fast.gather_forces(), slow.gather_forces())
 
-    def _assert_planes_agree(self, **kw):
-        """Direct plane (plain run) == the plane a traced run selects."""
-        fast = _lj_sim(seed=16, **kw)
-        slow = _lj_sim(seed=16, **kw)
+    def _assert_planes_agree(self, observed=tracing, **kw):
+        """Direct plane (plain run) == the plane an observed run selects."""
+        fast = _lj_sim(seed=16, pattern=self.pattern, **kw)
+        slow = _lj_sim(seed=16, pattern=self.pattern, **kw)
         fast.run(6)
-        with tracing():
+        with observed():
             slow.run(6)
         assert fast.exchange.plan_stats()["slowpath_phases"] == 0
         assert slow.exchange.plan_stats()["slowpath_phases"] > 0
@@ -178,7 +203,18 @@ class TestFastSlowEquivalence:
     def test_full_shell_mailbox_plane_is_bit_identical(self):
         """newton=False: 26 routes per rank through the shared pack."""
         slow = self._assert_planes_agree(newton=False)
-        assert all(n == 26 for n in slow.exchange.messages_per_rank().values())
+        per_rank = slow.exchange.messages_per_rank().values()
+        assert all(n == self.routes_per_rank_full_shell for n in per_rank)
+
+    @pytest.mark.parametrize("newton", [True, False], ids=["newton-on", "newton-off"])
+    def test_armed_but_silent_fault_session_is_bit_identical(self, newton):
+        """An armed message-fault plane gets the mailbox, and the same bits."""
+        slow = self._assert_planes_agree(observed=armed_but_silent, newton=newton)
+        assert slow.exchange._gate_blocks["faults"] > 0
+
+    def test_radius_two_planes_agree(self):
+        """Long-cutoff schedules (62 neighbours / 12 swaps) on both planes."""
+        self._assert_planes_agree(shell_radius=2)
 
     def test_rdma_plane_is_bit_identical(self):
         """rdma=True: PUT + fence + ring drain == the direct slice copies."""
@@ -190,3 +226,9 @@ class TestFastSlowEquivalence:
     def test_box_edge_guard(self):
         """The shared fixtures still decompose as the suite assumes."""
         assert BOX_EDGE / 2 >= 1.55 + 0.3
+
+
+class TestFastSlowEquivalenceThreeStage(TestFastSlowEquivalence):
+    pattern = "3stage"
+    routes_per_rank_full_shell = 6  # one per swap, whatever the list type
+    test_rdma_plane_is_bit_identical = None  # 3-stage has no rdma flavour
