@@ -4,67 +4,16 @@ Each ``bench_*`` file regenerates one paper table/figure: the
 ``benchmark`` fixture times the computation, assertions pin the paper's
 qualitative claims, and the rendered table is printed so
 ``pytest benchmarks/ --benchmark-only -s`` doubles as the report behind
-EXPERIMENTS.md (or run ``python -m repro.figures``).
-
-Setting ``REPRO_BENCH_JSON=<path>`` additionally dumps every benchmark's
-timing stats to that path as JSON at session end — the hook the
-continuous-benchmark harness (``python -m repro.obs.bench``, see
-docs/benchmarking.md) and CI use to persist a machine-readable record of
-a pytest-benchmark run next to the ``BENCH_PR<k>.json`` artifacts.
+EXPERIMENTS.md (or run ``python -m repro.figures``).  For a
+machine-readable record of the timings use pytest-benchmark's own
+``--benchmark-json=<path>``.
 """
-
-import json
-import os
 
 import pytest
 
 from repro.perfmodel import StageModel
 
-_BENCH_RECORDS: list[dict] = []
-
 
 @pytest.fixture(scope="session")
 def stage_model():
     return StageModel()
-
-
-def _stats_dict(stats) -> dict:
-    """Defensive extraction of pytest-benchmark stats (plugin internals
-    vary across versions; missing fields are simply omitted)."""
-    out = {}
-    for key in ("min", "max", "mean", "median", "stddev", "rounds", "iterations"):
-        try:
-            value = getattr(stats, key)
-        except Exception:
-            continue
-        if isinstance(value, (int, float)):
-            out[key] = value
-    return out
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_call(item):
-    yield
-    if not os.environ.get("REPRO_BENCH_JSON"):
-        return
-    fixture = item.funcargs.get("benchmark") if hasattr(item, "funcargs") else None
-    stats = getattr(fixture, "stats", None)
-    inner = getattr(stats, "stats", stats)
-    if inner is None:
-        return
-    record = {"test": item.nodeid, "stats": _stats_dict(inner)}
-    if record["stats"]:
-        _BENCH_RECORDS.append(record)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    path = os.environ.get("REPRO_BENCH_JSON")
-    if not path or not _BENCH_RECORDS:
-        return
-    doc = {"schema": "repro-pytest-bench/1", "benchmarks": _BENCH_RECORDS}
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:  # never fail the run over the side artifact
-        print(f"warning: could not write {path}: {exc}")

@@ -20,6 +20,10 @@ them *without running a simulation*, in two cooperating halves:
   receive plan, ring/endpoint defaults are >= 4, and the endpoint's
   buffers dominate the analytic maximum and are pre-registered.
 
+The four invariants :func:`lint_config` checks on one configuration as
+well (CQ count, shell symmetry, message bound, pool dominance) are each
+stated once, as a ``_*_violations`` function both callers anchor.
+
 Every rule has a stable ID (``CL001``..) so findings are suppressible
 with ``# commlint: disable=CL001`` on the flagged line or
 ``# commlint: disable-file=CL001`` anywhere in the file.
@@ -33,8 +37,12 @@ import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.analysis.findings import AnalysisReport, Finding
+
+if TYPE_CHECKING:
+    from repro.core.ghost import GhostBudget
 
 #: Minimum safe receive-ring depth for the border->forward->reverse
 #: dependency chain (paper Fig. 10; enforced live by RecvBufferRing).
@@ -526,61 +534,40 @@ def lint_source(source: str, path: str = "<string>") -> list[Finding]:
     return kept
 
 
-# -- introspective checks ----------------------------------------------------
-def _anchor(obj: object) -> tuple[str, int]:
-    """(file, line) of a live object's definition, for finding anchors."""
-    try:
-        path = inspect.getsourcefile(obj)  # type: ignore[arg-type]
-        _, line = inspect.getsourcelines(obj)  # type: ignore[arg-type]
-        return (path or "<runtime>", line)
-    except (OSError, TypeError):
-        return ("<runtime>", 0)
-
-
-def _introspect_vcq_bindings() -> list[Finding]:
-    """CL002/CL003 on the live NodeNIC fine binding (24 distinct CQs)."""
+# -- shared predicates -------------------------------------------------------
+# One statement per invariant.  Each returns ``(rule, message)`` pairs;
+# the introspective half anchors them to the live object's source line,
+# :func:`lint_config` to ``<config:label>``.
+def _fine_binding_violations(n_ranks: int) -> list[tuple[str, str]]:
+    """CL002/CL003: ``n_ranks`` x 6 distinct CQs, one per TNI per rank."""
     from repro.machine.params import FUGAKU
     from repro.machine.tni import NodeNIC, TNIAllocationError
 
-    findings = []
     nic = NodeNIC(FUGAKU)
-    vcq_map = nic.bind_fine(list(range(4)))
-    path, line = _anchor(NodeNIC.bind_fine)
-
+    try:
+        vcq_map = nic.bind_fine(list(range(n_ranks)))
+    except TNIAllocationError as exc:
+        return [("CL003", f"fine VCQ binding infeasible: {exc}")]
+    out = []
     bindings = [(v.cq.tni, v.cq.index) for vcqs in vcq_map.values() for v in vcqs]
-    if len(set(bindings)) != len(bindings):
-        dupes = sorted({b for b in bindings if bindings.count(b) > 1})
-        findings.append(
-            Finding(
-                rule="CL002",
-                path=path,
-                line=line,
-                message=f"fine binding produced duplicated CQ(s) {dupes}",
-            )
-        )
-    expected = 4 * nic.tni_count
+    dupes = sorted({b for b in bindings if bindings.count(b) > 1})
+    if dupes:
+        out.append(("CL002", f"fine binding produced duplicated CQ(s) {dupes}"))
+    expected = n_ranks * nic.tni_count
     if nic.cqs_in_use() != expected or len(bindings) != expected:
-        findings.append(
-            Finding(
-                rule="CL003",
-                path=path,
-                line=line,
-                message=f"fine binding allocated {nic.cqs_in_use()} CQs, "
-                f"expected {expected} (4 ranks x {nic.tni_count} TNIs)",
-            )
-        )
+        out.append((
+            "CL003",
+            f"fine binding allocated {nic.cqs_in_use()} CQs, expected "
+            f"{expected} ({n_ranks} ranks x {nic.tni_count} TNIs)",
+        ))
     for rank, vcqs in vcq_map.items():
-        tnis = [v.tni for v in vcqs]
-        if len(vcqs) != nic.tni_count or len(set(tnis)) != len(tnis):
-            findings.append(
-                Finding(
-                    rule="CL003",
-                    path=path,
-                    line=line,
-                    message=f"rank {rank} holds {len(vcqs)} VCQs over "
-                    f"{len(set(tnis))} distinct TNIs, expected one per TNI",
-                )
-            )
+        tnis = {v.tni for v in vcqs}
+        if len(vcqs) != nic.tni_count or len(tnis) != len(vcqs):
+            out.append((
+                "CL003",
+                f"rank {rank} holds {len(vcqs)} VCQs over {len(tnis)} "
+                "distinct TNIs, expected one per TNI",
+            ))
             break
     # The per-rank-per-TNI hardware rule must be *enforced*, not assumed.
     try:
@@ -588,58 +575,125 @@ def _introspect_vcq_bindings() -> list[Finding]:
     except TNIAllocationError:
         pass
     else:
-        findings.append(
-            Finding(
-                rule="CL003",
-                path=path,
-                line=line,
-                message="TNI.allocate_cq allowed a rank to own two CQs on one TNI",
-            )
+        out.append(
+            ("CL003", "TNI.allocate_cq allowed a rank to own two CQs on one TNI")
         )
-    return findings
+    return out
+
+
+def _shell_symmetry_violations(radius: int) -> list[tuple[str, str]]:
+    """CL005: half shell U its negation = the negation-closed full shell."""
+    from repro.core import patterns
+
+    half = set(patterns.half_shell_offsets(radius))
+    full = set(patterns.shell_offsets(radius))
+    negated = {tuple(-o for o in off) for off in half}
+    out = []
+    if half & negated:
+        out.append((
+            "CL005",
+            f"half shell (radius {radius}) is not disjoint from its negation: "
+            "some pairs are exchanged twice",
+        ))
+    if half | negated != full:
+        out.append((
+            "CL005",
+            f"half shell + negation != full shell at radius {radius} "
+            f"({len(half | negated)} vs {len(full)} offsets)",
+        ))
+    if full != {tuple(-o for o in off) for off in full}:
+        out.append(
+            ("CL005", f"full shell (radius {radius}) is not closed under negation")
+        )
+    return out
+
+
+def _worst_message_atoms(budget: GhostBudget) -> float:
+    """Analytic worst-case shell message (the stage-3 slab bounds all of Table 1)."""
+    from repro.core.ghost import offset_volume
+    from repro.core.patterns import shell_offsets
+
+    return max(
+        offset_volume(budget.a, budget.r, off) * budget.density * budget.safety
+        for off in shell_offsets(1)
+    )
+
+
+def _message_bound_violations(per_message: int, worst: float) -> list[tuple[str, str]]:
+    """CL007: the single-message bound dominates every shell message."""
+    if per_message >= worst:
+        return []
+    return [(
+        "CL007",
+        f"max_atoms_per_message()={per_message} is below the analytic "
+        f"worst-case message of {worst:.1f} atoms",
+    )]
+
+
+def _pool_dominance_violations(budget: GhostBudget) -> list[tuple[str, str]]:
+    """CL008: a budget-sized pool reuses one allocation in budget and
+    counts growth past it."""
+    from repro.core.comm_plan import BufferPool
+
+    out = []
+    analytic = int(budget.max_ghost_atoms(False))
+    pool = BufferPool(budget)
+    buf = pool.vec(max(1, analytic // 2))
+    if buf.shape[0] < analytic:
+        out.append((
+            "CL008",
+            f"pool capacity {buf.shape[0]} is below the analytic ghost "
+            f"maximum {analytic}",
+        ))
+    # Steady state: every in-budget request reuses the one allocation.
+    pool.vec(max(1, analytic // 4))
+    pool.vec(max(1, analytic))
+    if pool.allocations != 1 or pool.grow_events != 0:
+        out.append((
+            "CL008",
+            f"in-budget requests reallocated (allocations={pool.allocations}, "
+            f"grow_events={pool.grow_events})",
+        ))
+    # Growth past the analytic maximum must be possible but *counted*.
+    pool.vec(pool.capacity_rows + 1)
+    if pool.grow_events != 1:
+        out.append((
+            "CL008",
+            f"over-budget growth was not counted (grow_events={pool.grow_events}, "
+            "expected 1)",
+        ))
+    return out
+
+
+# -- introspective checks ----------------------------------------------------
+def _anchored(obj: object, violations: list[tuple[str, str]]) -> list[Finding]:
+    """``(rule, message)`` violations as findings at ``obj``'s definition."""
+    try:
+        path = inspect.getsourcefile(obj) or "<runtime>"  # type: ignore[arg-type]
+        _, line = inspect.getsourcelines(obj)  # type: ignore[arg-type]
+    except (OSError, TypeError):
+        path, line = "<runtime>", 0
+    return [
+        Finding(rule=rule, path=path, line=line, message=message)
+        for rule, message in violations
+    ]
+
+
+def _introspect_vcq_bindings() -> list[Finding]:
+    """CL002/CL003 on the live NodeNIC fine binding (24 distinct CQs)."""
+    from repro.machine.tni import NodeNIC
+
+    return _anchored(NodeNIC.bind_fine, _fine_binding_violations(4))
 
 
 def _introspect_plan_symmetry() -> list[Finding]:
     """CL005 on the live offset generators, both Newton modes, radii 1-2."""
     from repro.core import patterns
 
-    findings = []
-    path, line = _anchor(patterns.half_shell_offsets)
-    for radius in (1, 2):
-        half = set(patterns.half_shell_offsets(radius))
-        full = set(patterns.shell_offsets(radius))
-        negated = {tuple(-o for o in off) for off in half}
-        if half & negated:
-            findings.append(
-                Finding(
-                    rule="CL005",
-                    path=path,
-                    line=line,
-                    message=f"half shell (radius {radius}) is not disjoint from "
-                    "its negation: some pairs are exchanged twice",
-                )
-            )
-        if half | negated != full:
-            findings.append(
-                Finding(
-                    rule="CL005",
-                    path=path,
-                    line=line,
-                    message=f"half shell + negation != full shell at radius "
-                    f"{radius} ({len(half | negated)} vs {len(full)} offsets)",
-                )
-            )
-        if full != {tuple(-o for o in off) for off in full}:
-            findings.append(
-                Finding(
-                    rule="CL005",
-                    path=path,
-                    line=line,
-                    message=f"full shell (radius {radius}) is not closed under "
-                    "negation",
-                )
-            )
-    return findings
+    return _anchored(
+        patterns.half_shell_offsets,
+        _shell_symmetry_violations(1) + _shell_symmetry_violations(2),
+    )
 
 
 def _introspect_ring_defaults() -> list[Finding]:
@@ -655,49 +709,26 @@ def _introspect_ring_defaults() -> list[Finding]:
     ):
         default = inspect.signature(obj).parameters[param].default
         if isinstance(default, int) and default < MIN_RING_DEPTH:
-            path, line = _anchor(obj)
-            findings.append(
-                Finding(
-                    rule="CL001",
-                    path=path,
-                    line=line,
-                    message=f"default {param}={default} < {MIN_RING_DEPTH} "
-                    f"in {obj.__qualname__}",
-                )
-            )
+            findings += _anchored(obj, [(
+                "CL001",
+                f"default {param}={default} < {MIN_RING_DEPTH} in {obj.__qualname__}",
+            )])
     return findings
 
 
 def _introspect_buffer_sizing() -> list[Finding]:
-    """CL006/CL007 on a live endpoint: registration + analytic dominance."""
+    """CL006/CL007/CL008 on a live endpoint and pool: analytic dominance
+    + registration."""
     import numpy as np
 
-    from repro.core.ghost import GhostBudget, offset_volume
-    from repro.core.patterns import shell_offsets
+    from repro.core.comm_plan import BufferPool
+    from repro.core.ghost import GhostBudget
     from repro.core.rdma_buffers import RdmaEndpoint
     from repro.machine.rdma import RdmaEngine, RdmaError
 
-    findings = []
     budget = GhostBudget(a=8.0, r=2.5, density=0.05)
-    path, line = _anchor(RdmaEndpoint)
-
-    # The single-message bound must dominate every shell message's
-    # analytic expectation (the stage-3 slab bounds all of Table 1).
     per_message = budget.max_atoms_per_message()
-    worst = max(
-        offset_volume(budget.a, budget.r, off) * budget.density * budget.safety
-        for off in shell_offsets(1)
-    )
-    if per_message < worst:
-        findings.append(
-            Finding(
-                rule="CL007",
-                path=path,
-                line=line,
-                message=f"max_atoms_per_message()={per_message} is below the "
-                f"analytic worst-case message of {worst:.1f} atoms",
-            )
-        )
+    violations = _message_bound_violations(per_message, _worst_message_atoms(budget))
 
     engine = RdmaEngine()
     capacity = budget.max_local_atoms() + budget.max_ghost_atoms(False)
@@ -712,27 +743,18 @@ def _introspect_buffer_sizing() -> list[Finding]:
     needed = per_message * 3 + 1  # xyz + length prefix
     for ring in endpoint.recv_rings:
         if ring.capacity < needed:
-            findings.append(
-                Finding(
-                    rule="CL007",
-                    path=path,
-                    line=line,
-                    message=f"receive-ring capacity {ring.capacity} < analytic "
-                    f"requirement {needed} elements",
-                )
-            )
+            violations.append((
+                "CL007",
+                f"receive-ring capacity {ring.capacity} < analytic requirement "
+                f"{needed} elements",
+            ))
             break
     if endpoint.x_region.length < capacity * 3:
-        findings.append(
-            Finding(
-                rule="CL007",
-                path=path,
-                line=line,
-                message=f"registered position region ({endpoint.x_region.length} "
-                f"elements) is smaller than the pre-sized storage "
-                f"({capacity * 3})",
-            )
-        )
+        violations.append((
+            "CL007",
+            f"registered position region ({endpoint.x_region.length} elements) "
+            f"is smaller than the pre-sized storage ({capacity * 3})",
+        ))
     # Every advertised ring STag must resolve to a pre-registered region:
     # a PUT into an unregistered window is the §3.4 failure mode.
     cache = engine.cache_for(0)
@@ -743,65 +765,12 @@ def _introspect_buffer_sizing() -> list[Finding]:
         cache.lookup(endpoint.x_region.stag)
         cache.lookup(endpoint.f_region.stag)
     except RdmaError as exc:
-        findings.append(
-            Finding(
-                rule="CL006",
-                path=path,
-                line=line,
-                message=f"advertised window is not pre-registered: {exc}",
-            )
+        violations.append(
+            ("CL006", f"advertised window is not pre-registered: {exc}")
         )
-    return findings
-
-
-def _introspect_pool_sizing() -> list[Finding]:
-    """CL008 on a live BufferPool: analytic dominance + counted growth."""
-    from repro.core.comm_plan import BufferPool
-    from repro.core.ghost import GhostBudget
-
-    findings = []
-    budget = GhostBudget(a=8.0, r=2.5, density=0.05)
-    path, line = _anchor(BufferPool)
-    analytic = int(budget.max_ghost_atoms(False))
-
-    pool = BufferPool(budget)
-    buf = pool.vec(analytic // 2)
-    if buf.shape[0] < analytic:
-        findings.append(
-            Finding(
-                rule="CL008",
-                path=path,
-                line=line,
-                message=f"pool capacity {buf.shape[0]} is below the analytic "
-                f"ghost maximum {analytic}",
-            )
-        )
-    # Steady state: every in-budget request reuses the one allocation.
-    pool.vec(analytic // 4)
-    pool.vec(analytic)
-    if pool.allocations != 1 or pool.grow_events != 0:
-        findings.append(
-            Finding(
-                rule="CL008",
-                path=path,
-                line=line,
-                message=f"in-budget requests reallocated (allocations="
-                f"{pool.allocations}, grow_events={pool.grow_events})",
-            )
-        )
-    # Growth past the analytic maximum must be possible but *counted*.
-    pool.vec(analytic * 2)
-    if pool.grow_events != 1:
-        findings.append(
-            Finding(
-                rule="CL008",
-                path=path,
-                line=line,
-                message=f"over-budget growth was not counted (grow_events="
-                f"{pool.grow_events}, expected 1)",
-            )
-        )
-    return findings
+    return _anchored(RdmaEndpoint, violations) + _anchored(
+        BufferPool, _pool_dominance_violations(budget)
+    )
 
 
 _INTROSPECTIVE_CHECKS = (
@@ -809,7 +778,6 @@ _INTROSPECTIVE_CHECKS = (
     _introspect_plan_symmetry,
     _introspect_ring_defaults,
     _introspect_buffer_sizing,
-    _introspect_pool_sizing,
 )
 
 
@@ -820,11 +788,7 @@ def run_introspection() -> list[Finding]:
         try:
             findings.extend(check())
         except Exception as exc:  # pragma: no cover - diagnostic path
-            rule = "CL007"
-            if "vcq" in check.__name__:
-                rule = "CL003"
-            elif "pool" in check.__name__:
-                rule = "CL008"
+            rule = "CL003" if "vcq" in check.__name__ else "CL007"
             findings.append(
                 Finding(
                     rule=rule,
@@ -882,11 +846,10 @@ def lint_config(profile: CommProfile) -> list[Finding]:
     Returns the (possibly empty) finding list; never raises on an
     infeasible profile — infeasibility IS the finding.
     """
-    from repro.core import patterns
-    from repro.core.comm_plan import BufferPool
-    from repro.core.ghost import GhostBudget, offset_volume
-    from repro.machine.params import FUGAKU
-    from repro.machine.tni import NodeNIC, TNIAllocationError
+    from repro.core.ghost import GhostBudget
+
+    def shared(violations: list[tuple[str, str]]) -> list[Finding]:
+        return [_cfg_finding(profile, rule, message) for rule, message in violations]
 
     findings: list[Finding] = []
 
@@ -919,22 +882,7 @@ def lint_config(profile: CommProfile) -> list[Finding]:
             "for at most 4 ranks sharing 6 TNIs",
         ))
     else:
-        nic = NodeNIC(FUGAKU)
-        try:
-            vcq_map = nic.bind_fine(list(range(profile.ranks_per_node)))
-        except TNIAllocationError as exc:
-            findings.append(_cfg_finding(
-                profile, "CL003", f"fine VCQ binding infeasible: {exc}"
-            ))
-        else:
-            expected = profile.ranks_per_node * nic.tni_count
-            got = sum(len(v) for v in vcq_map.values())
-            if got != expected or nic.cqs_in_use() != expected:
-                findings.append(_cfg_finding(
-                    profile, "CL003",
-                    f"fine binding allocated {got} CQs, expected {expected} "
-                    f"({profile.ranks_per_node} ranks x {nic.tni_count} TNIs)",
-                ))
+        findings += shared(_fine_binding_violations(profile.ranks_per_node))
 
     # CL004: declared stage order must be border -> forward -> reverse.
     known = [s for s in profile.stage_order if s in _STAGE_ORDER]
@@ -953,15 +901,7 @@ def lint_config(profile: CommProfile) -> list[Finding]:
             profile, "CL005", f"shell_radius {profile.shell_radius} < 1"
         ))
     else:
-        half = set(patterns.half_shell_offsets(profile.shell_radius))
-        full = set(patterns.shell_offsets(profile.shell_radius))
-        negated = {tuple(-o for o in off) for off in half}
-        if half & negated or half | negated != full:
-            findings.append(_cfg_finding(
-                profile, "CL005",
-                f"half shell at radius {profile.shell_radius} is not the "
-                "exact Newton complement of the full shell",
-            ))
+        findings += shared(_shell_symmetry_violations(profile.shell_radius))
 
     # CL006: one-sided PUTs require the border-stage window exchange.
     if profile.rdma and not profile.window_exchange:
@@ -994,33 +934,11 @@ def lint_config(profile: CommProfile) -> list[Finding]:
         a=profile.sub_box_edge, r=profile.rcomm, density=profile.density
     )
     per_message = budget.max_atoms_per_message()
-    worst = max(
-        offset_volume(budget.a, budget.r, off) * budget.density * budget.safety
-        for off in patterns.shell_offsets(1)
-    )
-    if per_message < worst:
-        findings.append(_cfg_finding(
-            profile, "CL007",
-            f"max_atoms_per_message()={per_message} is below the analytic "
-            f"worst-case message of {worst:.1f} atoms",
-        ))
+    worst = _worst_message_atoms(budget)
+    findings += shared(_message_bound_violations(per_message, worst))
 
     # CL008: a pool sized by this budget never grows in budget.
-    analytic = int(budget.max_ghost_atoms(False))
-    pool = BufferPool(budget)
-    buf = pool.vec(max(1, analytic // 2))
-    if buf.shape[0] < analytic:
-        findings.append(_cfg_finding(
-            profile, "CL008",
-            f"pool capacity {buf.shape[0]} is below the analytic ghost "
-            f"maximum {analytic}",
-        ))
-    pool.vec(max(1, analytic))
-    if pool.grow_events != 0:
-        findings.append(_cfg_finding(
-            profile, "CL008",
-            f"in-budget request grew the pool (grow_events={pool.grow_events})",
-        ))
+    findings += shared(_pool_dominance_violations(budget))
 
     # CL009: per-route in-flight capacity (ring depth x slot size) must
     # cover the worst-case burst the send schedule can leave outstanding

@@ -104,10 +104,6 @@ class CommModel:
                 {tag: frozenset(ranks) for tag, ranks in ranks_of.items()},
             )
 
-    @property
-    def total_ops(self) -> int:
-        return sum(len(p) for p in self.programs)
-
     def with_programs(
         self, programs: tuple[tuple[Op, ...], ...], label: str | None = None
     ) -> CommModel:

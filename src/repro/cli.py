@@ -16,24 +16,20 @@ communication account.
 from __future__ import annotations
 
 import argparse
+from contextlib import nullcontext
 
 from repro import Simulation
 from repro.md import fcc_box_for_atoms
 from repro.md.domain import decompose_grid
 from repro.md.logfmt import format_run_summary
+from repro.obs import METRICS, TELEMETRY, TRACER, observe
+from repro.obs.telemetry import write_textfile
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Build the argument parser for ``python -m repro``."""
-    p = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Run the LAMMPS-on-Fugaku reproduction engine.",
-    )
-    p.add_argument(
-        "--input", "-in", dest="input", default=None,
-        help="LAMMPS-style input script (see examples/inputs/); overrides "
-        "the system/potential flags below",
-    )
+def _workload_flags() -> argparse.ArgumentParser:
+    """Parent parser: the flags describing a workload, declared once for
+    the runner and ``telemetry`` (each sets its own size defaults)."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--potential", choices=("lj", "eam"), default="lj")
     p.add_argument("--atoms", type=int, default=4000, help="approximate atom count")
     p.add_argument("--steps", type=int, default=100)
@@ -46,24 +42,39 @@ def build_parser() -> argparse.ArgumentParser:
         "--pattern", choices=("3stage", "p2p", "parallel-p2p"), default="parallel-p2p"
     )
     p.add_argument("--rdma", action="store_true", help="pre-registered RDMA data plane")
+    p.add_argument(
+        "--model-time", action="store_true",
+        help="also account simulated Fugaku communication time",
+    )
+    p.add_argument(
+        "--faults", metavar="PLAN.json", default=None,
+        help="inject a replayable FaultPlan (see docs/fault_injection.md)",
+    )
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Build the argument parser for ``python -m repro``."""
+    p = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Run the LAMMPS-on-Fugaku reproduction engine.",
+        parents=[_workload_flags()],
+    )
+    p.add_argument(
+        "--input", "-in", dest="input", default=None,
+        help="LAMMPS-style input script (see examples/inputs/); overrides "
+        "the system/potential flags above",
+    )
     p.add_argument("--newton", dest="newton", action="store_true", default=True)
     p.add_argument("--no-newton", dest="newton", action="store_false")
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--thermo", type=int, default=10, help="thermo output interval")
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument(
-        "--model-time", action="store_true",
-        help="also account simulated Fugaku communication time",
-    )
-    p.add_argument(
         "--selfcheck", action="store_true",
-        help="run the built-in cross-validation battery and exit",
-    )
-    p.add_argument(
-        "--faults", metavar="PLAN.json", default=None,
-        help="inject a replayable FaultPlan (see docs/fault_injection.md); "
-        "with --selfcheck, also verifies every fault is absorbed and the "
-        "ghost region stays bit-identical to the fault-free run",
+        help="run the built-in cross-validation battery and exit; with "
+        "--faults, also verifies every fault is absorbed and the ghost "
+        "region stays bit-identical to the fault-free run",
     )
     p.add_argument(
         "--trace", metavar="PATH", default=None,
@@ -107,7 +118,6 @@ def build_simulation(args) -> Simulation:
         newton=args.newton,
         thermo_every=args.thermo,
         model_machine_time=args.model_time,
-        seed=args.seed,
     )
     return Simulation(x, v, box, preset.potential(), cfg, grid=grid)
 
@@ -119,6 +129,7 @@ def build_telemetry_parser() -> argparse.ArgumentParser:
         description="Run a workload and export its always-on telemetry: a "
         "JSON snapshot, a repro-flightrec/1 flight-recorder dump, or an "
         "OpenMetrics textfile (node-exporter textfile-collector style).",
+        parents=[_workload_flags()],
     )
     p.add_argument(
         "action", nargs="?", default="snapshot",
@@ -140,36 +151,15 @@ def build_telemetry_parser() -> argparse.ArgumentParser:
         "--interval", type=int, default=20,
         help="serve-textfile: rewrite the textfile every N steps",
     )
-    p.add_argument("--potential", choices=("lj", "eam"), default="lj")
-    p.add_argument("--atoms", type=int, default=2048)
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument(
-        "--ranks", type=int, nargs=3, metavar=("PX", "PY", "PZ"), default=None
+    p.set_defaults(
+        atoms=2048, steps=50, newton=True, temperature=None, seed=12345, thermo=0
     )
-    p.add_argument("--nranks", type=int, default=8)
-    p.add_argument(
-        "--pattern", choices=("3stage", "p2p", "parallel-p2p"), default="parallel-p2p"
-    )
-    p.add_argument("--rdma", action="store_true")
-    p.add_argument("--model-time", dest="model_time", action="store_true")
-    p.add_argument("--faults", metavar="PLAN.json", default=None)
-    p.set_defaults(newton=True, temperature=None, seed=12345, thermo=0)
     return p
-
-
-def _write_textfile(path: str, text: str) -> None:
-    # Atomic rewrite (rename-into-place): scrapers of the textfile
-    # collector never see a partially written exposition.
-    from repro.obs.telemetry import write_textfile
-
-    write_textfile(path, text)
 
 
 def telemetry_main(argv) -> int:
     """``python -m repro telemetry`` entry point."""
     import json
-
-    from repro.obs.telemetry import TELEMETRY
 
     args = build_telemetry_parser().parse_args(argv)
     action = "dump" if args.dump_flag else args.action
@@ -186,23 +176,21 @@ def telemetry_main(argv) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot load fault plan {args.faults!r}: {exc}")
             return 2
-    # A terminal fault mid-run is exactly when the flight dump matters:
-    # arm the auto-dump before the run so the ring is captured at the
-    # moment of death, not after.
-    prev_autodump = TELEMETRY.autodump_path
-    if action == "dump":
-        TELEMETRY.autodump_path = output
     sim = build_simulation(args)
     telem = sim.telemetry
     if telem is None:
         print("error: telemetry plane is disabled")
         return 2
-    survived = True
-    try:
-        from repro.faults import FAULTS
-        from repro.faults.injector import FaultError
+    from repro.faults import FAULTS
+    from repro.faults.injector import FaultError
 
-        def drive() -> None:
+    injection = FAULTS.inject(fault_plan) if fault_plan is not None else nullcontext()
+    survived = True
+    # A terminal fault mid-run is exactly when the flight dump matters:
+    # arm the auto-dump before the run so the ring is captured at the
+    # moment of death, not after.
+    try:
+        with TELEMETRY.autodump_to(output if action == "dump" else None), injection:
             sim.setup()
             if action == "serve-textfile":
                 done = 0
@@ -210,21 +198,12 @@ def telemetry_main(argv) -> int:
                     chunk = min(args.interval, args.steps - done)
                     sim.run(chunk)
                     done += chunk
-                    _write_textfile(output, telem.render_openmetrics())
+                    write_textfile(output, telem.render_openmetrics())
             else:
                 sim.run(args.steps)
-
-        try:
-            if fault_plan is not None:
-                with FAULTS.inject(fault_plan):
-                    drive()
-            else:
-                drive()
-        except FaultError as exc:
-            survived = False
-            print(f"# run did not survive the fault plan: {exc}")
-    finally:
-        TELEMETRY.autodump_path = prev_autodump
+    except FaultError as exc:
+        survived = False
+        print(f"# run did not survive the fault plan: {exc}")
 
     if action == "snapshot":
         text = json.dumps(telem.snapshot(), indent=2, sort_keys=True)
@@ -241,7 +220,7 @@ def telemetry_main(argv) -> int:
         events = len(telem.flight.events)
         print(f"# flight recorder: {frames} frames, {events} events -> {output}")
     else:
-        _write_textfile(output, telem.render_openmetrics())
+        write_textfile(output, telem.render_openmetrics())
         print(f"# openmetrics textfile -> {output}")
     return 0 if survived else 1
 
@@ -270,35 +249,17 @@ def main(argv=None) -> int:
 
         return verify_main(argv[1:])
     args = build_parser().parse_args(argv)
-    from repro.obs.telemetry import TELEMETRY
-
-    TELEMETRY.enabled = args.telemetry
-    if args.flightrec is not None:
+    # Fail fast: discover an unwritable path or an unreadable plan before
+    # the run, not after it has already burned the simulation time.
+    for what, path in (("flight recorder", args.flightrec), ("trace file", args.trace)):
+        if path is None:
+            continue
         try:
-            with open(args.flightrec, "w", encoding="utf-8"):
+            with open(path, "w", encoding="utf-8"):
                 pass
         except OSError as exc:
-            print(f"error: cannot write flight recorder {args.flightrec!r}: {exc}")
+            print(f"error: cannot write {what} {path!r}: {exc}")
             return 2
-        TELEMETRY.autodump_path = args.flightrec
-    if args.trace is not None:
-        from repro.obs.trace import TRACER
-
-        try:
-            # Fail fast: discover an unwritable path before the run, not
-            # after it has already burned the simulation time.
-            with open(args.trace, "w", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"error: cannot write trace file {args.trace!r}: {exc}")
-            return 2
-        TRACER.reset()
-        TRACER.enabled = True
-    if args.metrics:
-        from repro.obs.metrics import METRICS
-
-        METRICS.reset()
-        METRICS.enabled = True
     fault_plan = None
     if args.faults is not None:
         from repro.faults import FaultPlan
@@ -308,32 +269,47 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot load fault plan {args.faults!r}: {exc}")
             return 2
-    if args.selfcheck:
-        from repro.selfcheck import run_selfcheck
+    # The observers are process-wide: arm them for this run only, so an
+    # in-process caller (tests, selfcheck) gets its own state back
+    # whether the run returns, fails or raises.
+    telemetry = nullcontext() if args.telemetry else TELEMETRY.disabled()
+    observers = observe(trace=args.trace is not None, metrics=args.metrics)
+    with telemetry, TELEMETRY.autodump_to(args.flightrec), observers:
+        if args.selfcheck:
+            return _selfcheck(args, fault_plan)
+        return _run(args, fault_plan)
 
-        report = run_selfcheck(fault_plan=fault_plan)
-        print(report.render())
-        # --trace/--metrics compose with --selfcheck: the battery's last
-        # observed round is exported like a normal run's trace would be.
-        if args.trace is not None:
-            from repro.obs.export import write_chrome_trace
-            from repro.obs.trace import TRACER
 
-            doc = write_chrome_trace(args.trace)
-            print(f"# trace: {len(doc['traceEvents'])} events -> {args.trace}")
-            TRACER.enabled = False
-        if args.metrics:
-            print()
-            print(METRICS.render())
-            METRICS.enabled = False
-        if not report.ok:
-            failing = [c.name for c in report.checks if not c.passed]
-            # Routed to the last attached run's flight recorder; with
-            # --flightrec this auto-dumps the ring at the failure.
-            TELEMETRY.emit("selfcheck-failure", failing=", ".join(failing))
-            print(f"# selfcheck FAILED: {', '.join(failing)}")
-            return 1
-        return 0
+def _selfcheck(args, fault_plan) -> int:
+    """``--selfcheck``: run the battery, export what the flags ask for."""
+    from repro.obs.export import write_chrome_trace
+    from repro.selfcheck import run_selfcheck
+
+    report = run_selfcheck(fault_plan=fault_plan)
+    print(report.render())
+    # --trace/--metrics compose with --selfcheck: the battery's last
+    # observed round is exported like a normal run's trace would be.
+    if args.trace is not None:
+        doc = write_chrome_trace(args.trace)
+        print(f"# trace: {len(doc['traceEvents'])} events -> {args.trace}")
+    if args.metrics:
+        print()
+        print(METRICS.render())
+    if not report.ok:
+        failing = [c.name for c in report.checks if not c.passed]
+        # Routed to the last attached run's flight recorder; with
+        # --flightrec this auto-dumps the ring at the failure.
+        TELEMETRY.emit("selfcheck-failure", failing=", ".join(failing))
+        print(f"# selfcheck FAILED: {', '.join(failing)}")
+        return 1
+    return 0
+
+
+def _run(args, fault_plan) -> int:
+    """Build the simulation the flags describe, run it, print the log."""
+    from repro.faults import FAULTS
+    from repro.faults.injector import FaultError
+
     if args.input:
         from repro.md.inputscript import InputScript
 
@@ -352,30 +328,20 @@ def main(argv=None) -> int:
         f"pattern={sim.config.pattern}"
         f"{' +rdma' if sim.config.rdma else ''}, {steps} steps"
     )
+    injection = FAULTS.inject(fault_plan) if fault_plan is not None else nullcontext()
     fault_session = None
     try:
-        if fault_plan is not None:
-            from repro.faults import FAULTS
-
-            with FAULTS.inject(fault_plan) as fault_session:
-                sim.setup()
-                sim.samples.append(sim.sample_thermo())
-                sim.run(steps)
-        else:
+        with injection as fault_session:
             sim.setup()
             sim.samples.append(sim.sample_thermo())
             sim.run(steps)
-    except Exception as exc:
-        from repro.faults.injector import FaultError
-
-        if isinstance(exc, FaultError):
-            # The degradation ladder ran out of tiers: report, don't dump
-            # a traceback — the plan simply was not survivable.
-            print(f"# fault injection: run did not survive the plan: {exc}")
-            if fault_session is not None:
-                print(fault_session.render())
-            return 1
-        raise
+    except FaultError as exc:
+        # The degradation ladder ran out of tiers: report, don't dump
+        # a traceback — the plan simply was not survivable.
+        print(f"# fault injection: run did not survive the plan: {exc}")
+        if fault_session is not None:
+            print(fault_session.render())
+        return 1
     if sim.samples[-1].step != sim.step_count:
         sim.samples.append(sim.sample_thermo())
     print(format_run_summary(sim))
@@ -392,7 +358,6 @@ def main(argv=None) -> int:
     if args.trace is not None:
         from repro.obs.export import write_chrome_trace
         from repro.obs.report import render_phase_table, render_stage_table
-        from repro.obs.trace import TRACER
 
         doc = write_chrome_trace(args.trace)
         print()
@@ -407,19 +372,15 @@ def main(argv=None) -> int:
             f"# trace: {len(doc['traceEvents'])} events -> {args.trace} "
             "(open in https://ui.perfetto.dev)"
         )
-        TRACER.enabled = False
     if args.metrics:
-        from repro.obs.metrics import METRICS
-
         print()
         print(METRICS.render())
-        METRICS.enabled = False
     if sim.telemetry is not None:
         if args.flightrec is not None:
             doc = sim.telemetry.flight.write(args.flightrec, reason="end-of-run")
             print(f"# flight recorder: {len(doc['frames'])} frames -> {args.flightrec}")
         if args.openmetrics is not None:
-            _write_textfile(args.openmetrics, sim.telemetry.render_openmetrics())
+            write_textfile(args.openmetrics, sim.telemetry.render_openmetrics())
             print(f"# openmetrics textfile -> {args.openmetrics}")
     return 0
 

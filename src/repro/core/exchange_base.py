@@ -34,12 +34,13 @@ from repro.core.ghost import GhostBudget
 from repro.faults.injector import FAULTS, RetryExhaustedError
 from repro.md.atoms import Atoms
 from repro.md.domain import Domain
+from repro.network.simulator import Message
 from repro.network.stacks import SoftwareStack, UtofuStack
 from repro.obs.metrics import METRICS
 from repro.obs.telemetry import TELEMETRY
 from repro.obs.trace import NULL_SPAN, TRACER
 from repro.runtime.transport import SentMessage
-from repro.runtime.world import RankContext, World
+from repro.runtime.world import World
 
 
 @dataclass
@@ -238,6 +239,23 @@ class GhostExchange:
         """The atom rows ``rank`` sends in round ``k``, send-major with rows
         ascending within a send, and the row count of each send."""
         raise NotImplementedError
+
+    def comm_schedule(self, rank: int, bytes_per_atom: int = 24) -> list[Message]:
+        """Simulator-ready messages for one forward exchange of ``rank``:
+        unless the pattern says otherwise, one thread injects every send
+        on TNI 0."""
+        return [
+            Message(max(route.count * bytes_per_atom, 8), route.hops, rank, thread=0, tni=0)
+            for route in self.routes[rank].sends
+        ]
+
+    def schedule_world(
+        self, counts: np.ndarray, hops: np.ndarray, bytes_per_atom: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """:meth:`comm_schedule` for every rank at once: ``(nbytes, hops,
+        thread)`` from the ``(ranks, sends)`` route tables, or ``None``
+        when the pattern cannot schedule arrays."""
+        return np.maximum(counts * bytes_per_atom, 8), hops, np.zeros_like(counts)
 
     def _border_setup(self) -> None:
         """One-time preparation before the first border stage."""

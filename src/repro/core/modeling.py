@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.exchange_base import GhostExchange
-from repro.core.fine_p2p import FineGrainedP2PExchange
 from repro.faults.injector import FAULTS
 from repro.machine.params import FUGAKU, MachineParams
 from repro.network.simulator import Message, NetworkSimulator, simulate_owned_rounds
@@ -39,24 +38,12 @@ def rank_messages(
     known_length: bool,
 ) -> list[Message]:
     """Simulator messages for one rank's sends of one exchange phase."""
-    if isinstance(exchange, FineGrainedP2PExchange):
-        msgs = exchange.comm_schedule(rank, bytes_per_atom)
-        if known_length:
-            return msgs
-        return [
-            Message(m.nbytes, m.hops, m.rank, m.thread, m.tni, known_length=False)
-            for m in msgs
-        ]
+    msgs = exchange.comm_schedule(rank, bytes_per_atom)
+    if known_length:
+        return msgs
     return [
-        Message(
-            nbytes=max(route.count * bytes_per_atom, 8),
-            hops=route.hops,
-            rank=rank,
-            thread=0,
-            tni=0,
-            known_length=known_length,
-        )
-        for route in exchange.routes[rank].sends
+        Message(m.nbytes, m.hops, m.rank, m.thread, m.tni, known_length=False)
+        for m in msgs
     ]
 
 
@@ -152,14 +139,10 @@ def _world_times(
         return None
     counts = np.array([[route.send_idx.shape[0] for route in row] for row in sends])
     hops = np.array([[route.hops for route in row] for row in sends])
-    if isinstance(exchange, FineGrainedP2PExchange):
-        schedule = exchange.schedule_world(counts, hops, bytes_per_atom)
-        if schedule is None:
-            return None
-        nbytes, hops, thread = schedule
-    else:
-        nbytes = np.maximum(counts * bytes_per_atom, 8)
-        thread = np.zeros_like(counts)
+    schedule = exchange.schedule_world(counts, hops, bytes_per_atom)
+    if schedule is None:
+        return None
+    nbytes, hops, thread = schedule
     times = simulate_owned_rounds(nbytes, hops, thread, thread, stack, params, known)
     if times is not None:
         cache[key] = times

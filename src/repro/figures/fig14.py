@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.figures.common import format_table
+from repro.figures.fig13 import eam_workload, lj_workload
 from repro.perfmodel import StageModel, variant_by_name, weak_scaling
 from repro.perfmodel.scaling import (
     WEAK_EAM_ATOMS_PER_CORE,
@@ -18,7 +19,6 @@ from repro.perfmodel.scaling import (
     ScalingPoint,
     weak_scaling_rate,
 )
-from repro.figures.fig13 import eam_workload, lj_workload
 
 PAPER = {
     "atoms_final": {"lj": 99e9, "eam": 72e9},

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from repro.figures.common import format_table, us
 from repro.perfmodel import LJ_WORKLOAD_1M7, LJ_WORKLOAD_65K, StageModel, variant_by_name
-from repro.perfmodel.stagemodel import Workload
 
 #: Published qualitative anchors.
 PAPER = {

@@ -11,8 +11,6 @@ arithmetic here is plain vectorized NumPy.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.md.atoms import Atoms
 
 

@@ -1,57 +1,24 @@
-"""Potential interface and the mid-pair-stage communication hooks.
+"""Potential interface.
 
 A potential computes forces from a pair list.  Simple pair potentials
 (LJ) need no communication inside the pair stage; EAM does — its
 electron density must be complete before embedding derivatives exist,
 which takes a reverse-sum of ghost densities and a forward broadcast of
 the derivative (the "two additional communications during the pair
-stage" of paper section 4.1).  The :class:`GhostComm` protocol is how a
-potential asks the active communication pattern to perform those, so the
+stage" of paper section 4.1).  Those ride the active communication
+pattern: the driver interleaves EAM's three passes with the exchange's
+``reverse_sum_scalar_world`` / ``forward_scalar_world`` itself, so the
 same EAM code runs over the 3-stage or p2p exchange unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
 from repro.md.atoms import Atoms
 from repro.md.pairtiles import PairTile
-
-
-class GhostComm(Protocol):
-    """Mid-pair-stage per-atom communication, provided by the exchange."""
-
-    def reverse_sum_scalar(self, values: np.ndarray) -> None:
-        """Add each ghost atom's entry into its owner's entry (in place).
-
-        ``values`` has one float per atom (local then ghost); on return
-        the local entries include every ghost contribution and the ghost
-        entries are unspecified.
-        """
-        ...
-
-    def forward_scalar(self, values: np.ndarray) -> None:
-        """Copy each owner's entry onto all of its ghost copies (in place)."""
-        ...
-
-
-class NullGhostComm:
-    """Single-rank stand-in: there are no remote ghosts to merge.
-
-    Used by the serial reference path, where ghosts are same-rank periodic
-    images whose contributions were already accumulated locally.
-    """
-
-    def reverse_sum_scalar(self, values: np.ndarray) -> None:
-        """No-op: single-rank runs have no remote ghosts."""
-        return None
-
-    def forward_scalar(self, values: np.ndarray) -> None:
-        """No-op: single-rank runs have no remote ghosts."""
-        return None
 
 
 @dataclass
@@ -104,7 +71,6 @@ class PairPotential:
         atoms: Atoms | PairTile,
         pair_i: np.ndarray,
         pair_j: np.ndarray,
-        comm: GhostComm | None = None,
         half_list: bool = True,
     ) -> ForceResult:
         """Accumulate forces into ``atoms.f``; return energy/virial.

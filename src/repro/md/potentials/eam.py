@@ -26,12 +26,11 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from repro.md.atoms import Atoms
 from repro.md.kernels import scatter_add_scalar, scatter_pair_forces
 from repro.md.pairtiles import PairTile, as_tile
-from repro.md.potentials.base import ForceResult, GhostComm, NullGhostComm, PairPotential
+from repro.md.potentials.base import ForceResult, PairPotential
 
 
 def _smoothstep_cut(r_inner: float, r_cut: float):
@@ -195,16 +194,13 @@ class EAMPotential(PairPotential):
         atoms: Atoms | PairTile,
         pair_i: np.ndarray,
         pair_j: np.ndarray,
-        comm: GhostComm | None = None,
         half_list: bool = True,
     ) -> ForceResult:
-        """All three passes with inline ghost communication."""
-        comm = comm if comm is not None else NullGhostComm()
+        """All three passes back to back: complete on one rank, where
+        ghosts are same-rank periodic images whose contributions were
+        already accumulated locally."""
         scratch = self.density_pass(atoms, pair_i, pair_j, half_list)
-        if half_list:
-            comm.reverse_sum_scalar(scratch["density"])
         self.embedding_pass(atoms, scratch)
-        comm.forward_scalar(scratch["fp"])
         return self.force_pass(atoms, scratch)
 
 
@@ -265,6 +261,10 @@ def make_cu_like_eam(
     evaluates ``Cu_u3.eam``.  Agreement with the analytic potential is
     verified in tests to < 1e-8 relative.
     """
+    # The only SciPy user in the engine: imported here so ``import repro``
+    # does not pay for it.
+    from scipy.interpolate import CubicSpline
+
     ref = SuttonChenEAM(cutoff=cutoff)
     r_min = 0.5  # well below any physical separation
     r = np.linspace(r_min, cutoff, n_r)

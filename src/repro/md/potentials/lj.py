@@ -14,7 +14,7 @@ import numpy as np
 from repro.md.atoms import Atoms
 from repro.md.kernels import scatter_pair_forces
 from repro.md.pairtiles import PairTile, as_tile
-from repro.md.potentials.base import ForceResult, GhostComm, PairPotential
+from repro.md.potentials.base import ForceResult, PairPotential
 
 
 class LennardJones(PairPotential):
@@ -101,7 +101,6 @@ class LennardJones(PairPotential):
         atoms: Atoms | PairTile,
         pair_i: np.ndarray,
         pair_j: np.ndarray,
-        comm: GhostComm | None = None,
         half_list: bool = True,
     ) -> ForceResult:
         """Vectorized LJ force/energy/virial over the pair list.

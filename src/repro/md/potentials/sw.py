@@ -34,8 +34,7 @@ import numpy as np
 
 from repro.md.atoms import Atoms
 from repro.md.kernels import scatter_add_vec
-from repro.md.neighbor import _ranges_to_indices
-from repro.md.potentials.base import ForceResult, GhostComm, PairPotential
+from repro.md.potentials.base import ForceResult, PairPotential
 
 
 class StillingerWeber(PairPotential):
@@ -123,7 +122,6 @@ class StillingerWeber(PairPotential):
         atoms: Atoms,
         pair_i: np.ndarray,
         pair_j: np.ndarray,
-        comm: GhostComm | None = None,
         half_list: bool = True,
     ) -> ForceResult:
         """Two-body + three-body forces; requires a full (directed) list."""

@@ -25,15 +25,15 @@ prices this driver's communication schedules.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.exchange_base import GhostExchange
 from repro.core.fine_p2p import FineGrainedP2PExchange
-from repro.faults.injector import FAULTS, FaultEscalation
 from repro.core.p2p import P2PExchange
 from repro.core.three_stage import ThreeStageExchange
+from repro.faults.injector import FAULTS, FaultEscalation
 from repro.md.atoms import Atoms
 from repro.md.domain import Domain, decompose_grid
 from repro.md.integrate import NVEIntegrator
@@ -64,7 +64,6 @@ class SimulationConfig:
     shell_radius: int = 1
     mass: float = 1.0
     thermo_every: int = 0  # 0: only on demand
-    seed: int = 12345
     #: also price each step's communication on the network simulator and
     #: accumulate it into ``timers.model`` (simulated Fugaku seconds)
     model_machine_time: bool = False
@@ -76,7 +75,6 @@ class SimulationConfig:
     #: long runs that never ask for per-message summaries.  Off by
     #: default: benchmarks and self-checks read the full log.
     clear_traffic_each_step: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 class Simulation:

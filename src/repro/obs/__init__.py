@@ -54,7 +54,7 @@ or from the CLI: ``python -m repro --trace out.json --metrics``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from repro.obs.flight import FlightRecorder, load_flight_doc, validate_flight_doc
 from repro.obs.metrics import METRICS, MetricsRegistry, collecting, get_metrics
@@ -71,19 +71,9 @@ def observe(trace: bool = True, metrics: bool = True, fresh: bool = True):
     Yields ``(tracer, registry)`` — the global singletons, whose records
     remain readable after the block ends.
     """
-    prev_trace, prev_metrics = TRACER.enabled, METRICS.enabled
-    if fresh:
-        if trace:
-            TRACER.reset()
-        if metrics:
-            METRICS.reset()
-    TRACER.enabled = trace or prev_trace
-    METRICS.enabled = metrics or prev_metrics
-    try:
-        yield TRACER, METRICS
-    finally:
-        TRACER.enabled = prev_trace
-        METRICS.enabled = prev_metrics
+    with tracing(fresh) if trace else nullcontext():
+        with collecting(fresh) if metrics else nullcontext():
+            yield TRACER, METRICS
 
 
 __all__ = [

@@ -46,10 +46,12 @@ from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
+from repro.md.stages import Stage
+
 #: Versioned schema identifier checked by :func:`validate_bench_doc`.
 SCHEMA = "repro-bench/1"
 
-STAGES = ("Pair", "Neigh", "Comm", "Modify", "Other")
+STAGES = tuple(stage.value for stage in Stage)
 
 #: Per-metric-group relative tolerances for ``compare``.
 DEFAULT_TOLERANCES = {
@@ -162,29 +164,43 @@ def _stats(samples: list[float]) -> dict:
     }
 
 
-def run_config(cfg: BenchConfig, repeats: int = 3) -> tuple[dict, object]:
-    """Execute one configuration; returns (run record, critpath tracer).
+def sample_wall(cfg: BenchConfig, repeats: int):
+    """Build and run ``cfg`` ``repeats`` times; returns ``(sim, wall)``.
 
-    The wall breakdown is measured ``repeats`` times; the model
-    breakdown, traffic, and critical path are deterministic and taken
-    from the final repeat.
+    ``wall`` is the per-stage and total wall statistics over the repeats
+    (the ``wall`` record of a run or a scaling rung); ``sim`` is the
+    final repeat's simulation, from which callers take what is
+    deterministic (model breakdown, traffic, critical path).
     """
-    from repro.core.modeling import modeled_exchange_time
-    from repro.md.stages import Stage
-    from repro.obs import observe
-    from repro.obs.critpath import analyze_critical_path
-    from repro.obs.trace import Tracer
-
-    wall_samples: dict[str, list[float]] = {s: [] for s in STAGES}
+    stage_samples: dict[str, list[float]] = {s: [] for s in STAGES}
     total_samples: list[float] = []
     sim = None
     for _ in range(max(repeats, 1)):
         sim = build_simulation(cfg)
         sim.run(cfg.steps)
         for stage in Stage:
-            wall_samples[stage.value].append(sim.timers.wall[stage])
+            stage_samples[stage.value].append(sim.timers.wall[stage])
         total_samples.append(sim.timers.total_wall())
+    wall = {
+        "stages": {s: _stats(v) for s, v in stage_samples.items()},
+        "total": _stats(total_samples),
+    }
+    return sim, wall
 
+
+def run_config(cfg: BenchConfig, repeats: int = 3) -> tuple[dict, object]:
+    """Execute one configuration; returns (run record, critpath tracer).
+
+    The wall breakdown is measured ``repeats`` times
+    (:func:`sample_wall`); the model breakdown, traffic, and critical
+    path are deterministic and taken from the final repeat.
+    """
+    from repro.core.modeling import modeled_exchange_time
+    from repro.obs import observe
+    from repro.obs.critpath import analyze_critical_path
+    from repro.obs.trace import Tracer
+
+    sim, wall = sample_wall(cfg, repeats)
     model = _model_stages(sim)
     traffic = {
         ph: {"count": count, "bytes": nbytes}
@@ -208,10 +224,7 @@ def run_config(cfg: BenchConfig, repeats: int = 3) -> tuple[dict, object]:
     record = {
         "key": cfg.key,
         "config": {**cfg.to_dict(), "atoms": sim.natoms},
-        "wall": {
-            "stages": {s: _stats(v) for s, v in wall_samples.items()},
-            "total": _stats(total_samples),
-        },
+        "wall": wall,
         "model": {"stages": model, "total": sum(model.values())},
         "traffic": traffic,
         "critpath": {
@@ -965,6 +978,21 @@ def _load(path: str) -> dict:
         return json.load(fh)
 
 
+def write_artifact(path: str, doc: dict) -> None:
+    """Write an artifact as stable, diffable JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def _label(args) -> str:
+    """The artifact label: ``--label``, else the stem of ``--out``."""
+    if args.label is not None:
+        return args.label
+    stem = args.out.rsplit("/", 1)[-1]
+    return stem[:-5] if stem.endswith(".json") else stem
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Argument parser for the ``run|compare|report`` subcommands."""
     p = argparse.ArgumentParser(
@@ -987,19 +1015,12 @@ def build_parser() -> argparse.ArgumentParser:
     flt = sub.add_parser(
         "fleet",
         help="run the bench-role scenarios of a scenario spec "
-        "(repro-scenario-spec/1) and optionally gate vs a baseline",
+        "(repro-scenario-spec/1); gate the artifact with `compare`",
     )
     flt.add_argument("spec", help="path to a repro-scenario-spec/1 JSON file")
     flt.add_argument("--out", required=True, help="output artifact path")
     flt.add_argument("--repeats", type=int, default=3)
     flt.add_argument("--label", default=None, help="artifact label (default: out stem)")
-    flt.add_argument(
-        "--baseline", default=None,
-        help="also compare against this BENCH artifact (reuses the "
-        "per-group gating; exit 1 on regression)",
-    )
-    flt.add_argument("--warn-only", action="store_true",
-                     help="with --baseline: report regressions but exit 0")
     flt.add_argument("--trace-dir", default=None,
                      help="write one Perfetto trace per configuration")
 
@@ -1050,14 +1071,8 @@ def main(argv=None) -> int:
     """CLI entry point; returns a process exit code (1 = regression)."""
     args = build_parser().parse_args(argv)
     if args.command == "run":
-        label = args.label
-        if label is None:
-            stem = args.out.rsplit("/", 1)[-1]
-            label = stem[:-5] if stem.endswith(".json") else stem
-        doc = run_suite(args.suite, args.repeats, label, args.trace_dir)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        doc = run_suite(args.suite, args.repeats, _label(args), args.trace_dir)
+        write_artifact(args.out, doc)
         print(f"# bench: {len(doc['runs'])} configs -> {args.out} (schema {SCHEMA})")
         print(render_report(doc))
         guard = doc.get("fault_guard")
@@ -1076,39 +1091,18 @@ def main(argv=None) -> int:
                 return 1
         return 0
     if args.command == "fleet":
-        label = args.label
-        if label is None:
-            stem = args.out.rsplit("/", 1)[-1]
-            label = stem[:-5] if stem.endswith(".json") else stem
         try:
             spec_name, configs = fleet_configs(args.spec)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}")
             return 2
         doc = run_configs(
-            configs, f"fleet:{spec_name}", args.repeats, label, args.trace_dir
+            configs, f"fleet:{spec_name}", args.repeats, _label(args), args.trace_dir
         )
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_artifact(args.out, doc)
         print(f"# bench fleet: {len(doc['runs'])} configs from {spec_name} "
               f"-> {args.out} (schema {SCHEMA})")
         print(render_report(doc))
-        if args.baseline is None:
-            return 0
-        try:
-            report = compare(_load(args.baseline), doc)
-        except ValueError as exc:
-            print(f"error: {exc}")
-            return 2
-        print(report.render())
-        if not report.ok:
-            if args.warn_only:
-                print("WARN: regressions found (ignored: --warn-only)")
-                return 0
-            print("FAIL: perf regression beyond tolerance")
-            return 1
-        print("OK: no regressions beyond tolerance")
         return 0
     if args.command == "compare":
         overrides = {}
@@ -1149,23 +1143,18 @@ def main(argv=None) -> int:
             parse_ladder,
             render_scaling,
             validate_scaling_doc,
-            write_scaling,
         )
 
-        label = args.label
-        if label is None:
-            stem = args.out.rsplit("/", 1)[-1]
-            label = stem[:-5] if stem.endswith(".json") else stem
         try:
             ladder = parse_ladder(args.ladder)
             spec = ScalingSpec(args.potential, args.pattern, args.rdma,
                                tuple(args.cells), args.steps)
-            doc = capture_scaling(spec, ladder, args.repeats, label)
+            doc = capture_scaling(spec, ladder, args.repeats, _label(args))
             validate_scaling_doc(doc)
         except ValueError as exc:
             print(f"error: {exc}")
             return 2
-        write_scaling(args.out, doc)
+        write_artifact(args.out, doc)
         print(f"# scaling: {len(doc['points'])} rungs -> {args.out} "
               f"(schema {doc['schema']})")
         print(render_scaling(doc))

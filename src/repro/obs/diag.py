@@ -201,8 +201,14 @@ def _shape(category: str, cohort: tuple[int, ...], nranks: int) -> str:
     return "mixed"
 
 
-def _rankprof_phase_diff(old_phase: dict, new_phase: dict) -> dict:
-    """Diff one phase of two rankprof docs -> cohort/category/evidence."""
+def _rankprof_phase_diff(
+    old_phase: dict, new_phase: dict, direction: float | None = None
+) -> dict:
+    """Diff one phase of two rankprof docs -> cohort/category/evidence.
+
+    The cohort is the ranks that moved the way the phase's own total did,
+    unless the caller explains a delta of its own ``direction`` (+1/-1).
+    """
     old_rows = {r["rank"]: r for r in old_phase.get("rows", ())}
     new_rows = {r["rank"]: r for r in new_phase.get("rows", ())}
     common = sorted(set(old_rows) & set(new_rows))
@@ -210,7 +216,8 @@ def _rankprof_phase_diff(old_phase: dict, new_phase: dict) -> dict:
     new_total = sum(new_rows[r]["completion"] for r in common)
     delta = new_total - old_total
     noise = _noise_floor(old_total, new_total)
-    direction = 1.0 if delta >= 0 else -1.0
+    if direction is None:
+        direction = 1.0 if delta >= 0 else -1.0
     per_rank = {
         r: new_rows[r]["completion"] - old_rows[r]["completion"] for r in common
     }
@@ -307,31 +314,17 @@ def _diag_bench(old: dict, new: dict, report: DiagReport) -> None:
         )
         cohort: tuple[int, ...] = ()
         nranks = 0
-        evidence: dict = {}
         o_rp, n_rp = o.get("rankprof"), n.get("rankprof")
         if isinstance(o_rp, dict) and isinstance(n_rp, dict):
-            o_rows = {r["rank"]: r for r in o_rp.get("ranks", ())}
-            n_rows = {r["rank"]: r for r in n_rp.get("ranks", ())}
-            common = sorted(set(o_rows) & set(n_rows))
-            nranks = len(common)
-            per_rank = {
-                r: n_rows[r]["completion"] - o_rows[r]["completion"]
-                for r in common
-            }
-            cohort = _cohort(per_rank, direction, noise)
-            # When the per-rank table is live, re-derive the category from
-            # the cohort's attribution shift — sharper than rank 0's path.
-            if cohort:
-                oc: dict[str, float] = {}
-                nc: dict[str, float] = {}
-                for r in cohort:
-                    for c, s in o_rows[r].get("attribution", {}).items():
-                        oc[c] = oc.get(c, 0.0) + s
-                    for c, s in n_rows[r].get("attribution", {}).items():
-                        nc[c] = nc.get(c, 0.0) + s
-                cohort_cat, _ = _top_delta(oc, nc, direction)
-                if cohort_cat:
-                    category = cohort_cat
+            d = _rankprof_phase_diff(
+                {"rows": o_rp.get("ranks", ())}, {"rows": n_rp.get("ranks", ())},
+                direction,
+            )
+            cohort, nranks = d["cohort"], d["nranks"]
+            # When the per-rank table is live, the cohort's attribution
+            # shift names the category — sharper than rank 0's path.
+            if cohort and d["category"]:
+                category = d["category"]
         if abs(delta) <= noise:
             continue
         shape = _shape(category, cohort, nranks)
@@ -344,7 +337,6 @@ def _diag_bench(old: dict, new: dict, report: DiagReport) -> None:
                     f"{stage} ({stage_delta:+.4g}s); critpath shift in "
                     f"{category or 'n/a'}"
                 ),
-                evidence=evidence,
             )
         )
 

@@ -25,12 +25,17 @@ config B scale worse than A".
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
 
-from repro.obs.bench import STAGES, BenchConfig, _stats, build_simulation
+from repro.obs.bench import (
+    STAGES,
+    BenchConfig,
+    _model_stages,
+    sample_wall,
+    write_artifact,
+)
 
 #: Versioned schema identifier checked by :func:`validate_scaling_doc`.
 SCHEMA = "repro-scaling/1"
@@ -109,7 +114,6 @@ def capture_scaling(
     Rungs must be ordered by increasing rank count (strong-scaling
     convention: efficiencies are relative to the first rung).
     """
-    from repro.md.stages import Stage
     from repro.obs.rankprof import profile_exchange, to_dict as rankprof_to_dict
     from repro.perfmodel.scaling import modeled_ladder, ranks_to_nodes
 
@@ -121,18 +125,10 @@ def capture_scaling(
     workload = None
     for grid in ladder:
         cfg = spec.config(grid)
-        total_samples: list[float] = []
-        wall_samples: dict[str, list[float]] = {s: [] for s in STAGES}
-        sim = None
-        for _ in range(max(repeats, 1)):
-            sim = build_simulation(cfg)
-            sim.run(cfg.steps)
-            for stage in Stage:
-                wall_samples[stage.value].append(sim.timers.wall[stage])
-            total_samples.append(sim.timers.total_wall())
+        sim, wall = sample_wall(cfg, repeats)
         if workload is None:
             workload = workload_from_sim(sim, spec.potential)
-        model = {s.value: sim.timers.model[s] for s in Stage}
+        model = _model_stages(sim)
         prof = profile_exchange(sim.exchange, phases=("forward",))
         imb = prof.imbalance("forward")
         points.append(
@@ -141,10 +137,7 @@ def capture_scaling(
                 "grid": list(grid),
                 "ranks": cfg.grid[0] * cfg.grid[1] * cfg.grid[2],
                 "atoms": sim.natoms,
-                "wall": {
-                    "stages": {s: _stats(v) for s, v in wall_samples.items()},
-                    "total": _stats(total_samples),
-                },
+                "wall": wall,
                 "model": {
                     "stages": model,
                     "total": sum(model.values()),
@@ -284,8 +277,5 @@ def render_scaling(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def write_scaling(path: str, doc: dict) -> None:
-    """Write a scaling artifact as stable, diffable JSON."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+#: A scaling artifact is written like every other bench artifact.
+write_scaling = write_artifact

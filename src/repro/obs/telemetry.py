@@ -330,6 +330,18 @@ class TelemetryControl:
             self.active = prev_active
 
     @contextmanager
+    def autodump_to(self, path: str | None) -> Iterator[None]:
+        """Arm the flight-recorder auto-dump at ``path`` for a block
+        (``None`` leaves the current target); restored on exit."""
+        prev = self.autodump_path
+        if path is not None:
+            self.autodump_path = path
+        try:
+            yield
+        finally:
+            self.autodump_path = prev
+
+    @contextmanager
     def scope(self) -> Iterator[None]:
         """Isolate attachments for a block (tests / selfcheck batteries):
         whatever runs inside attaches its own telemetry; the previous

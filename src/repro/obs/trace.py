@@ -142,9 +142,6 @@ class Tracer:
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        #: Record every Nth instant event (1 = all, the default).  Spans
-        #: are never sampled — only the high-rate per-message instants.
-        self.sample_every = 1
         self.reset()
 
     def reset(self) -> None:
@@ -156,7 +153,6 @@ class Tracer:
         self._epoch = time.perf_counter()
         self.model_clock = 0.0
         self.model_offset = 0.0
-        self._instant_seq = 0
 
     # -- recording ---------------------------------------------------------
     def span(self, name: str, cat: str = "", track: str = "main", **args):
@@ -240,19 +236,9 @@ class Tracer:
         ts: float | None = None,
         **args,
     ) -> None:
-        """Record a zero-duration event on either timeline.
-
-        With ``sample_every > 1`` only every Nth instant is kept — an
-        opt-in pressure valve for long traced runs where the per-message
-        instants dominate trace size.  Consistency checks that compare
-        instant counts against the traffic log require the default of 1.
-        """
+        """Record a zero-duration event on either timeline."""
         if not self.enabled:
             return
-        if self.sample_every > 1:
-            self._instant_seq += 1
-            if self._instant_seq % self.sample_every:
-                return
         if ts is None:
             ts = time.perf_counter() - self._epoch if clock == WALL else self.model_clock
         self.instants.append(InstantRecord(name, cat, ts, clock, track, args))
@@ -282,16 +268,13 @@ def get_tracer() -> Tracer:
 
 
 @contextmanager
-def tracing(fresh: bool = True, sample_every: int = 1):
+def tracing(fresh: bool = True):
     """Enable the global tracer for a block; restores the prior state."""
     prev = TRACER.enabled
-    prev_sample = TRACER.sample_every
     if fresh:
         TRACER.reset()
     TRACER.enabled = True
-    TRACER.sample_every = sample_every
     try:
         yield TRACER
     finally:
         TRACER.enabled = prev
-        TRACER.sample_every = prev_sample

@@ -108,10 +108,6 @@ class Workload:
     newton: bool = True
     shell_radius: int = 1
 
-    @property
-    def time_unit_per_step(self) -> float:
-        return self.dt
-
 
 #: The paper's four step-by-step workloads (Fig. 12) at 768 nodes; atom
 #: counts follow section 3 ("65K and 1.7 million hydrogen atoms").

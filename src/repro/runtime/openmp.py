@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.machine.params import FUGAKU, MachineParams
-from repro.runtime.threadpool import WorkItem, makespan, split_load
+from repro.runtime.threadpool import WorkItem, makespan
 
 
 @dataclass

@@ -17,6 +17,7 @@ with the network simulator instead of guessing.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
@@ -63,9 +64,11 @@ class TrafficLog:
     By default every :class:`SentMessage` is retained (the seed
     behavior).  Long production runs can instead bound the record list
     with :meth:`set_window`: the log keeps a rolling window of the most
-    recent messages while *exact* per-phase aggregates (counts, bytes,
-    per-pair bytes, per-source counts) are maintained incrementally, so
-    every query below still answers for the whole run.
+    recent messages.  Either way there is one accounting: per-phase,
+    per-pair ``[count, bytes]`` rows folded *lazily* from the records
+    appended since the last fold — on the first query after an append,
+    or just before the window trims records — so appending does no
+    per-message work and every query below answers for the whole run.
     """
 
     messages: list[SentMessage] = field(default_factory=list)
@@ -75,117 +78,97 @@ class TrafficLog:
     #: can delta them once per step without retaining records.
     grand_total_count: int = 0
     grand_total_bytes: int = 0
-    _phase_count: dict = field(default_factory=dict, repr=False)
-    _phase_bytes: dict = field(default_factory=dict, repr=False)
-    _phase_pair_bytes: dict = field(default_factory=dict, repr=False)
-    _phase_src_count: dict = field(default_factory=dict, repr=False)
+    #: ``phase -> {(src, dst): [count, bytes]}``.  Invariant: these rows
+    #: account exactly for ``messages[:_folded]`` plus every record the
+    #: window has trimmed; ``messages[_folded:]`` is still to be folded.
+    _phases: dict = field(default_factory=dict, repr=False)
+    _folded: int = field(default=0, repr=False)
 
     def set_window(self, max_messages: int | None) -> None:
         """Bound the retained record list to a rolling window.
 
-        Aggregates are (re)built from the currently retained messages;
-        call this before traffic of interest starts (the usual place is
+        Aggregates restart from the currently retained messages; call
+        this before traffic of interest starts (the usual place is
         simulation setup).  ``None`` restores unbounded retention.
         """
         self.max_messages = max_messages
-        self._phase_count.clear()
-        self._phase_bytes.clear()
-        self._phase_pair_bytes.clear()
-        self._phase_src_count.clear()
-        if max_messages is not None:
-            for m in self.messages:
-                self._aggregate(m)
-            self._trim()
+        self._phases.clear()
+        self._folded = 0
+        self._trim()
 
-    def _aggregate(self, msg: SentMessage) -> None:
-        phase = msg.phase
-        self._phase_count[phase] = self._phase_count.get(phase, 0) + 1
-        self._phase_bytes[phase] = self._phase_bytes.get(phase, 0) + msg.nbytes
-        pair_bytes = self._phase_pair_bytes.setdefault(phase, {})
-        pair = (msg.src, msg.dst)
-        pair_bytes[pair] = pair_bytes.get(pair, 0) + msg.nbytes
-        src_count = self._phase_src_count.setdefault(phase, {})
-        src_count[msg.src] = src_count.get(msg.src, 0) + 1
+    def _fold(self) -> dict:
+        """Fold the not-yet-accounted records in; return the aggregates."""
+        phases = self._phases
+        for m in self.messages[self._folded:]:
+            pairs = phases.get(m.phase)
+            if pairs is None:
+                pairs = phases[m.phase] = {}
+            row = pairs.get((m.src, m.dst))
+            if row is None:
+                pairs[(m.src, m.dst)] = [1, m.nbytes]
+            else:
+                row[0] += 1
+                row[1] += m.nbytes
+        self._folded = len(self.messages)
+        return phases
 
     def _trim(self) -> None:
         # Amortized O(1): trim in chunks once the list doubles the window.
-        assert self.max_messages is not None
-        if len(self.messages) > 2 * self.max_messages:
-            del self.messages[: len(self.messages) - self.max_messages]
+        window = self.max_messages
+        if window is not None and len(self.messages) > 2 * window:
+            self._fold()
+            del self.messages[: len(self.messages) - window]
+            self._folded = window
 
     def record(self, msg: SentMessage) -> None:
         """Append one message record."""
         self.messages.append(msg)
         self.grand_total_count += 1
         self.grand_total_bytes += msg.nbytes
-        if self.max_messages is not None:
-            self._aggregate(msg)
-            self._trim()
+        self._trim()
 
     def record_phase(self, msgs: list[SentMessage], nbytes: int) -> None:
-        """Append one replayed phase's records; ``nbytes`` is their byte
-        sum, precomputed with the list, so an unbounded log does no
-        per-message work (a windowed one aggregates each record)."""
-        if self.max_messages is not None:
-            for m in msgs:
-                self.record(m)
-            return
+        """Append one replayed phase's records; ``nbytes`` is their byte sum,
+        precomputed with the list, so the log does no per-message work here."""
         self.messages.extend(msgs)
         self.grand_total_count += len(msgs)
         self.grand_total_bytes += nbytes
+        self._trim()
 
     def clear(self) -> None:
         """Drop all records (and aggregates)."""
         self.messages.clear()
-        self._phase_count.clear()
-        self._phase_bytes.clear()
-        self._phase_pair_bytes.clear()
-        self._phase_src_count.clear()
+        self._phases.clear()
+        self._folded = 0
 
     # -- queries -----------------------------------------------------------
+    def _rows(self, phase: str | None) -> Iterator[tuple[tuple[int, int], int, int]]:
+        """``((src, dst), count, bytes)`` per phase and pair; a pair
+        repeats once per phase when ``phase`` is ``None``."""
+        phases = self._fold()
+        selected = phases.values() if phase is None else [phases.get(phase, {})]
+        for pairs in selected:
+            for pair, (count, nbytes) in pairs.items():
+                yield pair, count, nbytes
+
     def count(self, phase: str | None = None) -> int:
         """Message count, optionally filtered by phase."""
-        if self.max_messages is not None:
-            if phase is None:
-                return sum(self._phase_count.values())
-            return self._phase_count.get(phase, 0)
-        return sum(1 for m in self.messages if phase is None or m.phase == phase)
+        return sum(count for _, count, _ in self._rows(phase))
 
     def total_bytes(self, phase: str | None = None) -> int:
         """Byte volume, optionally filtered by phase."""
-        if self.max_messages is not None:
-            if phase is None:
-                return sum(self._phase_bytes.values())
-            return self._phase_bytes.get(phase, 0)
-        return sum(m.nbytes for m in self.messages if phase is None or m.phase == phase)
+        return sum(nbytes for _, _, nbytes in self._rows(phase))
 
     def count_by_rank(self, phase: str | None = None) -> dict[int, int]:
         """Send counts keyed by source rank."""
         out: dict[int, int] = defaultdict(int)
-        if self.max_messages is not None:
-            for ph, src_count in self._phase_src_count.items():
-                if phase is None or ph == phase:
-                    for src, n in src_count.items():
-                        out[src] += n
-            return dict(out)
-        for m in self.messages:
-            if phase is None or m.phase == phase:
-                out[m.src] += 1
+        for (src, _), count, _ in self._rows(phase):
+            out[src] += count
         return dict(out)
 
     def pairs(self, phase: str | None = None) -> set[tuple[int, int]]:
         """Distinct (src, dst) pairs that communicated."""
-        if self.max_messages is not None:
-            out: set[tuple[int, int]] = set()
-            for ph, pair_bytes in self._phase_pair_bytes.items():
-                if phase is None or ph == phase:
-                    out.update(pair_bytes)
-            return out
-        return {
-            (m.src, m.dst)
-            for m in self.messages
-            if phase is None or m.phase == phase
-        }
+        return {pair for pair, _, _ in self._rows(phase)}
 
     def summary(self, phase: str | None = None) -> "TrafficSummary":
         """One-call aggregate (counts, bytes, busiest pair) of a phase.
@@ -196,34 +179,17 @@ class TrafficLog:
         """
         pair_bytes: dict[tuple[int, int], int] = defaultdict(int)
         count = 0
-        total = 0
-        if self.max_messages is not None:
-            for ph, pb in self._phase_pair_bytes.items():
-                if phase is not None and ph != phase:
-                    continue
-                for pair, nbytes in pb.items():
-                    pair_bytes[pair] += nbytes
-            count = self.count(phase)
-            total = self.total_bytes(phase)
-        else:
-            for m in self.messages:
-                if phase is not None and m.phase != phase:
-                    continue
-                count += 1
-                total += m.nbytes
-                pair_bytes[(m.src, m.dst)] += m.nbytes
-        max_pair: tuple[int, int] | None = None
-        max_pair_bytes = 0
-        if pair_bytes:
-            max_pair = max(pair_bytes, key=lambda p: (pair_bytes[p], p))
-            max_pair_bytes = pair_bytes[max_pair]
+        for pair, n, nbytes in self._rows(phase):
+            count += n
+            pair_bytes[pair] += nbytes
+        max_pair = max(pair_bytes, key=lambda p: (pair_bytes[p], p), default=None)
         return TrafficSummary(
             phase=phase,
             count=count,
-            total_bytes=total,
+            total_bytes=sum(pair_bytes.values()),
             pair_count=len(pair_bytes),
             max_pair=max_pair,
-            max_pair_bytes=max_pair_bytes,
+            max_pair_bytes=pair_bytes.get(max_pair, 0),
         )
 
 

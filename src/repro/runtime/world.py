@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-import numpy as np
-
 from repro.runtime.transport import Transport
 
 
@@ -121,11 +119,3 @@ class World:
             send_fn(ctx)
         for ctx in self.ranks:
             recv_fn(ctx)
-
-    # -- collectives helpers ------------------------------------------------------
-    def gather_scalars(self, values: dict[int, float]) -> np.ndarray:
-        """Utility: dense array of one scalar per rank (driver-side)."""
-        out = np.zeros(self.size)
-        for r, v in values.items():
-            out[r] = v
-        return out

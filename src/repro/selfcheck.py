@@ -534,16 +534,12 @@ def _telemetry_checks(
         )
         fd, dump_path = tempfile.mkstemp(suffix=".json")
         os.close(fd)
-        prev_autodump = TELEMETRY.autodump_path
-        TELEMETRY.autodump_path = dump_path
         died = False
         try:
-            with FAULTS.inject(plan):
+            with TELEMETRY.autodump_to(dump_path), FAULTS.inject(plan):
                 sim.run(3)
         except FaultError:
             died = True
-        finally:
-            TELEMETRY.autodump_path = prev_autodump
         try:
             doc = load_flight_doc(dump_path)
             kinds = {e["kind"] for e in doc["events"]}

@@ -151,3 +151,47 @@ class TestObservabilityFlags:
         out = capsys.readouterr().out
         assert "repro self-check:" in out
         assert "# trace:" in out
+
+
+class TestObserverStateRestored:
+    """``main`` arms the process-wide observers for its own run only."""
+
+    ARGS = ["--atoms", "256", "--steps", "2", "--nranks", "2"]
+
+    @staticmethod
+    def _observers():
+        from repro.obs import METRICS, TELEMETRY, TRACER
+
+        return (TRACER.enabled, METRICS.enabled, TELEMETRY.enabled,
+                TELEMETRY.autodump_path)
+
+    def _armed(self, tmp_path):
+        return [
+            *self.ARGS, "--trace", str(tmp_path / "t.json"), "--metrics",
+            "--no-telemetry", "--flightrec", str(tmp_path / "f.json"),
+        ]
+
+    def test_failing_call_leaks_nothing(self, tmp_path, capsys):
+        before = self._observers()
+        rc = main([*self._armed(tmp_path), "--faults", str(tmp_path / "missing.json")])
+        assert rc == 2
+        assert "cannot load fault plan" in capsys.readouterr().out
+        assert self._observers() == before
+
+    def test_succeeding_call_leaks_nothing(self, tmp_path, capsys):
+        before = self._observers()
+        assert main(self._armed(tmp_path)) == 0
+        assert "# trace:" in capsys.readouterr().out
+        assert self._observers() == before
+
+    def test_raising_call_leaks_nothing(self, tmp_path, monkeypatch):
+        import repro.cli
+
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(repro.cli, "build_simulation", boom)
+        before = self._observers()
+        with pytest.raises(RuntimeError, match="boom"):
+            main(self._armed(tmp_path))
+        assert self._observers() == before

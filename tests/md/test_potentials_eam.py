@@ -200,3 +200,18 @@ class TestTabulated:
     def test_invalid_cutoff(self):
         with pytest.raises(ValueError):
             SuttonChenEAM(cutoff=-1.0)
+
+
+def test_import_repro_does_not_import_scipy():
+    """SciPy serves :func:`make_cu_like_eam` alone: ``import repro`` (and
+    the analytic Sutton-Chen engine path) must not pay for it."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repro, repro.md.simulation; "
+        "from repro.md.potentials import SuttonChenEAM; SuttonChenEAM(); "
+        "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "scipy was imported by `import repro`"

@@ -224,3 +224,144 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "FAILED kind-match" in err
         assert "cannot diag across kinds" in err
+
+
+# -- the other three differs, on synthetic pairs ---------------------------
+STAGE_SECONDS = {"Pair": 4e-3, "Neigh": 1e-3, "Comm": 2e-3, "Modify": 5e-4,
+                 "Other": 1e-4}
+
+
+def _stages(comm_extra=0.0):
+    return dict(STAGE_SECONDS, Comm=STAGE_SECONDS["Comm"] + comm_extra)
+
+
+def make_scaling(bump=None):
+    """A two-rung repro-scaling/1 doc; ``bump`` (see ``make_rankprof``)
+    slows the 8-rank rung's forward exchange and its Comm stage alike."""
+    extra = sum(e for _, e in bump.values()) if bump else 0.0
+    points = []
+    for ranks, rung_bump, rung_extra in ((4, None, 0.0), (NRANKS, bump, extra)):
+        stages = _stages(rung_extra)
+        points.append({
+            "ranks": ranks,
+            "model": {"stages": stages, "total": 10 * sum(stages.values()),
+                      "per_step": sum(stages.values())},
+            "efficiency": 1.0 if ranks == 4 else 0.9,
+            "rankprof": make_rankprof(bump=rung_bump),
+        })
+    return {"schema": "repro-scaling/1", "label": "synthetic", "points": points}
+
+
+def make_bench(bump=None):
+    """A one-run repro-bench/1 doc carrying the compact rankprof record."""
+    extra = sum(e for _, e in bump.values()) if bump else 0.0
+    stages = _stages(extra)
+    rows = make_rankprof(bump=bump)["phases"]["forward"]["rows"]
+    critpath = dict(rows[0]["attribution"])
+    if bump:
+        cat = next(iter(bump.values()))[0]
+        critpath[cat] = critpath.get(cat, 0.0) + extra / len(bump)
+    return {
+        "schema": "repro-bench/1", "label": "synthetic",
+        "runs": [{
+            "key": "lj/p2p/2x2x2",
+            "model": {"stages": stages, "total": sum(stages.values())},
+            "critpath": {"attribution": critpath},
+            "rankprof": {
+                "phase": "forward",
+                "ranks": [{k: r[k] for k in ("rank", "completion", "attribution",
+                                             "natoms")} for r in rows],
+            },
+        }],
+    }
+
+
+def make_trace(hops=1, nbytes=4096, slow_rank=None):
+    """A Chrome trace of one simulated 4-rank round; ``slow_rank`` injects
+    ten times the messages of everyone else."""
+    from repro.network.simulator import Message, NetworkSimulator
+    from repro.obs import observe
+    from repro.obs.export import chrome_trace_events
+
+    messages = [
+        Message(nbytes=nbytes, hops=hops, rank=rank, thread=0, tni=rank)
+        for rank in range(4)
+        for _ in range(30 if rank == slow_rank else 3)
+    ]
+    with observe(metrics=False) as (tracer, _):
+        NetworkSimulator().run_round(messages)
+    return chrome_trace_events(tracer)
+
+
+def _assert_report_shape(report, kind):
+    """What the rankprof class asserts of every report: a valid document,
+    ranked findings whose shares sum to one."""
+    doc = report.to_dict()
+    assert doc["kind"] == kind
+    assert validate_diag_doc(doc) == len(report.findings) >= 1
+    assert sum(f.share for f in report.findings) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("make", [make_scaling, make_bench], ids=["scaling", "bench"])
+class TestScalingAndBenchDiag:
+    def test_identical_docs_have_no_findings(self, make):
+        report = diagnose(make(), make())
+        assert report.findings == [] and report.delta == 0.0
+        assert "no significant deltas" in report.verdict
+
+    def test_single_rank_fault_bump_is_imbalance_shaped(self, make):
+        report = diagnose(make(), make(bump={2: ("fault", 5e-5)}))
+        _assert_report_shape(report, make.__name__[5:])
+        top = report.findings[0]
+        assert top.cohort == (2,)
+        assert top.category == "fault"
+        assert top.shape == "imbalance"
+        assert top.stage == "Comm"
+        assert top.delta == pytest.approx(5e-5, rel=1e-6)
+
+    def test_uniform_wire_growth_is_wire_shaped(self, make):
+        bump = {r: ("wire", 2e-5) for r in range(NRANKS)}
+        top = diagnose(make(), make(bump=bump)).findings[0]
+        assert top.shape == "wire" and top.category == "wire"
+        assert len(top.cohort) == NRANKS
+
+    def test_improvement_keeps_the_sign(self, make):
+        report = diagnose(make(bump={3: ("inject", 4e-5)}), make())
+        top = report.findings[0]
+        assert top.delta < 0 and report.delta < 0
+        assert top.cohort == (3,)
+        assert "improved" in report.verdict
+
+
+class TestScalingDiagScope:
+    def test_only_the_moved_rung_is_reported(self):
+        report = diagnose(make_scaling(), make_scaling(bump={2: ("fault", 5e-5)}))
+        assert [f.scope for f in report.findings] == [f"ranks={NRANKS}"]
+        assert "efficiency" in report.findings[0].detail
+        assert report.findings[0].evidence["rank"] == 2
+
+
+class TestTraceDiag:
+    def test_identical_traces_have_no_findings(self):
+        report = diagnose(make_trace(), make_trace())
+        assert report.kind == "trace" and report.findings == []
+
+    def test_longer_routes_are_wire_shaped(self):
+        report = diagnose(make_trace(hops=1), make_trace(hops=12))
+        _assert_report_shape(report, "trace")
+        top = report.findings[0]
+        assert top.scope == "trace" and top.stage == "Comm"
+        assert top.delta > 0 and top.category == "wire" and top.shape == "wire"
+        assert top.evidence["name"]
+
+    def test_larger_messages_are_overhead_shaped(self):
+        top = diagnose(make_trace(nbytes=1024), make_trace(nbytes=65536)).findings[0]
+        assert top.category == "tni" and top.shape == "overhead"
+
+    def test_one_busy_rank_is_imbalance_shaped(self):
+        top = diagnose(make_trace(), make_trace(slow_rank=1)).findings[0]
+        assert top.cohort == (1,) and top.shape == "imbalance"
+
+    def test_improvement_keeps_the_sign(self):
+        report = diagnose(make_trace(hops=12), make_trace(hops=1))
+        assert report.findings[0].delta < 0 and "improved" in report.verdict

@@ -109,3 +109,35 @@ class TestSimulationKnobs:
         plain.run(4)
         windowed.run(4)
         assert np.array_equal(plain.gather_positions(), windowed.gather_positions())
+
+
+class TestLazyFold:
+    def test_queries_between_phase_appends_and_a_trim_match_unbounded(self):
+        """The fold's only state is how far it got: a query after every
+        ``record_phase`` — some folding fresh records, some right after
+        the window trimmed folded and unfolded ones alike — answers as
+        an unbounded twin does."""
+        bounded, unbounded = TrafficLog(), TrafficLog()
+        bounded.set_window(20)
+        msgs = _msgs(400, seed=11)
+        trimmed = False
+        for k, size in enumerate((7, 1, 30, 2, 60, 5, 45, 3, 90, 157)):
+            chunk, msgs = msgs[:size], msgs[size:]
+            before = len(bounded.messages)
+            for log in (bounded, unbounded):
+                log.record_phase(chunk, sum(m.nbytes for m in chunk))
+            trimmed |= len(bounded.messages) < before + size
+            if k % 3 == 2:
+                continue  # let two appends accumulate before the next fold
+            for phase in (None, "border", "forward", "reverse", "absent"):
+                assert bounded.count(phase) == unbounded.count(phase)
+                assert bounded.total_bytes(phase) == unbounded.total_bytes(phase)
+                assert bounded.count_by_rank(phase) == unbounded.count_by_rank(phase)
+                assert bounded.pairs(phase) == unbounded.pairs(phase)
+                assert bounded.summary(phase) == unbounded.summary(phase)
+        assert not msgs and trimmed
+        assert len(bounded.messages) <= 40 < len(unbounded.messages) == 400
+        assert bounded.messages[-1] is unbounded.messages[-1]
+        assert (bounded.grand_total_count, bounded.grand_total_bytes) == (
+            unbounded.grand_total_count, unbounded.grand_total_bytes
+        )
