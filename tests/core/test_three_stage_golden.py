@@ -1,9 +1,12 @@
-"""3-stage exchange outputs, pinned as digests taken at the pre-round-table commit.
+"""Exchange outputs, pinned as digests taken before the code that makes them changed.
 
 ``golden_three_stage.json`` was written by this module's ``--write``
 entry point at the last commit whose ``ThreeStageExchange`` had its own
 per-swap send/recv bodies; the exchange has ridden the shared plan
-replay since, and must reproduce every digest bit for bit.  Only
+replay since, and must reproduce every digest bit for bit.
+``golden_p2p.json`` was written the same way for the p2p family at the
+last commit whose border stage built ``SendRoute`` / ``RecvRoute``
+objects (``--write-p2p``; the 3-stage file stays byte-unchanged).  Only
 exchange-level outputs are hashed — gathers, IEEE adds and sequential
 ``bincount`` sums, so the digests do not depend on the platform — and
 float arrays as ``arr + 0.0`` (``-0.0 == 0.0``, as every bit-identity
@@ -13,6 +16,7 @@ Regenerate (only when the *inputs* below change, never to absorb a
 behaviour change)::
 
     PYTHONPATH=src python tests/core/test_three_stage_golden.py --write
+    PYTHONPATH=src python tests/core/test_three_stage_golden.py --write-p2p
 """
 
 import hashlib
@@ -23,13 +27,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import ThreeStageExchange
+from repro.core import FineGrainedP2PExchange, P2PExchange, ThreeStageExchange
 from repro.md import Box, Domain
 from repro.md.atoms import Atoms
 from repro.md.lattice import fcc_lattice
 from repro.runtime import World
 
 GOLDEN = Path(__file__).with_name("golden_three_stage.json")
+GOLDEN_P2P = Path(__file__).with_name("golden_p2p.json")
 
 #: name -> (grid, atoms, box edge, rcomm, radius); atoms == "fcc" is the
 #: `lj-3stage-27r` ledger shape (864 atoms, sub-box 3.36 < 2 x rcomm, so
@@ -43,10 +48,38 @@ SHAPES = {
     "sparse": ((2, 2, 2), 6, 12.0, 2.0, 1),  # ranks with nothing to send
 }
 
+#: name -> (class, newton, rdma, grid, atoms, box edge, rcomm, radius); the
+#: "fcc" rows are the `lj-strong-27r` ledger shape (r_comm = 0.83 a).
+P2P_SHAPES = {
+    "p2p-half13": (P2PExchange, True, False, (3, 3, 3), "fcc", 10.08, 2.8, 1),
+    "p2p-full26": (P2PExchange, False, False, (3, 3, 3), "fcc", 10.08, 2.8, 1),
+    "p2p-half13-rdma": (P2PExchange, True, True, (3, 3, 3), "fcc", 10.08, 2.8, 1),
+    "p2p-full26-rdma": (P2PExchange, False, True, (3, 3, 3), "fcc", 10.08, 2.8, 1),
+    "parallel-half13-rdma": (FineGrainedP2PExchange, True, True, (3, 3, 3), "fcc", 10.08, 2.8, 1),
+    "parallel-full26": (FineGrainedP2PExchange, False, False, (3, 3, 3), 500, 12.0, 2.0, 1),
+    # the +1 and -1 neighbours of an axis are one rank: only tags tell routes apart
+    "repeated-peers": (P2PExchange, True, False, (2, 2, 2), 300, 12.0, 2.0, 1),
+    "repeated-peers-rdma": (FineGrainedP2PExchange, True, True, (2, 2, 2), 300, 12.0, 5.5, 1),
+    "radius2": (P2PExchange, True, False, (4, 2, 2), 400, 12.0, 3.5, 2),  # rcomm > sub-box edge
+    "radius2-full-rdma": (P2PExchange, False, True, (3, 2, 2), 600, 12.0, 1.5, 2),
+    "sparse": (P2PExchange, True, False, (2, 2, 2), 6, 12.0, 2.0, 1),  # ranks with nothing to send
+}
 
-def _exchange(name: str) -> ThreeStageExchange:
-    grid, natoms, edge, rcomm, radius = SHAPES[name]
-    rng = np.random.default_rng(sorted(SHAPES).index(name))
+
+def _exchange(name: str):
+    if name in SHAPES:
+        grid, natoms, edge, rcomm, radius = SHAPES[name]
+        seed = sorted(SHAPES).index(name)
+        make = lambda world, domain: ThreeStageExchange(  # noqa: E731
+            world, domain, rcomm=rcomm, radius=radius
+        )
+    else:
+        cls, newton, rdma, grid, natoms, edge, rcomm, radius = P2P_SHAPES[name]
+        seed = 100 + sorted(P2P_SHAPES).index(name)
+        make = lambda world, domain: cls(  # noqa: E731
+            world, domain, rcomm, newton=newton, radius=radius, rdma=rdma
+        )
+    rng = np.random.default_rng(seed)
     box = Box((0, 0, 0), (edge,) * 3)
     if natoms == "fcc":
         x, _ = fcc_lattice((6, 6, 6), edge / 6)
@@ -63,7 +96,7 @@ def _exchange(name: str) -> ThreeStageExchange:
             x[idx], np.zeros((idx.size, 3)), idx.astype(np.int64), (idx % 3).astype(np.int32)
         )
         world.ranks[rank].state["atoms"] = atoms
-    return ThreeStageExchange(world, domain, rcomm=rcomm, radius=radius)
+    return make(world, domain), seed
 
 
 class _Digest:
@@ -88,12 +121,22 @@ def _plain(tag: tuple) -> tuple:
     return tuple(int(t) if isinstance(t, (int, np.integer)) else t for t in tag)
 
 
+def routes_of(ex, rank: int) -> tuple[list[tuple], list[tuple]]:
+    """``rank``'s ``(peer, send_idx, shift, tag, hops)`` per send route and
+    ``(peer, start, count, tag, hops)`` per recv route, in route order."""
+    routes = ex.routes[rank]
+    return (
+        [(s.peer, s.send_idx, s.shift, s.tag, s.hops) for s in routes.sends],
+        [(v.peer, v.recv_start, v.recv_count, v.tag, v.hops) for v in routes.recvs],
+    )
+
+
 def digests(name: str) -> dict[str, str]:
     """Section -> SHA-256 of everything the exchange produced for it."""
-    ex = _exchange(name)
+    ex, seed = _exchange(name)
     world = ex.world
     ranks = range(world.size)
-    rng = np.random.default_rng(1000 + sorted(SHAPES).index(name))
+    rng = np.random.default_rng(1000 + seed)
     out: dict[str, str] = {}
 
     ex.borders()
@@ -105,10 +148,11 @@ def digests(name: str) -> dict[str, str]:
 
     d = _Digest()
     for r in ranks:
-        for s in ex.routes[r].sends:
-            d.add(int(s.peer), s.send_idx.astype(np.int64), s.shift, _plain(s.tag), int(s.hops))
-        for v in ex.routes[r].recvs:
-            d.add(int(v.peer), int(v.recv_start), int(v.recv_count), _plain(v.tag), int(v.hops))
+        sends, recvs = routes_of(ex, r)
+        for peer, send_idx, shift, tag, hops in sends:
+            d.add(int(peer), send_idx.astype(np.int64), shift, _plain(tag), int(hops))
+        for peer, start, count, tag, hops in recvs:
+            d.add(int(peer), int(start), int(count), _plain(tag), int(hops))
     out["routes"] = d.hex()
 
     d = _Digest()
@@ -157,6 +201,12 @@ def test_matches_pre_round_table_digests(name):
     assert digests(name) == golden[name]
 
 
+@pytest.mark.parametrize("name", list(P2P_SHAPES))
+def test_p2p_matches_route_object_digests(name):
+    golden = json.loads(GOLDEN_P2P.read_text())
+    assert digests(name) == golden[name]
+
+
 def traced_event_classes(path: Path) -> dict[str, int]:
     """Event multiset of a traced 5-step ``--pattern 3stage`` CLI run,
     keyed by ``(name, cat, ph, sorted arg keys)``."""
@@ -186,6 +236,12 @@ def test_traced_run_event_multiset(tmp_path, capsys):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--write-p2p"]:
+        GOLDEN_P2P.write_text(
+            json.dumps({name: digests(name) for name in P2P_SHAPES}, indent=1) + "\n"
+        )
+        print(f"wrote {GOLDEN_P2P}")
+        sys.exit(0)
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
     import tempfile
