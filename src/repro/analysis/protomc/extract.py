@@ -260,46 +260,40 @@ def model_from_exchange(
     slot_atoms: int = 0,
     label: str | None = None,
 ) -> CommModel:
-    """Model a *live* exchange from its built route tables.
+    """Model a *live* exchange from its installed epoch: static round
+    geometry (peers, tags) x the border stage's bounds (atom counts).
 
-    Call after ``exchange.borders()`` so the routes exist.  Forward
-    tags are shared by both endpoints of a route, so the reverse stage
-    is the exact flip: sends retrace recv routes and vice versa.
+    Call after ``exchange.borders()``.  Forward tags are shared by both
+    endpoints of a route, so the reverse stage is the exact flip: sends
+    retrace recv routes and vice versa.
     """
     programs: list[tuple[Op, ...]] = []
     n_ranks = exchange.world.size
     rdma = bool(getattr(exchange, "rdma", False))
-    for rank in range(n_ranks):
-        routes = exchange.routes[rank]
+    for rank, plan in enumerate(exchange._current().plans):
+        # (peer, tag, atoms) of every route to or from another rank
+        sends, recvs = (
+            [
+                (peer, tuple(tag), hi - lo)
+                for k in range(exchange.n_rounds)
+                for peer, lo, hi, tag in routes(k)
+                if peer != rank
+            ]
+            for routes in (plan.sends, plan.recvs)
+        )
         ops: list[Op] = []
         for stage in ("borders", "forward"):
             prefix = _STAGE_TAG[stage]
-            for s in routes.sends:
-                if s.peer != rank:
-                    ops.append(
-                        Op(SEND, rank, s.peer, (prefix,) + tuple(s.tag),
-                           stage, s.count)
-                    )
-            for r in routes.recvs:
-                if r.peer != rank:
-                    ops.append(
-                        Op(RECV, rank, r.peer, (prefix,) + tuple(r.tag),
-                           stage, r.recv_count)
-                    )
+            for peer, tag, count in sends:
+                ops.append(Op(SEND, rank, peer, (prefix,) + tag, stage, count))
+            for peer, tag, count in recvs:
+                ops.append(Op(RECV, rank, peer, (prefix,) + tag, stage, count))
             if rdma:
                 ops.append(Op(FENCE, rank, -1, ("stage", stage), stage))
-        for r in routes.recvs:  # reverse: forces back along recv routes
-            if r.peer != rank:
-                ops.append(
-                    Op(SEND, rank, r.peer, ("rev",) + tuple(r.tag),
-                       "reverse", r.recv_count)
-                )
-        for s in routes.sends:
-            if s.peer != rank:
-                ops.append(
-                    Op(RECV, rank, s.peer, ("rev",) + tuple(s.tag),
-                       "reverse", s.count)
-                )
+        for peer, tag, count in recvs:  # reverse: forces back along recv routes
+            ops.append(Op(SEND, rank, peer, ("rev",) + tag, "reverse", count))
+        for peer, tag, count in sends:
+            ops.append(Op(RECV, rank, peer, ("rev",) + tag, "reverse", count))
         if rdma:
             ops.append(Op(FENCE, rank, -1, ("stage", "reverse"), "reverse"))
         programs.append(tuple(ops))

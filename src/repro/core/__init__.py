@@ -43,7 +43,7 @@ from repro.core.analytic import (
     analyze_three_stage,
     timing_model,
 )
-from repro.core.exchange_base import GhostExchange, RecvRoute, SendRoute
+from repro.core.exchange_base import GhostExchange, NoEpochError
 from repro.core.three_stage import ThreeStageExchange
 from repro.core.p2p import P2PExchange
 from repro.core.fine_p2p import FineGrainedP2PExchange, ThreadAssignment
@@ -83,8 +83,7 @@ __all__ = [
     "analyze_p2p",
     "timing_model",
     "GhostExchange",
-    "SendRoute",
-    "RecvRoute",
+    "NoEpochError",
     "ThreeStageExchange",
     "P2PExchange",
     "FineGrainedP2PExchange",

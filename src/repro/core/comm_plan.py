@@ -1,24 +1,35 @@
-"""Persistent per-rank communication plans and pooled flat buffers.
+"""Static round geometry, per-epoch plan arrays and pooled flat buffers.
 
 The paper's §3.4 discipline — compute addresses and sizes once,
 pre-register, then reuse every step — applied to the *functional*
-exchange hot path.  After the border stage rebuilds the routes, each
-rank's forward/reverse replay is fully determined: which atom rows to
-gather, which PBC shift each row gets, which peer/tag each contiguous
-segment goes to, and where received blocks land.  A :class:`RankPlan`
-freezes all of that into flat arrays at plan-build time so the per-step
-work collapses to
+exchange hot path.  What the exchange knows splits in two:
+
+* **Static** (:class:`RoundGeometry`, built once per run): everything
+  about a neighbour that the decomposition fixes — peer, tags (base and
+  on the wire, per phase), hops, PBC shift, and which of the sender's
+  sends each receive pairs with.  A route's peer, tag and hops live here
+  and nowhere else.
+* **An epoch** (:class:`Epoch`, one per border stage): per rank four
+  arrays in a :class:`RankPlan` — which atom rows to gather
+  (``fwd_idx``), the shift each row gets (``shift_rows``), where each
+  send's rows sit in the packed buffer (``send_bounds``) and where each
+  received block lands (``recv_bounds``) — the one offset and one length
+  per neighbour the border stage piggybacks.  A route is geometry x
+  bounds; the border stage writes the arrays as it packs and lands each
+  round, and the next one replaces the epoch whole, together with
+  everything derived from it (wiring, traffic records, priced times).
+
+Per :class:`Round` of the schedule (one for the direct-neighbour
+patterns, one per swap for the staged 3-stage sweep) the per-step work
+is
 
 * **pack**: one ``np.take`` gather into a pooled send buffer plus one
   vectorized shift add (forward), and
 * **unpack**: one signed ``bincount`` scatter-add over the concatenated
   contributions (reverse) — the one drain under all three delivery
-  planes (direct, mailbox, RDMA rings), so they stay bit-identical
+  planes (direct, mailbox, RDMA rings), so they stay bit-identical.
 
-per :class:`Round` of the plan's schedule: one round for the
-direct-neighbour patterns, one per swap for the staged 3-stage sweep.
-
-Buffers live in a :class:`BufferPool` that persists across plan rebuilds
+Buffers live in a :class:`BufferPool` that persists across epochs
 (reneighboring changes the *indices*, not the buffer capacity) and is
 sized from the :class:`~repro.core.ghost.GhostBudget` analytic maximum
 like the RDMA rings — growth is a counted fallback, not the steady
@@ -39,15 +50,12 @@ Bit-identity notes (load-bearing, do not "simplify"):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.ghost import GhostBudget
 from repro.md.kernels import scatter_add_scalar, scatter_signed_vec
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (exchange_base imports us)
-    from repro.core.exchange_base import RecvRoute, SendRoute
 
 
 class BufferPool:
@@ -108,33 +116,42 @@ class BufferPool:
         return total
 
 
-class _Segment:
-    """One contiguous slice of the packed buffer bound to a peer/tag."""
+class RoundGeometry:
+    """What never changes about one rank's part in one round: the domain
+    decomposition and the rank grid are fixed for a run, so peers, PBC
+    shifts, tags and hop counts are computed once (only the atom
+    selection is per-epoch work).
 
-    __slots__ = ("peer", "start", "stop", "tag", "nbytes_vec", "nbytes_scalar")
+    Built from one ``(peer, shift, tag, hops)`` per send and one ``(src,
+    tag, hops, src's send slot in the round)`` per receive; the slot is
+    the static send<->recv pairing.
+    """
 
-    def __init__(self, peer: int, start: int, stop: int, tag: tuple) -> None:
-        self.peer = peer
-        self.start = start
-        self.stop = stop
-        self.tag = tag
-        n = stop - start
-        self.nbytes_vec = n * 24  # 3 x float64
-        self.nbytes_scalar = n * 8
+    __slots__ = (
+        "send_peers", "send_tags", "send_hops", "shifts",
+        "recv_peers", "recv_tags", "recv_hops", "recv_slots", "_wire",
+    )
 
+    def __init__(self, sends: list[tuple], recvs: list[tuple]) -> None:
+        self.send_peers, shifts, self.send_tags, self.send_hops = map(list, zip(*sends))
+        self.shifts = np.array(shifts)  # (n_sends, 3)
+        self.recv_peers, self.recv_tags, self.recv_hops, self.recv_slots = map(
+            list, zip(*recvs)
+        )
+        self._wire: dict[str, tuple[list[tuple], list[tuple]]] = {}
 
-class _RecvSegment:
-    """One incoming ghost block (destination range in the atom arrays)."""
-
-    __slots__ = ("peer", "lo", "n", "tag", "nbytes_vec", "nbytes_scalar")
-
-    def __init__(self, peer: int, lo: int, n: int, tag: tuple) -> None:
-        self.peer = peer
-        self.lo = lo
-        self.n = n
-        self.tag = tag
-        self.nbytes_vec = n * 24
-        self.nbytes_scalar = n * 8
+    def wire_tags(self, phase: str | None) -> tuple[list[tuple], list[tuple]]:
+        """(send tags, recv tags) as ``phase`` puts them on the wire (the
+        base tags for ``None``)."""
+        if phase is None:
+            return self.send_tags, self.recv_tags
+        tags = self._wire.get(phase)
+        if tags is None:
+            tags = self._wire[phase] = (
+                [tag + (phase,) for tag in self.send_tags],
+                [tag + (phase,) for tag in self.recv_tags],
+            )
+        return tags
 
 
 class Round(NamedTuple):
@@ -149,8 +166,8 @@ class Round(NamedTuple):
     rows: slice  # this round's rows of fwd_idx / shift_rows / the buffer
     idx: np.ndarray  # fwd_idx[rows]
     shifts: np.ndarray  # shift_rows[rows]
-    sends: slice  # its send_segments
-    recvs: slice  # its recv_segments
+    sends: slice  # its sends, as positions in send_bounds
+    recvs: slice  # its receives, as positions in recv_bounds
     #: reverse scatters touch ``data[:scatter_len]`` only: the rows below
     #: the round's own landing zone.  Every send row lies there (it was
     #: present before the round's ghosts were appended) and the ghost rows
@@ -160,100 +177,71 @@ class Round(NamedTuple):
 
 
 class RankPlan:
-    """Frozen replay plan for one rank, valid until reneighboring."""
+    """One rank's four epoch arrays over its static geometry.
+
+    ``fwd_idx`` / ``shift_rows`` are the gather the border stage packed
+    through; send ``j`` owns buffer rows ``send_bounds[j]:send_bounds[j +
+    1]`` and receive ``i`` lands in atom rows ``recv_bounds[i]:
+    recv_bounds[i + 1]`` — sends and receives numbered round-major, as the
+    geometry lists them.
+    """
 
     __slots__ = (
-        "n_pack",
-        "fwd_idx",
-        "shift_rows",
-        "send_segments",
-        "recv_segments",
-        "rounds",
-        "pool",
-        "_tag_cache",
+        "geom", "fwd_idx", "shift_rows", "send_bounds", "recv_bounds",
+        "n_pack", "rounds", "pool",
     )
 
     def __init__(
         self,
-        sends: list[SendRoute],
-        recvs: list[RecvRoute],
-        nlocal: int,
+        geom: list[RoundGeometry],
+        fwd_idx: np.ndarray,
+        shift_rows: np.ndarray,
+        send_bounds: np.ndarray,
+        recv_bounds: np.ndarray,
         pool: BufferPool,
-        flat: tuple[np.ndarray, np.ndarray] | None = None,
-        n_rounds: int = 1,
     ) -> None:
-        counts = [route.count for route in sends]
-        self.n_pack = int(sum(counts))
-        if flat is not None:
-            # The border stage gathered through these very arrays (every
-            # send_idx is a slice of fwd_idx): take them as given.
-            self.fwd_idx, self.shift_rows = flat
-        elif self.n_pack:
-            self.fwd_idx = np.concatenate([route.send_idx for route in sends])
-            # Per-row shift table: adding it is bit-identical to the seed's
-            # per-route broadcast add (same addends, same dtype).
-            self.shift_rows = np.repeat(
-                np.stack([route.shift for route in sends]), counts, axis=0
-            )
-        else:
-            self.fwd_idx = np.empty(0, dtype=np.intp)
-            self.shift_rows = np.empty((0, 3), dtype=np.float64)
-        self.send_segments: list[_Segment] = []
-        cursor = 0
-        for route, n in zip(sends, counts):
-            self.send_segments.append(
-                _Segment(route.peer, cursor, cursor + n, route.tag)
-            )
-            cursor += n
-        self.recv_segments = [
-            _RecvSegment(route.peer, route.recv_start, route.recv_count, route.tag)
-            for route in recvs
-        ]
-        # Routes arrive in round order, so a round is a run of each list.
+        self.geom = geom
+        self.fwd_idx = fwd_idx
+        self.shift_rows = shift_rows
+        self.send_bounds = send_bounds
+        self.recv_bounds = recv_bounds
+        self.n_pack = int(send_bounds[-1])
+        self.pool = pool
         self.rounds: list[Round] = []
-        s = r = row = 0
-        for k in range(n_rounds):
-            s_lo, r_lo, row_lo = s, r, row
-            while s < len(sends) and sends[s].round == k:
-                row += counts[s]
-                s += 1
-            while r < len(recvs) and recvs[r].round == k:
-                r += 1
-            rows = slice(row_lo, row)
+        s = r = 0
+        for g in geom:
+            s_hi, r_hi = s + len(g.send_peers), r + len(g.recv_peers)
+            rows = slice(int(send_bounds[s]), int(send_bounds[s_hi]))
             self.rounds.append(
                 Round(
-                    rows,
-                    self.fwd_idx[rows],
-                    self.shift_rows[rows],
-                    slice(s_lo, s),
-                    slice(r_lo, r),
-                    recvs[r_lo].recv_start if r_lo < r else nlocal,
+                    rows, fwd_idx[rows], shift_rows[rows],
+                    slice(s, s_hi), slice(r, r_hi), int(recv_bounds[r]),
                 )
             )
-        self.pool = pool
-        self._tag_cache: dict[str, tuple[list[tuple], list[tuple]]] = {}
+            s, r = s_hi, r_hi
 
-    # -- tags ---------------------------------------------------------------
-    def tags(self, phase: str) -> tuple[list[tuple], list[tuple]]:
-        """(send tags, recv tags) for ``phase``, built once per plan."""
-        cached = self._tag_cache.get(phase)
-        if cached is None:
-            cached = (
-                [seg.tag + (phase,) for seg in self.send_segments],
-                [seg.tag + (phase,) for seg in self.recv_segments],
-            )
-            self._tag_cache[phase] = cached
-        return cached
+    # -- routes: geometry x bounds -------------------------------------------
+    def sends(self, k: int, phase: str | None = None) -> zip:
+        """``(peer, start, stop, tag)`` of every send of round ``k``: its
+        rows of the packed buffer and its tag on ``phase``'s wire (the
+        base tag without a phase)."""
+        at = self.rounds[k].sends
+        bounds = self.send_bounds[at.start : at.stop + 1].tolist()
+        g = self.geom[k]
+        return zip(g.send_peers, bounds, bounds[1:], g.wire_tags(phase)[0])
 
-    def round_sends(self, k: int, phase: str) -> zip:
-        """(segment, ``phase`` tag) of every send of round ``k``."""
-        sends = self.rounds[k].sends
-        return zip(self.send_segments[sends], self.tags(phase)[0][sends])
+    def recvs(self, k: int, phase: str | None = None) -> zip:
+        """``(peer, lo, hi, tag)`` of every receive of round ``k``: its
+        rows of the atom arrays."""
+        at = self.rounds[k].recvs
+        bounds = self.recv_bounds[at.start : at.stop + 1].tolist()
+        g = self.geom[k]
+        return zip(g.recv_peers, bounds, bounds[1:], g.wire_tags(phase)[1])
 
-    def round_recvs(self, k: int, phase: str) -> zip:
-        """(segment, ``phase`` tag) of every receive of round ``k``."""
-        recvs = self.rounds[k].recvs
-        return zip(self.recv_segments[recvs], self.tags(phase)[1][recvs])
+    def send_sizes(self) -> tuple[list[int], list[int]]:
+        """(atom count, hops) of every send, round-major."""
+        hops = [h for g in self.geom for h in g.send_hops]
+        return np.diff(self.send_bounds).tolist(), hops
 
     # -- pack / unpack ------------------------------------------------------
     def buffer(self, vec: bool) -> np.ndarray:
@@ -285,3 +273,61 @@ class RankPlan:
             scatter_signed_vec(owned, rnd.idx, buf[rnd.rows], 1)
         else:
             scatter_add_scalar(owned, rnd.idx, buf[rnd.rows])
+
+
+def pair_table(geom: list[list[RoundGeometry]]) -> list[tuple[np.ndarray, ...]]:
+    """The static send<->recv pairing of the whole world, per round:
+    ``(src, send position, dst, recv position)`` columns, one row per
+    route, positions indexing the rank-concatenated ``send_bounds`` /
+    ``recv_bounds`` (``n + 1`` entries per rank).  ``geom[rank][k]`` is
+    the rank's part in round ``k``."""
+
+    def firsts(counts: list[list[int]]) -> np.ndarray:
+        # (ranks, rounds) route counts -> where each one's first route sits
+        n = np.array(counts)
+        per_rank = n.sum(axis=1) + 1
+        return (np.cumsum(per_rank) - per_rank)[:, None] + np.cumsum(n, axis=1) - n
+
+    s_first = firsts([[len(g.send_peers) for g in rounds] for rounds in geom])
+    r_first = firsts([[len(g.recv_peers) for g in rounds] for rounds in geom])
+    table = []
+    for k in range(len(geom[0])):
+        rows = [
+            (src, s_first[src][k] + slot, dst, r_first[dst][k] + i)
+            for dst, rounds in enumerate(geom)
+            for i, (src, slot) in enumerate(zip(rounds[k].recv_peers, rounds[k].recv_slots))
+        ]
+        table.append(tuple(np.array(rows, dtype=np.intp).T))
+    return table
+
+
+class Epoch:
+    """What one border stage decided, world-wide: every rank's
+    :class:`RankPlan` and everything derived from them.  Installed whole
+    when the stage completes and dropped whole by the next migration, so
+    invalidating any of it is replacing the epoch."""
+
+    __slots__ = ("plans", "deliveries", "records", "priced", "schedules")
+
+    def __init__(self, plans: list[RankPlan], pairs: list[tuple[np.ndarray, ...]]) -> None:
+        self.plans = plans
+        #: the direct plane's wiring: per round ``(src, s, e, dst, lo, hi)``
+        #: rows — packed rows ``s:e`` of ``src`` are ghost rows ``lo:hi`` of
+        #: ``dst`` — or ``None`` when a pairing's two counts disagree
+        #: (sabotaged bounds), which keeps the epoch off the direct plane.
+        self.deliveries: list[list[list[int]]] | None = []
+        send_bounds = np.concatenate([plan.send_bounds for plan in plans])
+        recv_bounds = np.concatenate([plan.recv_bounds for plan in plans])
+        for src, s_at, dst, r_at in pairs:
+            s, e = send_bounds[s_at], send_bounds[s_at + 1]
+            lo, hi = recv_bounds[r_at], recv_bounds[r_at + 1]
+            if not np.array_equal(e - s, hi - lo):
+                self.deliveries = None
+                break
+            self.deliveries.append(np.stack((src, s, e, dst, lo, hi), axis=1).tolist())
+        #: (phase, vec, forward) -> the phase's traffic records and byte sum
+        self.records: dict = {}
+        #: modeled times (:mod:`repro.core.modeling`)
+        self.priced: dict = {}
+        #: (rank, bytes per atom) -> LPT schedule (fine-grained p2p)
+        self.schedules: dict = {}

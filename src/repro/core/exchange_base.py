@@ -1,21 +1,25 @@
 """Shared machinery of the ghost-exchange implementations.
 
-Both patterns (3-stage and p2p) reduce to the same route abstraction:
-after the **border** stage, each rank holds
-
-* :class:`SendRoute` s — (peer, local/ghost indices to pack, PBC shift to
-  apply, tag, round), and
-* :class:`RecvRoute` s — (peer, destination ghost range, tag, round),
-
-and the **forward** (positions owner->ghost), **reverse** (forces
+Both patterns (3-stage and p2p) reduce to the same route abstraction: a
+*route* is one neighbour's **static** part — peer, PBC shift, tag, hops,
+round, held in the run's :class:`~repro.core.comm_plan.RoundGeometry`
+table — times the **epoch's** bounds — which rows are packed for it and
+where its block lands, the numbers the **border** stage writes as it
+packs and delivers each round (:class:`~repro.core.comm_plan.Epoch`).
+The **forward** (positions owner->ghost), **reverse** (forces
 ghost->owner) and EAM mid-pair scalar exchanges are generic replays of
-those routes, one *round* at a time.  A pattern is a schedule: what a
-subclass adds is its rounds' geometry (peers, shifts, tags) and which
-atoms each round selects — p2p one round to every shell neighbour,
-3-stage one round per swap, each packing what the earlier ones delivered.  The PBC shift is applied by the *sender* (as real LAMMPS
+the installed epoch, one *round* at a time.  A pattern is a schedule:
+what a subclass adds is its rounds' geometry (peers, shifts, tags) and
+which atoms each round selects — p2p one round to every shell neighbour,
+3-stage one round per swap, each packing what the earlier ones
+delivered.  The PBC shift is applied by the *sender* (as real LAMMPS
 does in its pack kernels) so the RDMA path — where data lands directly
 in the remote array with no receiver-side unpack — is identical in
 content to the message path.
+
+An epoch exists from the end of a completed ``borders()`` to the next
+``exchange()`` (migration): replaying without one is a
+:class:`NoEpochError`, and a border stage that escalates installs none.
 
 The base class also does atom migration (**exchange** stage) and traffic
 modelling: every executed phase can report the message schedule it just
@@ -24,12 +28,11 @@ performed, which the perfmodel prices on the network simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.comm_plan import BufferPool, RankPlan
+from repro.core.comm_plan import BufferPool, Epoch, RankPlan, RoundGeometry, pair_table
 from repro.core.ghost import GhostBudget
 from repro.faults.injector import FAULTS, RetryExhaustedError
 from repro.md.atoms import Atoms
@@ -43,65 +46,15 @@ from repro.runtime.transport import SentMessage
 from repro.runtime.world import World
 
 
-@dataclass
-class SendRoute:
-    """One outgoing message route of the forward stage."""
-
-    peer: int
-    send_idx: np.ndarray  # indices into the sender's atom arrays
-    shift: np.ndarray  # (3,) PBC shift applied by the sender to positions
-    tag: tuple
-    hops: int = 1
-    round: int = 0  # which round of the pattern's schedule carries it
-
-    @property
-    def count(self) -> int:
-        return int(self.send_idx.shape[0])
-
-
-@dataclass
-class RecvRoute:
-    """One incoming ghost block of the forward stage."""
-
-    peer: int
-    recv_start: int
-    recv_count: int
-    tag: tuple
-    hops: int = 1
-    round: int = 0
-
-
-@dataclass
-class RankRoutes:
-    """All routes of one rank, aligned so replay order is deterministic."""
-
-    sends: list[SendRoute] = field(default_factory=list)
-    recvs: list[RecvRoute] = field(default_factory=list)
-
-    def clear(self) -> None:
-        """Drop all routes (called at the start of every border stage)."""
-        self.sends.clear()
-        self.recvs.clear()
-
-
-class RoundGeometry(NamedTuple):
-    """What never changes about one rank's part in one round: the domain
-    decomposition and the rank grid are fixed for a run, so peers, PBC
-    shifts, tags and hop counts are computed once (only the atom
-    selection is per-call work)."""
-
-    #: per send: (peer, shift, tag, wire tag, hops)
-    sends: list[tuple]
-    #: per recv: (src, tag, wire tag, hops, src's send slot in the round)
-    recvs: list[tuple]
-    shifts: np.ndarray  # (n_sends, 3), the send shifts stacked
+class NoEpochError(RuntimeError):
+    """A replay or schedule was asked for with no border stage to replay."""
 
 
 class _BorderPack(NamedTuple):
     """One rank's packed border payload of one round, sends concatenated."""
 
     idx: np.ndarray  # send rows, send-major
-    bounds: list[int]  # send j owns rows bounds[j]:bounds[j + 1]
+    bounds: list[int]  # the round's send j owns rows bounds[j]:bounds[j + 1]
     shift_rows: np.ndarray
     x: np.ndarray
     tag: np.ndarray
@@ -172,39 +125,26 @@ class GhostExchange:
         self.radius = radius
         # The decomposition is fixed for a run.
         self._subs = [domain.sub_box(world.grid_pos_of(r)) for r in range(world.size)]
-        self.routes: dict[int, RankRoutes] = {
-            r: RankRoutes() for r in range(world.size)
-        }
         # Robustness-layer accounting (only moves under a fault session).
         self.retries = 0
         self.retry_model_time = 0.0
-        # Plan cache (section 3.4 reuse discipline): routes are frozen
-        # into flat RankPlans on first use after every border stage and
-        # replayed until the epoch moves (reneighbor/migration).
-        self._plan_epoch = 0
-        self._plans: dict[int, RankPlan] = {}
-        self._plans_built_epoch = -1
-        # Flat (fwd_idx, shift_rows) per rank while the routes are the ones
-        # the last border stage gathered through them.
-        self._flat: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._pools: dict[int, BufferPool] = {}
+        # Static for the run, built by the first border stage: every
+        # (rank, round)'s geometry and the world's send<->recv pairing.
+        self._geom: list[list[RoundGeometry]] = []
+        self._pairs: list[tuple[np.ndarray, ...]] = []
+        # The one per-epoch value (section 3.4 reuse discipline): what the
+        # last completed border stage wrote, replayed until migration
+        # drops it.  Everything cached per epoch hangs off it.
+        self._epoch: Epoch | None = None
+        self._pools: list[BufferPool] = []
         self._density: float | None = None  # measured at first use
         self._budget: GhostBudget | None = None
-        #: (rank, round) -> static geometry, built by the first border stage
-        self._geom: dict[tuple[int, int], RoundGeometry] = {}
-        self._model_cache: dict = {}
         self._plan_builds = 0
         # Phases delivered without the mailbox (direct and RDMA planes).
         self._fastpath_phases = 0
         # Phases _plane refused the direct plane, by cause (telemetry
         # feed; the always-on plane itself never gates).
-        self._gate_blocks = {"observability": 0, "faults": 0}
-        # Direct-plane wiring (built with the plans), per round: every
-        # send segment resolved to its destination slice, so a replayed
-        # phase is pure slice copies with no per-message mailbox traffic.
-        self._fwd_deliveries: list[list[tuple]] | None = None
-        self._rev_deliveries: list[list[tuple]] | None = None
-        self._phase_msgs: dict = {}
+        self._gate_blocks = {"observability": 0, "faults": 0, "unwired": 0}
 
     # -- helpers ----------------------------------------------------------
     def atoms_of(self, rank: int) -> Atoms:
@@ -235,9 +175,13 @@ class GhostExchange:
         """Peers, shifts, tags and hops of ``rank`` in round ``k``."""
         raise NotImplementedError
 
-    def _select_border(self, rank: int, k: int) -> tuple[np.ndarray, list[int]]:
+    def _select_border(
+        self, rank: int, k: int, landed: list[int]
+    ) -> tuple[np.ndarray, list[int]]:
         """The atom rows ``rank`` sends in round ``k``, send-major with rows
-        ascending within a send, and the row count of each send."""
+        ascending within a send, and the row count of each send.
+        ``landed`` is the rank's receive bounds so far: its local count,
+        then the end row of every block the earlier rounds delivered."""
         raise NotImplementedError
 
     def comm_schedule(self, rank: int, bytes_per_atom: int = 24) -> list[Message]:
@@ -245,8 +189,8 @@ class GhostExchange:
         unless the pattern says otherwise, one thread injects every send
         on TNI 0."""
         return [
-            Message(max(route.count * bytes_per_atom, 8), route.hops, rank, thread=0, tni=0)
-            for route in self.routes[rank].sends
+            Message(max(count * bytes_per_atom, 8), hops, rank, thread=0, tni=0)
+            for count, hops in zip(*self._current().plans[rank].send_sizes())
         ]
 
     def schedule_world(
@@ -258,10 +202,18 @@ class GhostExchange:
         return np.maximum(counts * bytes_per_atom, 8), hops, np.zeros_like(counts)
 
     def _border_setup(self) -> None:
-        """One-time preparation before the first border stage."""
+        """One-time preparation before the first border stage: the run's
+        static geometry."""
+        if not self._geom:
+            self._geom = [
+                [self._round_geometry(rank, k) for k in range(self.n_rounds)]
+                for rank in range(self.world.size)
+            ]
+            self._pairs = pair_table(self._geom)
 
-    def _border_done(self, plane: str) -> None:
-        """After the last round (``plane`` is the one the stage rode)."""
+    def _border_done(self, plane: str, epoch: Epoch) -> None:
+        """After the last round, before ``epoch`` is installed (``plane``
+        is the one the stage rode)."""
 
     def _round_span(self, k: int):
         """Trace span around border round ``k`` (none by default)."""
@@ -276,18 +228,34 @@ class GhostExchange:
             f"{self.name}.{phase}", cat="comm", track="comm", pattern=self.name, phase=phase
         )
 
-    # -- plan cache ----------------------------------------------------------
-    def _clear_routes(self) -> None:
-        """Drop all routes and invalidate cached plans (border stage)."""
-        for rr in self.routes.values():
-            rr.clear()
-        self._invalidate_plans()
+    # -- the epoch ------------------------------------------------------------
+    def _current(self) -> Epoch:
+        """The installed epoch; replaying without one is an error, never a
+        replay of stale rows."""
+        if self._epoch is None:
+            raise NoEpochError(
+                f"{self.name}: no border stage to replay - call borders() first "
+                "(exchange() drops the epoch; a borders() that escalated installed none)"
+            )
+        return self._epoch
 
-    def _invalidate_plans(self) -> None:
-        """Bump the plan epoch: cached plans/model results are stale."""
-        self._plan_epoch += 1
-        self._model_cache.clear()
-        self._flat = {}
+    def _new_epoch(self, arrays: list[tuple[np.ndarray, ...]]) -> Epoch:
+        """An epoch from every rank's ``(fwd_idx, shift_rows, send_bounds,
+        recv_bounds)`` — whoever ran the border stage installs it as
+        ``_epoch`` once the stage has completed."""
+        if not self._pools:
+            budget = self._plan_budget()
+            self._pools = [
+                BufferPool(budget=budget, full_shell=self.full_shell) for _ in arrays
+            ]
+        self._plan_builds += 1
+        return Epoch(
+            [
+                RankPlan(geom, *columns, pool)
+                for geom, columns, pool in zip(self._geom, arrays, self._pools)
+            ],
+            self._pairs,
+        )
 
     def _plan_budget(self) -> GhostBudget:
         """The analytic ghost budget sizing buffer pools (and RDMA rings).
@@ -305,97 +273,32 @@ class GhostExchange:
             self._budget = GhostBudget(a=sub_len, r=self.rcomm, density=self._density)
         return self._budget
 
-    def _plans_current(self) -> dict[int, RankPlan]:
-        """The per-rank plans for the current route epoch (built lazily)."""
-        if self._plans_built_epoch != self._plan_epoch:
-            budget = self._plan_budget()
-            for rank in range(self.world.size):
-                pool = self._pools.get(rank)
-                if pool is None:
-                    pool = BufferPool(budget=budget, full_shell=self.full_shell)
-                    self._pools[rank] = pool
-                rr = self.routes[rank]
-                self._plans[rank] = RankPlan(
-                    sends=rr.sends,
-                    recvs=rr.recvs,
-                    nlocal=self.atoms_of(rank).nlocal,
-                    pool=pool,
-                    # (a plan invalidated without a new border stage is
-                    # rebuilt from the route objects alone)
-                    flat=self._flat.get(rank),
-                    n_rounds=self.n_rounds,
-                )
-            self._wire_deliveries()
-            self._plans_built_epoch = self._plan_epoch
-            self._plan_builds += 1
-        return self._plans
-
-    def _wire_deliveries(self) -> None:
-        """Pair every send segment with its destination recv segment.
-
-        In the lockstep world each send route has exactly one matching
-        recv route on the peer (same base tag, mirrored peer), so the
-        forward stage can write packed slices straight into the
-        receiver's ghost rows and the reverse stage can collect ghost
-        slices straight into the owner's unpack buffer.  If any pairing
-        is missing (sabotaged routes), wiring is dropped and
-        :meth:`_plane` never picks the direct plane.
-        """
-        self._phase_msgs = {}
-        size = self.world.size
-        recv_maps = {
-            rank: {(seg.peer, seg.tag): seg for seg in self._plans[rank].recv_segments}
-            for rank in range(size)
-        }
-        fwd: list[list[tuple]] = [[] for _ in range(self.n_rounds)]
-        rev: list[list[tuple]] = [[] for _ in range(self.n_rounds)]
-        for k in range(self.n_rounds):
-            for rank in range(size):
-                plan = self._plans[rank]
-                for seg in plan.send_segments[plan.rounds[k].sends]:
-                    rseg = recv_maps[seg.peer].get((rank, seg.tag))
-                    if rseg is None or rseg.n != seg.stop - seg.start:
-                        self._fwd_deliveries = None
-                        self._rev_deliveries = None
-                        return
-                    hi = rseg.lo + rseg.n
-                    fwd[k].append((rank, seg.start, seg.stop, seg.peer, rseg.lo, hi))
-                    rev[k].append((seg.peer, rseg.lo, hi, rank, seg.start, seg.stop))
-        self._fwd_deliveries = fwd
-        self._rev_deliveries = rev
-
     def _phase_messages(self, phase: str, vec: bool, forward: bool) -> tuple[list, int]:
         """The phase's :class:`SentMessage` records and their byte sum.
 
         The direct plane replays identical traffic every step between
-        reneighborings, so the per-message records are precomputed once
-        per plan in the mailbox plane's send order — round-major (the
+        reneighborings, so the per-message records are computed once
+        per epoch in the mailbox plane's send order — round-major (the
         reverse replay walks the rounds backwards), then rank-major,
-        then segment order — and appended wholesale on each replay.
+        then route order — and appended wholesale on each replay.
         """
-        key = (phase, vec, forward)
-        cached = self._phase_msgs.get(key)
+        records = self._current().records
+        cached = records.get((phase, vec, forward))
         if cached is None:
+            width = 24 if vec else 8
             msgs = []
             rounds = range(self.n_rounds)
             for k in rounds if forward else reversed(rounds):
-                for rank in range(self.world.size):
-                    plan = self._plans[rank]
-                    segs = plan.round_sends(k, phase) if forward else plan.round_recvs(k, phase)
-                    for seg, tag in segs:
-                        msgs.append(
-                            SentMessage(
-                                rank, seg.peer, tag,
-                                seg.nbytes_vec if vec else seg.nbytes_scalar,
-                                phase,
-                            )
-                        )
-            cached = self._phase_msgs[key] = (msgs, sum(m.nbytes for m in msgs))
+                for rank, plan in enumerate(self._epoch.plans):
+                    routes = plan.sends(k, phase) if forward else plan.recvs(k, phase)
+                    for peer, lo, hi, tag in routes:
+                        msgs.append(SentMessage(rank, peer, tag, (hi - lo) * width, phase))
+            cached = records[phase, vec, forward] = (msgs, sum(m.nbytes for m in msgs))
         return cached
 
     def plan_stats(self) -> dict[str, int]:
         """Allocation/reuse counters of the plan cache and buffer pools."""
-        pools = list(self._pools.values())
+        pools = self._pools
         return {
             "plan_builds": self._plan_builds,
             "fastpath_phases": self._fastpath_phases,
@@ -421,13 +324,9 @@ class GhostExchange:
         gauges: dict[str, float] = {
             "pool_bytes": float(stats["pool_bytes"]),
             "pool_rows_used": float(
-                sum(p.n_pack for p in self._plans.values())
-                if self._plans_built_epoch == self._plan_epoch
-                else 0
+                sum(plan.n_pack for plan in self._epoch.plans) if self._epoch else 0
             ),
-            "pool_rows_capacity": float(
-                sum(pool.capacity_rows for pool in self._pools.values())
-            ),
+            "pool_rows_capacity": float(sum(pool.capacity_rows for pool in self._pools)),
         }
         return counters, gauges
 
@@ -471,11 +370,12 @@ class GhostExchange:
         tracer or the per-message metrics registry) gets the same packed
         buffers through ``"mailbox"`` (the world transport) or, for the
         vector phases of an ``rdma`` exchange, ``"rdma"`` (PUTs, fence,
-        rings), bit-identically.  A session with neither message nor
+        rings), bit-identically — as does an epoch whose wiring was
+        refused.  A session with neither message nor
         RDMA faults armed cannot touch the data plane (network-kind
         faults only price modeled time, which is simulated separately),
         so it stays direct — the faults-off guard measures this idle
-        cost.  The border stage asks too: its routes are not built yet,
+        cost.  The border stage asks too: no epoch is installed yet,
         so "direct" there means the packed payload slices are written
         straight into the receivers' ghost rows.
 
@@ -488,11 +388,14 @@ class GhostExchange:
         """
         session = FAULTS.session
         if session is not None and (session.message_faults or session.rdma_faults):
-            self._gate_blocks["faults"] += 1
+            cause = "faults"
         elif TRACER.enabled or METRICS.enabled:
-            self._gate_blocks["observability"] += 1
-        elif phase == "border" or self._fwd_deliveries is not None:
+            cause = "observability"
+        elif phase != "border" and self._current().deliveries is None:
+            cause = "unwired"
+        else:
             return "direct"
+        self._gate_blocks[cause] += 1
         return "rdma" if self._is_put(phase) else "mailbox"
 
     def _is_put(self, phase: str) -> bool:
@@ -518,10 +421,10 @@ class GhostExchange:
     ) -> None:
         """Owner -> ghost replay: per round, one pooled gather per rank,
         then the plane — so a later round packs what an earlier delivered."""
+        plans = self._current().plans
         self.world.transport.set_phase(phase)
-        plans = self._plans_current()
         vec = arrays[0].ndim == 2
-        bufs = [plans[rank].buffer(vec) for rank in range(self.world.size)]
+        bufs = [plan.buffer(vec) for plan in plans]
         deliver = self._deliverer(phase, vec, forward=True)
         for k in range(self.n_rounds):
             for rank, buf in enumerate(bufs):
@@ -540,10 +443,10 @@ class GhostExchange:
         round's scatter bound — the ghost rows being read are never
         mutated.
         """
+        plans = self._current().plans
         self.world.transport.set_phase(phase)
-        plans = self._plans_current()
         vec = arrays[0].ndim == 2
-        bufs = [plans[rank].buffer(vec) for rank in range(self.world.size)]
+        bufs = [plan.buffer(vec) for plan in plans]
         collect = self._deliverer(phase, vec, forward=False)
         for k in reversed(range(self.n_rounds)):
             collect(arrays, bufs, phase, k)
@@ -555,40 +458,38 @@ class GhostExchange:
         """Copy every packed slice straight into the receiver's ghost rows
         (the bytes the mailbox round trip would move, none of its
         bookkeeping)."""
-        for src, s, e, dst, lo, hi in self._fwd_deliveries[k]:
+        for src, s, e, dst, lo, hi in self._epoch.deliveries[k]:
             arrays[dst][lo:hi] = bufs[src][s:e]
 
     def _direct_reverse(self, arrays, bufs, phase: str, k: int) -> None:
         """Copy every ghost slice straight into its owner's unpack buffer."""
-        for src, lo, hi, dst, s, e in self._rev_deliveries[k]:
-            bufs[dst][s:e] = arrays[src][lo:hi]
+        for src, s, e, dst, lo, hi in self._epoch.deliveries[k]:
+            bufs[src][s:e] = arrays[dst][lo:hi]
 
     # -- mailbox plane: the fault- and tracer-visible world transport ---------
     def _mailbox_forward(self, arrays, bufs, phase: str, k: int) -> None:
         transport = self.world.transport
+        plans = self._epoch.plans
         for rank, buf in enumerate(bufs):
-            for seg, tag in self._plans[rank].round_sends(k, phase):
-                transport.send(rank, seg.peer, tag, buf[seg.start : seg.stop].copy())
-        for rank in range(self.world.size):
-            for seg, tag in self._plans[rank].round_recvs(k, phase):
-                arrays[rank][seg.lo : seg.lo + seg.n] = self._recv(
-                    transport, rank, seg.peer, tag
-                )
+            for peer, start, stop, tag in plans[rank].sends(k, phase):
+                transport.send(rank, peer, tag, buf[start:stop].copy())
+        for rank, plan in enumerate(plans):
+            for peer, lo, hi, tag in plan.recvs(k, phase):
+                arrays[rank][lo:hi] = self._recv(transport, rank, peer, tag)
 
     def _mailbox_reverse(self, arrays, bufs, phase: str, k: int) -> None:
         transport = self.world.transport
-        for rank in range(self.world.size):
-            for seg, tag in self._plans[rank].round_recvs(k, phase):
-                transport.send(
-                    rank, seg.peer, tag, arrays[rank][seg.lo : seg.lo + seg.n].copy()
-                )
+        plans = self._epoch.plans
+        for rank, plan in enumerate(plans):
+            for peer, lo, hi, tag in plan.recvs(k, phase):
+                transport.send(rank, peer, tag, arrays[rank][lo:hi].copy())
         for rank, buf in enumerate(bufs):
-            for seg, tag in self._plans[rank].round_sends(k, phase):
-                buf[seg.start : seg.stop] = self._recv(transport, rank, seg.peer, tag)
+            for peer, start, stop, tag in plans[rank].sends(k, phase):
+                buf[start:stop] = self._recv(transport, rank, peer, tag)
 
-    # -- border stage: the same rounds, building the routes --------------------
+    # -- border stage: the same rounds, writing the epoch ----------------------
     def borders(self) -> None:
-        """Rebuild ghost sets and routes on every rank (border stage)."""
+        """Rebuild ghost sets and the epoch on every rank (border stage)."""
         with self._phase_span("border"):
             self._borders_impl()
 
@@ -599,111 +500,108 @@ class GhostExchange:
         ``np.take`` gathers per rank produce the concatenated send rows of
         the round; ``_plane`` picks who carries the slices; ghosts land in
         canonical recv order on either plane, and the next round selects
-        among them.  The flat gather arrays are handed on to the
-        :class:`~repro.core.comm_plan.RankPlan` of this epoch.
+        among them.  Packing appends to the rank's send bounds, landing to
+        its receive bounds; with the gather arrays themselves they are the
+        epoch, installed once every round (and the pattern's
+        ``_border_done``) went through — an escalation on the way leaves
+        no epoch behind.
         """
         world = self.world
         world.transport.set_phase("border")
-        if not self._geom:
-            self._geom = {
-                (rank, k): self._round_geometry(rank, k)
-                for rank in range(world.size)
-                for k in range(self.n_rounds)
-            }
         self._border_setup()
-        self._clear_routes()
+        self._epoch = None
         for rank in range(world.size):
             self.atoms_of(rank).clear_ghosts()
         plane = self._plane("border")
         deliver = getattr(self, f"_{plane}_border")
+        sent = [[0] for _ in range(world.size)]
+        landed = [[self.atoms_of(rank).nlocal] for rank in range(world.size)]
         rounds = []
         for k in range(self.n_rounds):
             with self._round_span(k):
-                packs = [self._pack_border(rank, k) for rank in range(world.size)]
-                deliver(packs, k)
+                packs = [
+                    self._pack_border(rank, k, sent[rank], landed[rank])
+                    for rank in range(world.size)
+                ]
+                deliver(packs, k, landed)
             rounds.append(packs)
-        self._flat = {
-            rank: (
-                _cat(tuple(pack.idx for pack in packs)),
-                _cat(tuple(pack.shift_rows for pack in packs)),
-            )
-            for rank, packs in enumerate(zip(*rounds))
-        }
-        self._border_done(plane)
+        epoch = self._new_epoch(
+            [
+                (
+                    _cat(tuple(pack.idx for pack in packs)),
+                    _cat(tuple(pack.shift_rows for pack in packs)),
+                    np.array(sent[rank]),
+                    np.array(landed[rank]),
+                )
+                for rank, packs in enumerate(zip(*rounds))
+            ]
+        )
+        self._border_done(plane, epoch)
+        self._epoch = epoch
 
-    def _pack_border(self, rank: int, k: int) -> _BorderPack:
-        """Gather the payload rows ``rank`` sends in round ``k``.
+    def _pack_border(
+        self, rank: int, k: int, sent: list[int], landed: list[int]
+    ) -> _BorderPack:
+        """Gather the payload rows ``rank`` sends in round ``k`` and append
+        the round's sends to ``sent``, the rank's send bounds.
 
-        ``idx`` is send-major with rows ascending, so every
-        ``SendRoute.send_idx`` is a slice view of it and the gathers are
-        the per-route ``x[send_idx] + shift`` bit for bit (the shift add
-        stays unconditional: the ``-0.0`` rule of the plan replay).
+        ``idx`` is send-major with rows ascending, so every route's rows
+        are a slice of it and the gathers are the per-route ``x[send_idx]
+        + shift`` bit for bit (the shift add stays unconditional: the
+        ``-0.0`` rule of the plan replay).
         """
         atoms = self.atoms_of(rank)
-        geom = self._geom[rank, k]
-        idx, counts = self._select_border(rank, k)
+        idx, counts = self._select_border(rank, k, landed)
         bounds = [0, *np.cumsum(counts).tolist()]
-        shift_rows = np.repeat(geom.shifts, counts, axis=0)
+        base = sent[-1]
+        sent.extend(base + b for b in bounds[1:])
+        shift_rows = np.repeat(self._geom[rank][k].shifts, counts, axis=0)
         x = np.take(atoms.x, idx, axis=0)
         x += shift_rows
-        sends = self.routes[rank].sends
-        for j, (peer, shift, tag, _, hops) in enumerate(geom.sends):
-            sends.append(
-                SendRoute(peer, idx[bounds[j] : bounds[j + 1]], shift, tag, hops, k)
-            )
         return _BorderPack(
             idx, bounds, shift_rows, x, np.take(atoms.tag, idx), np.take(atoms.type, idx)
         )
 
-    def _direct_border(self, packs: list[_BorderPack], k: int) -> None:
+    def _direct_border(self, packs: list[_BorderPack], k: int, landed: list[list[int]]) -> None:
         """Write every payload slice straight into its receiver's ghost
         rows — one append per rank, no mailbox round trip per route — and
         log the records the per-message sends would have written."""
         msgs = []
         for rank, pack in enumerate(packs):
-            bounds = pack.bounds
             row_bytes = 3 * pack.x.itemsize + pack.tag.itemsize + pack.type.itemsize
-            for j, (peer, _, _, wire_tag, _) in enumerate(self._geom[rank, k].sends):
-                msgs.append(
-                    SentMessage(
-                        rank, peer, wire_tag,
-                        row_bytes * (bounds[j + 1] - bounds[j]), "border",
-                    )
-                )
+            geom = self._geom[rank][k]
+            for peer, tag, lo, hi in zip(
+                geom.send_peers, geom.wire_tags("border")[0], pack.bounds, pack.bounds[1:]
+            ):
+                msgs.append(SentMessage(rank, peer, tag, row_bytes * (hi - lo), "border"))
         self.world.transport.log.record_phase(msgs, sum(m.nbytes for m in msgs))
-        for rank in range(self.world.size):
-            atoms = self.atoms_of(rank)
-            recvs = self.routes[rank].recvs
+        for rank, ends in enumerate(landed):
+            geom = self._geom[rank][k]
             blocks = []
-            start = atoms.ntotal
-            for src, tag, _, hops, slot in self._geom[rank, k].recvs:
+            for src, slot in zip(geom.recv_peers, geom.recv_slots):
                 pack = packs[src]
                 lo, hi = pack.bounds[slot], pack.bounds[slot + 1]
                 blocks.append((pack.x[lo:hi], pack.tag[lo:hi], pack.type[lo:hi]))
-                recvs.append(RecvRoute(src, start, hi - lo, tag, hops, k))
-                start += hi - lo
-            atoms.append_ghosts(*(_cat(column) for column in zip(*blocks)))
+                ends.append(ends[-1] + hi - lo)
+            self.atoms_of(rank).append_ghosts(*(_cat(column) for column in zip(*blocks)))
 
-    def _mailbox_border(self, packs: list[_BorderPack], k: int) -> None:
+    def _mailbox_border(self, packs: list[_BorderPack], k: int, landed: list[list[int]]) -> None:
         """Every payload slice through ``Transport.send`` and the retrying
         ``_recv``, one message at a time: what faults act on and the
         tracer sees."""
         transport = self.world.transport
         for rank, pack in enumerate(packs):
-            bounds = pack.bounds
-            for j, (peer, _, _, wire_tag, _) in enumerate(self._geom[rank, k].sends):
-                rows = slice(bounds[j], bounds[j + 1])
-                transport.send(
-                    rank, peer, wire_tag, (pack.x[rows], pack.tag[rows], pack.type[rows])
-                )
-        for rank in range(self.world.size):
+            geom = self._geom[rank][k]
+            for peer, tag, lo, hi in zip(
+                geom.send_peers, geom.wire_tags("border")[0], pack.bounds, pack.bounds[1:]
+            ):
+                transport.send(rank, peer, tag, (pack.x[lo:hi], pack.tag[lo:hi], pack.type[lo:hi]))
+        for rank, ends in enumerate(landed):
             atoms = self.atoms_of(rank)
-            recvs = self.routes[rank].recvs
-            for src, tag, wire_tag, hops, _ in self._geom[rank, k].recvs:
-                start, count = atoms.append_ghosts(
-                    *self._recv(transport, rank, src, wire_tag)
-                )
-                recvs.append(RecvRoute(src, start, count, tag, hops, k))
+            geom = self._geom[rank][k]
+            for src, tag in zip(geom.recv_peers, geom.wire_tags("border")[1]):
+                start, count = atoms.append_ghosts(*self._recv(transport, rank, src, tag))
+                ends.append(start + count)
 
     # -- the retry policy layer -----------------------------------------------
     def _retry(self, poll, span: str, span_args: dict, phase: str, **who):
@@ -780,9 +678,10 @@ class GhostExchange:
         Runs with ghosts cleared (LAMMPS order: exchange -> borders).
         Positions are wrapped into the global box first.
         """
-        # Migration moves atoms between ranks: every cached plan (and
-        # modeled-time entry) is stale until the next border stage.
-        self._invalidate_plans()
+        # Migration moves atoms between ranks: the epoch's rows (and
+        # everything priced from them) mean nothing until the next
+        # border stage writes new ones.
+        self._epoch = None
         with self._phase_span("exchange"):
             self._exchange_impl()
 
@@ -846,7 +745,7 @@ class GhostExchange:
     # -- statistics ----------------------------------------------------------------
     def messages_per_rank(self) -> dict[int, int]:
         """Forward-stage send count per rank (Table 1's ``msg``)."""
-        return {r: len(rr.sends) for r, rr in self.routes.items()}
+        return {r: len(plan.send_bounds) - 1 for r, plan in enumerate(self._current().plans)}
 
     def ghost_counts(self) -> dict[int, int]:
         """Current ghost-atom count per rank."""

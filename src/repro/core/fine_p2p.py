@@ -72,13 +72,6 @@ class FineGrainedP2PExchange(P2PExchange):
                 f"[1, {params.tnis_per_node}] (one VCQ per TNI per rank)"
             )
         self.pool = ThreadPoolModel(self.n_comm_threads, params)
-        # LPT schedules are pure functions of the current routes: cache
-        # them per (rank, bytes_per_atom) until the plan epoch moves.
-        self._sched_cache: dict[tuple[int, int], list[ThreadAssignment]] = {}
-
-    def _invalidate_plans(self) -> None:
-        super()._invalidate_plans()
-        self._sched_cache.clear()
 
     # -- scheduling --------------------------------------------------------
     def message_cost(self, nbytes: int, hops: int) -> float:
@@ -98,22 +91,22 @@ class FineGrainedP2PExchange(P2PExchange):
 
         Thread *t* drives the VCQ bound to TNI *t* (fine binding of
         Fig. 7), so the TNI index equals the thread index.  With
-        observability off the schedule is served from the plan-epoch
-        cache (it only depends on the routes); tracing/metrics runs
-        always recompute so spans and counters stay complete.
+        observability off the schedule is served from the epoch (a pure
+        function of its send sizes, kept per ``(rank, bytes_per_atom)``);
+        tracing/metrics runs always recompute so spans and counters stay
+        complete.
         """
-        cache_ok = not TRACER.enabled and not METRICS.enabled
-        if cache_ok:
-            cached = self._sched_cache.get((rank, bytes_per_atom))
-            if cached is not None:
-                return cached
-            out = self._assign_threads_impl(rank, bytes_per_atom)
-            self._sched_cache[(rank, bytes_per_atom)] = out
-            return out
-        routes = self.routes[rank].sends
+        epoch = self._current()
+        if not TRACER.enabled and not METRICS.enabled:
+            cached = epoch.schedules.get((rank, bytes_per_atom))
+            if cached is None:
+                cached = epoch.schedules[rank, bytes_per_atom] = self._assign_threads_impl(
+                    rank, bytes_per_atom
+                )
+            return cached
         with TRACER.span(
             f"{self.name}.schedule", cat="schedule", track="comm",
-            rank=rank, n_messages=len(routes),
+            rank=rank, n_messages=len(epoch.plans[rank].send_bounds) - 1,
         ):
             out = self._assign_threads_impl(rank, bytes_per_atom)
         if METRICS.enabled:
@@ -129,9 +122,8 @@ class FineGrainedP2PExchange(P2PExchange):
     def _assign_threads_impl(
         self, rank: int, bytes_per_atom: int
     ) -> list[ThreadAssignment]:
-        routes = self.routes[rank].sends
-        nbytes = [route.count * bytes_per_atom for route in routes]
-        hops = [route.hops for route in routes]
+        counts, hops = self._current().plans[rank].send_sizes()
+        nbytes = [count * bytes_per_atom for count in counts]
         return self._lpt(nbytes, hops, list(map(self.message_cost, nbytes, hops)))
 
     def _lpt(
@@ -150,11 +142,11 @@ class FineGrainedP2PExchange(P2PExchange):
         """Every rank's schedule from one vectorized costing pass.
 
         ``counts``/``hops`` are the ``(ranks, sends)`` tables of the
-        current routes.  Returns ``(nbytes, hops, thread)`` in each
-        rank's :meth:`comm_schedule` message order and leaves the same
+        epoch.  Returns ``(nbytes, hops, thread)`` in each rank's
+        :meth:`comm_schedule` message order and leaves the same
         :class:`ThreadAssignment` lists :meth:`assign_threads` computes
-        rank by rank in the schedule cache — or ``None`` when the stack
-        cannot cost arrays.
+        rank by rank in the epoch's schedules — or ``None`` when the
+        stack cannot cost arrays.
         """
         inj_fn = getattr(self.stack, "injection_intervals", None)
         lat_fn = getattr(self.stack, "software_latencies", None)
@@ -167,8 +159,9 @@ class FineGrainedP2PExchange(P2PExchange):
             self._lpt(*rows)
             for rows in zip(nbytes.tolist(), hops.tolist(), costs.tolist())
         ]
+        schedules = self._current().schedules
         for rank, sched in enumerate(scheds):
-            self._sched_cache[(rank, bytes_per_atom)] = sched
+            schedules[rank, bytes_per_atom] = sched
         table = np.fromiter(
             chain.from_iterable(chain.from_iterable(scheds)), np.int64, 5 * counts.size
         ).reshape(*counts.shape, 5)

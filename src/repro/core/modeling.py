@@ -51,13 +51,13 @@ _PHASE_BYTES = {"forward": 24, "reverse": 24, "border": 32}
 
 
 def _cache_for(exchange: GhostExchange) -> dict | None:
-    """The exchange's plan-epoch model cache, or ``None`` when results
+    """The priced times of the exchange's epoch, or ``None`` when results
     must not be cached: traced/metered/faulted runs always re-simulate so
     their per-round model spans, counters and stall injections stay
     complete."""
     if FAULTS.session is not None or TRACER.enabled or METRICS.enabled:
         return None
-    return getattr(exchange, "_model_cache", None)
+    return exchange._current().priced
 
 
 def _payload(exchange: GhostExchange, phase: str, params: MachineParams):
@@ -83,10 +83,10 @@ def modeled_exchange_time(
     doubles per atom, ``border`` adds the tag (and, under MPI without
     message combine, the extra length message).
 
-    The modeled time is a pure function of the routes, the payload width
+    The modeled time is a pure function of the epoch, the payload width
     and the machine params, so with faults and observability off it is
-    served from the exchange's plan-epoch cache (cleared on
-    reneighboring), keyed on exactly those — ``reverse`` is ``forward``'s
+    kept with the epoch (and goes with it on reneighboring), keyed on
+    exactly those — ``reverse`` is ``forward``'s
     entry, and two params objects price alike iff they are equal.
     """
     stack, bytes_per_atom, known = _payload(exchange, phase, params)
@@ -117,11 +117,12 @@ def _world_times(
 ) -> list[float] | None:
     """Every rank's modeled time for ``phase`` from one vectorized pass.
 
-    The flat route table (atoms and hops per send, all ranks) becomes
+    The ``(ranks, sends)`` tables (atoms from the epoch's send bounds,
+    hops from the static geometry) become
     the ``(ranks, messages)`` schedule :func:`rank_messages` would list
     rank by rank, and :func:`~repro.network.simulator.simulate_owned_rounds`
     prices it — bit-identical to ``NetworkSimulator.run_round`` per rank
-    — into the plan-epoch cache.  ``None`` when nothing may be cached or
+    — into the epoch's cache.  ``None`` when nothing may be cached or
     the schedule is not one the closed form takes (fenced stages,
     ranks with differing send counts, multi-message protocols, shared
     TNIs): callers then simulate rank by rank.
@@ -134,12 +135,10 @@ def _world_times(
     times = cache.get(key)
     if times is not None:
         return None if None in times else times
-    sends = [exchange.routes[rank].sends for rank in range(exchange.world.size)]
-    if len({len(row) for row in sends}) != 1:
+    counts, hops = zip(*(plan.send_sizes() for plan in exchange._current().plans))
+    if len(set(map(len, counts))) != 1:
         return None
-    counts = np.array([[route.send_idx.shape[0] for route in row] for row in sends])
-    hops = np.array([[route.hops for route in row] for row in sends])
-    schedule = exchange.schedule_world(counts, hops, bytes_per_atom)
+    schedule = exchange.schedule_world(np.array(counts), np.array(hops), bytes_per_atom)
     if schedule is None:
         return None
     nbytes, hops, thread = schedule
@@ -162,8 +161,8 @@ def modeled_step_comm_time(
     reverse.
 
     Like :func:`modeled_exchange_time`, the result is a pure function
-    of the routes, so between reneighborings it is served from the
-    exchange's plan-epoch cache (one lookup instead of a max over all
+    of the epoch, so between reneighborings it is served from the
+    epoch's cache (one lookup instead of a max over all
     ranks' per-phase entries) whenever faults and observability are off;
     a miss prices each phase for all ranks at once (:func:`_world_times`).
     """

@@ -35,7 +35,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.border_bins import BorderBins
-from repro.core.exchange_base import GhostExchange, RoundGeometry
+from repro.core.comm_plan import Epoch, RoundGeometry
+from repro.core.exchange_base import GhostExchange
 from repro.core.message_combine import split
 from repro.core.patterns import (
     half_shell_offsets,
@@ -111,35 +112,36 @@ class P2PExchange(GhostExchange):
         return ("p2p", o_recv)
 
     def _round_geometry(self, rank: int, k: int) -> RoundGeometry:
-        """The one round: a send to and a recv from every shell offset."""
-        sends = []
-        for o_send in self.send_offsets:
-            o_recv = tuple(-o for o in o_send)
-            tag = self._routes_tag(o_recv)
-            sends.append(
-                (
-                    self.peer_for(rank, o_send),
-                    self.shift_for_send(rank, o_send),
-                    tag,
-                    tag + ("border",),
-                    offset_hops(o_send),
-                )
-            )
-        recvs = []
-        for o_recv in self.recv_offsets:
-            tag = self._routes_tag(o_recv)
-            recvs.append(
-                (
-                    self.peer_for(rank, o_recv),
-                    tag,
-                    tag + ("border",),
-                    offset_hops(o_recv),
-                    self._owner_ring_index(tag),
-                )
-            )
-        return RoundGeometry(sends, recvs, np.stack([send[1] for send in sends]))
+        """The one round: a send to and a recv from every shell offset.
 
-    def _select_border(self, rank: int, k: int) -> tuple[np.ndarray, list[int]]:
+        A receive from offset ``o`` pairs with its source's send to ``-o``;
+        both sides enumerate offsets in the same canonical order, so the
+        slot is deterministic — and it is also which of the owner's rings
+        (allocated per send) serves the route's reverse traffic.
+        """
+        sends = [
+            (
+                self.peer_for(rank, o_send),
+                self.shift_for_send(rank, o_send),
+                self._routes_tag(tuple(-o for o in o_send)),
+                offset_hops(o_send),
+            )
+            for o_send in self.send_offsets
+        ]
+        recvs = [
+            (
+                self.peer_for(rank, o_recv),
+                self._routes_tag(o_recv),
+                offset_hops(o_recv),
+                self.send_offsets.index(tuple(-o for o in o_recv)),
+            )
+            for o_recv in self.recv_offsets
+        ]
+        return RoundGeometry(sends, recvs)
+
+    def _select_border(
+        self, rank: int, k: int, landed: list[int]
+    ) -> tuple[np.ndarray, list[int]]:
         """Route ``rank``'s local atoms to the send offsets: neighbor-major
         with rows ascending — the order the per-offset ``flatnonzero``
         sweeps concatenate in."""
@@ -161,8 +163,9 @@ class P2PExchange(GhostExchange):
         return np.concatenate(parts), [part.shape[0] for part in parts]
 
     # -- RDMA setup -----------------------------------------------------------------
-    def _ensure_rdma(self) -> None:
-        """One-time registration of arrays and rings (setup stage)."""
+    def _border_setup(self) -> None:
+        """Also the one-time registration of arrays and rings."""
+        super()._border_setup()
         if not self.rdma or self.engine is not None:
             return
         self.engine = RdmaEngine()
@@ -187,17 +190,15 @@ class P2PExchange(GhostExchange):
             )
 
     # -- border stage hooks ----------------------------------------------------------
-    _border_setup = _ensure_rdma
-
-    def _border_done(self, plane: str) -> None:
+    def _border_done(self, plane: str, epoch: Epoch) -> None:
         if self.rdma:
             for rank in range(self.world.size):
                 atoms = self.atoms_of(rank)
                 if self.endpoints[rank].revalidate(atoms._x, atoms._f):
                     self.reregistrations += 1
-            self._exchange_windows(plane)
+            self._exchange_windows(plane, epoch)
 
-    def _exchange_windows(self, plane: str) -> None:
+    def _exchange_windows(self, plane: str, epoch: Epoch) -> None:
         """Piggyback the ghost offsets + stags to senders (section 3.4).
 
         In hardware this rides in the border-stage descriptor (8 bytes);
@@ -208,34 +209,29 @@ class P2PExchange(GhostExchange):
         transport = self.world.transport
         transport.set_phase("border-piggyback")
         if plane == "direct":
-            for rank in range(self.world.size):
+            for rank, plan in enumerate(epoch.plans):
                 endpoint = self.endpoints[rank]
-                recv_geom = self._geom[rank, 0].recvs
-                for n_idx, route in enumerate(self.routes[rank].recvs):
-                    *_, slot = recv_geom[n_idx]
+                slots = self._geom[rank][0].recv_slots
+                for n_idx, (src, lo, _, _) in enumerate(plan.recvs(0)):
                     # Keyed by the *sender's* send index: the slot its
                     # put_positions uses.
-                    self.endpoints[route.peer].install_remote(
-                        slot, endpoint.window_for_neighbor(n_idx, route.recv_start * 3)
+                    self.endpoints[src].install_remote(
+                        slots[n_idx], endpoint.window_for_neighbor(n_idx, lo * 3)
                     )
             transport.log.record_phase(*self._window_messages())
             return
         with TRACER.span(
             f"{self.name}.window-piggyback", cat="rdma", track="comm", pattern=self.name
         ):
-            for rank in range(self.world.size):
+            for rank, plan in enumerate(epoch.plans):
                 endpoint = self.endpoints[rank]
-                for n_idx, route in enumerate(self.routes[rank].recvs):
-                    window = endpoint.window_for_neighbor(n_idx, route.recv_start * 3)
-                    transport.send(
-                        rank, route.peer, route.tag + ("window",), (n_idx, window)
-                    )
-            for rank in range(self.world.size):
+                for n_idx, (src, lo, _, tag) in enumerate(plan.recvs(0, "window")):
+                    window = endpoint.window_for_neighbor(n_idx, lo * 3)
+                    transport.send(rank, src, tag, (n_idx, window))
+            for rank, plan in enumerate(epoch.plans):
                 endpoint = self.endpoints[rank]
-                for s_idx, route in enumerate(self.routes[rank].sends):
-                    _, window = self._recv(
-                        transport, rank, route.peer, route.tag + ("window",)
-                    )
+                for s_idx, (peer, _, _, tag) in enumerate(plan.sends(0, "window")):
+                    _, window = self._recv(transport, rank, peer, tag)
                     # Keyed by *our* send index: the slot put_positions uses.
                     endpoint.install_remote(s_idx, window)
 
@@ -249,9 +245,9 @@ class P2PExchange(GhostExchange):
         if self._window_msgs is None:
             nbytes = payload_nbytes((0, self.endpoints[0].window_for_neighbor(0, 0)))
             msgs = [
-                SentMessage(rank, src, tag + ("window",), nbytes, "border-piggyback")
-                for rank in range(self.world.size)
-                for src, tag, _, _, _ in self._geom[rank, 0].recvs
+                SentMessage(rank, src, tag, nbytes, "border-piggyback")
+                for rank, (geom,) in enumerate(self._geom)
+                for src, tag in zip(geom.recv_peers, geom.wire_tags("window")[1])
             ]
             self._window_msgs = (msgs, nbytes * len(msgs))
         return self._window_msgs
@@ -274,8 +270,8 @@ class P2PExchange(GhostExchange):
             # buffer, so the pool is free for reuse immediately.
             for rank, buf in enumerate(bufs):
                 endpoint = self.endpoints[rank]
-                for s_idx, seg in enumerate(self._plans[rank].send_segments):
-                    endpoint.put_positions(s_idx, buf[seg.start : seg.stop])
+                for s_idx, (_, start, stop, _) in enumerate(self._epoch.plans[rank].sends(0)):
+                    endpoint.put_positions(s_idx, buf[start:stop])
             # A PUT completes remotely only after the fence: poll until
             # every in-flight (fault-deferred) forward PUT has landed.
             self._rdma_fence("forward")
@@ -287,36 +283,33 @@ class P2PExchange(GhostExchange):
             f"{self.name}.reverse-rdma", cat="rdma", track="comm", pattern=self.name
         ):
             # Ghost holders put into the owners' rings...
-            for rank in range(self.world.size):
+            plans = self._epoch.plans
+            for rank, plan in enumerate(plans):
                 endpoint = self.endpoints[rank]
-                for r_idx, seg in enumerate(self._plans[rank].recv_segments):
-                    # Our recv offset index r_idx pairs with the owner's
-                    # send route of the opposite offset; the owner consumes
-                    # rings in its own send order, so target the ring it
-                    # will read.
-                    ring = self.endpoints[seg.peer].recv_rings[
-                        self._owner_ring_index(seg.tag)
-                    ]
-                    endpoint.put_into_ring(
-                        r_idx, ring, arrays[rank][seg.lo : seg.lo + seg.n]
-                    )
+                slots = self._geom[rank][0].recv_slots
+                for r_idx, (peer, lo, hi, _) in enumerate(plan.recvs(0)):
+                    # Our recv r_idx pairs with the owner's send of the
+                    # opposite offset; the owner consumes rings in its own
+                    # send order, so target the ring it will read.
+                    ring = self.endpoints[peer].recv_rings[slots[r_idx]]
+                    endpoint.put_into_ring(r_idx, ring, arrays[rank][lo:hi])
             # ... and the owners drain them in deterministic order, each
             # route's block into the pooled buffer the shared fused scatter
             # reads — the same summation the message plane uses, so both
             # planes stay bitwise identical.
             for rank, buf in enumerate(bufs):
                 endpoint = self.endpoints[rank]
-                for seg in self._plans[rank].send_segments:
-                    ring = endpoint.recv_rings[self._owner_ring_index(seg.tag)]
+                for s_idx, (peer, start, stop, _) in enumerate(plans[rank].sends(0)):
                     forces = split(
-                        self._consume_ring(ring, rank, seg.peer), trailing_shape=(3,)
+                        self._consume_ring(endpoint.recv_rings[s_idx], rank, peer),
+                        trailing_shape=(3,),
                     )
-                    if forces.shape[0] != seg.stop - seg.start:
+                    if forces.shape[0] != stop - start:
                         raise RuntimeError(
                             f"reverse payload of {forces.shape[0]} rows does not "
-                            f"match {seg.stop - seg.start} border atoms"
+                            f"match {stop - start} border atoms"
                         )
-                    buf[seg.start : seg.stop] = forces
+                    buf[start:stop] = forces
         self._fastpath_phases += 1
 
     # -- RDMA-plane robustness (fence + ring retry) ---------------------------
@@ -376,14 +369,3 @@ class P2PExchange(GhostExchange):
                 f"{session.policy.max_retries} retries (pattern {self.name!r})"
             )
         return data
-
-    def _owner_ring_index(self, tag: tuple) -> int:
-        """Which of the owner's rings serves the route tagged ``tag``.
-
-        Rings are allocated per recv-offset slot; for reverse traffic we
-        reuse the owner's *send* slot index (both sides enumerate offsets
-        in the same canonical order, so the index is deterministic).
-        """
-        o_recv = tag[1]
-        o_send = tuple(-o for o in o_recv)
-        return self.send_offsets.index(o_send)

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.exchange_base import GhostExchange, RoundGeometry
+from repro.core.comm_plan import RoundGeometry
+from repro.core.exchange_base import GhostExchange
 from repro.core.patterns import three_stage_swaps
 from repro.md.domain import Domain
 from repro.network.stacks import MpiStack
@@ -55,35 +56,31 @@ class ThreeStageExchange(GhostExchange):
         swap = self.swaps[k]
         o_send = tuple(swap.dir if d == swap.dim else 0 for d in range(3))
         tag = ("3s", k)
-        wire_tag = tag + ("border",)
-        shift = self.shift_for_send(rank, o_send)
         src = self.world.neighbor_rank(rank, tuple(-o for o in o_send))
         return RoundGeometry(
-            [(self.world.neighbor_rank(rank, o_send), shift, tag, wire_tag, 1)],
-            [(src, tag, wire_tag, 1, 0)],
-            shift[None],
+            [(self.world.neighbor_rank(rank, o_send), self.shift_for_send(rank, o_send), tag, 1)],
+            [(src, tag, 1, 0)],
         )
 
-    def _select_border(self, rank: int, k: int) -> tuple[np.ndarray, list[int]]:
+    def _select_border(
+        self, rank: int, k: int, landed: list[int]
+    ) -> tuple[np.ndarray, list[int]]:
         """The atoms within ``rcomm`` of the face swap ``k`` flows through,
         among the swap's candidates: rounds before ``k`` have delivered,
-        so the rank holds one recv route per earlier swap."""
+        one block each, so swap ``j``'s block is rows ``landed[j]:landed[j
+        + 1]``."""
         swap = self.swaps[k]
-        atoms = self.atoms_of(rank)
-        recvs = self.routes[rank].recvs
         first = k - k % (2 * self.radius)  # the dimension's first swap
         if k - first >= 2:
             # Repetition of this flow: forward what the previous
             # repetition delivered (and still faces the border).
-            lo = recvs[k - 2].recv_start
-            hi = lo + recvs[k - 2].recv_count
+            lo, hi = landed[k - 2], landed[k - 1]
         else:
             # Both directions of a dim scan only the atoms present when
             # the dimension's swaps began (LAMMPS' nlast): the -d swap
             # must not re-send ghosts the +d swap just delivered.
-            lo = 0
-            hi = recvs[first].recv_start if k > first else atoms.ntotal
-        along = atoms.x[lo:hi, swap.dim]
+            lo, hi = 0, landed[first]
+        along = self.atoms_of(rank).x[lo:hi, swap.dim]
         sub = self.sub_box_of(rank)
         if swap.dir > 0:
             mask = along >= sub.hi[swap.dim] - self.rcomm

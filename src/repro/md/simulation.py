@@ -67,10 +67,6 @@ class SimulationConfig:
     #: also price each step's communication on the network simulator and
     #: accumulate it into ``timers.model`` (simulated Fugaku seconds)
     model_machine_time: bool = False
-    #: bound the transport's traffic log to the most recent N messages
-    #: (None keeps the unbounded seed behavior; summaries stay exact via
-    #: the log's running aggregates)
-    traffic_window: int | None = None
     #: drop the per-message traffic log at the end of every step — for
     #: long runs that never ask for per-message summaries.  Off by
     #: default: benchmarks and self-checks read the full log.
@@ -113,8 +109,6 @@ class Simulation:
 
         rcomm = potential.cutoff + config.skin
         self._rcomm = rcomm
-        if config.traffic_window is not None:
-            self.world.transport.log.set_window(config.traffic_window)
         self.exchange = self._make_exchange(rcomm)
         self.half = config.newton and not potential.needs_full_list
         #: (from_pattern, to_pattern) of every fault-driven tier change

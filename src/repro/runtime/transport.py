@@ -61,40 +61,25 @@ class SentMessage:
 class TrafficLog:
     """Aggregated traffic statistics, queryable per phase and per pair.
 
-    By default every :class:`SentMessage` is retained (the seed
-    behavior).  Long production runs can instead bound the record list
-    with :meth:`set_window`: the log keeps a rolling window of the most
-    recent messages.  Either way there is one accounting: per-phase,
-    per-pair ``[count, bytes]`` rows folded *lazily* from the records
-    appended since the last fold — on the first query after an append,
-    or just before the window trims records — so appending does no
-    per-message work and every query below answers for the whole run.
+    Every :class:`SentMessage` is retained until :meth:`clear` (long runs
+    that never ask for per-message summaries clear once per step).  There
+    is one accounting: per-phase, per-pair ``[count, bytes]`` rows folded
+    *lazily* from the records appended since the last fold — on the first
+    query after an append — so appending does no per-message work and
+    every query below answers for everything retained.
     """
 
     messages: list[SentMessage] = field(default_factory=list)
-    max_messages: int | None = None
     #: Monotonic run-lifetime totals: unlike the aggregates below they
     #: survive :meth:`clear` (per-step clearing), so the telemetry plane
     #: can delta them once per step without retaining records.
     grand_total_count: int = 0
     grand_total_bytes: int = 0
     #: ``phase -> {(src, dst): [count, bytes]}``.  Invariant: these rows
-    #: account exactly for ``messages[:_folded]`` plus every record the
-    #: window has trimmed; ``messages[_folded:]`` is still to be folded.
+    #: account exactly for ``messages[:_folded]``; ``messages[_folded:]``
+    #: is still to be folded.
     _phases: dict = field(default_factory=dict, repr=False)
     _folded: int = field(default=0, repr=False)
-
-    def set_window(self, max_messages: int | None) -> None:
-        """Bound the retained record list to a rolling window.
-
-        Aggregates restart from the currently retained messages; call
-        this before traffic of interest starts (the usual place is
-        simulation setup).  ``None`` restores unbounded retention.
-        """
-        self.max_messages = max_messages
-        self._phases.clear()
-        self._folded = 0
-        self._trim()
 
     def _fold(self) -> dict:
         """Fold the not-yet-accounted records in; return the aggregates."""
@@ -112,20 +97,11 @@ class TrafficLog:
         self._folded = len(self.messages)
         return phases
 
-    def _trim(self) -> None:
-        # Amortized O(1): trim in chunks once the list doubles the window.
-        window = self.max_messages
-        if window is not None and len(self.messages) > 2 * window:
-            self._fold()
-            del self.messages[: len(self.messages) - window]
-            self._folded = window
-
     def record(self, msg: SentMessage) -> None:
         """Append one message record."""
         self.messages.append(msg)
         self.grand_total_count += 1
         self.grand_total_bytes += msg.nbytes
-        self._trim()
 
     def record_phase(self, msgs: list[SentMessage], nbytes: int) -> None:
         """Append one replayed phase's records; ``nbytes`` is their byte sum,
@@ -133,7 +109,6 @@ class TrafficLog:
         self.messages.extend(msgs)
         self.grand_total_count += len(msgs)
         self.grand_total_bytes += nbytes
-        self._trim()
 
     def clear(self) -> None:
         """Drop all records (and aggregates)."""

@@ -135,8 +135,8 @@ def run_selfcheck(
     )
 
     # Table 1 traffic shape on the live exchanges.
-    msg_p2p = len(sims[("p2p", False)].exchange.routes[0].sends)
-    msg_3s = len(sims[("3stage", False)].exchange.routes[0].sends)
+    msg_p2p = sims[("p2p", False)].exchange.messages_per_rank()[0]
+    msg_3s = sims[("3stage", False)].exchange.messages_per_rank()[0]
     report.add(
         "message counts match Table 1 (13 p2p vs 6 3-stage)",
         (msg_p2p, msg_3s) == (13, 6),
@@ -292,7 +292,7 @@ def _critpath_checks(
             f"(diff {abs(cp.total_attributed - (cp.completion - cp.base)):.1e})",
         )
 
-        sends = len(sim.exchange.routes[0].sends)
+        sends = sim.exchange.messages_per_rank()[0]
         report.add(
             f"critpath[{pattern}] message count matches rank-0 send schedule",
             cp.messages == sends,

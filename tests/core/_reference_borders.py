@@ -1,28 +1,29 @@
 """Oracle: the p2p border stage as it stood before the pack-once rewrite.
 
-Verbatim copies (only ``self`` renamed to ``ex`` and methods turned into
-module functions) of ``P2PExchange._border_geometry``, ``_borders_impl``
-and ``_exchange_windows`` from the parent of the commit that made the
-border stage pack once per rank: every route is masked with
-``SubBox.border_mask``, gathered with three fancy-index reads, shifted,
-sent through the transport (``send_fast``/``recv_fast`` on the direct
-plane, ``send``/``_recv`` otherwise) and appended to the receiver one
-message at a time; windows always travel as full-envelope sends.  The
+The per-route sweeps of ``P2PExchange._border_geometry``,
+``_borders_impl`` and ``_exchange_windows`` from the parent of the commit
+that made the border stage pack once per rank (``self`` renamed to
+``ex``, methods turned into module functions): every route is masked
+with ``SubBox.border_mask``, gathered with three fancy-index reads,
+shifted, sent through the transport (``send_fast``/``recv_fast`` on the
+direct plane, ``send``/``_recv`` otherwise) and appended to the receiver
+one message at a time; windows always travel as full-envelope sends.  The
 one omission is the parent's 27-bin ``BorderBins`` branch — it was only
 taken where it equalled these mask sweeps, and that table no longer
 exists.
 
-``borders(ex)`` drives a live :class:`~repro.core.p2p.P2PExchange` and
-leaves ``ex._flat`` alone, so the exchange's ``RankPlan`` s are then
-built the old way too — by concatenating the per-route arrays.  Nothing
-under ``src/`` may import this.
+``borders(ex)`` drives a live :class:`~repro.core.p2p.P2PExchange`.  It
+keeps its own per-route records and concatenates them the old way — one
+``np.concatenate`` of the per-route row sets, one ``np.repeat`` of the
+per-route shifts — into the four arrays per rank an epoch is, and hands
+them over through ``ex._new_epoch``, the install point the exchange's
+own border stage uses.  Nothing under ``src/`` may import this.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.exchange_base import RecvRoute, SendRoute
 from repro.core.patterns import offset_hops
 from repro.obs.trace import TRACER
 
@@ -72,8 +73,8 @@ def _borders_impl(ex) -> None:
     world = ex.world
     transport = world.transport
     transport.set_phase("border")
-    ex._ensure_rdma()
-    ex._clear_routes()
+    ex._border_setup()
+    ex._epoch = None
     for rank in range(world.size):
         ex.atoms_of(rank).clear_ghosts()
     # On the direct plane border payloads skip the send envelope
@@ -83,6 +84,7 @@ def _borders_impl(ex) -> None:
 
     # Send sweep: every rank routes its border atoms to each
     # send-offset neighbor.
+    routes = {rank: [] for rank in range(world.size)}  # per route: (send_idx, shift)
     for rank in range(world.size):
         atoms = ex.atoms_of(rank)
         sub, send_geom, _ = border_geometry(ex, rank)
@@ -92,15 +94,7 @@ def _borders_impl(ex) -> None:
             mask = sub.border_mask(x_local, o_send, ex.rcomm)
             send_idx = np.flatnonzero(mask).astype(np.intp)
             peer, shift, tag, wire_tag, hops = send_geom[n_idx]
-            ex.routes[rank].sends.append(
-                SendRoute(
-                    peer=peer,
-                    send_idx=send_idx,
-                    shift=shift,
-                    tag=tag,
-                    hops=hops,
-                )
-            )
+            routes[rank].append((send_idx, shift))
             payload = (
                 atoms.x[send_idx] + shift,
                 atoms.tag[send_idx],
@@ -115,6 +109,7 @@ def _borders_impl(ex) -> None:
                 transport.send(rank, peer, wire_tag, payload)
 
     # Receive sweep: append ghosts in canonical recv-offset order.
+    landed = {rank: [ex.atoms_of(rank).nlocal] for rank in range(world.size)}
     for rank in range(world.size):
         atoms = ex.atoms_of(rank)
         _, _, recv_geom = border_geometry(ex, rank)
@@ -128,25 +123,34 @@ def _borders_impl(ex) -> None:
                     transport, rank, src, wire_tag
                 )
             start, count = atoms.append_ghosts(payload_x, payload_tag, payload_type)
-            ex.routes[rank].recvs.append(
-                RecvRoute(
-                    peer=src,
-                    recv_start=start,
-                    recv_count=count,
-                    tag=tag,
-                    hops=hops,
-                )
+            landed[rank].append(start + count)
+
+    # The per-route arrays, concatenated, are the epoch.
+    arrays = []
+    for rank in range(world.size):
+        counts = [send_idx.shape[0] for send_idx, _ in routes[rank]]
+        arrays.append(
+            (
+                np.concatenate([send_idx for send_idx, _ in routes[rank]]),
+                # Per-row shift table: adding it is bit-identical to the
+                # per-route broadcast add (same addends, same dtype).
+                np.repeat(np.stack([shift for _, shift in routes[rank]]), counts, axis=0),
+                np.cumsum([0, *counts]),
+                np.array(landed[rank]),
             )
+        )
+    epoch = ex._new_epoch(arrays)
 
     if ex.rdma:
         for rank in range(ex.world.size):
             atoms = ex.atoms_of(rank)
             if ex.endpoints[rank].revalidate(atoms._x, atoms._f):
                 ex.reregistrations += 1
-        _exchange_windows(ex)
+        _exchange_windows(ex, landed)
+    ex._epoch = epoch
 
 
-def _exchange_windows(ex) -> None:
+def _exchange_windows(ex, landed) -> None:
     """Piggyback the ghost offsets + stags to senders (section 3.4).
 
     In hardware this rides in the border-stage descriptor (8 bytes);
@@ -159,16 +163,14 @@ def _exchange_windows(ex) -> None:
     ):
         for rank in range(ex.world.size):
             endpoint = ex.endpoints[rank]
-            for n_idx, route in enumerate(ex.routes[rank].recvs):
-                window = endpoint.window_for_neighbor(n_idx, route.recv_start * 3)
-                transport.send(
-                    rank, route.peer, route.tag + ("window",), (n_idx, window)
-                )
+            _, _, recv_geom = border_geometry(ex, rank)
+            for n_idx, (src, tag, _, _) in enumerate(recv_geom):
+                window = endpoint.window_for_neighbor(n_idx, landed[rank][n_idx] * 3)
+                transport.send(rank, src, tag + ("window",), (n_idx, window))
         for rank in range(ex.world.size):
             endpoint = ex.endpoints[rank]
-            for s_idx, route in enumerate(ex.routes[rank].sends):
-                _, window = ex._recv(
-                    transport, rank, route.peer, route.tag + ("window",)
-                )
+            _, send_geom, _ = border_geometry(ex, rank)
+            for s_idx, (peer, _, tag, _, _) in enumerate(send_geom):
+                _, window = ex._recv(transport, rank, peer, tag + ("window",))
                 # Keyed by *our* send index: the slot put_positions uses.
                 endpoint.install_remote(s_idx, window)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_three_stage_golden import routes_of
 
 from repro import quick_lj_simulation
 from repro.core import BorderBins, FineGrainedP2PExchange, P2PExchange, modeling
@@ -97,14 +98,17 @@ def assert_same_border_state(new, old):
         assert np.array_equal(a.tag, b.tag) and a.tag.dtype == b.tag.dtype
         assert np.array_equal(a.type, b.type) and a.type.dtype == b.type.dtype
         assert not a.f[a.nlocal :].any()
-        ra, rb = new.routes[rank], old.routes[rank]
-        assert len(ra.sends) == len(rb.sends) and len(ra.recvs) == len(rb.recvs)
-        for sa, sb in zip(ra.sends, rb.sends):
-            assert (sa.peer, sa.tag, sa.hops) == (sb.peer, sb.tag, sb.hops)
-            assert sa.send_idx.dtype == sb.send_idx.dtype
-            assert np.array_equal(sa.send_idx, sb.send_idx)
-            assert np.array_equal(sa.shift, sb.shift)
-        assert ra.recvs == rb.recvs
+        # Routes: static geometry x the epoch's bounds, on both sides.
+        (sends_a, recvs_a), (sends_b, recvs_b) = routes_of(new, rank), routes_of(old, rank)
+        assert len(sends_a) == len(sends_b) == len(new.send_offsets)
+        for (peer_a, idx_a, shift_a, *rest_a), (peer_b, idx_b, shift_b, *rest_b) in zip(
+            sends_a, sends_b
+        ):
+            assert (peer_a, rest_a) == (peer_b, rest_b)
+            assert idx_a.dtype == idx_b.dtype
+            assert np.array_equal(idx_a, idx_b)
+            assert np.array_equal(shift_a, shift_b)
+        assert recvs_a == recvs_b and len(recvs_a) == len(new.recv_offsets)
         if new.rdma:
             assert installed_windows(new, rank) == installed_windows(old, rank)
     la, lb = new.world.transport.log, old.world.transport.log
@@ -143,21 +147,13 @@ def test_border_stage_equals_per_route_oracle(pattern, newton, rdma, plane):
             ref.borders(old)
         assert_same_border_state(new, old)
         assert (new.retries > 0) == (plane == "mailbox-faulted")
-        # The plan built from the border stage's own flat arrays is the
-        # plan concatenated from the oracle's per-route arrays.
-        for rank, plan in new._plans_current().items():
-            other = old._plans_current()[rank]
+        # The arrays the border stage wrote as it packed and landed are
+        # the arrays concatenated from the oracle's per-route records.
+        for plan, other in zip(new._epoch.plans, old._epoch.plans):
             assert plan.fwd_idx.flags.c_contiguous
-            assert np.array_equal(plan.fwd_idx, other.fwd_idx)
-            assert np.array_equal(plan.shift_rows, other.shift_rows)
-            for kind in ("send_segments", "recv_segments"):
-                assert [
-                    tuple(getattr(seg, f) for f in seg.__slots__)
-                    for seg in getattr(plan, kind)
-                ] == [
-                    tuple(getattr(seg, f) for f in seg.__slots__)
-                    for seg in getattr(other, kind)
-                ]
+            for name in ("fwd_idx", "shift_rows", "send_bounds", "recv_bounds"):
+                assert np.array_equal(getattr(plan, name), getattr(other, name))
+        assert new._epoch.deliveries == old._epoch.deliveries is not None
         new.forward()
         old.forward()
         assert_same_border_state(new, old)

@@ -36,7 +36,7 @@ REGIMES = {
     "rdma-fault-armed": (armed("rdma-stale"), "faults", False),
     "tracer-on": (tracing, "observability", False),
     "metrics-on": (collecting, "observability", False),
-    "deliveries-unwired": (nullcontext, None, False),
+    "deliveries-unwired": (nullcontext, "unwired", False),
 }
 
 
@@ -56,10 +56,9 @@ def test_plane_selection_table(regime, flavour, kind):
     ex = FLAVOURS[flavour](world, domain)
     rdma = ex.rdma
     ex.borders()
-    ex._plans_current()
     if regime == "deliveries-unwired":
-        # What _wire_deliveries leaves behind when a pairing is missing.
-        ex._fwd_deliveries = ex._rev_deliveries = None
+        # What the epoch holds when a pairing's two counts disagree.
+        ex._epoch.deliveries = None
 
     chosen = []
     select = ex._plane
@@ -89,7 +88,7 @@ def test_plane_selection_table(regime, flavour, kind):
     plane = "direct" if direct else "rdma" if is_put else "mailbox"
     assert chosen == [plane, plane]
     # fastpath_phases: delivered without the mailbox; slowpath_phases:
-    # refusals of the direct plane, by cause (unwired is not a refusal).
+    # refusals of the direct plane, by cause (an unwired epoch is one).
     assert after["fastpath_phases"] - before["fastpath_phases"] == (
         0 if plane == "mailbox" else 2
     )

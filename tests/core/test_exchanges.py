@@ -379,7 +379,7 @@ class TestSmallGrids:
         )
         sim.setup()
         assert np.allclose(sim.gather_forces(), ref.f, atol=1e-10)
-        assert sim.exchange.routes[0].sends.__len__() == 62  # half of 124
+        assert sim.exchange.messages_per_rank()[0] == 62  # half of 124
 
     @pytest.mark.parametrize("grid", [(1, 1, 1), (2, 2, 1)])
     def test_3stage_matches_serial_forces(self, grid):

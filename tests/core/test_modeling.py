@@ -105,9 +105,7 @@ class TestSimulationIntegration:
         a = float(sim.domain.sub_lengths[0])
         density = sim.natoms / sim.box.volume
         ana = analyze_p2p(a, sim.exchange.rcomm, density)
-        measured = sum(
-            r.count for r in sim.exchange.routes[0].sends
-        )
+        measured = sum(sim.exchange._epoch.plans[0].send_sizes()[0])
         assert measured == pytest.approx(ana.total_atoms, rel=0.25)
 
 
@@ -154,7 +152,7 @@ class TestWorldPricing:
             for phase in PHASES
             for rank in range(ex.world.size)
         }
-        ex._invalidate_plans()  # drop what the run and the oracle cached
+        ex._epoch.priced.clear()  # drop what the run and the oracle cached
         rounds = []
         run_round = NetworkSimulator.run_round
         monkeypatch.setattr(
@@ -176,7 +174,7 @@ class TestWorldPricing:
 
     def test_reverse_is_served_from_forwards_entry(self, monkeypatch):
         ex = live_exchange("parallel-p2p")
-        ex._invalidate_plans()
+        ex._epoch.priced.clear()
         passes = []
         monkeypatch.setattr(
             modeling, "simulate_owned_rounds",
@@ -191,19 +189,19 @@ class TestWorldPricing:
     @pytest.mark.parametrize("kind", ["parallel-p2p", "serial-pool"])
     def test_world_pass_fills_the_schedule_cache(self, kind):
         ex = live_exchange(kind)
-        ex._invalidate_plans()
+        ex._epoch.priced.clear()
+        ex._epoch.schedules.clear()
         modeled_step_comm_time(ex, rebuild=True)
-        assert set(ex._sched_cache) == {
+        assert set(ex._epoch.schedules) == {
             (rank, width) for rank in range(ex.world.size) for width in (32, 24)
         }
-        for (rank, width), sched in ex._sched_cache.items():
+        for (rank, width), sched in ex._epoch.schedules.items():
             assert sched == ex._assign_threads_impl(rank, width)
             assert all(type(v) is int for a in sched for v in a)
             # ... which is split_load's rule over the scalar costs.
-            routes = ex.routes[rank].sends
             items = [
-                WorkItem(n, ex.message_cost(route.count * width, route.hops))
-                for n, route in enumerate(routes)
+                WorkItem(n, ex.message_cost(count * width, hops))
+                for n, (count, hops) in enumerate(zip(*ex._epoch.plans[rank].send_sizes()))
             ]
             assert [
                 (item.payload, thread)
@@ -214,14 +212,14 @@ class TestWorldPricing:
     @pytest.mark.parametrize("kind", ["p2p", "parallel-p2p"])
     def test_observers_and_refusals_fall_through_to_the_event_loop(self, kind, monkeypatch):
         ex = live_exchange(kind)
-        ex._invalidate_plans()
+        ex._epoch.priced.clear()
         expected = modeled_step_comm_time(ex, rebuild=True)
         with tracing():
             assert modeled_step_comm_time(ex, rebuild=True) == expected
         stall = FaultSpec(kind="tni-stall", stall=1e-6, probability=0.0)
         with FAULTS.inject(FaultPlan(faults=(stall,))):
             assert modeled_step_comm_time(ex, rebuild=True) == expected
-        ex._invalidate_plans()
+        ex._epoch.priced.clear()
         monkeypatch.setattr(modeling, "simulate_owned_rounds", lambda *args: None)
         assert modeled_step_comm_time(ex, rebuild=True) == expected
 
@@ -235,6 +233,6 @@ class TestWorldPricing:
             del first
             second = FUGAKU.evolve(rdma_put_latency=FUGAKU.rdma_put_latency * 1000)
             got = modeled_step_comm_time(ex, rebuild=False, params=second)
-            ex._invalidate_plans()
+            ex._epoch.priced.clear()
             assert got == modeled_step_comm_time(ex, rebuild=False, params=second)
-            ex._invalidate_plans()
+            ex._epoch.priced.clear()

@@ -124,11 +124,14 @@ def _plain(tag: tuple) -> tuple:
 def routes_of(ex, rank: int) -> tuple[list[tuple], list[tuple]]:
     """``rank``'s ``(peer, send_idx, shift, tag, hops)`` per send route and
     ``(peer, start, count, tag, hops)`` per recv route, in route order."""
-    routes = ex.routes[rank]
-    return (
-        [(s.peer, s.send_idx, s.shift, s.tag, s.hops) for s in routes.sends],
-        [(v.peer, v.recv_start, v.recv_count, v.tag, v.hops) for v in routes.recvs],
-    )
+    plan = ex._epoch.plans[rank]
+    sends, recvs = [], []
+    for k, geom in enumerate(plan.geom):  # a route is static geometry x the epoch's bounds
+        for (peer, lo, hi, tag), shift, hops in zip(plan.sends(k), geom.shifts, geom.send_hops):
+            sends.append((peer, plan.fwd_idx[lo:hi], shift, tag, hops))
+        for (peer, lo, hi, tag), hops in zip(plan.recvs(k), geom.recv_hops):
+            recvs.append((peer, lo, hi - lo, tag, hops))
+    return sends, recvs
 
 
 def digests(name: str) -> dict[str, str]:
@@ -205,6 +208,37 @@ def test_matches_pre_round_table_digests(name):
 def test_p2p_matches_route_object_digests(name):
     golden = json.loads(GOLDEN_P2P.read_text())
     assert digests(name) == golden[name]
+
+
+@pytest.mark.parametrize("name", [*SHAPES, *P2P_SHAPES])
+def test_epoch_arrays_partition_tile_and_pair(name):
+    """What a border stage writes, for every golden shape: per round the
+    send bounds partition the gather rows, the recv bounds tile ``[nlocal,
+    ntotal)`` in landing order, and every static send<->recv pairing moves
+    as many rows as it lands."""
+    ex, _ = _exchange(name)
+    ex.borders()
+    plans = ex._epoch.plans
+    for rank, plan in enumerate(plans):
+        atoms = ex.atoms_of(rank)
+        sb, rb = plan.send_bounds, plan.recv_bounds
+        assert sb[0] == 0 and sb[-1] == len(plan.fwd_idx) == len(plan.shift_rows)
+        assert rb[0] == atoms.nlocal and rb[-1] == atoms.ntotal
+        assert (np.diff(sb) >= 0).all() and (np.diff(rb) >= 0).all()
+        s = r = 0
+        for k, (geom, rnd) in enumerate(zip(plan.geom, plan.rounds)):
+            assert (rnd.sends.start, rnd.recvs.start) == (s, r)
+            s, r = s + len(geom.send_peers), r + len(geom.recv_peers)
+            assert (rnd.sends.stop, rnd.recvs.stop) == (s, r)
+            assert rnd.rows == slice(sb[rnd.sends.start], sb[s])
+            # a round sends only rows present before its own ghosts land
+            assert rnd.scatter_len == rb[rnd.recvs.start]
+            assert (rnd.idx < rnd.scatter_len).all()
+            for (src, lo, hi, tag), slot in zip(plan.recvs(k), geom.recv_slots):
+                peer, start, stop, sent_tag = list(plans[src].sends(k))[slot]
+                assert (peer, sent_tag, stop - start) == (rank, tag, hi - lo)
+        assert (s, r) == (len(sb) - 1, len(rb) - 1)
+    assert ex._epoch.deliveries is not None
 
 
 def traced_event_classes(path: Path) -> dict[str, int]:

@@ -22,8 +22,7 @@ class TestThreeStageTrafficShape:
         return sim
 
     def test_stage_sizes_grow(self, sim):
-        routes = sim.exchange.routes[0].sends
-        counts = [r.count for r in routes]
+        counts, _ = sim.exchange._epoch.plans[0].send_sizes()
         # swaps: x+, x-, y+, y-, z+, z-
         x_avg = (counts[0] + counts[1]) / 2
         y_avg = (counts[2] + counts[3]) / 2
@@ -35,8 +34,7 @@ class TestThreeStageTrafficShape:
         r = sim.exchange.rcomm
         density = sim.natoms / sim.box.volume
         s1, s2, s3 = (v * density for v in stage_volumes(a, r))
-        routes = sim.exchange.routes[0].sends
-        counts = [r_.count for r_ in routes]
+        counts, _ = sim.exchange._epoch.plans[0].send_sizes()
         assert (counts[0] + counts[1]) / 2 == pytest.approx(s1, rel=0.15)
         assert (counts[2] + counts[3]) / 2 == pytest.approx(s2, rel=0.15)
         assert (counts[4] + counts[5]) / 2 == pytest.approx(s3, rel=0.15)
@@ -96,12 +94,11 @@ class TestFailureInjection:
         sim, _ = self._fresh_pair(seed=125)
         sim.setup()
         p_good = sim.sample_thermo().pressure
-        route = sim.exchange.routes[0].sends[0]
-        route.shift[:] += 0.5  # sabotage one route's shift
-        # The exchange snapshots routes into its comm plan at borders
-        # time; a route mutated behind its back needs a plan rebuild.
-        sim.exchange._invalidate_plans()
-        sim.exchange.forward()  # replays routes -> ghosts move wrongly
+        plan = sim.exchange._epoch.plans[0]
+        first = slice(*plan.send_bounds[:2])
+        assert plan.shift_rows[first].size
+        plan.shift_rows[first] += 0.5  # sabotage one route's shift
+        sim.exchange.forward()  # replays the epoch -> ghosts move wrongly
         sim._compute_forces()
         p_bad = sim.sample_thermo().pressure
         assert abs(p_bad - p_good) > 1e-6
@@ -111,9 +108,16 @@ class TestFailureInjection:
         sim, _ = self._fresh_pair(seed=126)
         sim.setup()
         # Shrink one send route after borders: replay disagrees on size.
-        route = sim.exchange.routes[0].sends[0]
-        if route.send_idx.size > 1:
-            route.send_idx = route.send_idx[:-1]
-            sim.exchange._invalidate_plans()
-            with pytest.raises(Exception):
-                sim.exchange.forward()
+        ex = sim.exchange
+        arrays = [
+            [plan.fwd_idx, plan.shift_rows, plan.send_bounds, plan.recv_bounds]
+            for plan in ex._epoch.plans
+        ]
+        assert arrays[0][2][1] > 1
+        arrays[0][0] = np.delete(arrays[0][0], 0)
+        arrays[0][1] = np.delete(arrays[0][1], 0, axis=0)
+        arrays[0][2] = np.concatenate(([0], arrays[0][2][1:] - 1))
+        ex._epoch = ex._new_epoch(arrays)
+        assert ex._epoch.deliveries is None  # the pairing's counts disagree
+        with pytest.raises(Exception):
+            ex.forward()

@@ -1,13 +1,14 @@
 """Plan-cache correctness: caching may never change what is exchanged.
 
-The persistent :class:`~repro.core.comm_plan.RankPlan` freezes the
-border-stage routes into flat gather/scatter arrays and replays them
-until reneighboring invalidates the cache.  These tests prove the three
-ways that could go wrong do not:
+The border stage writes each rank's flat gather/scatter arrays
+(:class:`~repro.core.comm_plan.RankPlan`) into one
+:class:`~repro.core.comm_plan.Epoch` that is replayed until migration
+drops it.  These tests prove the three ways that could go wrong do not:
 
-* a *stale* plan surviving migration/reneighboring (epoch invalidation),
-* a *cached* replay differing from a freshly rebuilt one (paranoid
-  per-step invalidation must be bit-identical),
+* a *stale* epoch surviving migration/reneighboring (epoch replacement),
+* a *cached* replay differing from a freshly derived one (re-deriving
+  the wiring and records from the arrays every step must be
+  bit-identical),
 * the *fast* path (plans + pooled buffers) differing from the traced
   slow path (per-route Python loops, the seed semantics).
 
@@ -19,8 +20,8 @@ import numpy as np
 import pytest
 
 from repro import LennardJones, Simulation, SimulationConfig
-from repro.core import P2PExchange, ThreeStageExchange
-from repro.faults import FAULTS, FaultPlan, FaultSpec
+from repro.core import NoEpochError, P2PExchange, ThreeStageExchange
+from repro.faults import FAULTS, FaultPlan, FaultSpec, RetryExhaustedError, RetryPolicy
 from repro.md import Box, Domain
 from repro.md.atoms import Atoms
 from repro.obs.trace import tracing
@@ -72,18 +73,26 @@ class TestPlanInvalidation:
     )
 
     def test_cached_run_matches_paranoid_invalidation(self):
-        """Rebuilding every plan before every step changes nothing.
+        """Re-deriving the epoch from its arrays before every step changes
+        nothing.
 
-        Ten steps crossing three reneighborings: the run that trusts the
-        epoch cache must produce bit-identical positions, velocities and
-        forces to the run that throws every plan away each step.
+        Ten steps crossing three reneighborings: the run that trusts what
+        the epoch cached (rounds, wiring, records) must produce
+        bit-identical positions, velocities and forces to the run that
+        rebuilds all of it from the four arrays per rank each step.
         """
         cached = _lj_sim(seed=11, pattern=self.pattern)
         paranoid = _lj_sim(seed=11, pattern=self.pattern)
         cached.setup()
         paranoid.setup()
         for _ in range(10):
-            paranoid.exchange._invalidate_plans()
+            ex = paranoid.exchange
+            ex._epoch = ex._new_epoch(
+                [
+                    (plan.fwd_idx, plan.shift_rows, plan.send_bounds, plan.recv_bounds)
+                    for plan in ex._epoch.plans
+                ]
+            )
             paranoid.step()
             cached.step()
         assert np.array_equal(cached.gather_positions(), paranoid.gather_positions())
@@ -91,18 +100,58 @@ class TestPlanInvalidation:
         assert np.array_equal(cached.gather_forces(), paranoid.gather_forces())
 
     def test_migration_and_borders_bump_epoch(self):
-        """exchange() and borders() both invalidate; forward() reuses."""
+        """exchange() drops the epoch, borders() installs a new one;
+        forward() reuses."""
         sim = _lj_sim(seed=12, pattern=self.pattern)
         sim.setup()
         ex = sim.exchange
-        epoch = ex._plan_epoch
+        epoch = ex._epoch
         ex.forward()
-        assert ex._plan_epoch == epoch  # replay does not invalidate
+        assert ex._epoch is epoch  # replay does not invalidate
         ex.exchange()
-        assert ex._plan_epoch > epoch  # migration does
-        epoch = ex._plan_epoch
+        assert ex._epoch is None  # migration does
         ex.borders()
-        assert ex._plan_epoch > epoch  # reneighboring does
+        assert ex._epoch is not None and ex._epoch is not epoch  # reneighboring renews
+        renewed = ex._epoch
+        ex.borders()
+        assert ex._epoch is not renewed  # ... every time
+
+    def test_replay_without_a_border_stage_is_a_typed_error(self):
+        """After exchange() the old epoch's rows index atoms that have
+        moved: every replay and schedule refuses, naming the missing
+        borders(), instead of gathering through them."""
+        sim = _lj_sim(seed=12, pattern=self.pattern, steps=4)
+        ex = sim.exchange
+        ex.exchange()
+        scalars = {r: np.zeros(ex.atoms_of(r).ntotal) for r in range(ex.world.size)}
+        for replay in (
+            ex.forward,
+            ex.reverse,
+            lambda: ex.forward_scalar_world(scalars),
+            lambda: ex.reverse_sum_scalar_world(scalars),
+            lambda: ex.comm_schedule(0),
+            ex.messages_per_rank,
+        ):
+            with pytest.raises(NoEpochError, match=r"borders\(\)"):
+                replay()
+        ex.borders()
+        ex.forward()
+
+    def test_failed_border_stage_installs_no_epoch(self):
+        """A border message lost for longer than the retry budget escalates
+        mid-stage: a typed error, and nothing half-written to replay."""
+        sim = _lj_sim(seed=12, pattern=self.pattern, steps=4)
+        ex = sim.exchange
+        assert ex._epoch is not None
+        lost = FaultSpec(kind="drop", probability=0.2, count=1, severity=50, phases=("border",))
+        plan = FaultPlan(seed=3, policy=RetryPolicy(max_retries=3), faults=(lost,))
+        assert not plan.absorbable()
+        with FAULTS.inject(plan):
+            with pytest.raises(RetryExhaustedError):
+                ex.borders()
+        assert ex._epoch is None and ex.retries == 3
+        with pytest.raises(NoEpochError):
+            ex.forward()
 
     def test_plan_builds_track_reneighborings(self):
         """One plan build per borders epoch, not per phase."""
