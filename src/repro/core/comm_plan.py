@@ -19,21 +19,30 @@ exchange hot path.  What the exchange knows splits in two:
   round, and the next one replaces the epoch whole, together with
   everything derived from it (wiring, traffic records, priced times).
 
-Per :class:`Round` of the schedule (one for the direct-neighbour
-patterns, one per swap for the staged 3-stage sweep) the per-step work
-is
+The ranks' atoms share one :class:`~repro.md.atoms.AtomArena`, so the
+epoch also holds the plans **world-wide**: per :class:`Round` of the
+schedule (one for the direct-neighbour patterns, one per swap for the
+staged 3-stage sweep) a :class:`WorldRound` of arena row numbers — the
+plans' arrays rank-concatenated plus slab starts, read through the static
+pairing.  The per-step work of a round is then, on the direct plane,
 
-* **pack**: one ``np.take`` gather into a pooled send buffer plus one
-  vectorized shift add (forward), and
-* **unpack**: one signed ``bincount`` scatter-add over the concatenated
-  contributions (reverse) — the one drain under all three delivery
-  planes (direct, mailbox, RDMA rings), so they stay bit-identical.
+* **forward**: one ``np.take`` of every ghost row's source row, one
+  vectorized shift add, one slice copy per rank, and
+* **reverse**: one ``np.take`` of every ghost row and one ``bincount``
+  per component over the whole world, added onto the owned rows;
 
-Buffers live in a :class:`BufferPool` that persists across epochs
-(reneighboring changes the *indices*, not the buffer capacity) and is
-sized from the :class:`~repro.core.ghost.GhostBudget` analytic maximum
-like the RDMA rings — growth is a counted fallback, not the steady
-state.
+and on the planes that move messages (mailbox, RDMA rings) the same rows
+rank by rank: :meth:`RankPlan.pack` (``np.take`` + shift add into a
+pooled buffer) and :meth:`RankPlan.apply_reverse` (one signed
+``bincount`` scatter-add over the collected contributions).  Both forms
+sum an owner row's contributions from zero, in the rank's packed order,
+then add the sum to the row — so all three planes stay bit-identical.
+
+The per-rank buffers live in a :class:`BufferPool` that persists across
+epochs (reneighboring changes the *indices*, not the buffer capacity)
+and is sized from the :class:`~repro.core.ghost.GhostBudget` analytic
+maximum like the RDMA rings and the arena's slabs — growth is a counted
+fallback, not the steady state.
 
 Bit-identity notes (load-bearing, do not "simplify"):
 
@@ -41,8 +50,10 @@ Bit-identity notes (load-bearing, do not "simplify"):
   shifts apply — skipping all-zero shifts would turn ``-0.0`` into
   ``+0.0`` relative to the seed path's ``payload += route.shift``;
 * the reverse scatter is bounded to the round's ``data[:scatter_len]``
-  so it never writes the ghost rows that round's planes read — zero-copy
-  reverse payloads are live views of ghost rows while owners apply;
+  (world-wide: :attr:`WorldRound.owned`) so it never writes the ghost
+  rows that round's planes read — zero-copy reverse payloads are live
+  views of ghost rows while owners apply — and never adds ``+ 0.0`` to a
+  row the per-rank drain leaves alone;
 * a staged round is one swap, never a dimension's pair: an atom both
   swaps send would be summed ``f + (c+ + c-)`` by one ``bincount`` where
   the staged replay sums ``(f + c-) + c+`` (docs/performance.md).
@@ -55,6 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.ghost import GhostBudget
+from repro.md.atoms import AtomArena
 from repro.md.kernels import scatter_add_scalar, scatter_signed_vec
 
 
@@ -301,33 +313,105 @@ def pair_table(geom: list[list[RoundGeometry]]) -> list[tuple[np.ndarray, ...]]:
     return table
 
 
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(first[i], first[i] + counts[i])`` for every ``i``, concatenated."""
+    ends = np.cumsum(counts)
+    return np.repeat(first - (ends - counts), counts) + np.arange(int(counts.sum()))
+
+
+class WorldRound(NamedTuple):
+    """One round of the whole world as arena rows: what the direct plane
+    replays, one gather each way (docs/performance.md, *The round table*).
+
+    Forward in **destination order** — rank by rank, receive by receive,
+    rows ascending — so each rank's block of the gathered stage is one
+    slice copy into its contiguous landing span.  Reverse in **source-
+    packed order** — rank by rank, send by send, rows ascending, the
+    order of the rank's own pooled buffer — so one ``bincount`` over the
+    world sums every owner row's contributions in the order the rank's
+    own ``bincount`` does.
+    """
+
+    src_rows: np.ndarray  # arena rows gathered forward, destination order
+    shifts: np.ndarray  # the PBC shift of each, same order
+    #: per receiving rank ``(lo, hi, a, b)``: stage rows ``a:b`` land in
+    #: arena rows ``lo:hi``
+    spans: list[tuple[int, int, int, int]]
+    ghost_rows: np.ndarray  # arena ghost rows read by reverse, source-packed order
+    bins: np.ndarray  # the owner row each one sums into (fwd_idx + slab start)
+    #: arena rows reverse may write: below the round's ``scatter_len`` in
+    #: every slab that sends in the round (:class:`Round`) — nothing else
+    #: may even see ``+ 0.0``, which would turn a ``-0.0`` positive
+    owned: np.ndarray
+
+
 class Epoch:
     """What one border stage decided, world-wide: every rank's
     :class:`RankPlan` and everything derived from them.  Installed whole
     when the stage completes and dropped whole by the next migration, so
-    invalidating any of it is replacing the epoch."""
+    invalidating any of it is replacing the epoch.
 
-    __slots__ = ("plans", "deliveries", "records", "priced", "schedules")
+    ``world`` is the direct plane's wiring, a :class:`WorldRound` per
+    round of arena row numbers — ``None`` when a pairing's two counts
+    disagree (sabotaged bounds), which keeps the epoch off the direct
+    plane.  Row numbers mean something under one layout of one arena
+    only: the epoch names both (``arena``, ``layout``) and is stale once
+    the arena's moved on.
+    """
 
-    def __init__(self, plans: list[RankPlan], pairs: list[tuple[np.ndarray, ...]]) -> None:
+    __slots__ = ("plans", "arena", "layout", "world", "records", "priced", "schedules")
+
+    def __init__(
+        self, plans: list[RankPlan], pairs: list[tuple[np.ndarray, ...]], arena: AtomArena
+    ) -> None:
         self.plans = plans
-        #: the direct plane's wiring: per round ``(src, s, e, dst, lo, hi)``
-        #: rows — packed rows ``s:e`` of ``src`` are ghost rows ``lo:hi`` of
-        #: ``dst`` — or ``None`` when a pairing's two counts disagree
-        #: (sabotaged bounds), which keeps the epoch off the direct plane.
-        self.deliveries: list[list[list[int]]] | None = []
-        send_bounds = np.concatenate([plan.send_bounds for plan in plans])
-        recv_bounds = np.concatenate([plan.recv_bounds for plan in plans])
-        for src, s_at, dst, r_at in pairs:
-            s, e = send_bounds[s_at], send_bounds[s_at + 1]
-            lo, hi = recv_bounds[r_at], recv_bounds[r_at + 1]
-            if not np.array_equal(e - s, hi - lo):
-                self.deliveries = None
-                break
-            self.deliveries.append(np.stack((src, s, e, dst, lo, hi), axis=1).tolist())
+        self.arena = arena
+        self.layout = arena.layout
+        self.world = self._world_rounds(pairs)
         #: (phase, vec, forward) -> the phase's traffic records and byte sum
         self.records: dict = {}
         #: modeled times (:mod:`repro.core.modeling`)
         self.priced: dict = {}
         #: (rank, bytes per atom) -> LPT schedule (fine-grained p2p)
         self.schedules: dict = {}
+
+    def _world_rounds(self, pairs: list[tuple[np.ndarray, ...]]) -> list[WorldRound] | None:
+        """The world tables: per round the plans' arrays rank-concatenated
+        (source-packed order), plus slab starts, read through the static
+        pairing (destination order)."""
+        plans, starts = self.plans, self.arena.starts[:-1]
+        send_bounds = np.concatenate([plan.send_bounds for plan in plans])
+        recv_bounds = np.concatenate([plan.recv_bounds for plan in plans])
+        recv_ends = [plan.recv_bounds.tolist() for plan in plans]
+        world = []
+        for k, (src, s_at, dst, r_at) in enumerate(pairs):
+            counts = send_bounds[s_at + 1] - send_bounds[s_at]
+            if not np.array_equal(counts, recv_bounds[r_at + 1] - recv_bounds[r_at]):
+                return None
+            rounds = [plan.rounds[k] for plan in plans]
+            n_rows = np.array([rnd.idx.size for rnd in rounds])
+            bins = np.concatenate([rnd.idx for rnd in rounds]) + np.repeat(starts, n_rows)
+            # where a rank's packed rows of the round begin, world-wide,
+            # less where they begin in its own buffer
+            packed_at = np.cumsum(n_rows) - n_rows - [rnd.rows.start for rnd in rounds]
+            # pair tables list routes in destination order
+            packed = _ranges(packed_at[src] + send_bounds[s_at], counts)
+            ghost_rows = np.empty_like(bins)
+            ghost_rows[packed] = _ranges(starts[dst] + recv_bounds[r_at], counts)
+            spans, owned = [], np.zeros(self.arena.rows, dtype=bool)
+            a = 0
+            for start, ends, rnd in zip(starts.tolist(), recv_ends, rounds):
+                lo, hi = ends[rnd.recvs.start], ends[rnd.recvs.stop]
+                if hi > lo:
+                    spans.append((start + lo, start + hi, a, a + hi - lo))
+                    a += hi - lo
+                if rnd.idx.size:
+                    owned[start : start + rnd.scatter_len] = True
+            shifts = np.concatenate([rnd.shifts for rnd in rounds])
+            world.append(
+                WorldRound(
+                    np.take(bins, packed), np.take(shifts, packed, axis=0), spans,
+                    ghost_rows, bins, owned,
+                )
+            )
+        return world

@@ -17,8 +17,19 @@ does in its pack kernels) so the RDMA path — where data lands directly
 in the remote array with no receiver-side unpack — is identical in
 content to the message path.
 
+The world's atoms live in one :class:`~repro.md.atoms.AtomArena` (the
+first border stage moves them in, slabs sized to the analytic maximum of
+section 3.4), so positions, forces and EAM's per-atom scalars are each
+*one* array for the whole world and a ghost row is a row number of the
+array its owner's row is in.  The replay hands that array to one of
+three delivery planes: ``direct`` — the epoch's world tables, one gather
+per round — or, when a fault plane or an observer must see messages,
+``mailbox`` / ``rdma``, which pack and drain rank by rank over slab
+views of the same array.
+
 An epoch exists from the end of a completed ``borders()`` to the next
-``exchange()`` (migration): replaying without one is a
+``exchange()`` (migration), and for as long as the arena keeps the layout
+its row numbers were written against: replaying without one is a
 :class:`NoEpochError`, and a border stage that escalates installs none.
 
 The base class also does atom migration (**exchange** stage) and traffic
@@ -35,7 +46,7 @@ import numpy as np
 from repro.core.comm_plan import BufferPool, Epoch, RankPlan, RoundGeometry, pair_table
 from repro.core.ghost import GhostBudget
 from repro.faults.injector import FAULTS, RetryExhaustedError
-from repro.md.atoms import Atoms
+from repro.md.atoms import AtomArena, Atoms
 from repro.md.domain import Domain
 from repro.network.simulator import Message
 from repro.network.stacks import SoftwareStack, UtofuStack
@@ -136,6 +147,12 @@ class GhostExchange:
         # last completed border stage wrote, replayed until migration
         # drops it.  Everything cached per epoch hangs off it.
         self._epoch: Epoch | None = None
+        # The world's atoms share one arena from the first border stage on:
+        # an epoch's world tables are row numbers of it, gathered through
+        # one staging block as long as the arena.
+        self.arena: AtomArena | None = None
+        self._stage = np.empty((0, 3))
+        # Per-rank pack buffers of the mailbox and rdma planes.
         self._pools: list[BufferPool] = []
         self._density: float | None = None  # measured at first use
         self._budget: GhostBudget | None = None
@@ -202,14 +219,21 @@ class GhostExchange:
         return np.maximum(counts * bytes_per_atom, 8), hops, np.zeros_like(counts)
 
     def _border_setup(self) -> None:
-        """One-time preparation before the first border stage: the run's
-        static geometry."""
+        """Preparation before a border stage: once, the run's static
+        geometry; every time, the world's atoms in one arena — slabs sized
+        to the analytic maximum (section 3.4: what is registered never
+        moves), so adoption is the first stage's work and a no-op after."""
         if not self._geom:
             self._geom = [
                 [self._round_geometry(rank, k) for k in range(self.n_rounds)]
                 for rank in range(self.world.size)
             ]
             self._pairs = pair_table(self._geom)
+        budget = self._plan_budget()
+        self.arena = AtomArena.adopt(
+            [self.atoms_of(rank) for rank in range(self.world.size)],
+            budget.max_local_atoms() + budget.max_ghost_atoms(self.full_shell),
+        )
 
     def _border_done(self, plane: str, epoch: Epoch) -> None:
         """After the last round, before ``epoch`` is installed (``plane``
@@ -230,14 +254,22 @@ class GhostExchange:
 
     # -- the epoch ------------------------------------------------------------
     def _current(self) -> Epoch:
-        """The installed epoch; replaying without one is an error, never a
-        replay of stale rows."""
-        if self._epoch is None:
+        """The installed epoch; replaying without one — or with one written
+        against a layout the arena has left — is an error, never a replay
+        of stale rows."""
+        epoch = self._epoch
+        if epoch is None:
             raise NoEpochError(
                 f"{self.name}: no border stage to replay - call borders() first "
                 "(exchange() drops the epoch; a borders() that escalated installed none)"
             )
-        return self._epoch
+        if epoch.layout != epoch.arena.layout:
+            raise NoEpochError(
+                f"{self.name}: the epoch's rows are of arena layout {epoch.layout}, the "
+                f"arena is at {epoch.arena.layout} (a slab outgrew its capacity) - "
+                "call borders() again"
+            )
+        return epoch
 
     def _new_epoch(self, arrays: list[tuple[np.ndarray, ...]]) -> Epoch:
         """An epoch from every rank's ``(fwd_idx, shift_rows, send_bounds,
@@ -248,6 +280,9 @@ class GhostExchange:
             self._pools = [
                 BufferPool(budget=budget, full_shell=self.full_shell) for _ in arrays
             ]
+        if self._stage.shape[0] < self.arena.rows:
+            # a round lands on distinct ghost rows: never more than the arena has
+            self._stage = np.empty((self.arena.rows, 3))
         self._plan_builds += 1
         return Epoch(
             [
@@ -255,6 +290,7 @@ class GhostExchange:
                 for geom, columns, pool in zip(self._geom, arrays, self._pools)
             ],
             self._pairs,
+            self.arena,
         )
 
     def _plan_budget(self) -> GhostBudget:
@@ -297,15 +333,21 @@ class GhostExchange:
         return cached
 
     def plan_stats(self) -> dict[str, int]:
-        """Allocation/reuse counters of the plan cache and buffer pools."""
+        """Allocation/reuse counters of the plan cache and of everything
+        sized from the ghost budget: the per-rank pools, the arena (a
+        re-layout is a grow event) and the staging block."""
         pools = self._pools
+        arena = self.arena
         return {
             "plan_builds": self._plan_builds,
             "fastpath_phases": self._fastpath_phases,
             "slowpath_phases": sum(self._gate_blocks.values()),
             "pool_allocations": sum(p.allocations for p in pools),
-            "pool_grow_events": sum(p.grow_events for p in pools),
-            "pool_bytes": sum(p.nbytes for p in pools),
+            "pool_grow_events": sum(p.grow_events for p in pools)
+            + (arena.relayouts if arena else 0),
+            "pool_bytes": sum(p.nbytes for p in pools)
+            + (arena.nbytes if arena else 0)
+            + self._stage.nbytes,
         }
 
     def telemetry_feed(self) -> tuple[dict[str, float], dict[str, float]]:
@@ -334,44 +376,39 @@ class GhostExchange:
     def forward(self) -> None:
         """Send owned positions to every ghost copy (forward stage)."""
         with self._phase_span("forward"):
-            self._forward_array(
-                {r: self.atoms_of(r).x for r in range(self.world.size)},
-                apply_shift=True,
-                phase="forward",
-            )
+            self._forward_array(self._current().arena.x, apply_shift=True, phase="forward")
 
     def reverse(self) -> None:
         """Accumulate ghost forces back onto owners (reverse stage)."""
         with self._phase_span("reverse"):
-            self._reverse_sum_array(
-                {r: self.atoms_of(r).f for r in range(self.world.size)},
-                phase="reverse",
-            )
+            self._reverse_sum_array(self._current().arena.f, phase="reverse")
 
-    def forward_scalar_world(self, arrays: dict[int, np.ndarray]) -> None:
-        """Owner -> ghost broadcast of one scalar per atom (EAM fp)."""
+    def forward_scalar_world(self, values: np.ndarray) -> None:
+        """Owner -> ghost broadcast of one scalar per atom (EAM fp):
+        ``values`` holds one entry per arena row, updated in place."""
         with self._phase_span("pair-forward"):
-            self._forward_array(arrays, apply_shift=False, phase="pair-forward")
+            self._forward_array(values, apply_shift=False, phase="pair-forward")
 
-    def reverse_sum_scalar_world(self, arrays: dict[int, np.ndarray]) -> None:
-        """Ghost -> owner sum of one scalar per atom (EAM density)."""
+    def reverse_sum_scalar_world(self, values: np.ndarray) -> None:
+        """Ghost -> owner sum of one scalar per atom (EAM density), one
+        entry per arena row."""
         with self._phase_span("pair-reverse"):
-            self._reverse_sum_array(arrays, phase="pair-reverse")
+            self._reverse_sum_array(values, phase="pair-reverse")
 
-    # -- the one replay: per round, pack -> delivery plane -> drain ------------
+    # -- the one replay: per round, the delivery plane ---------------------------
     # Every pattern runs these bodies; they differ in the plan's round table
     # and in the plane.
     def _plane(self, phase: str) -> str:
         """Which delivery plane carries ``phase`` (the one selector).
 
-        ``"direct"`` — the pre-wired slice copies — unless something
-        needs to see or perturb individual messages: an armed fault
-        plane or a **heavyweight** observability session (the per-event
-        tracer or the per-message metrics registry) gets the same packed
-        buffers through ``"mailbox"`` (the world transport) or, for the
-        vector phases of an ``rdma`` exchange, ``"rdma"`` (PUTs, fence,
-        rings), bit-identically — as does an epoch whose wiring was
-        refused.  A session with neither message nor
+        ``"direct"`` — the epoch's world tables, one gather per round —
+        unless something needs to see or perturb individual messages: an
+        armed fault plane or a **heavyweight** observability session (the
+        per-event tracer or the per-message metrics registry) gets the
+        same rows, packed rank by rank, through ``"mailbox"`` (the world
+        transport) or, for the vector phases of an ``rdma`` exchange,
+        ``"rdma"`` (PUTs, fence, rings), bit-identically — as does an
+        epoch whose wiring was refused.  A session with neither message nor
         RDMA faults armed cannot touch the data plane (network-kind
         faults only price modeled time, which is simulated separately),
         so it stays direct — the faults-off guard measures this idle
@@ -391,7 +428,7 @@ class GhostExchange:
             cause = "faults"
         elif TRACER.enabled or METRICS.enabled:
             cause = "observability"
-        elif phase != "border" and self._current().deliveries is None:
+        elif phase != "border" and self._current().world is None:
             cause = "unwired"
         else:
             return "direct"
@@ -416,76 +453,127 @@ class GhostExchange:
             self._fastpath_phases += 1
         return getattr(self, f"_{plane}_{'forward' if forward else 'reverse'}")
 
-    def _forward_array(
-        self, arrays: dict[int, np.ndarray], apply_shift: bool, phase: str
-    ) -> None:
-        """Owner -> ghost replay: per round, one pooled gather per rank,
-        then the plane — so a later round packs what an earlier delivered."""
-        plans = self._current().plans
+    def _check_world_array(self, data: np.ndarray) -> None:
+        """A replayed array holds one entry per arena row."""
+        rows = self._current().arena.rows
+        if data.shape[0] != rows:
+            raise ValueError(
+                f"{self.name}: a world array holds one entry per arena row "
+                f"({rows}), got {data.shape[0]}"
+            )
+
+    def _forward_array(self, data: np.ndarray, apply_shift: bool, phase: str) -> None:
+        """Owner -> ghost replay of a world array, round after round — so
+        a later round gathers what an earlier one delivered."""
+        self._check_world_array(data)
         self.world.transport.set_phase(phase)
-        vec = arrays[0].ndim == 2
-        bufs = [plan.buffer(vec) for plan in plans]
-        deliver = self._deliverer(phase, vec, forward=True)
+        deliver = self._deliverer(phase, data.ndim == 2, forward=True)
         for k in range(self.n_rounds):
-            for rank, buf in enumerate(bufs):
-                plans[rank].pack(arrays[rank], buf, k, apply_shift)
-            deliver(arrays, bufs, phase, k)
+            deliver(data, apply_shift, phase, k)
 
-    def _reverse_sum_array(self, arrays: dict[int, np.ndarray], phase: str) -> None:
-        """Ghost -> owner replay, rounds backwards: the plane fills every
-        owner's pooled unpack buffer (send-segment order), then one fused
-        scatter each — before the next round forwards what this one summed.
+    def _reverse_sum_array(self, data: np.ndarray, phase: str) -> None:
+        """Ghost -> owner replay, rounds backwards: each round's ghost
+        contributions are summed onto their owner rows before the next
+        round forwards what this one summed.
 
-        Collect-all-then-apply-all within a round: an escalation
-        mid-collect must not leave a half-summed array behind (the
-        post-degradation force recompute relies on it), and it is safe
-        because :meth:`RankPlan.apply_reverse` never writes past the
-        round's scatter bound — the ghost rows being read are never
-        mutated.
+        Collect-all-then-apply-all within a round, on every plane: an
+        escalation mid-collect must not leave a half-summed array behind
+        (the post-degradation force recompute relies on it), and it is
+        safe because no plane's drain writes past the round's scatter
+        bound — the ghost rows being read are never mutated.
         """
-        plans = self._current().plans
+        self._check_world_array(data)
         self.world.transport.set_phase(phase)
-        vec = arrays[0].ndim == 2
-        bufs = [plan.buffer(vec) for plan in plans]
-        collect = self._deliverer(phase, vec, forward=False)
+        collect = self._deliverer(phase, data.ndim == 2, forward=False)
         for k in reversed(range(self.n_rounds)):
-            collect(arrays, bufs, phase, k)
-            for rank, buf in enumerate(bufs):
-                plans[rank].apply_reverse(arrays[rank], buf, k)
+            collect(data, phase, k)
 
-    # -- direct plane: pre-wired slice copies ---------------------------------
-    def _direct_forward(self, arrays, bufs, phase: str, k: int) -> None:
-        """Copy every packed slice straight into the receiver's ghost rows
-        (the bytes the mailbox round trip would move, none of its
-        bookkeeping)."""
-        for src, s, e, dst, lo, hi in self._epoch.deliveries[k]:
-            arrays[dst][lo:hi] = bufs[src][s:e]
+    # -- direct plane: the world table, one gather per round -------------------
+    def _staged(self, data: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``data[rows]`` gathered into the front of the staging block."""
+        n = rows.shape[0]
+        out = self._stage[:n] if data.ndim == 2 else self._stage.reshape(-1)[:n]
+        return np.take(data, rows, axis=0, out=out, mode="clip")
 
-    def _direct_reverse(self, arrays, bufs, phase: str, k: int) -> None:
-        """Copy every ghost slice straight into its owner's unpack buffer."""
-        for src, s, e, dst, lo, hi in self._epoch.deliveries[k]:
-            bufs[src][s:e] = arrays[dst][lo:hi]
+    def _direct_forward(self, data: np.ndarray, apply_shift: bool, phase: str, k: int) -> None:
+        """Gather every ghost row's source row of the world at once
+        (positions get their PBC shifts), then one slice copy per rank
+        into its landing span: the bytes the mailbox round trip would
+        move, none of its bookkeeping."""
+        rnd = self._epoch.world[k]
+        stage = self._staged(data, rnd.src_rows)
+        if apply_shift:
+            stage += rnd.shifts
+        for lo, hi, a, b in rnd.spans:
+            data[lo:hi] = stage[a:b]
+
+    def _direct_reverse(self, data: np.ndarray, phase: str, k: int) -> None:
+        """Gather every ghost row of the round in source-packed order and
+        sum onto the owner rows with one ``bincount`` per component —
+        each owner row's contributions in the order its rank's own
+        ``bincount`` adds them, each bin from zero, then ``f + sum`` on
+        the round's owned rows only."""
+        rnd = self._epoch.world[k]
+        stage = self._staged(data, rnd.ghost_rows)
+        if data.ndim == 2:
+            columns = [(data[:, c], stage[:, c]) for c in range(3)]
+        else:
+            columns = [(data, stage)]
+        for column, weights in columns:
+            np.add(
+                column, np.bincount(rnd.bins, weights=weights, minlength=data.shape[0]),
+                out=column, where=rnd.owned,
+            )
+
+    # -- per-rank pack and drain: what the mailbox and rdma planes move --------
+    def _per_rank(self, data: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """(slabs, pooled buffers): every rank's rows (local then ghost)
+        of a world array, and the buffer its rounds pack into / collect
+        into."""
+        slabs = [
+            data[atoms.start : atoms.start + atoms.ntotal] for atoms in self._epoch.arena.members
+        ]
+        return slabs, [plan.buffer(data.ndim == 2) for plan in self._epoch.plans]
+
+    def _pack_round(
+        self, data: np.ndarray, apply_shift: bool, k: int
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """:meth:`_per_rank` with every rank's round-``k`` send rows
+        gathered into its buffer."""
+        slabs, bufs = self._per_rank(data)
+        for plan, slab, buf in zip(self._epoch.plans, slabs, bufs):
+            plan.pack(slab, buf, k, apply_shift)
+        return slabs, bufs
+
+    def _drain_round(self, slabs: list[np.ndarray], bufs: list[np.ndarray], k: int) -> None:
+        """One fused scatter per rank, after *every* owner's buffer of
+        round ``k`` was collected."""
+        for plan, slab, buf in zip(self._epoch.plans, slabs, bufs):
+            plan.apply_reverse(slab, buf, k)
 
     # -- mailbox plane: the fault- and tracer-visible world transport ---------
-    def _mailbox_forward(self, arrays, bufs, phase: str, k: int) -> None:
+    def _mailbox_forward(self, data: np.ndarray, apply_shift: bool, phase: str, k: int) -> None:
         transport = self.world.transport
         plans = self._epoch.plans
+        slabs, bufs = self._pack_round(data, apply_shift, k)
         for rank, buf in enumerate(bufs):
             for peer, start, stop, tag in plans[rank].sends(k, phase):
                 transport.send(rank, peer, tag, buf[start:stop].copy())
         for rank, plan in enumerate(plans):
             for peer, lo, hi, tag in plan.recvs(k, phase):
-                arrays[rank][lo:hi] = self._recv(transport, rank, peer, tag)
+                slabs[rank][lo:hi] = self._recv(transport, rank, peer, tag)
 
-    def _mailbox_reverse(self, arrays, bufs, phase: str, k: int) -> None:
+    def _mailbox_reverse(self, data: np.ndarray, phase: str, k: int) -> None:
         transport = self.world.transport
         plans = self._epoch.plans
+        slabs, bufs = self._per_rank(data)
         for rank, plan in enumerate(plans):
             for peer, lo, hi, tag in plan.recvs(k, phase):
-                transport.send(rank, peer, tag, arrays[rank][lo:hi].copy())
+                transport.send(rank, peer, tag, slabs[rank][lo:hi].copy())
         for rank, buf in enumerate(bufs):
             for peer, start, stop, tag in plans[rank].sends(k, phase):
                 buf[start:stop] = self._recv(transport, rank, peer, tag)
+        self._drain_round(slabs, bufs, k)
 
     # -- border stage: the same rounds, writing the epoch ----------------------
     def borders(self) -> None:

@@ -164,7 +164,9 @@ class P2PExchange(GhostExchange):
 
     # -- RDMA setup -----------------------------------------------------------------
     def _border_setup(self) -> None:
-        """Also the one-time registration of arrays and rings."""
+        """Also the one-time registration of arrays and rings: every
+        rank's slab of the arena, which the base class just sized to the
+        theoretical maximum so the registration stays valid for the run."""
         super()._border_setup()
         if not self.rdma or self.engine is not None:
             return
@@ -172,12 +174,6 @@ class P2PExchange(GhostExchange):
         budget = self._plan_budget()
         for rank in range(self.world.size):
             atoms = self.atoms_of(rank)
-            # Pre-size the atom arrays to the theoretical maximum so the
-            # one-time registration stays valid for the whole run.
-            max_total = budget.max_local_atoms() + budget.max_ghost_atoms(
-                self.full_shell
-            )
-            atoms.reserve(max_total)
             self.endpoints[rank] = RdmaEndpoint(
                 rank=rank,
                 engine=self.engine,
@@ -259,10 +255,11 @@ class P2PExchange(GhostExchange):
     # ring round trip moves each ghost block byte-for-byte into the owner's
     # pooled buffer — the direct plane writes the same bytes to the same rows
     # without the staged-buffer/ring machinery.
-    def _rdma_forward(self, arrays, bufs, phase: str, k: int) -> None:
+    def _rdma_forward(self, data: np.ndarray, apply_shift: bool, phase: str, k: int) -> None:
         """Forward positions by direct PUT into remote position arrays
         (an rdma exchange's plan has one round: window slots and rings
         are numbered by segment)."""
+        _, bufs = self._pack_round(data, apply_shift, k)
         with TRACER.span(
             f"{self.name}.forward-rdma", cat="rdma", track="comm", pattern=self.name
         ):
@@ -277,13 +274,14 @@ class P2PExchange(GhostExchange):
             self._rdma_fence("forward")
         self._fastpath_phases += 1
 
-    def _rdma_reverse(self, arrays, bufs, phase: str, k: int) -> None:
+    def _rdma_reverse(self, data: np.ndarray, phase: str, k: int) -> None:
         """Reverse forces via length-prefixed PUTs into receive rings."""
+        plans = self._epoch.plans
+        slabs, bufs = self._per_rank(data)
         with TRACER.span(
             f"{self.name}.reverse-rdma", cat="rdma", track="comm", pattern=self.name
         ):
             # Ghost holders put into the owners' rings...
-            plans = self._epoch.plans
             for rank, plan in enumerate(plans):
                 endpoint = self.endpoints[rank]
                 slots = self._geom[rank][0].recv_slots
@@ -292,7 +290,7 @@ class P2PExchange(GhostExchange):
                     # opposite offset; the owner consumes rings in its own
                     # send order, so target the ring it will read.
                     ring = self.endpoints[peer].recv_rings[slots[r_idx]]
-                    endpoint.put_into_ring(r_idx, ring, arrays[rank][lo:hi])
+                    endpoint.put_into_ring(r_idx, ring, slabs[rank][lo:hi])
             # ... and the owners drain them in deterministic order, each
             # route's block into the pooled buffer the shared fused scatter
             # reads — the same summation the message plane uses, so both
@@ -310,6 +308,7 @@ class P2PExchange(GhostExchange):
                             f"match {stop - start} border atoms"
                         )
                     buf[start:stop] = forces
+        self._drain_round(slabs, bufs, k)
         self._fastpath_phases += 1
 
     # -- RDMA-plane robustness (fence + ring retry) ---------------------------

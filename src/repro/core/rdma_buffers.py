@@ -37,6 +37,16 @@ class BufferOverwriteError(RuntimeError):
     """A remote write targeted a receive buffer still holding live data."""
 
 
+def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays are the same address and extent — what a
+    registration is of.  (Not ``a.base is b``: a slab of an arena is
+    itself a view, and every slicing of it is a new object.)"""
+    return (
+        a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+        and a.nbytes == b.nbytes
+    )
+
+
 class RecvBufferRing:
     """Round-robin registered receive buffers for one neighbor."""
 
@@ -172,7 +182,9 @@ class RdmaEndpoint:
         is designed to eliminate.  ``registration_count`` on the cache
         exposes it to tests and the ablation bench.
         """
-        if self.x_region.data.base is x_storage and self.f_region.data.base is f_storage:
+        if _same_memory(self.x_region.data, x_storage) and _same_memory(
+            self.f_region.data, f_storage
+        ):
             return False
         cache = self.engine.cache_for(self.rank)
         cache.deregister(self.x_region)

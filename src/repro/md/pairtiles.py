@@ -3,15 +3,18 @@
 At the strong-scaling limit (22-32 atoms per rank) the Pair stage is a
 loop of tiny NumPy kernels.  At every reneighbouring the driver freezes
 the ranks' pair lists into a few **tiles of consecutive whole ranks**:
-flat ``pair_i/pair_j`` (rank-local index + the rank's row offset) over
-one concatenated row space.  The storage is world-flat — one array per
-quantity for all ranks, with rank offsets — and a tile is a window onto
-it.  Each step a tile gathers its ranks' positions once (``load``), the
-potential runs once over the flat pair list — a tile exposes the read
-surface the kernels use on :class:`~repro.md.atoms.Atoms` (``x``,
-``f``, ``type``, ``ntotal``), so it is *the same kernel on a bigger
-rank* — and ``store_forces`` writes each rank's rows back to its
-``Atoms.f``.
+flat ``pair_i/pair_j`` (rank-local index + the rank's slab start) over
+the rows of the ranks' shared :class:`~repro.md.atoms.AtomArena`.  The
+storage is world-flat and a tile is a **window** onto it: ``tile.x`` /
+``tile.f`` / ``tile.type`` *are* the arena rows from its first rank's
+slab to its last rank's last ghost — nothing is copied in or out, the
+headroom rows between slabs ride along untouched by any pair.  Each step
+a tile refreshes its ``(3, N)`` transpose and zeroes its force rows
+(``load``), the potential runs once over the flat pair list — a tile
+exposes the read surface the kernels use on ``Atoms`` (``x``, ``f``,
+``type``, ``ntotal``), so it is *the same kernel on a bigger rank* — and
+the forces are already where ``Atoms.f`` and the exchange's reverse look
+for them.
 
 Bit-identity with a per-rank loop rests on three rules:
 
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import DTypeLike
 
-from repro.md.atoms import Atoms
+from repro.md.atoms import AtomArena, Atoms
 from repro.md.kernels import pair_deltas, r2_from_deltas
 from repro.md.neighbor import NeighborList
 
@@ -68,7 +71,7 @@ class Workspace:
     ``array(key, shape)`` returns a view of a persistent buffer; the
     buffer is allocated with :data:`HEADROOM` on first use and regrown
     (counted in ``grow_events``) only if a later request exceeds it.
-    Tile storage is world-flat and kernel scratch is sized independently
+    Tile pair lists are world-flat and kernel scratch is sized independently
     of how ranks are grouped into tiles (see :meth:`PairTile.scratch`),
     so regrouping never moves a buffer: in a steady run ``allocations``
     stops moving after the first neighbour epoch and ``grow_events``
@@ -106,16 +109,19 @@ class Workspace:
 class PairTile:
     """Consecutive whole ranks as one kernel input.
 
-    ``row_bounds[k]:row_bounds[k+1]`` are the rows (local then ghost) of
-    ``ranks[k]``; ``pair_bounds`` delimit its pairs in the flat
-    ``pair_i/pair_j`` and ``local_bounds`` its owned rows in
-    ``local_rows`` — all relative to the tile.  ``x``/``f``/``type``/
-    ``ntotal`` mirror ``Atoms``; ``xT`` is the ``(3, ntotal)`` copy of
-    ``x`` with contiguous rows that the kernels gather from.
+    ``row_bounds[k]`` is where ``ranks[k]``'s slab starts — its rows
+    (local then ghost) follow, then headroom up to ``row_bounds[k + 1]``
+    (for the last rank: no headroom, the tile ends with its ghosts);
+    ``pair_bounds`` delimit its pairs in the flat ``pair_i/pair_j`` and
+    ``local_bounds`` its owned rows in ``local_rows`` — all relative to
+    the tile.  ``x``/``f``/``type`` are the arena's rows themselves and,
+    with ``ntotal``, mirror ``Atoms``; ``xT`` is the ``(3, ntotal)`` copy
+    of ``x`` with contiguous rows that the kernels gather from.
 
-    ``origin`` is the tile's first ``(row, pair)`` in the world-flat
-    storage, ``extent`` the world's ``(rows, pairs)`` and ``capacity``
-    the per-pair scratch size shared by all tiles of the world.
+    ``origin`` is the tile's first ``(arena row, pair)``, ``extent`` the
+    world's ``(arena rows, pairs)`` and ``capacity`` the per-pair scratch
+    size shared by all tiles of the world.  ``layout`` is the arena
+    layout the windows were cut from.
     """
 
     ranks: tuple[int, ...]
@@ -134,6 +140,8 @@ class PairTile:
     origin: tuple[int, int]
     extent: tuple[int, int]
     capacity: int
+    arena: AtomArena
+    layout: int
 
     @property
     def ntotal(self) -> int:
@@ -145,18 +153,17 @@ class PairTile:
         ``[0, nlocal)`` as in ``Atoms`` (what Stillinger-Weber assumes)."""
         return int(self.local_rows.shape[0])
 
-    # -- per-step traffic with the ranks' Atoms --------------------------
+    # -- per step ----------------------------------------------------------
     def load(self) -> None:
-        """Gather the ranks' current positions; zero the force rows."""
-        np.concatenate([a.x for a in self.atoms], out=self.x)
+        """Transpose the current positions for the gathers; zero the
+        force rows."""
+        if self.layout != self.arena.layout:
+            raise RuntimeError(
+                "the arena was re-laid out since this tile was built: its windows "
+                "are rows of arrays no rank uses any more"
+            )
         self.xT[...] = self.x.T
         self.f[...] = 0.0
-
-    def store_forces(self) -> None:
-        """Write each rank's force rows back to its ``Atoms.f``."""
-        rb = self.row_bounds
-        for k, a in enumerate(self.atoms):
-            a.f[...] = self.f[rb[k] : rb[k + 1]]
 
     # -- scratch -----------------------------------------------------------
     def scratch(
@@ -222,12 +229,6 @@ class PairTile:
         return keep, i, j, d, r2
 
     # -- per-rank pieces of flat per-tile arrays -------------------------
-    def rank_views(self, values: np.ndarray) -> dict[int, np.ndarray]:
-        """``{rank: values[rows of rank]}`` — views, for the exchange's
-        in-place scalar phases."""
-        rb = self.row_bounds
-        return {r: values[rb[k] : rb[k + 1]] for k, r in enumerate(self.ranks)}
-
     def rank_sums(self, values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         """``values[bounds[k]:bounds[k+1]].sum()`` for each rank ``k``.
 
@@ -272,6 +273,8 @@ def as_tile(
         origin=(0, 0),
         extent=(n, npairs),
         capacity=npairs,
+        arena=atoms.arena,
+        layout=atoms.arena.layout,
     )
 
 
@@ -300,14 +303,21 @@ def _bounds(counts: Sequence[int]) -> np.ndarray:
 class PairTiles:
     """The world's tiles; ``rebuild`` at every reneighbouring.
 
-    Tile storage (pair lists, ``x``/``xT``/``f``, types) and all kernel
-    scratch live in one :class:`Workspace`, so rebuilding re-fills
-    buffers instead of allocating them.
+    Pair lists, ``xT`` and all kernel scratch live in one
+    :class:`Workspace`, so rebuilding re-fills buffers instead of
+    allocating them; positions, forces and types are the arena's.
     """
 
     def __init__(self) -> None:
         self.workspace = Workspace()
         self.tiles: list[PairTile] = []
+        self.arena: AtomArena | None = None
+
+    def world_rows(self, key: str) -> np.ndarray:
+        """One float per arena row: the buffer every tile's
+        ``row_scratch(key)`` is a window of, whole — what the exchange's
+        scalar phases take."""
+        return self.workspace.array(key, self.arena.rows)
 
     def rebuild(
         self,
@@ -316,13 +326,16 @@ class PairTiles:
         groups: Sequence[Sequence[int]],
     ) -> None:
         """Freeze ``lists`` (one per rank, as just built over ``atoms``)
-        into one tile per group; the groups must cover the ranks in order."""
+        into one tile per group; the groups must cover the ranks in order.
+        The ranks' atoms share one arena afterwards (they are moved into
+        one, in place, if they did not)."""
         if [r for group in groups for r in group] != list(range(len(atoms))):
             raise ValueError(f"tiles must be runs of consecutive ranks, got {groups}")
-        rows = _bounds([a.ntotal for a in atoms])
+        arena = self.arena = AtomArena.adopt(atoms)
+        starts = arena.starts
         pairs = _bounds([neigh.n_pairs for neigh in lists])
         locals_ = _bounds([a.nlocal for a in atoms])
-        extent = (int(rows[-1]), int(pairs[-1]))
+        extent = (arena.rows, int(pairs[-1]))
         # Scratch for the largest tile, and never less than a full default
         # tile: a world whose pair count hovers around TILE_PAIRS (one tile
         # in one epoch, two in the next) must not regrow it.
@@ -333,43 +346,44 @@ class PairTiles:
         pair_i = ws.array("pair_i", extent[1], np.intp)
         pair_j = ws.array("pair_j", extent[1], np.intp)
         local_rows = ws.array("local_rows", int(locals_[-1]), np.intp)
-        type_ = ws.array("type", extent[0], np.int32)
-        x = ws.array("x", (extent[0], 3))
         xT = ws.array("xT", (3, extent[0]))
-        f = ws.array("f", (extent[0], 3))
 
         self.tiles = []
         for group in groups:
             lo, hi = group[0], group[-1] + 1
-            row0 = rows[lo]
+            row0 = starts[lo]
             for r in group:
-                # rank-local index + the rank's row offset within the tile
-                offset = rows[r] - row0
+                # rank-local index + the rank's slab start within the tile
+                offset = starts[r] - row0
                 np.add(lists[r].pair_i, offset, out=pair_i[pairs[r] : pairs[r + 1]])
                 np.add(lists[r].pair_j, offset, out=pair_j[pairs[r] : pairs[r + 1]])
                 local_rows[locals_[r] : locals_[r + 1]] = np.arange(
                     offset, offset + atoms[r].nlocal
                 )
-                type_[rows[r] : rows[r + 1]] = atoms[r].type
-            row_span = slice(rows[lo], rows[hi])
+            row_bounds = starts[lo : hi + 1] - row0
+            # the window closes with the last rank's ghosts, not its headroom
+            row_bounds[-1] = row_bounds[-2] + atoms[hi - 1].ntotal
+            row_span = slice(row0, row0 + row_bounds[-1])
             pair_span = slice(pairs[lo], pairs[hi])
             self.tiles.append(
                 PairTile(
                     ranks=tuple(group),
                     atoms=tuple(atoms[lo:hi]),
-                    row_bounds=rows[lo : hi + 1] - rows[lo],
+                    row_bounds=row_bounds,
                     pair_i=pair_i[pair_span],
                     pair_j=pair_j[pair_span],
                     pair_bounds=pairs[lo : hi + 1] - pairs[lo],
                     local_rows=local_rows[locals_[lo] : locals_[hi]],
                     local_bounds=locals_[lo : hi + 1] - locals_[lo],
-                    type=type_[row_span],
-                    x=x[row_span],
+                    type=arena.type[row_span],
+                    x=arena.x[row_span],
                     xT=xT[:, row_span],
-                    f=f[row_span],
+                    f=arena.f[row_span],
                     workspace=ws,
-                    origin=(int(rows[lo]), int(pairs[lo])),
+                    origin=(int(row0), int(pairs[lo])),
                     extent=extent,
                     capacity=capacity,
+                    arena=arena,
+                    layout=arena.layout,
                 )
             )

@@ -63,6 +63,10 @@ class EAMPotential(PairPotential):
     """
 
     rank_tiled = True
+    #: the tiles' per-row buffers (``PairTile.row_scratch``) the driver's
+    #: two mid-pair exchange phases run over
+    density_rows = "eam.density"
+    fp_rows = "eam.fp"
 
     def __init__(
         self,
@@ -111,7 +115,7 @@ class EAMPotential(PairPotential):
         np.sqrt(r, out=r)
         n = keep.shape[0]
 
-        density = tile.row_scratch("eam.density")
+        density = tile.row_scratch(self.density_rows)
         density[...] = 0.0
         if n:
             rho_r = self.rho(r)
@@ -142,7 +146,7 @@ class EAMPotential(PairPotential):
         rho_local = np.take(scratch["density"], rows, mode="clip")
         np.maximum(rho_local, 0.0, out=rho_local)
         e_embed = tile.rank_sums(self.embed(rho_local), tile.local_bounds)
-        fp = tile.row_scratch("eam.fp")
+        fp = tile.row_scratch(self.fp_rows)
         fp[...] = 0.0
         fp[rows] = self.dembed(rho_local)
         scratch["fp"] = fp

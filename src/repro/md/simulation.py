@@ -15,7 +15,8 @@ the paper evaluates).  The step structure is LAMMPS':
 5. **Modify** — NVE final integrate.
 6. **Other** — thermo output and, for ``check=True``, the global
    allreduce that decides rebuilds (the cost that dominates EAM's
-   "Other" column in Table 3).
+   "Other" column in Table 3); the per-rank displacement check feeding
+   it is **Neigh** time, where LAMMPS counts ``neighbor->decide()``.
 
 Wall time of each stage is accumulated in :class:`StageTimers`; the
 modeled Fugaku time of the same run comes from the perfmodel, which
@@ -138,7 +139,9 @@ class Simulation:
         self.step_count = 0
         self.rebuilds = 0
         self.samples: list[ThermoSample] = []
-        self._last_results: dict[int, ForceResult] = {}
+        #: the last force evaluation, as the kernels reported it: one
+        #: ``(ranks, ForceResult)`` per tile (:meth:`rank_results` expands)
+        self._last_results: list[tuple[tuple[int, ...], ForceResult]] = []
         #: whole-rank Pair tiles, refrozen from the lists by _reneighbor()
         self._tiles = PairTiles()
 
@@ -298,16 +301,16 @@ class Simulation:
                             tile, tile.pair_i, tile.pair_j, half_list=self.half
                         )
                     )
+                # every tile's density / fp rows are windows of one
+                # per-arena-row buffer: the exchange takes it whole
                 if self.half:
                     self.exchange.reverse_sum_scalar_world(
-                        self._rank_views(scratch, "density")
+                        self._tiles.world_rows(pot.density_rows)
                     )
                 for tile, sc in zip(tiles, scratch):
                     pot.embedding_pass(tile, sc)
-                self.exchange.forward_scalar_world(self._rank_views(scratch, "fp"))
+                self.exchange.forward_scalar_world(self._tiles.world_rows(pot.fp_rows))
                 results = [pot.force_pass(tile, sc) for tile, sc in zip(tiles, scratch)]
-                for tile in tiles:
-                    tile.store_forces()
             else:
                 results = []
                 for tile in tiles:
@@ -315,12 +318,7 @@ class Simulation:
                     results.append(
                         pot.compute(tile, tile.pair_i, tile.pair_j, half_list=self.half)
                     )
-                    tile.store_forces()
-            for tile, result in zip(tiles, results):
-                for rank, (energy, virial) in zip(
-                    tile.ranks, result.per_rank(len(tile.ranks))
-                ):
-                    self._last_results[rank] = ForceResult(energy, virial)
+            self._last_results = [(tile.ranks, result) for tile, result in zip(tiles, results)]
         if self.half or self.potential.force_ghosts:
             # Newton's-law runs always reverse; 3-body full-list kernels
             # (Stillinger-Weber/Tersoff style) also scatter triplet forces
@@ -329,13 +327,14 @@ class Simulation:
             with self.timers.timing(Stage.COMM):
                 self.exchange.reverse()
 
-    def _rank_views(self, scratch: list[dict], key: str) -> dict[int, np.ndarray]:
-        """``{rank: its rows of scratch[tile][key]}`` over all tiles — the
-        per-rank arrays the exchange's scalar phases update in place."""
-        views: dict[int, np.ndarray] = {}
-        for tile, sc in zip(self._tiles.tiles, scratch):
-            views.update(tile.rank_views(sc[key]))
-        return views
+    def rank_results(self) -> dict[int, tuple[float, float]]:
+        """``{rank: (energy, virial)}`` of the last force evaluation,
+        expanded from the per-tile results on demand."""
+        return {
+            rank: pair
+            for ranks, result in self._last_results
+            for rank, pair in zip(ranks, result.per_rank(len(ranks)))
+        }
 
     def _needs_rebuild(self) -> bool:
         """The every/check policy of ``neigh_modify`` (Table 2)."""
@@ -348,10 +347,11 @@ class Simulation:
             return True
         # check yes: any rank's atoms moved beyond half the skin ->
         # global OR via allreduce (the EAM cost in Table 3 "Other").
-        flags = [
-            self.neigh_of(rank).needs_rebuild(self.atoms_of(rank).x_local())
-            for rank in range(self.world.size)
-        ]
+        with self.timers.timing(Stage.NEIGH):
+            flags = [
+                self.neigh_of(rank).needs_rebuild(self.atoms_of(rank).x_local())
+                for rank in range(self.world.size)
+            ]
         with self.timers.timing(Stage.OTHER):
             decision = bool(allreduce(flags, op=any))
         return decision
@@ -434,8 +434,8 @@ class Simulation:
     def sample_thermo(self) -> ThermoSample:
         """Global thermo reduction (an allreduce in real LAMMPS)."""
         ke = [self.thermo.local_kinetic(self.atoms_of(r)) for r in range(self.world.size)]
-        pe = [getattr(self._last_results.get(r), "energy", 0.0) for r in range(self.world.size)]
-        w = [getattr(self._last_results.get(r), "virial", 0.0) for r in range(self.world.size)]
+        results = self.rank_results()
+        pe, w = zip(*(results.get(r, (0.0, 0.0)) for r in range(self.world.size)))
         return Thermo.reduce(
             self.step_count, ke, pe, w, self.natoms, self.box.volume
         )

@@ -153,7 +153,12 @@ def test_border_stage_equals_per_route_oracle(pattern, newton, rdma, plane):
             assert plan.fwd_idx.flags.c_contiguous
             for name in ("fwd_idx", "shift_rows", "send_bounds", "recv_bounds"):
                 assert np.array_equal(getattr(plan, name), getattr(other, name))
-        assert new._epoch.deliveries == old._epoch.deliveries is not None
+        # ... and so are the world tables derived from them.
+        assert new._epoch.world is not None
+        for table, other in zip(new._epoch.world, old._epoch.world):
+            assert table.spans == other.spans
+            for name in ("src_rows", "shifts", "ghost_rows", "bins", "owned"):
+                assert np.array_equal(getattr(table, name), getattr(other, name))
         new.forward()
         old.forward()
         assert_same_border_state(new, old)

@@ -1,13 +1,16 @@
 """The plane selector's truth table, one phase at a time.
 
-``GhostExchange._plane`` is the only place that decides how packed
-buffers travel: ``direct`` slice copies, the ``mailbox`` transport, or
+``GhostExchange._plane`` is the only place that decides how a round's
+rows travel: the ``direct`` world table, the ``mailbox`` transport, or
 the ``rdma`` PUT/fence/ring machinery.  Each cell below runs exactly one
 forward phase and one reverse phase and checks which plane carried them,
 how the ``plan_stats()`` counters moved, and what reached the traffic
 log (PUT phases are never logged messages, whichever plane stands in).
 The selector serves every pattern: the staged 3-stage exchange sits in
 the table beside the two p2p flavours.
+
+Below the table, the planes against each other bit for bit — as integer
+views, so a ``-0.0`` that one plane turns into ``+0.0`` is a failure.
 """
 
 from contextlib import nullcontext
@@ -19,6 +22,7 @@ from repro.core import P2PExchange, ThreeStageExchange
 from repro.faults import FAULTS, FaultPlan, FaultSpec
 from repro.obs.metrics import collecting
 from repro.obs.trace import tracing
+from tests._world_arrays import scalar_phase
 from tests.core.test_exchanges import build_world
 
 
@@ -58,7 +62,7 @@ def test_plane_selection_table(regime, flavour, kind):
     ex.borders()
     if regime == "deliveries-unwired":
         # What the epoch holds when a pairing's two counts disagree.
-        ex._epoch.deliveries = None
+        ex._epoch.world = None
 
     chosen = []
     select = ex._plane
@@ -80,8 +84,8 @@ def test_plane_selection_table(regime, flavour, kind):
             ex.forward()
             ex.reverse()
         else:
-            ex.forward_scalar_world(scalars)
-            ex.reverse_sum_scalar_world(scalars)
+            scalar_phase(ex.forward_scalar_world, scalars)
+            scalar_phase(ex.reverse_sum_scalar_world, scalars)
     after = ex.plan_stats()
 
     is_put = rdma and kind == "vector"
@@ -99,3 +103,75 @@ def test_plane_selection_table(regime, flavour, kind):
     assert log.count() - logged == (0 if is_put else 2 * n_routes)
     assert log.grand_total_count == log.count()
     world.transport.assert_drained()
+
+
+# name -> (grid, atoms, rcomm, exchange factory); every one also runs with
+# the other plane an armed session selects for it
+SHAPES = {
+    "p2p-half13": ((3, 3, 3), 500, 2.0, lambda w, d, r: P2PExchange(w, d, r)),
+    "p2p-full26": ((3, 3, 3), 500, 2.0, lambda w, d, r: P2PExchange(w, d, r, newton=False)),
+    "p2p-half13-rdma": ((3, 3, 3), 500, 2.0, lambda w, d, r: P2PExchange(w, d, r, rdma=True)),
+    # the +1 and -1 neighbours of an axis are one rank
+    "repeated-peers": ((2, 2, 2), 300, 2.0, lambda w, d, r: P2PExchange(w, d, r)),
+    "repeated-peers-rdma": ((2, 2, 2), 300, 2.0, lambda w, d, r: P2PExchange(w, d, r, rdma=True)),
+    "radius2": ((3, 2, 2), 600, 1.5, lambda w, d, r: P2PExchange(w, d, r, radius=2)),
+    "3stage": ((3, 3, 3), 500, 2.0, lambda w, d, r: ThreeStageExchange(w, d, r)),
+    "3stage-radius2": ((3, 2, 2), 600, 1.5, lambda w, d, r: ThreeStageExchange(w, d, r, radius=2)),
+}
+
+
+def signed_zeros(rng, shape):
+    """Random values with a third of the entries ``+0.0`` and a third
+    ``-0.0``: what ``x + 0.0`` changes and ``==`` does not see."""
+    values = rng.normal(size=shape)
+    kind = rng.integers(0, 3, size=shape)
+    values[kind == 1] = 0.0
+    values[kind == 2] = -0.0
+    return values
+
+
+def bits(array):
+    return np.ascontiguousarray(array).view(np.int64)
+
+
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_direct_plane_equals_the_armed_plane_bit_for_bit(name):
+    grid, natoms, rcomm, make = SHAPES[name]
+    exchanges = []
+    for _ in range(2):
+        world, domain, _, _ = build_world(grid, natoms=natoms, seed=5)
+        exchanges.append(make(world, domain, rcomm))
+        exchanges[-1].borders()
+    direct, other = exchanges
+    ranks = range(direct.world.size)
+    rng = np.random.default_rng(8)
+    for rank in ranks:
+        a, b = direct.atoms_of(rank), other.atoms_of(rank)
+        assert np.array_equal(a.tag, b.tag)
+        a.x_local()[...] += rng.normal(scale=0.05, size=(a.nlocal, 3))
+        b.x_local()[...] = a.x_local()
+        a.f[...] = signed_zeros(rng, a.f.shape)
+        b.f[...] = a.f
+    scalars = [
+        {rank: signed_zeros(rng, direct.atoms_of(rank).ntotal) for rank in ranks}
+        for _ in range(2)
+    ]
+    ran = []
+    for ex, context in ((direct, nullcontext), (other, armed("drop", "rdma-stale"))):
+        mine = [{rank: values.copy() for rank, values in each.items()} for each in scalars]
+        before = ex.plan_stats()["slowpath_phases"]
+        with context():
+            ex.forward()
+            ex.reverse()
+            scalar_phase(ex.forward_scalar_world, mine[0])
+            scalar_phase(ex.reverse_sum_scalar_world, mine[1])
+        ran.append((ex.plan_stats()["slowpath_phases"] - before, mine))
+    (refused_direct, got), (refused_other, want) = ran
+    assert (refused_direct, refused_other) == (0, 4)
+    for rank in ranks:
+        a, b = direct.atoms_of(rank), other.atoms_of(rank)
+        assert np.array_equal(bits(a.x), bits(b.x)), f"x differs on rank {rank}"
+        assert np.array_equal(bits(a.f), bits(b.f)), f"f differs on rank {rank}"
+        assert np.signbit(a.f[a.f == 0.0]).any()  # the case is there to be caught
+        for g, w in zip(got, want):
+            assert np.array_equal(bits(g[rank]), bits(w[rank])), f"scalar differs on {rank}"

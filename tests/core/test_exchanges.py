@@ -269,6 +269,34 @@ class TestForwardReverse:
             ex.reverse()
         assert ex.reregistrations == 0
 
+    def test_registration_is_of_the_slab_and_moves_with_a_relayout(self):
+        """``lj-strong-27r``: a rank's registered arrays are its slab of
+        the shared arena — views, every slicing a new object — so what is
+        compared is address and extent.  Three epochs register nothing
+        again; one forced re-layout moves every slab, and the next border
+        stage re-registers each rank exactly once."""
+        from repro.md.presets import PRESETS
+
+        sim = PRESETS["lj"].simulation((6, 6, 6), (3, 3, 3), seed=12345)
+        ex = sim.exchange
+        assert ex.rdma
+        sim.run(45)
+        assert sim.rebuilds == 2 and ex.plan_stats()["plan_builds"] == 3
+        assert ex.reregistrations == 0
+        regions = [ex.endpoints[r].x_region for r in range(27)]
+        for rank in range(27):
+            atoms = sim.atoms_of(rank)
+            assert np.shares_memory(regions[rank].data, ex.arena.x)
+            assert regions[rank].data.size == 3 * atoms.capacity
+        sim.run(14)  # ... to the eve of the rebuild at step 60
+        sim.atoms_of(5).reserve(sim.atoms_of(5).capacity + 1)
+        assert ex.plan_stats()["pool_grow_events"] == 1
+        sim.run(1)  # migration, borders: every endpoint revalidates
+        assert sim.rebuilds == 3 and ex.reregistrations == 27
+        assert all(ex.endpoints[r].x_region is not regions[r] for r in range(27))
+        sim.run(20)
+        assert sim.rebuilds == 4 and ex.reregistrations == 27
+
 
 class TestExchangeMigration:
     @pytest.mark.parametrize("make", [

@@ -32,6 +32,7 @@ from repro.md import Box, Domain
 from repro.md.atoms import Atoms
 from repro.md.lattice import fcc_lattice
 from repro.runtime import World
+from tests._world_arrays import scalar_phase
 
 GOLDEN = Path(__file__).with_name("golden_three_stage.json")
 GOLDEN_P2P = Path(__file__).with_name("golden_p2p.json")
@@ -178,14 +179,14 @@ def digests(name: str) -> dict[str, str]:
 
     d = _Digest()
     scalars = {r: rng.random(ex.atoms_of(r).ntotal) for r in ranks}
-    ex.forward_scalar_world(scalars)
+    scalar_phase(ex.forward_scalar_world, scalars)
     for r in ranks:
         d.add(scalars[r])
     out["scalar_forward"] = d.hex()
 
     d = _Digest()
     scalars = {r: rng.random(ex.atoms_of(r).ntotal) for r in ranks}
-    ex.reverse_sum_scalar_world(scalars)
+    scalar_phase(ex.reverse_sum_scalar_world, scalars)
     for r in ranks:
         d.add(scalars[r])
     out["scalar_reverse"] = d.hex()
@@ -215,7 +216,12 @@ def test_epoch_arrays_partition_tile_and_pair(name):
     """What a border stage writes, for every golden shape: per round the
     send bounds partition the gather rows, the recv bounds tile ``[nlocal,
     ntotal)`` in landing order, and every static send<->recv pairing moves
-    as many rows as it lands."""
+    as many rows as it lands.  And the world tables built from them: per
+    round the forward table lands on exactly each rank's landing span, in
+    order, from the rows (and with the shifts) the rank-by-rank replay
+    sends there; the reverse table is the ranks' packed orders
+    concatenated; ``owned`` is ``rows < scatter_len`` of every slab that
+    sends in the round."""
     ex, _ = _exchange(name)
     ex.borders()
     plans = ex._epoch.plans
@@ -238,7 +244,54 @@ def test_epoch_arrays_partition_tile_and_pair(name):
                 peer, start, stop, sent_tag = list(plans[src].sends(k))[slot]
                 assert (peer, sent_tag, stop - start) == (rank, tag, hi - lo)
         assert (s, r) == (len(sb) - 1, len(rb) - 1)
-    assert ex._epoch.deliveries is not None
+
+    arena, world = ex.arena, ex._epoch.world
+    starts = [atoms.start for atoms in arena.members]
+    assert arena.members == [ex.atoms_of(rank) for rank in range(len(plans))]
+    assert world is not None and len(world) == ex.n_rounds
+    for k, table in enumerate(world):
+        # forward, destination order: each rank's landing span, tiled by the
+        # stage; every block the sender's rows + slab start, its shift rows
+        none = np.empty(0, dtype=np.intp)  # a round may move nothing at all
+        dst_rows, src_rows, shifts = [none], [none], [np.empty((0, 3))]
+        for rank, plan in enumerate(plans):
+            for (src, lo, hi, _), slot in zip(plan.recvs(k), plan.geom[k].recv_slots):
+                _, start, stop, _ = list(plans[src].sends(k))[slot]
+                dst_rows.append(np.arange(lo, hi) + starts[rank])
+                src_rows.append(plans[src].fwd_idx[start:stop] + starts[src])
+                shifts.append(plans[src].shift_rows[start:stop])
+        landed = [none, *(np.arange(lo, hi) for lo, hi, _, _ in table.spans)]
+        staged = [none, *(np.arange(a, b) for _, _, a, b in table.spans)]
+        assert np.array_equal(np.concatenate(landed), np.concatenate(dst_rows))
+        assert np.array_equal(np.concatenate(staged), np.arange(len(table.src_rows)))
+        assert np.array_equal(table.src_rows, np.concatenate(src_rows))
+        assert np.array_equal(table.shifts, np.concatenate(shifts))
+        for rank, plan in enumerate(plans):
+            rb, rnd = plan.recv_bounds, plan.rounds[k]
+            span = (starts[rank] + rb[rnd.recvs.start], starts[rank] + rb[rnd.recvs.stop])
+            assert (span in [s[:2] for s in table.spans]) == (span[1] > span[0])
+        # reverse, source-packed order: rank-major, the pooled buffer's rows
+        assert np.array_equal(
+            table.bins,
+            np.concatenate([plan.rounds[k].idx + starts[r] for r, plan in enumerate(plans)]),
+        )
+        ghost_of = {}  # (source rank, packed row) -> the arena ghost row it became
+        for rank, plan in enumerate(plans):
+            for (src, lo, hi, _), slot in zip(plan.recvs(k), plan.geom[k].recv_slots):
+                _, start, stop, _ = list(plans[src].sends(k))[slot]
+                for i in range(stop - start):
+                    ghost_of[src, start + i] = starts[rank] + lo + i
+        packed = [
+            (r, row)
+            for r, plan in enumerate(plans)
+            for row in range(plan.rounds[k].rows.start, plan.rounds[k].rows.stop)
+        ]
+        assert table.ghost_rows.tolist() == [ghost_of[key] for key in packed]
+        owned = np.zeros(arena.rows, dtype=bool)
+        for rank, plan in enumerate(plans):
+            if plan.rounds[k].idx.size:
+                owned[starts[rank] : starts[rank] + plan.rounds[k].scatter_len] = True
+        assert np.array_equal(table.owned, owned)
 
 
 def traced_event_classes(path: Path) -> dict[str, int]:

@@ -94,11 +94,16 @@ class TestFailureInjection:
         sim, _ = self._fresh_pair(seed=125)
         sim.setup()
         p_good = sim.sample_thermo().pressure
-        plan = sim.exchange._epoch.plans[0]
-        first = slice(*plan.send_bounds[:2])
-        assert plan.shift_rows[first].size
-        plan.shift_rows[first] += 0.5  # sabotage one route's shift
-        sim.exchange.forward()  # replays the epoch -> ghosts move wrongly
+        ex = sim.exchange
+        arrays = [
+            [plan.fwd_idx, plan.shift_rows, plan.send_bounds, plan.recv_bounds]
+            for plan in ex._epoch.plans
+        ]
+        first = slice(*arrays[0][2][:2])
+        assert arrays[0][1][first].size
+        arrays[0][1][first] += 0.5  # sabotage one route's shift
+        ex._epoch = ex._new_epoch(arrays)
+        ex.forward()  # replays the epoch -> ghosts move wrongly
         sim._compute_forces()
         p_bad = sim.sample_thermo().pressure
         assert abs(p_bad - p_good) > 1e-6
@@ -118,6 +123,6 @@ class TestFailureInjection:
         arrays[0][1] = np.delete(arrays[0][1], 0, axis=0)
         arrays[0][2] = np.concatenate(([0], arrays[0][2][1:] - 1))
         ex._epoch = ex._new_epoch(arrays)
-        assert ex._epoch.deliveries is None  # the pairing's counts disagree
+        assert ex._epoch.world is None  # the pairing's counts disagree
         with pytest.raises(Exception):
             ex.forward()

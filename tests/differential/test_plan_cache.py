@@ -26,6 +26,7 @@ from repro.md import Box, Domain
 from repro.md.atoms import Atoms
 from repro.obs.trace import tracing
 from repro.runtime import World
+from tests._world_arrays import scalar_phase
 
 BOX_EDGE = 9.0  # matches test_exchange_equivalence: sub-box 4.5 >= rcomm
 
@@ -127,8 +128,8 @@ class TestPlanInvalidation:
         for replay in (
             ex.forward,
             ex.reverse,
-            lambda: ex.forward_scalar_world(scalars),
-            lambda: ex.reverse_sum_scalar_world(scalars),
+            lambda: scalar_phase(ex.forward_scalar_world, scalars),
+            lambda: scalar_phase(ex.reverse_sum_scalar_world, scalars),
             lambda: ex.comm_schedule(0),
             ex.messages_per_rank,
         ):
@@ -136,6 +137,45 @@ class TestPlanInvalidation:
                 replay()
         ex.borders()
         ex.forward()
+
+    def test_epoch_names_the_arena_layout_it_was_written_against(self):
+        """World tables are arena row numbers: once a rank outgrows its
+        slab every row has moved, and a replay must refuse — typed, naming
+        borders() — rather than gather through the old numbers.  A fresh
+        border stage recovers: ghosts and forces as on an undisturbed twin."""
+        sim = _lj_sim(seed=12, pattern=self.pattern, steps=4)
+        twin = _lj_sim(seed=12, pattern=self.pattern, steps=4)
+        ex = sim.exchange
+        grown = sim.atoms_of(3)
+        x_before = grown.x.copy()
+        grown.reserve(grown.capacity + 1)
+        assert np.array_equal(grown.x, x_before) and grown.grow_events == 1
+        assert ex.arena.relayouts == 1 and ex.plan_stats()["pool_grow_events"] == 1
+        scalars = {r: np.zeros(ex.atoms_of(r).ntotal) for r in range(ex.world.size)}
+        for replay in (
+            ex.forward,
+            ex.reverse,
+            lambda: scalar_phase(ex.forward_scalar_world, scalars),
+            lambda: scalar_phase(ex.reverse_sum_scalar_world, scalars),
+        ):
+            with pytest.raises(NoEpochError, match=r"layout.*borders\(\)"):
+                replay()
+        rng = np.random.default_rng(0)
+        for each in (sim, twin):
+            each.exchange.borders()
+        for r in range(ex.world.size):
+            a, b = sim.atoms_of(r), twin.atoms_of(r)
+            a.f[...] = rng.normal(size=a.f.shape)
+            b.f[...] = a.f
+        for each in (sim, twin):
+            each.exchange.forward()
+            each.exchange.reverse()
+        for r in range(ex.world.size):
+            a, b = sim.atoms_of(r), twin.atoms_of(r)
+            assert np.array_equal(a.tag, b.tag)
+            assert np.array_equal(a.x.view(np.int64), b.x.view(np.int64))
+            assert np.array_equal(a.f.view(np.int64), b.f.view(np.int64))
+        assert twin.exchange.arena.relayouts == 0
 
     def test_failed_border_stage_installs_no_epoch(self):
         """A border message lost for longer than the retry budget escalates

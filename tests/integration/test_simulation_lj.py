@@ -117,6 +117,29 @@ class TestRebuildPolicies:
         sim.run(20)
         assert sim.rebuilds == 0
 
+    def test_the_displacement_check_is_neigh_time(self):
+        """A check step that does not rebuild still walked every rank's
+        displacements: Neigh time (LAMMPS' ``neighbor->decide()``), the
+        allreduce of the flags Other — nothing outside the stage timers."""
+        from repro.md.stages import Stage
+
+        edge = lj_density_to_cell(0.8442)
+        x, box = fcc_lattice((4, 4, 4), edge)
+        v = maxwell_velocities(x.shape[0], 0.0001, seed=34)
+        cfg = SimulationConfig(
+            dt=0.005, skin=0.3, pattern="p2p", neighbor_every=5, neighbor_check=True
+        )
+        sim = Simulation(x, v, box, LennardJones(cutoff=2.5), cfg, grid=(2, 2, 2))
+        sim.run(3)
+        wall = dict(sim.timers.wall)
+        sim.step()  # step 4: no check
+        assert sim.timers.wall[Stage.NEIGH] == wall[Stage.NEIGH]
+        assert sim.timers.wall[Stage.OTHER] == wall[Stage.OTHER]
+        sim.step()  # step 5: every rank checks, nobody moved far enough
+        assert sim.rebuilds == 0
+        assert sim.timers.wall[Stage.NEIGH] > wall[Stage.NEIGH]
+        assert sim.timers.wall[Stage.OTHER] > wall[Stage.OTHER]
+
     def test_check_yes_triggers_on_motion(self):
         sim = quick_lj_simulation(
             cells=(4, 4, 4), ranks=(2, 2, 2), seed=35, temperature=2.5,

@@ -345,11 +345,16 @@ def build_pairs(
 def compute_forces_per_rank(sim) -> None:
     """``Simulation._compute_forces`` as it stood: one kernel call per
     rank, with ``pot.compute`` / ``pot.*_pass`` replaced by the oracles
-    above (the only edit)."""
+    above (the only edit) — and, since the exchange's scalar phases take
+    one world array and the driver keeps one result per tile, its
+    per-rank dicts handed over through ``scalar_phase`` and its results
+    as single-rank tiles."""
     from repro.md.stages import Stage
+    from tests._world_arrays import scalar_phase
 
     self = sim
     pot = self.potential
+    results = {}
     with self.timers.timing(Stage.PAIR):
         for rank in range(self.world.size):
             self.atoms_of(rank).zero_forces()
@@ -362,25 +367,25 @@ def compute_forces_per_rank(sim) -> None:
                     pot, atoms, nl.pair_i, nl.pair_j, half_list=self.half
                 )
             if self.half:
-                self.exchange.reverse_sum_scalar_world(
-                    {r: s["density"] for r, s in scratch.items()}
+                scalar_phase(
+                    self.exchange.reverse_sum_scalar_world,
+                    {r: s["density"] for r, s in scratch.items()},
                 )
             for rank in range(self.world.size):
                 eam_embedding_pass(pot, self.atoms_of(rank), scratch[rank])
-            self.exchange.forward_scalar_world(
-                {r: s["fp"] for r, s in scratch.items()}
+            scalar_phase(
+                self.exchange.forward_scalar_world, {r: s["fp"] for r, s in scratch.items()}
             )
             for rank in range(self.world.size):
-                self._last_results[rank] = eam_force_pass(
-                    pot, self.atoms_of(rank), scratch[rank]
-                )
+                results[rank] = eam_force_pass(pot, self.atoms_of(rank), scratch[rank])
         else:
             for rank in range(self.world.size):
                 atoms = self.atoms_of(rank)
                 nl = self.neigh_of(rank)
-                self._last_results[rank] = lj_compute(
+                results[rank] = lj_compute(
                     pot, atoms, nl.pair_i, nl.pair_j, half_list=self.half
                 )
+        self._last_results = [((rank,), result) for rank, result in results.items()]
     if self.half or self.potential.force_ghosts:
         # Newton's-law runs always reverse; 3-body full-list kernels
         # (Stillinger-Weber/Tersoff style) also scatter triplet forces

@@ -32,6 +32,7 @@ from repro.md.neighbor import build_pairs
 from repro.md.pairtiles import TILE_PAIRS, PairTiles, group_ranks
 from repro.md.potentials import SuttonChenEAM, make_cu_like_eam
 from repro.md.presets import PRESETS
+from tests._world_arrays import scalar_phase
 
 GRID = (2, 2, 2)
 
@@ -134,13 +135,16 @@ def evaluate_per_rank(sim: Simulation) -> dict:
             for r, (a, nl) in enumerate(zip(atoms, lists))
         }
         if sim.half:
-            sim.exchange.reverse_sum_scalar_world(
-                {r: s["density"] for r, s in scratch.items()}
+            scalar_phase(
+                sim.exchange.reverse_sum_scalar_world,
+                {r: s["density"] for r, s in scratch.items()},
             )
         out["density"] = [scratch[r]["density"].copy() for r in scratch]
         for r, a in enumerate(atoms):
             ref.eam_embedding_pass(pot, a, scratch[r])
-        sim.exchange.forward_scalar_world({r: s["fp"] for r, s in scratch.items()})
+        scalar_phase(
+            sim.exchange.forward_scalar_world, {r: s["fp"] for r, s in scratch.items()}
+        )
         out["fp"] = [scratch[r]["fp"].copy() for r in scratch]
         results = [ref.eam_force_pass(pot, a, scratch[r]) for r, a in enumerate(atoms)]
         out["embedding"] = [res.extra["embedding_energy"] for res in results]
@@ -156,19 +160,26 @@ def evaluate_per_rank(sim: Simulation) -> dict:
 
 
 def evaluate_tiled(sim: Simulation, groups) -> dict:
-    """The engine: one kernel call per tile of ``groups``."""
+    """The engine: one kernel call per tile of ``groups``, over copies of
+    the ranks' atoms moved into an arena of their own — laid out like the
+    simulation's (a copy keeps its capacity), so the exchange's world
+    tables number its rows too and the scalar phases take the tiles'
+    per-arena-row buffers whole, as the driver hands them over."""
     pot, atoms = sim.potential, fresh_atoms(sim)
     lists = [sim.neigh_of(r) for r in ranks_of(sim)]
     tiles = PairTiles()
     tiles.rebuild(atoms, lists, groups)
+    assert tiles.arena is not sim.exchange.arena
+    assert np.array_equal(tiles.arena.starts, sim.exchange.arena.starts)
+    for tile in tiles.tiles:
+        assert np.shares_memory(tile.x, tiles.arena.x)
+        assert np.shares_memory(tile.f, tile.atoms[-1].f)
     out: dict = {}
     energy, virial, embedding = [], [], []
 
-    def views(scratch, key):
-        merged: dict[int, np.ndarray] = {}
-        for tile, sc in zip(tiles.tiles, scratch):
-            merged.update(tile.rank_views(sc[key]))
-        return merged
+    def per_rank(values):
+        """Copies of every rank's rows (local then ghost) of a world array."""
+        return [values[a.start : a.start + a.ntotal].copy() for a in atoms]
 
     if hasattr(pot, "density_pass"):
         scratch = []
@@ -177,18 +188,17 @@ def evaluate_tiled(sim: Simulation, groups) -> dict:
             scratch.append(
                 pot.density_pass(tile, tile.pair_i, tile.pair_j, half_list=sim.half)
             )
-        density = views(scratch, "density")
+        density = tiles.world_rows(pot.density_rows)
         if sim.half:
             sim.exchange.reverse_sum_scalar_world(density)
-        out["density"] = [density[r].copy() for r in ranks_of(sim)]
+        out["density"] = per_rank(density)
         for tile, sc in zip(tiles.tiles, scratch):
             pot.embedding_pass(tile, sc)
-        fp = views(scratch, "fp")
+        fp = tiles.world_rows(pot.fp_rows)
         sim.exchange.forward_scalar_world(fp)
-        out["fp"] = [fp[r].copy() for r in ranks_of(sim)]
+        out["fp"] = per_rank(fp)
         for tile, sc in zip(tiles.tiles, scratch):
             res = pot.force_pass(tile, sc)
-            tile.store_forces()
             energy += res.energy.tolist()
             virial += res.virial.tolist()
             embedding += res.extra["embedding_energy"].tolist()
@@ -197,7 +207,6 @@ def evaluate_tiled(sim: Simulation, groups) -> dict:
         for tile in tiles.tiles:
             tile.load()
             res = pot.compute(tile, tile.pair_i, tile.pair_j, half_list=sim.half)
-            tile.store_forces()
             assert res.per_rank(len(tile.ranks)) == list(zip(res.energy, res.virial))
             energy += res.energy.tolist()
             virial += res.virial.tolist()
@@ -241,7 +250,7 @@ class TestTilesMatchPerRankOracle:
         assert world("lj/all").neigh_of(0).settings.ghost_rule == "all"
         assert world("lj/newton-off").half is False
         lj2 = world("lj2/all")
-        inside = sum(lj2._last_results[r].energy != 0.0 for r in range(8))
+        inside = sum(lj2.rank_results()[r][0] != 0.0 for r in range(8))
         assert inside == 8 and len(set(lj2.atoms_of(0).type.tolist())) == 2
 
     @settings(max_examples=25, deadline=None)
@@ -493,10 +502,14 @@ def test_stillinger_weber_runs_as_single_rank_tiles():
         atoms.zero_forces()
         nl = sim.neigh_of(r)
         res = pot.compute(atoms, nl.pair_i, nl.pair_j, half_list=False)
-        assert res.energy == sim._last_results[r].energy != 0.0
-    # sim forces have been reverse-summed; compare the pre-reverse tile rows
+        assert res.energy == sim.rank_results()[r][0] != 0.0
+    # the sim's forces have been reverse-summed where they stand (a tile's
+    # rows are the ranks' own): evaluate the tiles again for the comparison
     for tile, atoms in zip(sim._tiles.tiles, direct):
+        tile.load()
+        pot.compute(tile, tile.pair_i, tile.pair_j, half_list=False)
         assert np.array_equal(tile.f, atoms.f)
+        assert np.shares_memory(tile.f, tile.atoms[0].f)
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +554,10 @@ def test_degradation_mid_run_never_leaves_tiles_stale():
             assert np.array_equal(tile.pair_j[pairs] - tile.row_bounds[k], lists[r].pair_j)
 
     got = sim.gather_forces()
-    energies = [sim._last_results[r].energy for r in ranks_of(sim)]
+    energies = sim.rank_results()
     ref.compute_forces_per_rank(sim)  # fresh: per-rank oracle kernels + reverse
     assert np.array_equal(sim.gather_forces(), got)
-    assert [sim._last_results[r].energy for r in ranks_of(sim)] == energies
+    assert sim.rank_results() == energies
 
     # and the trajectory is the one a run born on the last tier has
     fresh = small_sim("3stage")
