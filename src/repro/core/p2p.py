@@ -46,6 +46,7 @@ from repro.core.patterns import (
 from repro.core.rdma_buffers import BufferOverwriteError, RdmaEndpoint
 from repro.faults.injector import FAULTS, RetryExhaustedError
 from repro.machine.rdma import RdmaEngine
+from repro.md.atoms import AtomArena
 from repro.md.domain import Domain
 from repro.obs import hbevents
 from repro.obs.trace import TRACER
@@ -96,6 +97,8 @@ class P2PExchange(GhostExchange):
         self.endpoints: dict[int, RdmaEndpoint] = {}
         self._density = density
         self.reregistrations = 0
+        #: the arena layout the endpoints' registrations are slabs of
+        self._registered: tuple[AtomArena, int] | None = None
 
     def telemetry_feed(self) -> tuple[dict[str, float], dict[str, float]]:
         """Base feed plus the RDMA re-registration count."""
@@ -184,14 +187,20 @@ class P2PExchange(GhostExchange):
                 ring_depth=self.ring_depth,
                 full_shell=self.full_shell,
             )
+        self._registered = (self.arena, self.arena.layout)
 
     # -- border stage hooks ----------------------------------------------------------
     def _border_done(self, plane: str, epoch: Epoch) -> None:
         if self.rdma:
-            for rank in range(self.world.size):
-                atoms = self.atoms_of(rank)
-                if self.endpoints[rank].revalidate(atoms._x, atoms._f):
-                    self.reregistrations += 1
+            # A registration is of a slab of one arena layout: while the
+            # layout stands no slab has moved and there is nothing to compare.
+            arena = self.arena
+            if self._registered != (arena, arena.layout):
+                for rank in range(self.world.size):
+                    atoms = self.atoms_of(rank)
+                    if self.endpoints[rank].revalidate(atoms._x, atoms._f):
+                        self.reregistrations += 1
+                self._registered = (arena, arena.layout)
             self._exchange_windows(plane, epoch)
 
     def _exchange_windows(self, plane: str, epoch: Epoch) -> None:

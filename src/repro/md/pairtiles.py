@@ -20,9 +20,10 @@ Bit-identity with a per-rank loop rests on three rules:
 
 * **A rank is never split.**  Every atom row then receives its
   ``i``-contributions followed by its ``j``-contributions in exactly the
-  order a per-rank call produces; rows of different ranks are disjoint,
-  so which ranks share a tile changes nothing.  (Splitting a rank would
-  re-associate ``((0 + S_i) - S_j)``.)
+  order a per-rank call produces — each rank's list in
+  :mod:`repro.md.neighbor`'s pair order, ranks one after the other; rows
+  of different ranks are disjoint, so which ranks share a tile changes
+  nothing.  (Splitting a rank would re-associate ``((0 + S_i) - S_j)``.)
 * **Per-rank tallies are slice sums.**  Energy/virial of rank ``k`` is
   ``values[b[k]:b[k+1]].sum()`` over the contiguous run of that rank's
   compacted pairs — NumPy's pairwise sum over the same values and length

@@ -10,7 +10,9 @@ sum** merges ghost densities into owners, embedding derivatives
 ``fp = F'(rho)`` are computed for owned atoms, a **forward broadcast**
 copies fp onto ghosts, and pass 2 evaluates pair forces that need
 ``fp_i + fp_j``.  Those are exactly the "two additional communications
-during the pair stage" the paper optimizes.
+during the pair stage" the paper optimizes.  Densities and forces sum in
+list order — :mod:`repro.md.neighbor`'s pair order — and pass 1 hands
+pass 2 its compacted pairs (``own=True`` scratch) in that same order.
 
 The paper's benchmark uses the tabulated ``Cu_u3.eam`` (Foiles-Daw-Adams)
 file shipped with LAMMPS, which we cannot redistribute; as documented in

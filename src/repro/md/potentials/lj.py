@@ -4,7 +4,8 @@
 (2.5 sigma in the benchmark) without shift, matching the LAMMPS bench
 input the paper uses.  The kernel is a single vectorized pass over the
 pair list with bincount-based scatter accumulation (see
-:mod:`repro.md.kernels`).
+:mod:`repro.md.kernels`): every atom row sums its pairs in list order,
+which is :mod:`repro.md.neighbor`'s pair order.
 """
 
 from __future__ import annotations

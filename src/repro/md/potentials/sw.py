@@ -22,7 +22,10 @@ newton pair on" constraint.
 
 Triplet enumeration is vectorized: the full pair list is converted to a
 CSR per-atom view and all ``C(n_i, 2)`` ordered pairs per center are
-generated with cumsum arithmetic (no Python loop over atoms).
+generated with cumsum arithmetic (no Python loop over atoms).  The CSR
+is a *stable* sort by center of a list in :mod:`repro.md.neighbor`'s pair
+order, so a center's neighbours come diagonal by diagonal (``j`` ascending
+cyclically from ``i + 1``) whatever search built the list.
 Parameters default to the original Stillinger-Weber silicon set (1985),
 in reduced units (eps = sigma = 1); metal-unit silicon uses
 ``eps = 2.1683`` eV, ``sigma = 2.0951`` A.

@@ -274,15 +274,22 @@ class TestForwardReverse:
         the shared arena — views, every slicing a new object — so what is
         compared is address and extent.  Three epochs register nothing
         again; one forced re-layout moves every slab, and the next border
-        stage re-registers each rank exactly once."""
+        stage re-registers each rank exactly once.  While the layout
+        stands no slab can have moved, so no address is even compared."""
         from repro.md.presets import PRESETS
 
         sim = PRESETS["lj"].simulation((6, 6, 6), (3, 3, 3), seed=12345)
         ex = sim.exchange
         assert ex.rdma
+        sim.setup()
+        compared = []
+        for rank, endpoint in ex.endpoints.items():
+            endpoint.revalidate = lambda *a, _r=rank, _f=endpoint.revalidate: (
+                compared.append(_r) or _f(*a)
+            )
         sim.run(45)
         assert sim.rebuilds == 2 and ex.plan_stats()["plan_builds"] == 3
-        assert ex.reregistrations == 0
+        assert ex.reregistrations == 0 and compared == []
         regions = [ex.endpoints[r].x_region for r in range(27)]
         for rank in range(27):
             atoms = sim.atoms_of(rank)
@@ -293,9 +300,10 @@ class TestForwardReverse:
         assert ex.plan_stats()["pool_grow_events"] == 1
         sim.run(1)  # migration, borders: every endpoint revalidates
         assert sim.rebuilds == 3 and ex.reregistrations == 27
+        assert sorted(compared) == list(range(27))
         assert all(ex.endpoints[r].x_region is not regions[r] for r in range(27))
         sim.run(20)
-        assert sim.rebuilds == 4 and ex.reregistrations == 27
+        assert sim.rebuilds == 4 and ex.reregistrations == 27 and len(compared) == 27
 
 
 class TestExchangeMigration:

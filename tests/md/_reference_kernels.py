@@ -7,8 +7,10 @@ they used and the per-rank Pair loop of ``Simulation._compute_forces``,
 taken from the parent of the commit that introduced whole-rank Pair
 tiles.  They exist so ``test_pair_tiles.py`` can assert the engine's
 gather-friendly kernels are *bit-identical* to the straightforward NumPy
-spelling — forces, per-rank energy/virial, EAM density/fp and pair lists
-including their order.  Nothing under ``src/`` may import this.
+spelling — forces, per-rank energy/virial, EAM density/fp — and that
+``neighbor.build_pairs`` returns the frozen search's pair *set*: the
+order of a pair list is ``repro.md.neighbor``'s contract now, and
+``in_contract_order`` (the one addition here) puts a list in it.  Nothing under ``src/`` may import this.
 
 The oracle pins ``np.einsum("ij,ij->i", d, d)`` as the squared-distance
 association, which this NumPy evaluates as ``(x*x + z*z) + y*y``.  If a
@@ -339,6 +341,26 @@ def build_pairs(
         keep_ghost = ~j_local & (gz | (ez & (gy | (ey & gx))))
     keep = keep_local | keep_ghost
     return i[keep], j[keep]
+
+
+def in_contract_order(i: np.ndarray, j: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A pair list over ``n`` atoms put in the repo's pair order — ascending
+    ``((j - i) mod n, i)``, spelled with ``lexsort`` rather than the
+    engine's single key."""
+    order = np.lexsort((i, (j - i) % n))
+    return i[order], j[order]
+
+
+def build_pairs_in_contract_order(
+    x: np.ndarray,
+    nlocal: int,
+    cutoff: float,
+    half: bool = True,
+    ghost_rule: str = "all",
+) -> tuple[np.ndarray, np.ndarray]:
+    """The frozen search's pair set in the repo's pair order."""
+    i, j = build_pairs(x, nlocal, cutoff, half=half, ghost_rule=ghost_rule)
+    return in_contract_order(i, j, np.shape(x)[0])
 
 
 # -- Simulation._compute_forces (the per-rank Pair driver) -----------------

@@ -1,9 +1,9 @@
 """Whole-rank Pair tiles and the gather-friendly kernels vs. the oracles.
 
 Everything here is ``np.array_equal`` — bit-identity, not tolerance:
-forces, per-rank energy/virial, EAM density/fp, and pair lists including
-their order, against the verbatim pre-tile kernels kept in
-``_reference_kernels.py``.
+forces, per-rank energy/virial and EAM density/fp against the verbatim
+pre-tile kernels kept in ``_reference_kernels.py``, and pair lists
+against the frozen search's pair set put in the repo's pair order.
 """
 
 from __future__ import annotations
@@ -393,14 +393,25 @@ def pair_inputs():
         yield x, nlocal, float(rng.choice([0.5, 1.0, 1.5, 2.8]))
 
 
+def assert_oracle_set_in_contract_order(got, x, nlocal, cutoff, **rules) -> None:
+    """``got`` is the frozen search's pair set, ascending in the contract's
+    key ``((j - i) mod n) * n + i`` — strictly, so no pair twice."""
+    want = ref.build_pairs_in_contract_order(x, nlocal, cutoff, **rules)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    n = x.shape[0]
+    assert np.all(np.diff((got[1] - got[0]) % n * n + got[0]) > 0)
+
+
 class TestBuildPairs:
     @pytest.mark.parametrize("half", [True, False])
     @pytest.mark.parametrize("ghost_rule", ["all", "coord"])
     def test_identical_lists_including_order(self, half, ghost_rule):
+        """The frozen search's pair set, in the contract's order."""
         for x, nlocal, cutoff in pair_inputs():
             got = build_pairs(x, nlocal, cutoff, half=half, ghost_rule=ghost_rule)
-            want = ref.build_pairs(x, nlocal, cutoff, half=half, ghost_rule=ghost_rule)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert_oracle_set_in_contract_order(
+                got, x, nlocal, cutoff, half=half, ghost_rule=ghost_rule
+            )
             assert got[0].dtype == got[1].dtype == np.intp
 
     @pytest.mark.parametrize("name", ["lj/all", "lj/coord", "eam/newton-off"])
@@ -409,10 +420,9 @@ class TestBuildPairs:
         for r in ranks_of(sim):
             a, s = sim.atoms_of(r), sim.neigh_of(r).settings
             got = build_pairs(a.x, a.nlocal, s.r_comm, half=s.half, ghost_rule=s.ghost_rule)
-            want = ref.build_pairs(
-                a.x, a.nlocal, s.r_comm, half=s.half, ghost_rule=s.ghost_rule
+            assert_oracle_set_in_contract_order(
+                got, a.x, a.nlocal, s.r_comm, half=s.half, ghost_rule=s.ghost_rule
             )
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_degenerate_inputs(self):
         x = np.zeros((1, 3))
@@ -464,7 +474,7 @@ def ledger_shaped(potential, temperature, per_rank_oracle, monkeypatch) -> Simul
     cfg = preset.config("parallel-p2p", True, thermo_every=10)
     sim = Simulation(x, v, box, preset.potential(), cfg, grid=(3, 3, 3))
     if per_rank_oracle:
-        monkeypatch.setattr(neighbor, "build_pairs", ref.build_pairs)
+        monkeypatch.setattr(neighbor, "build_pairs", ref.build_pairs_in_contract_order)
         monkeypatch.setattr(
             sim, "_compute_forces", lambda: ref.compute_forces_per_rank(sim)
         )
