@@ -17,11 +17,12 @@ them *without running a simulation*, in two cooperating halves:
 * **introspective** — checks that import the live modules and verify
   the invariants on the real objects: the fine VCQ binding yields 24
   distinct CQs, the half-shell send plan is the exact negation of the
-  receive plan, ring/endpoint defaults are >= 4, and the endpoint's
-  buffers dominate the analytic maximum and are pre-registered.
+  receive plan, ring/endpoint defaults are >= 4, the endpoint's
+  buffers dominate the analytic maximum and are pre-registered, and so
+  do the atom arena's slabs.
 
 The four invariants :func:`lint_config` checks on one configuration as
-well (CQ count, shell symmetry, message bound, pool dominance) are each
+well (CQ count, shell symmetry, message bound, slab dominance) are each
 stated once, as a ``_*_violations`` function both callers anchor.
 
 Every rule has a stable ID (``CL001``..) so findings are suppressible
@@ -57,7 +58,7 @@ RULES: dict[str, str] = {
     "CL005": "send/recv plan not Newton-symmetric (send offsets must negate recv, §3.1)",
     "CL006": "RDMA put targets a literal/unexchanged STag or skips the window exchange (§3.4)",
     "CL007": "RDMA buffer size not derived from (or below) the analytic ghost maximum (§3.4)",
-    "CL008": "pooled send buffer not dominated by the GhostBudget analytic maximum (§3.4)",
+    "CL008": "atom arena slab not dominated by the GhostBudget analytic maximum (§3.4)",
     "CL009": "per-route in-flight capacity (ring depth x slot size) below the "
              "worst-case burst of the send schedule (§3.4)",
 }
@@ -430,43 +431,28 @@ def _check_buffer_sizing(tree: ast.Module, path: str) -> list[Finding]:
 
 
 def _check_pool_sizing(tree: ast.Module, path: str) -> list[Finding]:
-    """CL008: pooled send buffers must size from the GhostBudget.
-
-    Two syntactic hazards: a ``BufferPool`` class whose sizing logic
-    never references a GhostBudget analytic method (the dominance rule
-    would be unenforceable), and a ``BufferPool(...)`` construction fed
-    a bare literal instead of a budget object.
-    """
+    """CL008: the atom arena's slabs must size from the GhostBudget — an
+    ``AtomArena.adopt(atoms, capacity)`` fed a bare literal capacity
+    instead of the budget's analytic maximum is flagged."""
     findings = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "BufferPool":
-            if not any(_derives_from_budget(sub) for sub in node.body):
-                findings.append(
-                    Finding(
-                        rule="CL008",
-                        path=path,
-                        line=node.lineno,
-                        message="BufferPool sizing logic never references a "
-                        "GhostBudget analytic method",
-                        detail="pooled pack buffers follow the same dominance "
-                        "discipline as the RDMA rings: capacity derives from "
-                        "the analytic ghost maximum so steady state never "
-                        "reallocates (paper §3.4)",
-                    )
+        if not (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-2:] == ["AtomArena", "adopt"]
+        ):
+            continue
+        capacity = _literal_int(_arg(node, 1, "capacity"))
+        if capacity is not None:
+            findings.append(
+                Finding(
+                    rule="CL008",
+                    path=path,
+                    line=node.lineno,
+                    message=f"AtomArena slab capacity is the bare literal {capacity}",
+                    detail="pass the GhostBudget analytic maximum so every slab "
+                    "dominates it and steady state never re-lays out (paper §3.4)",
                 )
-        elif isinstance(node, ast.Call) and _call_name(node) == "BufferPool":
-            budget_node = _arg(node, 0, "budget")
-            if _literal_int(budget_node) is not None:
-                findings.append(
-                    Finding(
-                        rule="CL008",
-                        path=path,
-                        line=node.lineno,
-                        message="BufferPool budget is a bare literal",
-                        detail="pass a GhostBudget so the pool capacity tracks "
-                        "the analytic maximum, not a guessed constant",
-                    )
-                )
+            )
     return findings
 
 
@@ -631,37 +617,39 @@ def _message_bound_violations(per_message: int, worst: float) -> list[tuple[str,
 
 
 def _pool_dominance_violations(budget: GhostBudget) -> list[tuple[str, str]]:
-    """CL008: a budget-sized pool reuses one allocation in budget and
-    counts growth past it."""
-    from repro.core.comm_plan import BufferPool
+    """CL008: an arena adopted at the budget's analytic maximum holds it in
+    every slab, is reused at that capacity, and counts growth past it."""
+    from repro.md.atoms import AtomArena, Atoms
 
     out = []
-    analytic = int(budget.max_ghost_atoms(False))
-    pool = BufferPool(budget)
-    buf = pool.vec(max(1, analytic // 2))
-    if buf.shape[0] < analytic:
+    capacity = budget.max_local_atoms() + budget.max_ghost_atoms(False)
+    atoms = [Atoms(1), Atoms(1)]
+    arena = AtomArena.adopt(atoms, capacity)
+    smallest = min(a.capacity for a in atoms)
+    if smallest < capacity:
         out.append((
             "CL008",
-            f"pool capacity {buf.shape[0]} is below the analytic ghost "
-            f"maximum {analytic}",
+            f"slab capacity {smallest} is below the analytic maximum {capacity}",
         ))
-    # Steady state: every in-budget request reuses the one allocation.
-    pool.vec(max(1, analytic // 4))
-    pool.vec(max(1, analytic))
-    if pool.allocations != 1 or pool.grow_events != 0:
+    # Steady state: re-adopting at the same capacity keeps the one layout.
+    if AtomArena.adopt(atoms, capacity) is not arena or arena.relayouts != 0:
         out.append((
             "CL008",
-            f"in-budget requests reallocated (allocations={pool.allocations}, "
-            f"grow_events={pool.grow_events})",
+            f"re-adopting at capacity {capacity} re-laid the arena out "
+            f"(relayouts={arena.relayouts})",
         ))
     # Growth past the analytic maximum must be possible but *counted*.
-    pool.vec(pool.capacity_rows + 1)
-    if pool.grow_events != 1:
+    atoms[0].reserve(atoms[0].capacity + 1)
+    if arena.relayouts != 1:
         out.append((
             "CL008",
-            f"over-budget growth was not counted (grow_events={pool.grow_events}, "
+            f"over-budget growth was not counted (relayouts={arena.relayouts}, "
             "expected 1)",
         ))
+    # An arena and its members reference each other: unlink them so the
+    # slabs are freed on return, not at the next cyclic collection
+    # (lint_config runs this once per scenario).
+    arena.members.clear()
     return out
 
 
@@ -717,14 +705,14 @@ def _introspect_ring_defaults() -> list[Finding]:
 
 
 def _introspect_buffer_sizing() -> list[Finding]:
-    """CL006/CL007/CL008 on a live endpoint and pool: analytic dominance
+    """CL006/CL007/CL008 on a live endpoint and arena: analytic dominance
     + registration."""
     import numpy as np
 
-    from repro.core.comm_plan import BufferPool
     from repro.core.ghost import GhostBudget
     from repro.core.rdma_buffers import RdmaEndpoint
     from repro.machine.rdma import RdmaEngine, RdmaError
+    from repro.md.atoms import AtomArena
 
     budget = GhostBudget(a=8.0, r=2.5, density=0.05)
     per_message = budget.max_atoms_per_message()
@@ -769,7 +757,7 @@ def _introspect_buffer_sizing() -> list[Finding]:
             ("CL006", f"advertised window is not pre-registered: {exc}")
         )
     return _anchored(RdmaEndpoint, violations) + _anchored(
-        BufferPool, _pool_dominance_violations(budget)
+        AtomArena, _pool_dominance_violations(budget)
     )
 
 
@@ -937,7 +925,7 @@ def lint_config(profile: CommProfile) -> list[Finding]:
     worst = _worst_message_atoms(budget)
     findings += shared(_message_bound_violations(per_message, worst))
 
-    # CL008: a pool sized by this budget never grows in budget.
+    # CL008: an arena sized by this budget never re-lays out in budget.
     findings += shared(_pool_dominance_violations(budget))
 
     # CL009: per-route in-flight capacity (ring depth x slot size) must

@@ -1,4 +1,4 @@
-"""Static round geometry, per-epoch plan arrays and pooled flat buffers.
+"""Static round geometry, per-epoch plan arrays and the world tables.
 
 The paper's §3.4 discipline — compute addresses and sizes once,
 pre-register, then reuse every step — applied to the *functional*
@@ -24,25 +24,22 @@ epoch also holds the plans **world-wide**: per :class:`Round` of the
 schedule (one for the direct-neighbour patterns, one per swap for the
 staged 3-stage sweep) a :class:`WorldRound` of arena row numbers — the
 plans' arrays rank-concatenated plus slab starts, read through the static
-pairing.  The per-step work of a round is then, on the direct plane,
+pairing.  The per-step work of a round is one gather each way through a
+staging block as long as the arena:
 
-* **forward**: one ``np.take`` of every ghost row's source row, one
-  vectorized shift add, one slice copy per rank, and
-* **reverse**: one ``np.take`` of every ghost row and one ``bincount``
-  per component over the whole world, added onto the owned rows;
+* **forward**: one ``np.take`` and one vectorized shift add.  The direct
+  plane gathers in destination order and copies one slice per rank into
+  its landing span; the planes that move messages (mailbox, RDMA) gather
+  in source-packed order (:attr:`WorldRound.bins`), so send ``j`` of a
+  rank is one slice of the stage, and carry each slice;
+* **reverse**: every owner's contributions land in the stage in
+  source-packed order — gathered from the ghost rows by the direct plane,
+  received slice by slice by the others — and one ``bincount`` per
+  component over the whole world adds them onto the owned rows.
 
-and on the planes that move messages (mailbox, RDMA rings) the same rows
-rank by rank: :meth:`RankPlan.pack` (``np.take`` + shift add into a
-pooled buffer) and :meth:`RankPlan.apply_reverse` (one signed
-``bincount`` scatter-add over the collected contributions).  Both forms
-sum an owner row's contributions from zero, in the rank's packed order,
-then add the sum to the row — so all three planes stay bit-identical.
-
-The per-rank buffers live in a :class:`BufferPool` that persists across
-epochs (reneighboring changes the *indices*, not the buffer capacity)
-and is sized from the :class:`~repro.core.ghost.GhostBudget` analytic
-maximum like the RDMA rings and the arena's slabs — growth is a counted
-fallback, not the steady state.
+Every plane therefore sums an owner row's contributions from zero, in the
+rank's packed order, then adds the sum to the row — so all three stay
+bit-identical, and they differ only in how each send's slice travels.
 
 Bit-identity notes (load-bearing, do not "simplify"):
 
@@ -50,10 +47,10 @@ Bit-identity notes (load-bearing, do not "simplify"):
   shifts apply — skipping all-zero shifts would turn ``-0.0`` into
   ``+0.0`` relative to the seed path's ``payload += route.shift``;
 * the reverse scatter is bounded to the round's ``data[:scatter_len]``
-  (world-wide: :attr:`WorldRound.owned`) so it never writes the ghost
-  rows that round's planes read — zero-copy reverse payloads are live
-  views of ghost rows while owners apply — and never adds ``+ 0.0`` to a
-  row the per-rank drain leaves alone;
+  in every slab that sends (:attr:`WorldRound.owned`) so it never writes
+  the ghost rows that round's planes read — zero-copy reverse payloads
+  are live views of ghost rows while owners apply — and never adds
+  ``+ 0.0`` to a row the round does not sum into;
 * a staged round is one swap, never a dimension's pair: an atom both
   swaps send would be summed ``f + (c+ + c-)`` by one ``bincount`` where
   the staged replay sums ``(f + c-) + c+`` (docs/performance.md).
@@ -65,67 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.ghost import GhostBudget
 from repro.md.atoms import AtomArena
-from repro.md.kernels import scatter_add_scalar, scatter_signed_vec
-
-
-class BufferPool:
-    """Preallocated pack/unpack storage for one rank, reused forever.
-
-    Capacity is derived from the analytic ghost maximum of the exchange's
-    :class:`GhostBudget` (the same dominance rule commlint
-    CL008 enforces for the RDMA rings); growing past it is possible but
-    counted in :attr:`grow_events` so benchmarks can gate on zero.
-    """
-
-    def __init__(self, budget: GhostBudget, full_shell: bool = False) -> None:
-        self.budget = budget
-        self.full_shell = full_shell
-        self.allocations = 0
-        self.grow_events = 0
-        self._vec: np.ndarray | None = None
-        self._scalar: np.ndarray | None = None
-
-    @property
-    def capacity_rows(self) -> int:
-        """Rows the vector buffer currently holds (0 before first use)."""
-        return self._vec.shape[0] if self._vec is not None else 0
-
-    def _capacity_for(self, rows: int) -> int:
-        analytic = int(self.budget.max_ghost_atoms(self.full_shell))
-        if rows <= analytic:
-            return analytic
-        # Fallback/growth path: geometric headroom, counted by callers.
-        return max(rows, 16) * 2
-
-    def vec(self, rows: int) -> np.ndarray:
-        """A float64 ``(>= rows, 3)`` buffer (positions/forces)."""
-        if self._vec is None or self._vec.shape[0] < rows:
-            if self._vec is not None:
-                self.grow_events += 1
-            self._vec = np.empty((self._capacity_for(rows), 3), dtype=np.float64)
-            self.allocations += 1
-        return self._vec
-
-    def scalar(self, rows: int) -> np.ndarray:
-        """A float64 ``(>= rows,)`` buffer (EAM per-atom scalars)."""
-        if self._scalar is None or self._scalar.shape[0] < rows:
-            if self._scalar is not None:
-                self.grow_events += 1
-            self._scalar = np.empty(self._capacity_for(rows), dtype=np.float64)
-            self.allocations += 1
-        return self._scalar
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes currently held by the pool."""
-        total = 0
-        if self._vec is not None:
-            total += self._vec.nbytes
-        if self._scalar is not None:
-            total += self._scalar.nbytes
-        return total
 
 
 class RoundGeometry:
@@ -171,11 +108,11 @@ class Round(NamedTuple):
 
     A direct-neighbour pattern has one round; the staged sweep has one per
     swap, because a later swap packs rows an earlier one delivered.  Rounds
-    own disjoint row slices of the plan's one pooled buffer, so nothing
-    aliases across them.
+    own disjoint slices of the plan's packed rows, so nothing aliases
+    across them.
     """
 
-    rows: slice  # this round's rows of fwd_idx / shift_rows / the buffer
+    rows: slice  # this round's packed rows: of fwd_idx / shift_rows
     idx: np.ndarray  # fwd_idx[rows]
     shifts: np.ndarray  # shift_rows[rows]
     sends: slice  # its sends, as positions in send_bounds
@@ -192,7 +129,7 @@ class RankPlan:
     """One rank's four epoch arrays over its static geometry.
 
     ``fwd_idx`` / ``shift_rows`` are the gather the border stage packed
-    through; send ``j`` owns buffer rows ``send_bounds[j]:send_bounds[j +
+    through; send ``j`` owns packed rows ``send_bounds[j]:send_bounds[j +
     1]`` and receive ``i`` lands in atom rows ``recv_bounds[i]:
     recv_bounds[i + 1]`` — sends and receives numbered round-major, as the
     geometry lists them.
@@ -200,7 +137,7 @@ class RankPlan:
 
     __slots__ = (
         "geom", "fwd_idx", "shift_rows", "send_bounds", "recv_bounds",
-        "n_pack", "rounds", "pool",
+        "n_pack", "rounds",
     )
 
     def __init__(
@@ -210,7 +147,6 @@ class RankPlan:
         shift_rows: np.ndarray,
         send_bounds: np.ndarray,
         recv_bounds: np.ndarray,
-        pool: BufferPool,
     ) -> None:
         self.geom = geom
         self.fwd_idx = fwd_idx
@@ -218,7 +154,6 @@ class RankPlan:
         self.send_bounds = send_bounds
         self.recv_bounds = recv_bounds
         self.n_pack = int(send_bounds[-1])
-        self.pool = pool
         self.rounds: list[Round] = []
         s = r = 0
         for g in geom:
@@ -235,7 +170,7 @@ class RankPlan:
     # -- routes: geometry x bounds -------------------------------------------
     def sends(self, k: int, phase: str | None = None) -> zip:
         """``(peer, start, stop, tag)`` of every send of round ``k``: its
-        rows of the packed buffer and its tag on ``phase``'s wire (the
+        packed rows and its tag on ``phase``'s wire (the
         base tag without a phase)."""
         at = self.rounds[k].sends
         bounds = self.send_bounds[at.start : at.stop + 1].tolist()
@@ -254,37 +189,6 @@ class RankPlan:
         """(atom count, hops) of every send, round-major."""
         hops = [h for g in self.geom for h in g.send_hops]
         return np.diff(self.send_bounds).tolist(), hops
-
-    # -- pack / unpack ------------------------------------------------------
-    def buffer(self, vec: bool) -> np.ndarray:
-        """The pooled buffer every round packs into / collects into."""
-        return self.pool.vec(self.n_pack) if vec else self.pool.scalar(self.n_pack)
-
-    def pack(self, data: np.ndarray, buf: np.ndarray, k: int, apply_shift: bool) -> None:
-        """Gather round ``k``'s send rows of a (N, 3) or 1-D per-atom
-        array into its slice of ``buf`` (positions get the PBC shifts)."""
-        rnd = self.rounds[k]
-        out = buf[rnd.rows]
-        if data.ndim == 2:
-            np.take(data, rnd.idx, axis=0, out=out)
-            if apply_shift:
-                out += rnd.shifts
-        else:
-            np.take(data, rnd.idx, out=out)
-
-    def apply_reverse(self, data: np.ndarray, buf: np.ndarray, k: int) -> None:
-        """Fused scatter-add of round ``k``'s collected contributions.
-
-        ``buf`` holds one row per packed send row, in send-segment order
-        (the same order the seed path iterated routes).  The scatter is
-        bounded to the round's ``scatter_len``; see :class:`Round`.
-        """
-        rnd = self.rounds[k]
-        owned = data[: rnd.scatter_len]
-        if data.ndim == 2:
-            scatter_signed_vec(owned, rnd.idx, buf[rnd.rows], 1)
-        else:
-            scatter_add_scalar(owned, rnd.idx, buf[rnd.rows])
 
 
 def pair_table(geom: list[list[RoundGeometry]]) -> list[tuple[np.ndarray, ...]]:
@@ -320,16 +224,18 @@ def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 class WorldRound(NamedTuple):
-    """One round of the whole world as arena rows: what the direct plane
+    """One round of the whole world as arena rows: what every plane
     replays, one gather each way (docs/performance.md, *The round table*).
 
-    Forward in **destination order** — rank by rank, receive by receive,
-    rows ascending — so each rank's block of the gathered stage is one
-    slice copy into its contiguous landing span.  Reverse in **source-
-    packed order** — rank by rank, send by send, rows ascending, the
-    order of the rank's own pooled buffer — so one ``bincount`` over the
-    world sums every owner row's contributions in the order the rank's
-    own ``bincount`` does.
+    The direct plane's forward is in **destination order** — rank by rank,
+    receive by receive, rows ascending — so each rank's block of the
+    gathered stage is one slice copy into its contiguous landing span.
+    Everything else is in **source-packed order** — rank by rank, send by
+    send, rows ascending, the order of the rank's own packed rows — so
+    send ``j`` of ``rank`` is stage rows ``packed_at[rank] + start :
+    packed_at[rank] + stop`` for its ``(start, stop)`` in
+    :meth:`RankPlan.sends`, and one ``bincount`` over the world sums every
+    owner row's contributions in the rank's packed order.
     """
 
     src_rows: np.ndarray  # arena rows gathered forward, destination order
@@ -339,6 +245,10 @@ class WorldRound(NamedTuple):
     spans: list[tuple[int, int, int, int]]
     ghost_rows: np.ndarray  # arena ghost rows read by reverse, source-packed order
     bins: np.ndarray  # the owner row each one sums into (fwd_idx + slab start)
+    pack_shifts: np.ndarray  # the PBC shift of each bins row, same order
+    #: per rank, where its packed rows of the round start in the stage,
+    #: less their start in its own send bounds
+    packed_at: list[int]
     #: arena rows reverse may write: below the round's ``scatter_len`` in
     #: every slab that sends in the round (:class:`Round`) — nothing else
     #: may even see ``+ 0.0``, which would turn a ``-0.0`` positive
@@ -351,12 +261,12 @@ class Epoch:
     when the stage completes and dropped whole by the next migration, so
     invalidating any of it is replacing the epoch.
 
-    ``world`` is the direct plane's wiring, a :class:`WorldRound` per
-    round of arena row numbers — ``None`` when a pairing's two counts
-    disagree (sabotaged bounds), which keeps the epoch off the direct
-    plane.  Row numbers mean something under one layout of one arena
-    only: the epoch names both (``arena``, ``layout``) and is stale once
-    the arena's moved on.
+    ``world`` is every plane's wiring, a :class:`WorldRound` per round of
+    arena row numbers; plans whose send and paired receive disagree on a
+    row count cannot be wired and are refused (``ValueError``).  Row
+    numbers mean something under one layout of one arena only: the epoch
+    names both (``arena``, ``layout``) and is stale once the arena's moved
+    on.
     """
 
     __slots__ = ("plans", "arena", "layout", "world", "records", "priced", "schedules")
@@ -375,7 +285,7 @@ class Epoch:
         #: (rank, bytes per atom) -> LPT schedule (fine-grained p2p)
         self.schedules: dict = {}
 
-    def _world_rounds(self, pairs: list[tuple[np.ndarray, ...]]) -> list[WorldRound] | None:
+    def _world_rounds(self, pairs: list[tuple[np.ndarray, ...]]) -> list[WorldRound]:
         """The world tables: per round the plans' arrays rank-concatenated
         (source-packed order), plus slab starts, read through the static
         pairing (destination order)."""
@@ -386,13 +296,18 @@ class Epoch:
         world = []
         for k, (src, s_at, dst, r_at) in enumerate(pairs):
             counts = send_bounds[s_at + 1] - send_bounds[s_at]
-            if not np.array_equal(counts, recv_bounds[r_at + 1] - recv_bounds[r_at]):
-                return None
+            landed = recv_bounds[r_at + 1] - recv_bounds[r_at]
+            if not np.array_equal(counts, landed):
+                i = int(np.flatnonzero(counts != landed)[0])
+                raise ValueError(
+                    f"round {k}: rank {src[i]} sends {counts[i]} rows to rank {dst[i]}, "
+                    f"whose paired receive lands {landed[i]}"
+                )
             rounds = [plan.rounds[k] for plan in plans]
             n_rows = np.array([rnd.idx.size for rnd in rounds])
             bins = np.concatenate([rnd.idx for rnd in rounds]) + np.repeat(starts, n_rows)
             # where a rank's packed rows of the round begin, world-wide,
-            # less where they begin in its own buffer
+            # less where they begin in its own send bounds
             packed_at = np.cumsum(n_rows) - n_rows - [rnd.rows.start for rnd in rounds]
             # pair tables list routes in destination order
             packed = _ranges(packed_at[src] + send_bounds[s_at], counts)
@@ -411,7 +326,7 @@ class Epoch:
             world.append(
                 WorldRound(
                     np.take(bins, packed), np.take(shifts, packed, axis=0), spans,
-                    ghost_rows, bins, owned,
+                    ghost_rows, bins, shifts, packed_at.tolist(), owned,
                 )
             )
         return world

@@ -22,10 +22,12 @@ first border stage moves them in, slabs sized to the analytic maximum of
 section 3.4), so positions, forces and EAM's per-atom scalars are each
 *one* array for the whole world and a ghost row is a row number of the
 array its owner's row is in.  The replay hands that array to one of
-three delivery planes: ``direct`` — the epoch's world tables, one gather
-per round — or, when a fault plane or an observer must see messages,
-``mailbox`` / ``rdma``, which pack and drain rank by rank over slab
-views of the same array.
+three delivery planes, which share the epoch's world tables — one gather
+into a staging block per round, one ``bincount`` drain per reverse round
+— and differ only in how each send's rows travel: ``direct`` writes them
+straight into the landing rows, while ``mailbox`` (the world transport)
+and ``rdma`` (PUTs and rings), selected when a fault plane or an
+observer must see messages, carry each send's slice of the stage.
 
 An epoch exists from the end of a completed ``borders()`` to the next
 ``exchange()`` (migration), and for as long as the arena keeps the layout
@@ -43,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.comm_plan import BufferPool, Epoch, RankPlan, RoundGeometry, pair_table
+from repro.core.comm_plan import Epoch, RankPlan, RoundGeometry, WorldRound, pair_table
 from repro.core.ghost import GhostBudget
 from repro.faults.injector import FAULTS, RetryExhaustedError
 from repro.md.atoms import AtomArena, Atoms
@@ -149,11 +151,10 @@ class GhostExchange:
         self._epoch: Epoch | None = None
         # The world's atoms share one arena from the first border stage on:
         # an epoch's world tables are row numbers of it, gathered through
-        # one staging block as long as the arena.
+        # one staging block as long as the arena (every plane packs and
+        # collects there).
         self.arena: AtomArena | None = None
         self._stage = np.empty((0, 3))
-        # Per-rank pack buffers of the mailbox and rdma planes.
-        self._pools: list[BufferPool] = []
         self._density: float | None = None  # measured at first use
         self._budget: GhostBudget | None = None
         self._plan_builds = 0
@@ -161,7 +162,7 @@ class GhostExchange:
         self._fastpath_phases = 0
         # Phases _plane refused the direct plane, by cause (telemetry
         # feed; the always-on plane itself never gates).
-        self._gate_blocks = {"observability": 0, "faults": 0, "unwired": 0}
+        self._gate_blocks = {"observability": 0, "faults": 0}
 
     # -- helpers ----------------------------------------------------------
     def atoms_of(self, rank: int) -> Atoms:
@@ -274,30 +275,24 @@ class GhostExchange:
     def _new_epoch(self, arrays: list[tuple[np.ndarray, ...]]) -> Epoch:
         """An epoch from every rank's ``(fwd_idx, shift_rows, send_bounds,
         recv_bounds)`` — whoever ran the border stage installs it as
-        ``_epoch`` once the stage has completed."""
-        if not self._pools:
-            budget = self._plan_budget()
-            self._pools = [
-                BufferPool(budget=budget, full_shell=self.full_shell) for _ in arrays
-            ]
+        ``_epoch`` once the stage has completed.  Arrays whose send and
+        paired receive disagree on a row count are a ``ValueError``."""
         if self._stage.shape[0] < self.arena.rows:
             # a round lands on distinct ghost rows: never more than the arena has
             self._stage = np.empty((self.arena.rows, 3))
         self._plan_builds += 1
         return Epoch(
-            [
-                RankPlan(geom, *columns, pool)
-                for geom, columns, pool in zip(self._geom, arrays, self._pools)
-            ],
+            [RankPlan(geom, *columns) for geom, columns in zip(self._geom, arrays)],
             self._pairs,
             self.arena,
         )
 
     def _plan_budget(self) -> GhostBudget:
-        """The analytic ghost budget sizing buffer pools (and RDMA rings).
+        """The analytic ghost budget sizing the arena's slabs (and RDMA
+        rings).
 
         Computed once from the measured density (or a configured one)
-        and reused for every registration and pool allocation.
+        and reused for every registration and adoption.
         """
         if self._budget is None:
             sub_len = float(np.min(self.domain.sub_lengths))
@@ -333,28 +328,23 @@ class GhostExchange:
         return cached
 
     def plan_stats(self) -> dict[str, int]:
-        """Allocation/reuse counters of the plan cache and of everything
-        sized from the ghost budget: the per-rank pools, the arena (a
-        re-layout is a grow event) and the staging block."""
-        pools = self._pools
+        """Reuse counters of the plan cache and of what is sized from the
+        ghost budget: ``pool_grow_events`` counts the arena's re-layouts,
+        ``pool_bytes`` the arena plus the staging block."""
         arena = self.arena
         return {
             "plan_builds": self._plan_builds,
             "fastpath_phases": self._fastpath_phases,
             "slowpath_phases": sum(self._gate_blocks.values()),
-            "pool_allocations": sum(p.allocations for p in pools),
-            "pool_grow_events": sum(p.grow_events for p in pools)
-            + (arena.relayouts if arena else 0),
-            "pool_bytes": sum(p.nbytes for p in pools)
-            + (arena.nbytes if arena else 0)
-            + self._stage.nbytes,
+            "pool_grow_events": arena.relayouts if arena else 0,
+            "pool_bytes": (arena.nbytes if arena else 0) + self._stage.nbytes,
         }
 
     def telemetry_feed(self) -> tuple[dict[str, float], dict[str, float]]:
         """(cumulative counters, gauges) for the per-step telemetry flush.
 
         Counter-shaped on purpose: everything here is bookkeeping the
-        hot path already maintains (plan cache, pools, retry layer), so
+        hot path already maintains (plan cache, arena, retry layer), so
         reading it once per step costs O(ranks) and the fast path stays
         untouched.  Subclasses extend with their plane-specific feeds
         (RDMA re-registrations, ring cursors).
@@ -368,7 +358,6 @@ class GhostExchange:
             "pool_rows_used": float(
                 sum(plan.n_pack for plan in self._epoch.plans) if self._epoch else 0
             ),
-            "pool_rows_capacity": float(sum(pool.capacity_rows for pool in self._pools)),
         }
         return counters, gauges
 
@@ -401,19 +390,18 @@ class GhostExchange:
     def _plane(self, phase: str) -> str:
         """Which delivery plane carries ``phase`` (the one selector).
 
-        ``"direct"`` — the epoch's world tables, one gather per round —
-        unless something needs to see or perturb individual messages: an
-        armed fault plane or a **heavyweight** observability session (the
-        per-event tracer or the per-message metrics registry) gets the
-        same rows, packed rank by rank, through ``"mailbox"`` (the world
+        ``"direct"`` — the epoch's world tables, the stage landing in
+        place — unless something needs to see or perturb individual
+        messages: an armed fault plane or a **heavyweight** observability
+        session (the per-event tracer or the per-message metrics registry)
+        gets the same stage slices carried by ``"mailbox"`` (the world
         transport) or, for the vector phases of an ``rdma`` exchange,
-        ``"rdma"`` (PUTs, fence, rings), bit-identically — as does an
-        epoch whose wiring was refused.  A session with neither message nor
-        RDMA faults armed cannot touch the data plane (network-kind
-        faults only price modeled time, which is simulated separately),
-        so it stays direct — the faults-off guard measures this idle
-        cost.  The border stage asks too: no epoch is installed yet,
-        so "direct" there means the packed payload slices are written
+        ``"rdma"`` (PUTs, fence, rings), bit-identically.  A session with
+        neither message nor RDMA faults armed cannot touch the data plane
+        (network-kind faults only price modeled time, which is simulated
+        separately), so it stays direct — the faults-off guard measures
+        this idle cost.  The border stage asks too: no epoch is installed
+        yet, so "direct" there means the packed payload slices are written
         straight into the receivers' ghost rows.
 
         The always-on telemetry plane (:data:`~repro.obs.telemetry
@@ -428,8 +416,6 @@ class GhostExchange:
             cause = "faults"
         elif TRACER.enabled or METRICS.enabled:
             cause = "observability"
-        elif phase != "border" and self._current().world is None:
-            cause = "unwired"
         else:
             return "direct"
         self._gate_blocks[cause] += 1
@@ -488,13 +474,45 @@ class GhostExchange:
         for k in reversed(range(self.n_rounds)):
             collect(data, phase, k)
 
-    # -- direct plane: the world table, one gather per round -------------------
+    # -- the world table, one gather per round: what every plane shares -------
+    def _stage_of(self, data: np.ndarray, n: int) -> np.ndarray:
+        """The front ``n`` rows of the staging block, shaped like ``data``'s."""
+        return self._stage[:n] if data.ndim == 2 else self._stage.reshape(-1)[:n]
+
     def _staged(self, data: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """``data[rows]`` gathered into the front of the staging block."""
-        n = rows.shape[0]
-        out = self._stage[:n] if data.ndim == 2 else self._stage.reshape(-1)[:n]
+        out = self._stage_of(data, rows.shape[0])
         return np.take(data, rows, axis=0, out=out, mode="clip")
 
+    def _packed(self, data: np.ndarray, apply_shift: bool, k: int) -> np.ndarray:
+        """Every rank's round-``k`` send rows gathered into the staging
+        block in source-packed order (positions get their PBC shifts):
+        send ``j`` of a rank is one slice of it (:class:`WorldRound`)."""
+        rnd = self._epoch.world[k]
+        stage = self._staged(data, rnd.bins)
+        if apply_shift:
+            stage += rnd.pack_shifts
+        return stage
+
+    def _sum_onto_owners(
+        self, data: np.ndarray, stage: np.ndarray, rnd: WorldRound
+    ) -> None:
+        """Sum the round's contributions — ``stage``, in source-packed
+        order — onto the owner rows with one ``bincount`` per component:
+        each owner row's contributions in its rank's packed order, each
+        bin from zero, then ``data + sum`` on the round's owned rows
+        only."""
+        if data.ndim == 2:
+            columns = [(data[:, c], stage[:, c]) for c in range(3)]
+        else:
+            columns = [(data, stage)]
+        for column, weights in columns:
+            np.add(
+                column, np.bincount(rnd.bins, weights=weights, minlength=data.shape[0]),
+                out=column, where=rnd.owned,
+            )
+
+    # -- direct plane: no carrier, the stage lands in place --------------------
     def _direct_forward(self, data: np.ndarray, apply_shift: bool, phase: str, k: int) -> None:
         """Gather every ghost row's source row of the world at once
         (positions get their PBC shifts), then one slice copy per rank
@@ -509,71 +527,38 @@ class GhostExchange:
 
     def _direct_reverse(self, data: np.ndarray, phase: str, k: int) -> None:
         """Gather every ghost row of the round in source-packed order and
-        sum onto the owner rows with one ``bincount`` per component —
-        each owner row's contributions in the order its rank's own
-        ``bincount`` adds them, each bin from zero, then ``f + sum`` on
-        the round's owned rows only."""
+        sum it onto its owner row."""
         rnd = self._epoch.world[k]
-        stage = self._staged(data, rnd.ghost_rows)
-        if data.ndim == 2:
-            columns = [(data[:, c], stage[:, c]) for c in range(3)]
-        else:
-            columns = [(data, stage)]
-        for column, weights in columns:
-            np.add(
-                column, np.bincount(rnd.bins, weights=weights, minlength=data.shape[0]),
-                out=column, where=rnd.owned,
-            )
-
-    # -- per-rank pack and drain: what the mailbox and rdma planes move --------
-    def _per_rank(self, data: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """(slabs, pooled buffers): every rank's rows (local then ghost)
-        of a world array, and the buffer its rounds pack into / collect
-        into."""
-        slabs = [
-            data[atoms.start : atoms.start + atoms.ntotal] for atoms in self._epoch.arena.members
-        ]
-        return slabs, [plan.buffer(data.ndim == 2) for plan in self._epoch.plans]
-
-    def _pack_round(
-        self, data: np.ndarray, apply_shift: bool, k: int
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """:meth:`_per_rank` with every rank's round-``k`` send rows
-        gathered into its buffer."""
-        slabs, bufs = self._per_rank(data)
-        for plan, slab, buf in zip(self._epoch.plans, slabs, bufs):
-            plan.pack(slab, buf, k, apply_shift)
-        return slabs, bufs
-
-    def _drain_round(self, slabs: list[np.ndarray], bufs: list[np.ndarray], k: int) -> None:
-        """One fused scatter per rank, after *every* owner's buffer of
-        round ``k`` was collected."""
-        for plan, slab, buf in zip(self._epoch.plans, slabs, bufs):
-            plan.apply_reverse(slab, buf, k)
+        self._sum_onto_owners(data, self._staged(data, rnd.ghost_rows), rnd)
 
     # -- mailbox plane: the fault- and tracer-visible world transport ---------
     def _mailbox_forward(self, data: np.ndarray, apply_shift: bool, phase: str, k: int) -> None:
+        """Send each send's slice of the packed stage; land each receive
+        in its arena rows."""
         transport = self.world.transport
-        plans = self._epoch.plans
-        slabs, bufs = self._pack_round(data, apply_shift, k)
-        for rank, buf in enumerate(bufs):
-            for peer, start, stop, tag in plans[rank].sends(k, phase):
-                transport.send(rank, peer, tag, buf[start:stop].copy())
-        for rank, plan in enumerate(plans):
+        epoch = self._epoch
+        stage = self._packed(data, apply_shift, k)
+        for rank, (plan, at) in enumerate(zip(epoch.plans, epoch.world[k].packed_at)):
+            for peer, start, stop, tag in plan.sends(k, phase):
+                transport.send(rank, peer, tag, stage[at + start : at + stop].copy())
+        for rank, (plan, base) in enumerate(zip(epoch.plans, epoch.arena.starts.tolist())):
             for peer, lo, hi, tag in plan.recvs(k, phase):
-                slabs[rank][lo:hi] = self._recv(transport, rank, peer, tag)
+                data[base + lo : base + hi] = self._recv(transport, rank, peer, tag)
 
     def _mailbox_reverse(self, data: np.ndarray, phase: str, k: int) -> None:
+        """Send each ghost block to its owner; collect every contribution
+        into its send's stage slice, then one drain."""
         transport = self.world.transport
-        plans = self._epoch.plans
-        slabs, bufs = self._per_rank(data)
-        for rank, plan in enumerate(plans):
+        epoch = self._epoch
+        rnd = epoch.world[k]
+        for rank, (plan, base) in enumerate(zip(epoch.plans, epoch.arena.starts.tolist())):
             for peer, lo, hi, tag in plan.recvs(k, phase):
-                transport.send(rank, peer, tag, slabs[rank][lo:hi].copy())
-        for rank, buf in enumerate(bufs):
-            for peer, start, stop, tag in plans[rank].sends(k, phase):
-                buf[start:stop] = self._recv(transport, rank, peer, tag)
-        self._drain_round(slabs, bufs, k)
+                transport.send(rank, peer, tag, data[base + lo : base + hi].copy())
+        stage = self._stage_of(data, rnd.bins.shape[0])
+        for rank, (plan, at) in enumerate(zip(epoch.plans, rnd.packed_at)):
+            for peer, start, stop, tag in plan.sends(k, phase):
+                stage[at + start : at + stop] = self._recv(transport, rank, peer, tag)
+        self._sum_onto_owners(data, stage, rnd)
 
     # -- border stage: the same rounds, writing the epoch ----------------------
     def borders(self) -> None:

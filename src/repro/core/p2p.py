@@ -26,8 +26,10 @@ Both planes produce bit-identical ghost data; tests assert it.  Under the
 base class's one replay this class is a one-round schedule — geometry
 (:meth:`_round_geometry`) and border-atom selection
 (:meth:`_select_border`) — plus the RDMA *delivery plane*
-(:meth:`_rdma_forward` / :meth:`_rdma_reverse`); an unobserved, fault-free
-run of either flavour rides the base's direct plane.
+(:meth:`_rdma_forward` / :meth:`_rdma_reverse`), which packs and drains
+through the base's world table like every plane and only carries each
+send's stage slice by PUT and ring; an unobserved, fault-free run of
+either flavour rides the base's direct plane.
 """
 
 from __future__ import annotations
@@ -259,25 +261,28 @@ class P2PExchange(GhostExchange):
 
     # -- rdma plane: PUTs into registered arrays and receive rings ------------
     # Selected for the vector phases of an ``rdma`` exchange when faults or
-    # heavyweight observability are on; unobserved, a windowed PUT lands the
-    # packed slice at exactly ``recv_start`` rows of the remote array and the
-    # ring round trip moves each ghost block byte-for-byte into the owner's
-    # pooled buffer — the direct plane writes the same bytes to the same rows
-    # without the staged-buffer/ring machinery.
+    # heavyweight observability are on.  It packs and drains through the
+    # epoch's world table like the other planes and carries each send's
+    # stage slice its own way: a windowed PUT lands the slice at exactly
+    # ``recv_start`` rows of the remote array, and the ring round trip moves
+    # each ghost block byte for byte into its send's stage slice — the
+    # direct plane writes the same bytes to the same rows without the
+    # staged-buffer/ring machinery.
     def _rdma_forward(self, data: np.ndarray, apply_shift: bool, phase: str, k: int) -> None:
         """Forward positions by direct PUT into remote position arrays
         (an rdma exchange's plan has one round: window slots and rings
         are numbered by segment)."""
-        _, bufs = self._pack_round(data, apply_shift, k)
+        epoch = self._epoch
+        stage = self._packed(data, apply_shift, k)
         with TRACER.span(
             f"{self.name}.forward-rdma", cat="rdma", track="comm", pattern=self.name
         ):
-            # put_positions copies the segment into the staged send
-            # buffer, so the pool is free for reuse immediately.
-            for rank, buf in enumerate(bufs):
+            # put_positions copies the slice into the staged send buffer,
+            # so the stage is free for reuse immediately.
+            for rank, (plan, at) in enumerate(zip(epoch.plans, epoch.world[k].packed_at)):
                 endpoint = self.endpoints[rank]
-                for s_idx, (_, start, stop, _) in enumerate(self._epoch.plans[rank].sends(0)):
-                    endpoint.put_positions(s_idx, buf[start:stop])
+                for s_idx, (_, start, stop, _) in enumerate(plan.sends(0)):
+                    endpoint.put_positions(s_idx, stage[at + start : at + stop])
             # A PUT completes remotely only after the fence: poll until
             # every in-flight (fault-deferred) forward PUT has landed.
             self._rdma_fence("forward")
@@ -285,13 +290,15 @@ class P2PExchange(GhostExchange):
 
     def _rdma_reverse(self, data: np.ndarray, phase: str, k: int) -> None:
         """Reverse forces via length-prefixed PUTs into receive rings."""
-        plans = self._epoch.plans
-        slabs, bufs = self._per_rank(data)
+        epoch = self._epoch
+        rnd = epoch.world[k]
+        stage = self._stage_of(data, rnd.bins.shape[0])
+        starts = epoch.arena.starts.tolist()
         with TRACER.span(
             f"{self.name}.reverse-rdma", cat="rdma", track="comm", pattern=self.name
         ):
             # Ghost holders put into the owners' rings...
-            for rank, plan in enumerate(plans):
+            for rank, (plan, base) in enumerate(zip(epoch.plans, starts)):
                 endpoint = self.endpoints[rank]
                 slots = self._geom[rank][0].recv_slots
                 for r_idx, (peer, lo, hi, _) in enumerate(plan.recvs(0)):
@@ -299,14 +306,13 @@ class P2PExchange(GhostExchange):
                     # opposite offset; the owner consumes rings in its own
                     # send order, so target the ring it will read.
                     ring = self.endpoints[peer].recv_rings[slots[r_idx]]
-                    endpoint.put_into_ring(r_idx, ring, slabs[rank][lo:hi])
+                    endpoint.put_into_ring(r_idx, ring, data[base + lo : base + hi])
             # ... and the owners drain them in deterministic order, each
-            # route's block into the pooled buffer the shared fused scatter
-            # reads — the same summation the message plane uses, so both
-            # planes stay bitwise identical.
-            for rank, buf in enumerate(bufs):
+            # route's block into its send's stage slice — what the shared
+            # drain reads on every plane, so they stay bitwise identical.
+            for rank, (plan, at) in enumerate(zip(epoch.plans, rnd.packed_at)):
                 endpoint = self.endpoints[rank]
-                for s_idx, (peer, start, stop, _) in enumerate(plans[rank].sends(0)):
+                for s_idx, (peer, start, stop, _) in enumerate(plan.sends(0)):
                     forces = split(
                         self._consume_ring(endpoint.recv_rings[s_idx], rank, peer),
                         trailing_shape=(3,),
@@ -316,8 +322,8 @@ class P2PExchange(GhostExchange):
                             f"reverse payload of {forces.shape[0]} rows does not "
                             f"match {stop - start} border atoms"
                         )
-                    buf[start:stop] = forces
-        self._drain_round(slabs, bufs, k)
+                    stage[at + start : at + stop] = forces
+        self._sum_onto_owners(data, stage, rnd)
         self._fastpath_phases += 1
 
     # -- RDMA-plane robustness (fence + ring retry) ---------------------------

@@ -20,8 +20,8 @@ def scatter_signed_vec(
 ) -> None:
     """``out[idx] += sign * vec`` for (N, 3) arrays, bincount-accelerated.
 
-    The one signed reduction both force kernels and the communication
-    unpack path share; ``sign`` must be ``+1`` or ``-1``.  The add and
+    The one signed reduction the serial and three-body force kernels
+    share; ``sign`` must be ``+1`` or ``-1``.  The add and
     subtract branches are kept literal (``+=`` / ``-=``) so results stay
     bit-identical to accumulating the un-negated weights directly.
     """

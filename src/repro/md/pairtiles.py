@@ -67,7 +67,7 @@ HEADROOM = 1.25
 
 
 class Workspace:
-    """Grow-only named arrays, accounted like ``BufferPool``.
+    """Grow-only named arrays with counted allocations and regrowths.
 
     ``array(key, shape)`` returns a view of a persistent buffer; the
     buffer is allocated with :data:`HEADROOM` on first use and regrown

@@ -11,8 +11,8 @@ on the hot path when it is amortized), so enabling it forfeits nothing.
 The batching discipline:
 
 * hot-path code keeps doing exactly what it already does — bump plain
-  integer attributes (``_fastpath_phases``, ``retries``, pool
-  allocation counts, the traffic log's running totals).  No telemetry
+  integer attributes (``_fastpath_phases``, ``retries``, arena
+  re-layout counts, the traffic log's running totals).  No telemetry
   call ever appears inside a per-message or per-phase loop;
 * once per step, :meth:`StepTelemetry.flush_step` folds the *deltas* of
   those cumulative feeds into named counters/gauges, records per-stage
@@ -185,7 +185,7 @@ class StepTelemetry:
         step_wall = sum(wall_delta.values())
         self.observe("step_wall_seconds", step_wall)
 
-        # Exchange feed (plan cache, pools, retries).  A degradation
+        # Exchange feed (plan cache, arena, retries).  A degradation
         # swaps the exchange object; its counters restart from zero, so
         # the snapshot resets with it and monotonicity is preserved.
         counters, gauges = sim.exchange.telemetry_feed()

@@ -137,31 +137,19 @@ class TestSeededBugs:
         )
         assert lint_source(src) == []
 
-    def test_budgetless_buffer_pool_class_flags_cl008(self):
-        src = (
-            "class BufferPool:\n"
-            "    def vec(self, rows):\n"
-            "        return np.empty((rows * 2, 3))\n"
-        )
-        findings = lint_source(src)
-        assert rules_of(findings) == ["CL008"]
-        assert "GhostBudget" in findings[0].message
-
-    def test_budget_sized_buffer_pool_class_is_clean(self):
-        src = (
-            "class BufferPool:\n"
-            "    def _capacity_for(self, rows):\n"
-            "        return int(self.budget.max_ghost_atoms(self.full_shell))\n"
-        )
-        assert lint_source(src) == []
-
     def test_literal_pool_budget_flags_cl008(self):
-        src = "pool = BufferPool(4096)\n"
+        src = "arena = AtomArena.adopt(members, 4096)\n"
         findings = lint_source(src)
         assert rules_of(findings) == ["CL008"]
+        assert "bare literal 4096" in findings[0].message
 
     def test_pool_with_budget_object_is_clean(self):
-        src = "pool = BufferPool(self._plan_budget(), full_shell=False)\n"
+        src = (
+            "budget = self._plan_budget()\n"
+            "arena = AtomArena.adopt(\n"
+            "    members, budget.max_local_atoms() + budget.max_ghost_atoms(False)\n"
+            ")\n"
+        )
         assert lint_source(src) == []
 
 
@@ -232,6 +220,24 @@ class TestCleanTree:
         monkeypatch.setattr(tni_mod.NodeNIC, "bind_fine", skewed)
         findings = run_introspection()
         assert "CL003" in {f.rule for f in findings}
+
+    def test_introspection_catches_an_uncounted_relayout(self, monkeypatch):
+        """CL008 fires, anchored at AtomArena, when growing a slab past the
+        budget stops being counted."""
+        from repro.md.atoms import AtomArena
+
+        original = AtomArena.grow
+
+        def uncounted(self, member, rows):
+            original(self, member, rows)
+            self.relayouts -= 1
+
+        monkeypatch.setattr(AtomArena, "grow", uncounted)
+        findings = [f for f in run_introspection() if f.rule == "CL008"]
+        assert [f.message for f in findings] == [
+            "over-budget growth was not counted (relayouts=0, expected 1)"
+        ]
+        assert findings[0].path.endswith("atoms.py")
 
 
 class TestReportSchema:

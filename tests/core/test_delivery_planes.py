@@ -10,7 +10,8 @@ The selector serves every pattern: the staged 3-stage exchange sits in
 the table beside the two p2p flavours.
 
 Below the table, the planes against each other bit for bit — as integer
-views, so a ``-0.0`` that one plane turns into ``+0.0`` is a failure.
+views, so a ``-0.0`` that one plane turns into ``+0.0`` is a failure —
+with faults armed that never fire, and with message faults that do.
 """
 
 from contextlib import nullcontext
@@ -20,6 +21,7 @@ import pytest
 
 from repro.core import P2PExchange, ThreeStageExchange
 from repro.faults import FAULTS, FaultPlan, FaultSpec
+from repro.faults.plan import template_plan
 from repro.obs.metrics import collecting
 from repro.obs.trace import tracing
 from tests._world_arrays import scalar_phase
@@ -40,7 +42,6 @@ REGIMES = {
     "rdma-fault-armed": (armed("rdma-stale"), "faults", False),
     "tracer-on": (tracing, "observability", False),
     "metrics-on": (collecting, "observability", False),
-    "deliveries-unwired": (nullcontext, "unwired", False),
 }
 
 
@@ -60,9 +61,6 @@ def test_plane_selection_table(regime, flavour, kind):
     ex = FLAVOURS[flavour](world, domain)
     rdma = ex.rdma
     ex.borders()
-    if regime == "deliveries-unwired":
-        # What the epoch holds when a pairing's two counts disagree.
-        ex._epoch.world = None
 
     chosen = []
     select = ex._plane
@@ -92,7 +90,7 @@ def test_plane_selection_table(regime, flavour, kind):
     plane = "direct" if direct else "rdma" if is_put else "mailbox"
     assert chosen == [plane, plane]
     # fastpath_phases: delivered without the mailbox; slowpath_phases:
-    # refusals of the direct plane, by cause (an unwired epoch is one).
+    # refusals of the direct plane, by cause.
     assert after["fastpath_phases"] - before["fastpath_phases"] == (
         0 if plane == "mailbox" else 2
     )
@@ -134,8 +132,12 @@ def bits(array):
     return np.ascontiguousarray(array).view(np.int64)
 
 
-@pytest.mark.parametrize("name", list(SHAPES))
-def test_direct_plane_equals_the_armed_plane_bit_for_bit(name):
+def run_both_planes(name, context):
+    """Two identical worlds of ``SHAPES[name]`` — positions jittered,
+    forces and two scalar arrays a third ``+0.0`` and a third ``-0.0`` —
+    run forward, reverse and both scalar phases, the first on the direct
+    plane and the second inside ``context()``; every array is compared
+    as integers.  Returns the second exchange."""
     grid, natoms, rcomm, make = SHAPES[name]
     exchanges = []
     for _ in range(2):
@@ -157,10 +159,10 @@ def test_direct_plane_equals_the_armed_plane_bit_for_bit(name):
         for _ in range(2)
     ]
     ran = []
-    for ex, context in ((direct, nullcontext), (other, armed("drop", "rdma-stale"))):
+    for ex, ctx in ((direct, nullcontext), (other, context)):
         mine = [{rank: values.copy() for rank, values in each.items()} for each in scalars]
         before = ex.plan_stats()["slowpath_phases"]
-        with context():
+        with ctx():
             ex.forward()
             ex.reverse()
             scalar_phase(ex.forward_scalar_world, mine[0])
@@ -175,3 +177,20 @@ def test_direct_plane_equals_the_armed_plane_bit_for_bit(name):
         assert np.signbit(a.f[a.f == 0.0]).any()  # the case is there to be caught
         for g, w in zip(got, want):
             assert np.array_equal(bits(g[rank]), bits(w[rank])), f"scalar differs on {rank}"
+    return other
+
+
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_direct_plane_equals_the_armed_plane_bit_for_bit(name):
+    run_both_planes(name, armed("drop", "rdma-stale"))
+
+
+@pytest.mark.parametrize("kind", ["drop", "delay", "reorder"])
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_fired_message_faults_leave_the_carrying_planes_bit_identical(shape, kind):
+    """Faults that fire: dropped, late and reordered messages are retried
+    or matched by tag, and what lands in the stage slices is what the
+    direct plane gathers."""
+    carried = run_both_planes(shape, lambda: FAULTS.inject(template_plan(kind)))
+    if kind in ("drop", "delay"):
+        assert carried.retries > 0

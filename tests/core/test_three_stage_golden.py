@@ -220,7 +220,8 @@ def test_epoch_arrays_partition_tile_and_pair(name):
     round the forward table lands on exactly each rank's landing span, in
     order, from the rows (and with the shifts) the rank-by-rank replay
     sends there; the reverse table is the ranks' packed orders
-    concatenated; ``owned`` is ``rows < scatter_len`` of every slab that
+    concatenated, ``packed_at`` where each rank's block of it starts;
+    ``owned`` is ``rows < scatter_len`` of every slab that
     sends in the round."""
     ex, _ = _exchange(name)
     ex.borders()
@@ -270,11 +271,20 @@ def test_epoch_arrays_partition_tile_and_pair(name):
             rb, rnd = plan.recv_bounds, plan.rounds[k]
             span = (starts[rank] + rb[rnd.recvs.start], starts[rank] + rb[rnd.recvs.stop])
             assert (span in [s[:2] for s in table.spans]) == (span[1] > span[0])
-        # reverse, source-packed order: rank-major, the pooled buffer's rows
+        # reverse and the carrying planes' pack, source-packed order:
+        # rank-major, each rank's packed rows of the round
         assert np.array_equal(
             table.bins,
             np.concatenate([plan.rounds[k].idx + starts[r] for r, plan in enumerate(plans)]),
         )
+        assert np.array_equal(
+            table.pack_shifts, np.concatenate([plan.rounds[k].shifts for plan in plans])
+        )
+        at = 0
+        for rank, plan in enumerate(plans):
+            rows = plan.rounds[k].rows
+            assert table.packed_at[rank] + rows.start == at
+            at += rows.stop - rows.start
         ghost_of = {}  # (source rank, packed row) -> the arena ghost row it became
         for rank, plan in enumerate(plans):
             for (src, lo, hi, _), slot in zip(plan.recvs(k), plan.geom[k].recv_slots):

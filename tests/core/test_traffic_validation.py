@@ -109,20 +109,23 @@ class TestFailureInjection:
         assert abs(p_bad - p_good) > 1e-6
 
     def test_truncated_payload_raises(self):
-        """A short reverse payload is a protocol error, not silence."""
+        """A send shorter than its paired receive is a protocol error, not
+        silence: the epoch is refused when it is built."""
         sim, _ = self._fresh_pair(seed=126)
         sim.setup()
-        # Shrink one send route after borders: replay disagrees on size.
+        # Shrink one send route after borders: its receiver lands one more.
         ex = sim.exchange
+        installed = ex._epoch
         arrays = [
             [plan.fwd_idx, plan.shift_rows, plan.send_bounds, plan.recv_bounds]
-            for plan in ex._epoch.plans
+            for plan in installed.plans
         ]
         assert arrays[0][2][1] > 1
         arrays[0][0] = np.delete(arrays[0][0], 0)
         arrays[0][1] = np.delete(arrays[0][1], 0, axis=0)
         arrays[0][2] = np.concatenate(([0], arrays[0][2][1:] - 1))
-        ex._epoch = ex._new_epoch(arrays)
-        assert ex._epoch.world is None  # the pairing's counts disagree
-        with pytest.raises(Exception):
-            ex.forward()
+        n = int(arrays[0][2][1])
+        message = rf"round 0: rank 0 sends {n} rows to rank \d+, whose paired receive lands"
+        with pytest.raises(ValueError, match=rf"{message} {n + 1}$"):
+            ex._new_epoch(arrays)
+        assert ex._epoch is installed

@@ -9,8 +9,8 @@ drops it.  These tests prove the three ways that could go wrong do not:
 * a *cached* replay differing from a freshly derived one (re-deriving
   the wiring and records from the arrays every step must be
   bit-identical),
-* the *fast* path (plans + pooled buffers) differing from the traced
-  slow path (per-route Python loops, the seed semantics).
+* the *fast* path (the direct plane) differing from the traced slow
+  path (each send's slice carried as a message, the seed semantics).
 
 Every pattern rides the same plans: the ``...ThreeStage`` classes rerun
 each test with ``pattern = "3stage"`` (twelve-round plans at radius 2).
