@@ -975,3 +975,21 @@ def run_commlint(
     if introspect:
         report.findings.extend(run_introspection())
     return report
+
+
+#: The seeded protocol bug commlint must always be able to flag: a receive
+#: ring shallower than the §3.4 minimum of four.
+SEEDED_RING_DEPTH_BUG = "ring = RecvBufferRing(engine, 0, cap, depth=3)\n"
+
+
+def check_clean(report: AnalysisReport) -> tuple[bool, str]:
+    """A commlint run found nothing."""
+    return report.clean, (
+        f"{len(report.findings)} finding(s) over {len(report.files_analyzed)} files"
+    )
+
+
+def check_flags_seeded_bug() -> tuple[bool, str]:
+    """The seeded ring-depth bug comes back as exactly one CL001."""
+    rules = [f.rule for f in lint_source(SEEDED_RING_DEPTH_BUG)]
+    return rules == ["CL001"], f"rules {rules}"

@@ -418,3 +418,16 @@ def detect_races_in_file(path: str) -> AnalysisReport:
     report = detect_races(events=events, spans=spans)
     report.files_analyzed.append(path)
     return report
+
+
+def check_silent(report: AnalysisReport) -> tuple[bool, str]:
+    """The detector found no hazard."""
+    return report.clean, (
+        f"{len(report.findings)} hazard(s) in {report.events_analyzed} events"
+    )
+
+
+def check_flags_stale(report: AnalysisReport) -> tuple[bool, str]:
+    """Injected §3.4 stale windows / rings are flagged, as HB001 only."""
+    rules = sorted(report.by_rule())
+    return rules == ["HB001"], f"rules {rules}"

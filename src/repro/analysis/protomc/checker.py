@@ -567,3 +567,8 @@ def verify_scenario(
     return verify_model(
         model_from_scenario(scenario), max_states=max_states, budget_s=budget_s
     )
+
+
+def check_proves(result: VerifyResult) -> tuple[bool, str]:
+    """The model proved P1-P4 within its state budget."""
+    return result.ok, f"{result.states} state(s), {result.wall_ms:.1f}ms"

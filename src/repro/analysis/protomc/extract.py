@@ -306,3 +306,19 @@ def model_from_exchange(
         rings=bool(getattr(exchange, "rdma", False)),
         ladder=degradation_ladder(exchange.name),
     )
+
+
+def check_live_extraction(exchanges: dict[str, GhostExchange]) -> tuple[bool, str]:
+    """Models read from border-exchanged live exchanges, keyed by pattern,
+    send Table 1's message count from rank 0 and prove P1-P4."""
+    from repro.analysis.protomc.checker import verify_model
+    from repro.core.analytic import TABLE1_MESSAGES
+
+    ok, parts = True, []
+    for pattern, exchange in exchanges.items():
+        model = model_from_exchange(exchange, label=f"live/{pattern}")
+        sends = sum(op.kind == SEND and op.stage == "borders" for op in model.programs[0])
+        want = TABLE1_MESSAGES[pattern]
+        ok = ok and sends == want and verify_model(model).ok
+        parts.append(f"{pattern}: {sends}/{want} border sends")
+    return ok, ", ".join(parts)

@@ -163,3 +163,13 @@ def run_mutation_battery(
         )
         outcomes.append(MutationOutcome(name, expected, caught, replayed, detail))
     return outcomes
+
+
+def check_mutations_caught(outcomes: list[MutationOutcome]) -> tuple[bool, str]:
+    """Every seeded mutation was caught by its named property, and the
+    counterexample replays."""
+    missed = [o for o in outcomes if not o.ok]
+    return not missed, (
+        ", ".join(o.render() for o in missed)
+        or f"{len(outcomes)} mutation(s) caught + replayed"
+    )

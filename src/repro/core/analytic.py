@@ -117,6 +117,37 @@ def analyze_p2p(
     return PatternAnalysis(pattern="p2p", classes=tuple(classes))
 
 
+def analyze_simulation(sim) -> PatternAnalysis:
+    """The Table 1 analysis of a live simulation's sub-box, cutoff + skin,
+    density and pattern."""
+    a = float(min(sim.domain.sub_lengths))
+    r = sim.potential.cutoff + sim.config.skin
+    density = sim.natoms / sim.box.volume
+    if sim.config.pattern == "3stage":
+        return analyze_three_stage(a, r, density)
+    return analyze_p2p(a, r, density, newton=sim.half)
+
+
+#: Table 1's messages per rank and stage: the p2p half shell, the 3-stage.
+TABLE1_MESSAGES = {"p2p": 13, "3stage": 6}
+
+
+def check_table1_counts(p2p, three_stage) -> tuple[bool, str]:
+    """Rank 0 of the live exchanges sends Table 1's message counts."""
+    got = p2p.messages_per_rank()[0], three_stage.messages_per_rank()[0]
+    want = TABLE1_MESSAGES["p2p"], TABLE1_MESSAGES["3stage"]
+    return got == want, f"measured {got[0]} and {got[1]}"
+
+
+def check_ghost_halving(p2p, three_stage) -> tuple[bool, str]:
+    """Newton's law halves the ghost volume (Table 1): the p2p / 3-stage
+    ghost ratio lies in (0.42, 0.58)."""
+    g_p2p = sum(p2p.ghost_counts().values())
+    g_3s = sum(three_stage.ghost_counts().values())
+    ratio = g_p2p / g_3s if g_3s else 0.0
+    return 0.42 < ratio < 0.58, f"p2p/3stage ghost ratio {ratio:.3f}"
+
+
 @dataclass(frozen=True)
 class TimingModel:
     """Equations (3)-(8) evaluated for concrete message classes."""

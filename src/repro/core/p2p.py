@@ -70,7 +70,6 @@ class P2PExchange(GhostExchange):
         newton: bool = True,
         radius: int = 1,
         rdma: bool = False,
-        use_border_bins: bool = True,
         ring_depth: int = 4,
         density: float | None = None,
     ) -> None:
@@ -90,7 +89,6 @@ class P2PExchange(GhostExchange):
             self.recv_offsets = shell_offsets(radius)
             self.send_offsets = list(self.recv_offsets)
 
-        self.use_border_bins = use_border_bins and radius == 1
         self._bins: dict[int, BorderBins] = {}
         self._window_msgs: tuple[list[SentMessage], int] | None = None
 
@@ -151,7 +149,7 @@ class P2PExchange(GhostExchange):
         with rows ascending — the order the per-offset ``flatnonzero``
         sweeps concatenate in."""
         x_local = self.atoms_of(rank).x_local()
-        if self.use_border_bins:
+        if self.radius == 1:
             bins = self._bins.get(rank)
             if bins is None:
                 bins = self._bins[rank] = BorderBins(
@@ -383,3 +381,9 @@ class P2PExchange(GhostExchange):
                 f"{session.policy.max_retries} retries (pattern {self.name!r})"
             )
         return data
+
+
+def check_preregistered(exchange: P2PExchange) -> tuple[bool, str]:
+    """§3.4: the RDMA plane registered its arrays once for the whole run."""
+    n = exchange.reregistrations
+    return n == 0, f"{n} re-registrations"

@@ -28,11 +28,14 @@ counted in :class:`FaultStats` and emitted as trace events/metrics so
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections.abc import Callable, Hashable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 from repro.faults.plan import (
     EXEMPT_PHASES,
@@ -433,3 +436,78 @@ class FaultInjector:
 #: The process-wide injector.  Never replaced, only (de)activated, so
 #: instrumented modules may safely hold a reference to it.
 FAULTS = FaultInjector()
+
+
+# -- the absorption contract, checked -------------------------------------------
+def ghost_digest(sim) -> str:
+    """SHA-256 over every rank's ghost positions and tags (bit-exact)."""
+    h = hashlib.sha256()
+    for rank in range(sim.world.size):
+        atoms = sim.atoms_of(rank)
+        h.update(atoms.x[atoms.nlocal : atoms.ntotal].tobytes())
+        h.update(atoms.tag[atoms.nlocal : atoms.ntotal].tobytes())
+    return h.hexdigest()
+
+
+def trace_signature(tracer) -> tuple[list, list, list]:
+    """What a replay of the same plan must reproduce: wall spans by
+    identity, model spans with their times, instants by identity."""
+    wall = [(s.name, s.cat, s.track) for s in tracer.spans if s.clock == "wall"]
+    model = [
+        (s.name, s.cat, s.track, s.ts, s.dur) for s in tracer.spans if s.clock == "model"
+    ]
+    return wall, model, [(e.name, e.cat, e.track) for e in tracer.instants]
+
+
+def check_fired(stats: FaultStats) -> tuple[bool, str]:
+    """The plan fired at least one fault."""
+    kinds = ", ".join(f"{k}={n}" for k, n in sorted(stats.injected.items()))
+    return stats.total_injected() > 0, f"{stats.total_injected()} fired: {kinds}"
+
+
+def check_absorbed(stats: FaultStats) -> tuple[bool, str]:
+    """Every fault was absorbed by a retry or by a clean degradation."""
+    return stats.unabsorbed == 0, (
+        f"{stats.absorbed} absorbed over {stats.retries} retries, "
+        f"{stats.degradations} degradation(s), {stats.unabsorbed} unabsorbed"
+    )
+
+
+def check_ghosts_identical(faulted, clean) -> tuple[bool, str]:
+    """Without a degradation the faulted run's ghost region and positions
+    are bit-identical to the fault-free run's."""
+    digest = ghost_digest(clean)
+    ok = ghost_digest(faulted) == digest and np.array_equal(
+        faulted.gather_positions(), clean.gather_positions()
+    )
+    return ok, f"digest {digest[:12]}…"
+
+
+def check_degraded_trajectory(faulted, clean) -> tuple[bool, str]:
+    """After a degradation the trajectory still matches the fault-free run
+    to integration precision."""
+    from repro.md.serial import check_trajectory
+
+    ok, detail = check_trajectory(faulted, clean.gather_positions())
+    ladder = [faulted.degradations[0][0]] + [to for _, to in faulted.degradations]
+    return ok, f"{detail} after {' -> '.join(ladder)}"
+
+
+def check_fault_spans(signature: tuple[list, list, list]) -> tuple[bool, str]:
+    """The faulted run's trace (its :func:`trace_signature`) carries fault
+    events and retry spans."""
+    wall, model, instants = signature
+    faults = sum(e[1] == "fault" for e in instants) + sum(s[1] == "fault" for s in model)
+    retries = sum(s[1] == "retry" for s in wall) + sum(s[1] == "retry" for s in model)
+    return faults > 0 and retries > 0, (
+        f"{faults} fault events, {retries} retry spans"
+    )
+
+
+def check_replays(first: tuple, second: tuple) -> tuple[bool, str]:
+    """Two injections of one plan, each ``(trace_signature, stats)``, give
+    the same trace and the same fault statistics."""
+    (wall, model, instants), _ = first
+    return first == second, (
+        f"{len(wall)}+{len(model)} spans, {len(instants)} instants reproduced"
+    )

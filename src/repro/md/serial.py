@@ -143,3 +143,31 @@ class SerialReference:
             self.natoms,
             self.box.volume,
         )
+
+
+# -- a parallel run against this reference --------------------------------
+def check_trajectory(sim, x_ref: np.ndarray) -> tuple[bool, str]:
+    """``sim``'s positions equal ``x_ref`` to 1e-9, modulo periodic images
+    (the parallel driver wraps only at migration, the reference every step)."""
+    err = float(np.abs(sim.box.minimum_image(sim.gather_positions() - x_ref)).max())
+    return err < 1e-9, f"max deviation {err:.2e}"
+
+
+def check_momentum(sim) -> tuple[bool, str]:
+    """Every component of the total momentum stays below 1e-9."""
+    p = np.abs(sim.gather_velocities().sum(axis=0))
+    return bool(np.all(p < 1e-9)), f"|p| {p.max():.2e}"
+
+
+def check_atoms_conserved(sim) -> tuple[bool, str]:
+    """Migration neither loses nor duplicates an atom."""
+    n = sim.total_local_atoms()
+    return n == sim.natoms, f"{n}/{sim.natoms}"
+
+
+def check_energy_drift(e0: float, e1: float, steps: int) -> tuple[bool, str]:
+    """Total energy moves less than 5e-3 relative over ``steps``: pairs
+    crossing the unshifted cutoff drift that little, an integrator bug far
+    more."""
+    drift = abs(e1 - e0) / abs(e0)
+    return drift < 5e-3, f"relative drift {drift:.2e} over {steps} steps"

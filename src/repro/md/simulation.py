@@ -61,7 +61,6 @@ class SimulationConfig:
     newton: bool = True
     pattern: str = "p2p"  # "3stage" | "p2p" | "parallel-p2p"
     rdma: bool = False
-    use_border_bins: bool = True
     shell_radius: int = 1
     mass: float = 1.0
     thermo_every: int = 0  # 0: only on demand
@@ -189,7 +188,6 @@ class Simulation:
             newton=newton,
             radius=cfg.shell_radius,
             rdma=rdma,
-            use_border_bins=cfg.use_border_bins,
         )
 
     # -- graceful degradation (fault-budget escalation) -----------------

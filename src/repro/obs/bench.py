@@ -47,6 +47,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.md.stages import Stage
+from repro.obs.critpath import partitions
 
 #: Versioned schema identifier checked by :func:`validate_bench_doc`.
 SCHEMA = "repro-bench/1"
@@ -613,11 +614,11 @@ def validate_bench_doc(doc: dict) -> int:
                  f"{ctx}.critpath.completion", f"invalid {cp.get('completion')!r}")
         _require(isinstance(cp.get("attribution"), dict) and cp["attribution"],
                  f"{ctx}.critpath.attribution", "missing attribution")
-        total = sum(cp["attribution"].values())
         _require(
-            abs(total - cp["completion"]) <= 1e-9 * max(cp["completion"], 1e-12),
+            partitions(cp["attribution"].values(), cp["completion"]),
             f"{ctx}.critpath.attribution",
-            f"sums to {total!r}, not completion {cp['completion']!r}",
+            f"sums to {sum(cp['attribution'].values())!r}, "
+            f"not completion {cp['completion']!r}",
         )
         # Per-rank profile: optional (pre-observatory artifacts lack it),
         # but when present each rank's attribution must partition its
@@ -640,11 +641,10 @@ def validate_bench_doc(doc: dict) -> int:
                          f"{rctx}.completion", f"invalid {comp!r}")
                 _require(isinstance(attr, dict) and attr,
                          f"{rctx}.attribution", "missing attribution")
-                rtotal = sum(attr.values())
                 _require(
-                    abs(rtotal - comp) <= 1e-9 * max(comp, 1e-12),
+                    partitions(attr.values(), comp),
                     f"{rctx}.attribution",
-                    f"sums to {rtotal!r}, not completion {comp!r}",
+                    f"sums to {sum(attr.values())!r}, not completion {comp!r}",
                 )
             imb = rp.get("imbalance")
             _require(

@@ -35,6 +35,7 @@ import bisect
 import csv
 from dataclasses import dataclass, field
 
+from repro.machine.params import FUGAKU, MachineParams
 from repro.obs.trace import MODEL, SpanRecord, TRACER, Tracer
 
 #: Span categories that form the simulated-exchange dependency graph.
@@ -106,6 +107,46 @@ class CriticalPathResult:
         return ranked[0][0] if ranked else ""
 
 
+def partitions(attribution, completion: float) -> bool:
+    """Whether the seconds in ``attribution`` sum to ``completion`` within
+    1e-9 relative — the invariant every critical-path account (whole run,
+    per rank, serialized) obeys."""
+    return abs(sum(attribution) - completion) <= 1e-9 * max(completion, 1e-12)
+
+
+def traced_round(
+    exchange, phase: str = "forward", rank: int = 0, params: MachineParams = FUGAKU
+) -> tuple[float, CriticalPathResult]:
+    """Model one rank's exchange round under a fresh trace: the scalar
+    ``modeled_exchange_time`` and the critical path of that round."""
+    from repro.core.modeling import modeled_exchange_time
+    from repro.obs import observe
+
+    with observe(metrics=False) as (tracer, _):
+        modeled = modeled_exchange_time(exchange, phase, params, rank)
+    return modeled, analyze_critical_path(tracer)
+
+
+def check_partitions_modeled(cp: CriticalPathResult, modeled: float) -> tuple[bool, str]:
+    """The chain completes at the scalar ``modeled_exchange_time`` returned
+    for the same round, and its attribution partitions the window."""
+    ok = partitions([cp.completion], modeled) and partitions(
+        cp.attribution.values(), cp.total_time
+    )
+    return ok, (
+        f"modeled {modeled:.3e}s, chain {cp.total_attributed:.3e}s "
+        f"(diff {abs(cp.total_attributed - cp.total_time):.1e})"
+    )
+
+
+def check_horizon_messages(cp: CriticalPathResult, exchange) -> tuple[bool, str]:
+    """The distinct messages on the wire horizon are rank 0's send schedule."""
+    sends = exchange.messages_per_rank()[0]
+    return cp.messages == sends, (
+        f"chain horizon saw {cp.messages}, TrafficLog schedule has {sends}"
+    )
+
+
 def _model_path_spans(tracer: Tracer) -> list[SpanRecord]:
     return [
         s
@@ -152,7 +193,7 @@ def analyze_critical_path(
             )
 
     # -- chain walk-back -------------------------------------------------
-    tol = 1e-12 + 1e-9 * max(abs(completion), 1.0)
+    tol = 1e-12 + max(abs(completion), 1.0) * 1e-9
     by_end = sorted(spans, key=lambda s: s.end)
     ends = [s.end for s in by_end]
 

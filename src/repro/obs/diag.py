@@ -465,6 +465,21 @@ def diagnose(
     return _finalize(report)
 
 
+def check_names_faulted_rank(report: DiagReport, rank: int) -> tuple[bool, str]:
+    """A fault stall added to one rank's exchange ranks first as a
+    ``fault`` imbalance in ``Comm`` carried by exactly that rank."""
+    top = report.findings[0] if report.findings else None
+    if top is None:
+        return False, "top finding: none"
+    ok = (top.cohort, top.category, top.shape, top.stage) == (
+        (rank,), "fault", "imbalance", "Comm"
+    )
+    return ok, (
+        f"top finding: {top.shape} in {top.stage}/{top.category} "
+        f"on ranks {list(top.cohort)}"
+    )
+
+
 # -- rendering / validation / CLI -----------------------------------------
 def render_diag(report: DiagReport, top: int = 5) -> str:
     """Human-readable diagnosis: headline verdict, then ranked findings."""

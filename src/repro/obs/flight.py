@@ -199,3 +199,25 @@ def validate_flight_doc(doc: dict) -> int:
                  f"events out of order ({last_seq} -> {seq})")
         last_seq = seq
     return len(frames)
+
+
+def check_autodump(path: str, died: bool) -> tuple[bool, str]:
+    """A run that ``died`` of retry exhaustion left a valid dump at ``path``:
+    that reason, at least 3 pre-failure frames timing every stage, and the
+    fault -> retry -> exhaustion event trail."""
+    from repro.md.stages import Stage
+
+    try:
+        doc = load_flight_doc(path)
+    except (OSError, ValueError) as exc:
+        return False, f"dump invalid: {exc}"
+    frames = doc["frames"]
+    kinds = {e["kind"] for e in doc["events"]}
+    ok = (
+        died
+        and doc["reason"] == "retry-exhausted"
+        and len(frames) >= 3
+        and set(frames[-1]["wall"]) == {s.value for s in Stage}
+        and {"fault-injected", "retry", "retry-exhausted"} <= kinds
+    )
+    return ok, f"{len(frames)} frames, events {sorted(kinds)}"

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.machine.params import FUGAKU, MachineParams
-from repro.obs.critpath import CriticalPathResult
+from repro.obs.critpath import CriticalPathResult, partitions, traced_round
 
 #: Versioned schema identifier checked by :func:`validate_rankprof_doc`.
 SCHEMA = "repro-rankprof/1"
@@ -180,10 +180,6 @@ def profile_exchange(
     exchange's functional state, plan cache, and fast-path gate are
     untouched.
     """
-    from repro.core.modeling import modeled_exchange_time
-    from repro.obs import observe
-    from repro.obs.critpath import analyze_critical_path
-
     for phase in phases:
         if phase not in PROFILE_PHASES:
             raise ValueError(
@@ -198,9 +194,7 @@ def profile_exchange(
     for rank in range(exchange.world.size):
         natoms = int(exchange.atoms_of(rank).nlocal)
         for phase in phases:
-            with observe(metrics=False) as (tracer, _):
-                modeled_exchange_time(exchange, phase, params, rank)
-            cp = analyze_critical_path(tracer)
+            _, cp = traced_round(exchange, phase, rank, params)
             result.profiles.append(
                 RankPhaseProfile(
                     rank=rank,
@@ -326,11 +320,10 @@ def validate_rankprof_doc(doc: dict) -> int:
             attr = row.get("attribution")
             _require(isinstance(attr, dict) and attr, f"{rctx}.attribution",
                      "missing attribution")
-            total = sum(attr.values())
             _require(
-                abs(total - comp) <= 1e-9 * max(comp, 1e-12),
+                partitions(attr.values(), comp),
                 f"{rctx}.attribution",
-                f"sums to {total!r}, not completion {comp!r}",
+                f"sums to {sum(attr.values())!r}, not completion {comp!r}",
             )
             rows_total += 1
         imb = body.get("imbalance")
@@ -345,6 +338,41 @@ def validate_rankprof_doc(doc: dict) -> int:
             f"{ctx}.imbalance.stragglers", f"invalid {strag!r}",
         )
     return rows_total
+
+
+def check_partitions(result: RankProfileResult) -> tuple[bool, str]:
+    """Every (rank, phase) row's attribution partitions its completion."""
+    ok = all(partitions(p.attribution.values(), p.completion) for p in result.profiles)
+    return ok, f"{len(result.profiles)} rank x phase rows checked"
+
+
+def check_telescopes(result: RankProfileResult, exchange) -> tuple[bool, str]:
+    """Each row's completion is, bit for bit, the untraced
+    ``modeled_exchange_time`` of that rank and phase."""
+    from repro.core.modeling import modeled_exchange_time
+
+    ok = all(
+        modeled_exchange_time(exchange, p.phase, rank=p.rank) == p.completion
+        for p in result.profiles
+    )
+    return ok, f"{len(result.profiles)} independent re-computations"
+
+
+def check_rank0_row(result: RankProfileResult, cp: CriticalPathResult) -> tuple[bool, str]:
+    """Rank 0's forward row is the whole-run critical path ``cp`` of the
+    same round, bit for bit."""
+    row = result.by_phase("forward")[0]
+    ok = row.attribution == dict(cp.attribution) and row.completion == cp.completion - cp.base
+    return ok, f"{len(row.attribution)} categories compared"
+
+
+def check_document(doc: dict, result: RankProfileResult) -> tuple[bool, str]:
+    """``doc`` (the serialized ``result``) validates with one row per profile."""
+    try:
+        rows = validate_rankprof_doc(doc)
+    except ValueError as exc:
+        return False, str(exc)
+    return rows == len(result.profiles), f"{rows} rows"
 
 
 def render_rank_profile(result: RankProfileResult) -> str:

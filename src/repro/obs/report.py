@@ -128,3 +128,36 @@ def write_phase_csv(path: str, tracer: Tracer | None = None) -> None:
         for phase in sorted(summary):
             t = summary[phase]
             writer.writerow([t.phase, t.count, t.total_bytes])
+
+
+def check_phase_traffic(tracer: Tracer, log) -> tuple[bool, str]:
+    """The trace's per-phase counts and bytes equal ``log``'s, over the same
+    set of phases."""
+    phases = phase_summary_from_trace(tracer)
+    agree = {m.phase for m in log.messages} == set(phases) and all(
+        (t.count, t.total_bytes) == (log.summary(ph).count, log.summary(ph).total_bytes)
+        for ph, t in phases.items()
+    )
+    return agree, f"phases {sorted(phases)}"
+
+
+def check_forward_counts(tracer: Tracer, sim) -> tuple[bool, str]:
+    """The trace's forward messages are Table 1's per-rank count for the
+    run's geometry, times ranks, times forward phases (the steps that did
+    not reneighbour)."""
+    from repro.core.analytic import analyze_simulation
+
+    phases = phase_summary_from_trace(tracer)
+    per_rank = analyze_simulation(sim).total_messages
+    expected = per_rank * sim.world.size * (sim.step_count - sim.rebuilds)
+    measured = phases["forward"].count if "forward" in phases else 0
+    return measured == expected, f"measured {measured}, predicted {expected}"
+
+
+def check_stage_breakdown(tracer: Tracer, timers, which: str = "wall") -> tuple[bool, str]:
+    """The span-derived breakdown on timeline ``which`` reproduces the
+    ``StageTimers`` account bit-exactly."""
+    derived = stage_breakdown_from_trace(tracer, which)
+    account = timers.wall if which == "wall" else timers.model
+    err = max(abs(derived[s.value] - t) for s, t in account.items())
+    return err == 0.0, f"max |span sum - timer| = {err:.2e}"

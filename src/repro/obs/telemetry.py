@@ -352,6 +352,22 @@ class TelemetryControl:
         finally:
             self.active = prev
 
+    @contextmanager
+    def alone(self) -> Iterator[None]:
+        """:meth:`scope` with the session observers (tracer, metrics)
+        switched off: what telemetry costs and sees by itself, even inside
+        a ``--trace`` / ``--metrics`` session that would block the fast path."""
+        from repro.obs.metrics import METRICS
+        from repro.obs.trace import TRACER
+
+        prev = TRACER.enabled, METRICS.enabled
+        TRACER.enabled = METRICS.enabled = False
+        try:
+            with self.scope():
+                yield
+        finally:
+            TRACER.enabled, METRICS.enabled = prev
+
 
 #: The process-wide control.  Never replaced, only toggled/attached.
 TELEMETRY = TelemetryControl()
@@ -360,3 +376,65 @@ TELEMETRY = TelemetryControl()
 def get_telemetry() -> TelemetryControl:
     """The global telemetry control singleton."""
     return TELEMETRY
+
+
+# -- the plane against the bookkeeping it is fed from ------------------------
+def check_fastpath_kept(sim: Simulation) -> tuple[bool, str]:
+    """Telemetry is attached and the exchange still replays on the fast
+    path: no phase was blocked for observability."""
+    fast = sim.exchange.plan_stats()["fastpath_phases"]
+    blocks = sim.exchange._gate_blocks["observability"]
+    ok = sim.telemetry is not None and fast > 0 and blocks == 0
+    return ok, f"{fast} fastpath phases, {blocks} observability blocks"
+
+
+def check_counters(sim: Simulation, steps: int) -> tuple[bool, str]:
+    """The counters equal what :meth:`StepTelemetry.flush_step` folds: the
+    exchange's plan stats and the traffic log's run-lifetime totals."""
+    t, stats = sim.telemetry, sim.exchange.plan_stats()
+    log = sim.world.transport.log
+    ok = (
+        t.counter_value("fastpath_phases_total") == stats["fastpath_phases"]
+        and t.counter_value("plan_builds_total") == stats["plan_builds"]
+        and t.counter_value("messages_total") == log.grand_total_count
+        and t.counter_value("message_bytes_total") == log.grand_total_bytes
+        and t.counter_value("steps_total") == steps
+    )
+    return ok, (
+        f"{t.counter_value('messages_total'):.0f} messages, "
+        f"{t.counter_value('fastpath_phases_total'):.0f} fastpath phases"
+    )
+
+
+def check_sketch_sums(sim: Simulation) -> tuple[bool, str]:
+    """Each stage's wall sketch sums to its ``StageTimers`` total (1e-9)."""
+    err = max(
+        abs(sim.telemetry.sketch("stage_wall_seconds", stage=s.value).total - total)
+        for s, total in sim.timers.wall.items()
+    )
+    return err < 1e-9, f"max |sketch sum - timer| = {err:.2e}"
+
+
+def check_sketch_quantiles(sim: Simulation, deltas: dict) -> tuple[bool, str]:
+    """Sketch means equal the ``StageTimers`` per-step means (1e-12), and
+    every exported quantile lies within the sketch's relative-accuracy
+    bound of the true rank quantile of ``deltas[clock][stage]`` — per-step
+    timer deltas recorded independently of the flush."""
+    from repro.obs.rankprof import rank_percentile
+
+    totals = sim.timers.breakdown("wall")
+    mean_err, in_bound = 0.0, True
+    for clock, per_stage in deltas.items():
+        for stage, samples in per_stage.items():
+            sk = sim.telemetry.sketch(f"stage_{clock}_seconds", stage=stage.value)
+            if sk is None:
+                continue
+            if clock == "wall":
+                mean = totals[stage.value][0] / len(samples)
+                mean_err = max(mean_err, abs(sk.mean - mean))
+            for q in EXPORT_QUANTILES:
+                truth = rank_percentile(samples, q)
+                in_bound &= abs(sk.quantile(q) - truth) <= truth * 1.01 * sk.rel_accuracy
+    return in_bound and mean_err < 1e-12, (
+        f"max mean error {mean_err:.2e}, quantiles within rank-error bound"
+    )

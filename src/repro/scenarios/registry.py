@@ -112,3 +112,76 @@ def legacy_equivalence_configs() -> list[tuple[tuple[int, int, int], float, bool
 def scenario_ids(scenarios: list[dict]) -> list[str]:
     """Stable pytest parametrize ids for a scenario list."""
     return [s["id"] for s in scenarios]
+
+
+# -- the registry the gates parametrize over, checked --------------------------
+def check_expansion(spec: dict) -> tuple[bool, str]:
+    """``spec`` expands deterministically (byte-identical documents) into
+    at least 200 scenarios with distinct ids."""
+    from repro.scenarios.spec import dumps_fleet
+
+    first, second = expand_spec(spec), expand_spec(spec)
+    ids = {s["id"] for s in first}
+    ok = (
+        len(first) >= 200
+        and len(ids) == len(first)
+        and dumps_fleet(spec, first) == dumps_fleet(spec, second)
+    )
+    return ok, f"{len(first)} scenarios, {len(ids)} distinct ids"
+
+
+def check_legacy_embedded(scenarios: list[dict]) -> tuple[bool, str]:
+    """The 24 legacy (grid, cutoff, newton) configurations are among the
+    equivalence ``scenarios``, each with its legacy seed."""
+    by_key = {
+        (tuple(s["params"]["grid"]), s["params"]["cutoff"], s["params"]["newton"]): s
+        for s in scenarios
+    }
+    legacy = legacy_equivalence_configs()
+    grids = [k[0] for k in legacy[::6]]  # axis order of the legacy grid list
+    missing = [k for k in legacy if k not in by_key]
+    seed_mismatch = [
+        k for k in legacy
+        if k in by_key
+        and by_key[k]["seed"]
+        != 1000 * grids.index(k[0]) + int(100 * k[1]) + (1 if k[2] else 0)
+    ]
+    ok = not missing and not seed_mismatch and len(legacy) == 24
+    return ok, (
+        f"{len(legacy) - len(missing)}/{len(legacy)} present, "
+        f"{len(seed_mismatch)} seed mismatch(es)"
+    )
+
+
+def check_fleet_valid(fleet: list[dict], level: str) -> tuple[bool, str]:
+    """Every scenario of ``fleet`` passes validation levels L0..``level``."""
+    from repro.scenarios.validate import validate_fleet
+
+    result = validate_fleet(list(fleet), level=level)
+    return result.ok, f"{result.checked} checked, {len(result.issues)} issue(s)"
+
+
+def check_scenario_valid(scenario: dict, level: str) -> tuple[bool, str]:
+    """One scenario passes validation levels L0..``level``."""
+    from repro.scenarios.validate import validate_scenario
+
+    issues = validate_scenario(scenario, level=level)
+    return not issues, issues[0].render() if issues else scenario["id"]
+
+
+def check_variants_agree(scenario: dict, exchanges: dict) -> tuple[bool, str]:
+    """``scenario``'s border-exchanged ``exchanges``, keyed by pattern: the
+    p2p and parallel-p2p rows are bit-identical, and the p2p ghost region
+    lies inside the 3-stage's on every rank."""
+    import numpy as np
+
+    from repro.scenarios.build import ghost_set
+
+    p2p, fine, three = (exchanges[p] for p in ("p2p", "parallel-p2p", "3stage"))
+    nranks = p2p.world.size
+    ok = all(
+        np.array_equal(p2p.atoms_of(r).x, fine.atoms_of(r).x)
+        and ghost_set(p2p, r) <= ghost_set(three, r)
+        for r in range(nranks)
+    )
+    return ok, f"{scenario['id']} over {nranks} rank(s)"

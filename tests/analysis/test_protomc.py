@@ -11,15 +11,16 @@ from repro.analysis.protomc import (
     build_programs,
     degradation_ladder,
     findings_from,
-    model_from_exchange,
     model_from_scenario,
     replay,
     run_mutation_battery,
     verify_model,
     verify_scenario,
 )
-from repro.analysis.protomc.extract import grid_peer
+from repro.analysis.protomc.checker import check_proves
+from repro.analysis.protomc.extract import check_live_extraction, grid_peer
 from repro.analysis.protomc.model import FENCE, RECV, SEND
+from repro.analysis.protomc.mutations import check_mutations_caught
 
 
 class TestExtraction:
@@ -95,7 +96,7 @@ class TestProperties:
 
     def test_base_model_verifies(self):
         result = verify_model(base_model())
-        assert result.ok, result.render()
+        assert check_proves(result)[0], result.render()
         assert result.states > 0
         assert not result.incomplete
 
@@ -169,9 +170,8 @@ class TestMutations:
     def test_battery_replays_every_counterexample(self):
         outcomes = run_mutation_battery()
         assert len(outcomes) == len(MUTATIONS)
-        for outcome in outcomes:
-            assert outcome.ok, outcome.render()
-            assert outcome.replayed, outcome.render()
+        ok, detail = check_mutations_caught(outcomes)
+        assert ok, detail
 
 
 class TestFleetVerification:
@@ -190,7 +190,7 @@ class TestFleetVerification:
             and s["params"]["grid"] == [2, 2, 2]
         )
         result = verify_scenario(scenario, max_states=200_000, budget_s=20.0)
-        assert result.ok, result.render()
+        assert check_proves(result)[0], result.render()
 
     def test_bench_rdma_scenario_proves(self, fleet):
         scenario = next(
@@ -214,14 +214,8 @@ class TestFleetVerification:
             and s["params"]["grid"] == [2, 2, 2]
             and s["params"].get("newton", True)
         )
-        exchange = scenario_exchange(scenario, "p2p")
-        model = model_from_exchange(exchange, label="live")
-        border_sends = [
-            o for o in model.programs[0]
-            if o.kind == SEND and o.stage == "borders"
-        ]
-        assert len(border_sends) == 13
-        assert verify_model(model).ok
+        ok, detail = check_live_extraction({"p2p": scenario_exchange(scenario, "p2p")})
+        assert ok, detail
 
     def test_model_role_uses_canonical_grid(self, fleet):
         from repro.analysis.protomc.extract import CANONICAL_GRID

@@ -6,6 +6,7 @@ import pytest
 
 from repro import LennardJones, SerialReference, quick_lj_simulation
 from repro.core import FineGrainedP2PExchange, P2PExchange, ThreeStageExchange
+from repro.core.p2p import check_preregistered
 from repro.md import Box, Domain
 from repro.md.atoms import Atoms
 from repro.md.lattice import fcc_lattice, lj_density_to_cell, maxwell_velocities
@@ -91,7 +92,7 @@ class TestP2PStructure:
         """Measured border traffic equals the analytic half-shell volume
         within statistical fluctuation."""
         world, domain, x, _ = build_world((2, 2, 2), natoms=4000)
-        ex = P2PExchange(world, domain, rcomm=1.2, use_border_bins=True)
+        ex = P2PExchange(world, domain, rcomm=1.2)
         ex.borders()
         from repro.core import half_shell_volume
 
@@ -100,19 +101,6 @@ class TestP2PStructure:
         expected_atoms = half_shell_volume(a, 1.2) * density * world.size
         total_ghosts = sum(ex.ghost_counts().values())
         assert total_ghosts == pytest.approx(expected_atoms, rel=0.12)
-
-    def test_border_bins_and_bruteforce_identical(self):
-        w1, d1, _, _ = build_world((2, 2, 2), natoms=500, seed=3)
-        w2, d2, _, _ = build_world((2, 2, 2), natoms=500, seed=3)
-        e1 = P2PExchange(w1, d1, rcomm=2.0, use_border_bins=True)
-        e2 = P2PExchange(w2, d2, rcomm=2.0, use_border_bins=False)
-        e1.borders()
-        e2.borders()
-        for rank in range(8):
-            a1, a2 = e1.atoms_of(rank), e2.atoms_of(rank)
-            assert a1.nghost == a2.nghost
-            assert np.allclose(np.sort(a1.x[a1.nlocal :], axis=0),
-                               np.sort(a2.x[a2.nlocal :], axis=0))
 
 
 class TestThreeStageStructure:
@@ -267,7 +255,7 @@ class TestForwardReverse:
             ex.borders()
             ex.forward()
             ex.reverse()
-        assert ex.reregistrations == 0
+        assert check_preregistered(ex)[0]
 
     def test_registration_is_of_the_slab_and_moves_with_a_relayout(self):
         """``lj-strong-27r``: a rank's registered arrays are its slab of

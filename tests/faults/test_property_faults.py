@@ -7,14 +7,12 @@
   trace event sequence and fault statistics, twice.
 """
 
-import hashlib
-
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import LennardJones, Simulation, SimulationConfig
 from repro.faults import FAULTS, FaultPlan, FaultSpec, RetryPolicy
+from repro.faults.injector import check_ghosts_identical, check_replays, trace_signature
 from repro.md.lattice import fcc_lattice, lj_density_to_cell, maxwell_velocities
 from repro.obs import observe
 
@@ -30,15 +28,6 @@ def build_sim(rdma: bool):
         dt=0.005, skin=0.3, pattern="parallel-p2p", rdma=rdma, neighbor_every=4
     )
     return Simulation(x, v, box, LennardJones(cutoff=2.5), cfg, grid=(2, 1, 1))
-
-
-def ghost_digest(sim) -> str:
-    h = hashlib.sha256()
-    for rank in range(sim.world.size):
-        atoms = sim.atoms_of(rank)
-        h.update(atoms.x[atoms.nlocal : atoms.ntotal].tobytes())
-        h.update(atoms.tag[atoms.nlocal : atoms.ntotal].tobytes())
-    return h.hexdigest()
 
 
 #: Strategy for absorbable fault specs (severity within the horizon).
@@ -84,8 +73,8 @@ class TestAbsorbablePlansAreInvisible:
 
         assert session.stats.unabsorbed == 0
         assert faulted.degradations == []
-        assert ghost_digest(faulted) == ghost_digest(clean)
-        assert np.array_equal(faulted.gather_positions(), clean.gather_positions())
+        ok, detail = check_ghosts_identical(faulted, clean)
+        assert ok, detail
 
 
 class TestReplayDeterminism:
@@ -108,15 +97,7 @@ class TestReplayDeterminism:
             with observe(metrics=False) as (tracer, _):
                 with FAULTS.inject(plan) as session:
                     sim.run(STEPS)
-                key = (
-                    [(s.name, s.cat, s.track) for s in tracer.spans if s.clock == "wall"],
-                    [
-                        (s.name, s.cat, s.track, s.ts, s.dur)
-                        for s in tracer.spans
-                        if s.clock == "model"
-                    ],
-                    [(e.name, e.cat, e.track) for e in tracer.instants],
-                )
-            return key, dict(session.stats.injected), session.stats.retries
+            return trace_signature(tracer), session.stats
 
-        assert run() == run()
+        ok, detail = check_replays(run(), run())
+        assert ok, detail

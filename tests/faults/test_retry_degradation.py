@@ -12,6 +12,7 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.md.lattice import fcc_lattice, lj_density_to_cell, maxwell_velocities
+from repro.md.serial import check_trajectory
 
 CELLS = (4, 2, 2)
 GRID = (2, 1, 1)
@@ -101,10 +102,8 @@ class TestDegradationLadder:
         sim = build_sim()
         with FAULTS.inject(self.plan_one_lethal_drop()):
             sim.run(STEPS)
-        dev = np.abs(
-            sim.domain.box.minimum_image(sim.gather_positions() - clean)
-        ).max()
-        assert dev < 1e-9
+        ok, detail = check_trajectory(sim, clean)
+        assert ok, detail
 
     def test_terminal_tier_reraises(self):
         # Unlimited lethal drops kill every tier; after 3-stage (the

@@ -6,6 +6,7 @@ import pytest
 from repro import SerialReference, Simulation, SimulationConfig, make_cu_like_eam
 from repro.md.lattice import fcc_lattice, maxwell_velocities
 from repro.md.potentials import SuttonChenEAM
+from repro.md.serial import check_trajectory
 
 
 def copper_system(cells=(4, 4, 4), temperature=0.02, seed=9):
@@ -43,10 +44,8 @@ class TestPatternsVsSerial:
             eam_config(pattern, rdma=rdma), grid=(2, 2, 1),
         )
         sim.run(15)
-        # Compare modulo periodic images: the parallel driver only wraps
-        # at migration, the serial reference wraps every step.
-        d = box.minimum_image(sim.gather_positions() - ref.x)
-        assert np.abs(d).max() < 1e-9
+        ok, detail = check_trajectory(sim, ref.x)
+        assert ok, detail
 
     def test_eam_pressure_trace_matches(self, serial_eam):
         """The EAM half of Fig. 11."""

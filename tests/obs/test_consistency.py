@@ -6,16 +6,18 @@ paper's Table 1 formulas must all tell the same story about how many
 messages moved and (approximately) how many bytes.
 """
 
-import numpy as np
 import pytest
 
 from repro import LennardJones, Simulation, SimulationConfig
-from repro.core.analytic import analyze_p2p, analyze_three_stage
+from repro.core.analytic import analyze_simulation
 from repro.md.lattice import fcc_lattice, lj_density_to_cell, maxwell_velocities
 from repro.md.stages import Stage
 from repro.obs import observe
 from repro.obs.trace import Tracer
 from repro.obs.report import (
+    check_forward_counts,
+    check_phase_traffic,
+    check_stage_breakdown,
     phase_summary_from_trace,
     render_phase_table,
     stage_breakdown_from_trace,
@@ -41,15 +43,6 @@ def traced_run(pattern):
     return sim, snapshot
 
 
-def analysis_for(sim):
-    a = float(np.min(sim.domain.sub_lengths))
-    r = sim.potential.cutoff + sim.config.skin
-    density = sim.natoms / sim.box.volume
-    if sim.config.pattern == "3stage":
-        return analyze_three_stage(a, r, density)
-    return analyze_p2p(a, r, density, newton=sim.half)
-
-
 @pytest.fixture(scope="module", params=["3stage", "parallel-p2p"])
 def run(request):
     return traced_run(request.param)
@@ -58,30 +51,27 @@ def run(request):
 class TestTraceVsTrafficLog:
     def test_same_phases(self, run):
         sim, tracer = run
-        log_phases = {m.phase for m in sim.world.transport.log.messages}
-        assert set(phase_summary_from_trace(tracer)) == log_phases
+        ok, detail = check_phase_traffic(tracer, sim.world.transport.log)
+        assert ok, detail
+        assert detail == "phases ['border', 'exchange', 'forward', 'reverse']"
 
     def test_counts_and_bytes_exact(self, run):
         sim, tracer = run
-        log = sim.world.transport.log
-        for phase, t in phase_summary_from_trace(tracer).items():
-            s = log.summary(phase)
-            assert (t.count, t.total_bytes) == (s.count, s.total_bytes), phase
+        ok, detail = check_phase_traffic(tracer, sim.world.transport.log)
+        assert ok, detail
 
 
 class TestTraceVsTable1:
     def test_forward_message_count_matches_formula(self, run):
         sim, tracer = run
-        analysis = analysis_for(sim)
         expected_per_rank = 6 if sim.config.pattern == "3stage" else 13
-        assert analysis.total_messages == expected_per_rank
-        n_forward = sim.step_count - sim.rebuilds
-        measured = phase_summary_from_trace(tracer)["forward"].count
-        assert measured == analysis.total_messages * sim.world.size * n_forward
+        assert analyze_simulation(sim).total_messages == expected_per_rank
+        ok, detail = check_forward_counts(tracer, sim)
+        assert ok, detail
 
     def test_forward_bytes_near_analytic_volume(self, run):
         sim, tracer = run
-        analysis = analysis_for(sim)
+        analysis = analyze_simulation(sim)
         n_forward = sim.step_count - sim.rebuilds
         predicted = analysis.total_bytes * sim.world.size * n_forward
         measured = phase_summary_from_trace(tracer)["forward"].total_bytes
@@ -94,9 +84,8 @@ class TestTraceVsTable1:
 class TestTraceVsStageTimers:
     def test_breakdown_bit_exact(self, run):
         sim, tracer = run
-        derived = stage_breakdown_from_trace(tracer, "wall")
-        for stage in Stage:
-            assert derived[stage.value] == sim.timers.wall[stage]
+        ok, detail = check_stage_breakdown(tracer, sim.timers)
+        assert ok, detail
 
     def test_breakdown_rejects_bad_account(self, run):
         _, tracer = run

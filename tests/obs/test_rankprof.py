@@ -5,15 +5,17 @@ import math
 
 import pytest
 
-from repro.core.modeling import modeled_exchange_time
-from repro.obs import observe
 from repro.obs.bench import BenchConfig, build_simulation
-from repro.obs.critpath import analyze_critical_path
+from repro.obs.critpath import traced_round
 from repro.obs.rankprof import (
     PROFILE_PHASES,
     SCHEMA,
     RankProfileResult,
     bench_record,
+    check_document,
+    check_partitions,
+    check_rank0_row,
+    check_telescopes,
     feed_telemetry,
     profile_exchange,
     rank_percentile,
@@ -64,26 +66,18 @@ class TestProfile:
             assert [p.rank for p in prof.by_phase(phase)] == list(range(ranks))
 
     def test_attribution_partitions_each_rank_exactly(self, prof):
-        for p in prof.profiles:
-            assert sum(p.attribution.values()) == pytest.approx(
-                p.completion, rel=1e-9
-            )
+        ok, detail = check_partitions(prof)
+        assert ok, detail
 
     def test_completion_equals_untraced_model_bit_exactly(self, sim, prof):
         # Traced profiling bypasses the plan-epoch cache but replays the
         # exact same schedule: the scalar must match to the last bit.
-        for p in prof.by_phase("forward"):
-            assert p.completion == modeled_exchange_time(
-                sim.exchange, "forward", rank=p.rank
-            )
+        ok, detail = check_telescopes(prof, sim.exchange)
+        assert ok, detail
 
     def test_rank0_row_is_the_whole_run_attribution(self, sim, prof):
-        with observe(metrics=False) as (tracer, _):
-            modeled_exchange_time(sim.exchange, "forward", rank=0)
-        cp = analyze_critical_path(tracer)
-        row = prof.by_phase("forward")[0]
-        assert row.attribution == dict(cp.attribution)
-        assert row.completion == cp.completion - cp.base
+        ok, detail = check_rank0_row(prof, traced_round(sim.exchange)[1])
+        assert ok, detail
 
     def test_unknown_phase_rejected(self, sim):
         with pytest.raises(ValueError, match="unknown phase"):
@@ -133,7 +127,8 @@ class TestArtifact:
     def test_round_trip_validates(self, prof):
         doc = to_dict(prof, label="unit")
         assert doc["schema"] == SCHEMA
-        assert validate_rankprof_doc(doc) == len(prof.profiles)
+        ok, detail = check_document(doc, prof)
+        assert ok, detail
 
     def test_rejects_wrong_schema(self, prof):
         bad = copy.deepcopy(to_dict(prof))

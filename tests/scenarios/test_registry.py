@@ -15,11 +15,11 @@ from repro.scenarios import (
     expand_spec,
     fault_scenarios,
     fleet_mode,
-    legacy_equivalence_configs,
     model_scenarios,
     scenario_ids,
     scenarios_by_role,
 )
+from repro.scenarios.registry import check_legacy_embedded
 
 SPEC_PATH = pathlib.Path(__file__).resolve().parents[2] / "examples" / "fleet_core.spec.json"
 
@@ -101,22 +101,9 @@ class TestLegacyEmbedding:
         differential regimes (telemetry/rankprof reused the exchange
         suite's CONFIGS and seed formula verbatim)."""
         monkeypatch.delenv(FLEET_ENV, raising=False)
-        legacy = legacy_equivalence_configs()
-        assert len(legacy) == 24
-        grids = [k[0] for k in legacy[::6]]
         for regime in ("off", "telemetry", "rankprof"):
-            by_key = {
-                (tuple(s["params"]["grid"]), s["params"]["cutoff"],
-                 s["params"]["newton"]): s
-                for s in differential_scenarios(regime)
-            }
-            for grid, cutoff, newton in legacy:
-                s = by_key[(grid, cutoff, newton)]
-                assert s["seed"] == (
-                    1000 * grids.index(grid)
-                    + int(100 * cutoff)
-                    + (1 if newton else 0)
-                )
+            ok, detail = check_legacy_embedded(differential_scenarios(regime))
+            assert ok, f"{regime}: {detail}"
 
     def test_spec_source_still_declares_the_legacy_axes(self):
         spec = core_spec()
