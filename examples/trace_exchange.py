@@ -18,7 +18,8 @@ import sys
 from repro import quick_lj_simulation
 from repro.md.stages import Stage
 from repro.obs import observe
-from repro.obs.export import validate_chrome_trace_file, write_chrome_trace
+from repro.artifact import read
+from repro.obs.export import validate_chrome_trace, write_chrome_trace
 from repro.obs.report import (
     phase_summary_from_trace,
     render_phase_table,
@@ -36,7 +37,7 @@ def main() -> None:
         sim.run(20)
 
     write_chrome_trace(out, tracer, metrics)
-    n_events = validate_chrome_trace_file(out)
+    n_events = validate_chrome_trace(read(out))
     print(f"wrote {n_events} events to {out} (open in https://ui.perfetto.dev)\n")
 
     print(render_stage_table(tracer))

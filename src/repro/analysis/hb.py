@@ -410,11 +410,9 @@ def detect_races(
 
 def detect_races_in_file(path: str) -> AnalysisReport:
     """Analyze an exported Chrome trace file."""
-    import json
+    from repro.artifact import read
 
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    events, spans = events_from_chrome(doc)
+    events, spans = events_from_chrome(read(path))
     report = detect_races(events=events, spans=spans)
     report.files_analyzed.append(path)
     return report

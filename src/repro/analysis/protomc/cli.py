@@ -12,7 +12,6 @@ missed mutations, 2 usage or IO errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -22,6 +21,7 @@ from repro.analysis.protomc.checker import (
     findings_from,
     verify_scenario,
 )
+from repro.artifact import write
 
 REPORT_SCHEMA = "repro-verify/1"
 
@@ -148,9 +148,7 @@ def main(argv: list[str] | None = None) -> int:
                 "wall_s": round(wall_s, 3),
             },
         }
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write(args.report, doc)
     if args.json:
         print(report.render_json())
     else:

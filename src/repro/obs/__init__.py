@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 
-from repro.obs.flight import FlightRecorder, load_flight_doc, validate_flight_doc
+from repro.obs.flight import FlightRecorder, validate_flight_doc
 from repro.obs.metrics import METRICS, MetricsRegistry, collecting, get_metrics
 from repro.obs.rankprof import RankProfileResult, profile_exchange
 from repro.obs.sketch import QuantileSketch
@@ -88,7 +88,6 @@ __all__ = [
     "get_tracer",
     "get_metrics",
     "get_telemetry",
-    "load_flight_doc",
     "validate_flight_doc",
     "tracing",
     "collecting",

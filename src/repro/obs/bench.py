@@ -36,7 +36,6 @@ comparisons.  See ``docs/benchmarking.md``.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import platform
 import statistics
@@ -46,8 +45,9 @@ from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
+from repro.artifact import Cursor, read, write
 from repro.md.stages import Stage
-from repro.obs.critpath import partitions
+from repro.obs.critpath import require_partition
 
 #: Versioned schema identifier checked by :func:`validate_bench_doc`.
 SCHEMA = "repro-bench/1"
@@ -555,126 +555,63 @@ def fleet_configs(spec_path: str) -> tuple[str, list[BenchConfig]]:
 
 
 # -- schema ---------------------------------------------------------------
-def _require(cond: bool, path: str, why: str) -> None:
-    if not cond:
-        raise ValueError(f"bench document invalid at {path}: {why}")
-
-
 def validate_bench_doc(doc: dict) -> int:
     """Validate a ``repro-bench/1`` document; returns the run count.
 
-    Raises :class:`ValueError` naming the first offending path — the
-    same contract as ``validate_chrome_trace``.
+    Raises ``ValueError("bench document invalid at <path>: <why>")``
+    naming the first offending path (the :mod:`repro.artifact` contract).
     """
-    _require(isinstance(doc, dict), "$", "not an object")
-    _require(doc.get("schema") == SCHEMA, "$.schema", f"expected {SCHEMA!r}, got {doc.get('schema')!r}")
-    _require(isinstance(doc.get("label"), str), "$.label", "missing string label")
-    _require(isinstance(doc.get("meta"), dict), "$.meta", "missing meta object")
-    runs = doc.get("runs")
-    _require(isinstance(runs, list) and runs, "$.runs", "missing non-empty runs array")
+    c = Cursor(doc, "bench document")
+    c.schema(SCHEMA)
+    c.text("label")
+    meta = c.obj("meta")
+    runs = c.arr("runs", nonempty=True)
     seen = set()
-    for i, run in enumerate(runs):
-        ctx = f"$.runs[{i}]"
-        _require(isinstance(run, dict), ctx, "not an object")
-        key = run.get("key")
-        _require(isinstance(key, str) and bool(key), f"{ctx}.key", "missing key")
-        _require(key not in seen, f"{ctx}.key", f"duplicate key {key!r}")
+    for run in runs.each():
+        key = run.text("key", nonempty=True)
+        run.require(key not in seen, f"duplicate key {key!r}", "key")
         seen.add(key)
-        _require(isinstance(run.get("config"), dict), f"{ctx}.config", "missing config")
-        wall = run.get("wall")
-        _require(isinstance(wall, dict), f"{ctx}.wall", "missing wall stats")
-        for part in ("stages", "total"):
-            _require(part in wall, f"{ctx}.wall.{part}", "missing")
+        run.obj("config")
+        wall = run.obj("wall")
+        wall.obj("total")
+        stages = wall.obj("stages")
         for s in STAGES:
-            st = wall["stages"].get(s)
-            _require(isinstance(st, dict), f"{ctx}.wall.stages.{s}", "missing stage stats")
+            stats = stages.obj(s)
             for k in ("min", "max", "mean", "median", "stddev", "repeats"):
-                v = st.get(k)
-                _require(
-                    isinstance(v, (int, float)) and not math.isnan(v) and v >= 0,
-                    f"{ctx}.wall.stages.{s}.{k}",
-                    f"invalid {v!r}",
-                )
-        model = run.get("model")
-        _require(isinstance(model, dict) and isinstance(model.get("stages"), dict),
-                 f"{ctx}.model", "missing model stages")
+                stats.number(k, lo=0)
+        model = run.obj("model").obj("stages")
         for s in STAGES:
-            v = model["stages"].get(s)
-            _require(isinstance(v, (int, float)) and v >= 0, f"{ctx}.model.stages.{s}", f"invalid {v!r}")
-        traffic = run.get("traffic")
-        _require(isinstance(traffic, dict) and traffic, f"{ctx}.traffic", "missing traffic")
-        for ph, t in traffic.items():
-            _require(
-                isinstance(t, dict) and isinstance(t.get("count"), int) and isinstance(t.get("bytes"), int),
-                f"{ctx}.traffic.{ph}", f"invalid {t!r}",
-            )
-        cp = run.get("critpath")
-        _require(isinstance(cp, dict), f"{ctx}.critpath", "missing critpath")
-        _require(isinstance(cp.get("completion"), (int, float)) and cp["completion"] >= 0,
-                 f"{ctx}.critpath.completion", f"invalid {cp.get('completion')!r}")
-        _require(isinstance(cp.get("attribution"), dict) and cp["attribution"],
-                 f"{ctx}.critpath.attribution", "missing attribution")
-        _require(
-            partitions(cp["attribution"].values(), cp["completion"]),
-            f"{ctx}.critpath.attribution",
-            f"sums to {sum(cp['attribution'].values())!r}, "
-            f"not completion {cp['completion']!r}",
-        )
+            model.number(s, lo=0)
+        for phase in run.obj("traffic", nonempty=True).each():
+            phase.integer("count")
+            phase.integer("bytes")
+        cp = run.obj("critpath")
+        require_partition(cp, cp.number("completion", lo=0))
         # Per-rank profile: optional (pre-observatory artifacts lack it),
         # but when present each rank's attribution must partition its
         # completion — the same invariant the critpath record obeys.
-        rp = run.get("rankprof")
-        if rp is not None:
-            _require(isinstance(rp, dict), f"{ctx}.rankprof", "not an object")
-            rows = rp.get("ranks")
-            _require(isinstance(rows, list) and rows, f"{ctx}.rankprof.ranks",
-                     "missing per-rank rows")
-            for j, row in enumerate(rows):
-                rctx = f"{ctx}.rankprof.ranks[{j}]"
-                _require(
-                    isinstance(row, dict) and isinstance(row.get("rank"), int),
-                    rctx, "missing rank",
-                )
-                comp = row.get("completion")
-                attr = row.get("attribution")
-                _require(isinstance(comp, (int, float)) and comp >= 0,
-                         f"{rctx}.completion", f"invalid {comp!r}")
-                _require(isinstance(attr, dict) and attr,
-                         f"{rctx}.attribution", "missing attribution")
-                _require(
-                    partitions(attr.values(), comp),
-                    f"{rctx}.attribution",
-                    f"sums to {sum(attr.values())!r}, not completion {comp!r}",
-                )
-            imb = rp.get("imbalance")
-            _require(
-                isinstance(imb, dict) and "max_mean" in imb and "p99_p50" in imb,
-                f"{ctx}.rankprof.imbalance", "missing imbalance ratios",
-            )
-    tables = doc.get("model_tables")
-    _require(isinstance(tables, dict), "$.model_tables", "missing")
-    for name in ("table1", "table3", "fig13"):
-        _require(name in tables, f"$.model_tables.{name}", "missing")
+        if run.get("rankprof") is not None:
+            rankprof = run.obj("rankprof")
+            for row in rankprof.arr("ranks", nonempty=True).each():
+                row.integer("rank")
+                require_partition(row, row.number("completion", lo=0))
+            imbalance = rankprof.obj("imbalance")
+            imbalance.number("max_mean")
+            imbalance.number("p99_p50")
+    tables = c.obj("model_tables")
+    tables.obj("table1")
+    tables.arr("table3")
+    tables.obj("fig13")
     for guard_key in ("fault_guard", "telemetry_guard"):
-        guard = doc.get(guard_key)
-        if guard is not None:
-            _require(isinstance(guard, dict), f"$.{guard_key}", "not an object")
-            _require(
-                isinstance(guard.get("ok"), bool), f"$.{guard_key}.ok", "missing bool"
-            )
-            _require(
-                isinstance(guard.get("entries"), list) and guard["entries"],
-                f"$.{guard_key}.entries", "missing non-empty entries",
-            )
-    obs = doc["meta"].get("observability")
-    if obs is not None:
-        _require(isinstance(obs, dict), "$.meta.observability", "not an object")
+        if c.get(guard_key) is not None:
+            guard = c.obj(guard_key)
+            guard.flag("ok")
+            guard.arr("entries", nonempty=True)
+    if meta.get("observability") is not None:
+        observability = meta.obj("observability")
         for k in ("tracer", "metrics", "telemetry"):
-            _require(
-                isinstance(obs.get(k), bool),
-                f"$.meta.observability.{k}", f"invalid {obs.get(k)!r}",
-            )
-    return len(runs)
+            observability.flag(k)
+    return len(runs.value)
 
 
 # -- compare --------------------------------------------------------------
@@ -973,18 +910,6 @@ def write_report_csv(path: str, doc: dict) -> None:
 
 
 # -- CLI ------------------------------------------------------------------
-def _load(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def write_artifact(path: str, doc: dict) -> None:
-    """Write an artifact as stable, diffable JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def _label(args) -> str:
     """The artifact label: ``--label``, else the stem of ``--out``."""
     if args.label is not None:
@@ -1072,7 +997,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
         doc = run_suite(args.suite, args.repeats, _label(args), args.trace_dir)
-        write_artifact(args.out, doc)
+        write(args.out, doc)
         print(f"# bench: {len(doc['runs'])} configs -> {args.out} (schema {SCHEMA})")
         print(render_report(doc))
         guard = doc.get("fault_guard")
@@ -1099,7 +1024,7 @@ def main(argv=None) -> int:
         doc = run_configs(
             configs, f"fleet:{spec_name}", args.repeats, _label(args), args.trace_dir
         )
-        write_artifact(args.out, doc)
+        write(args.out, doc)
         print(f"# bench fleet: {len(doc['runs'])} configs from {spec_name} "
               f"-> {args.out} (schema {SCHEMA})")
         print(render_report(doc))
@@ -1114,7 +1039,7 @@ def main(argv=None) -> int:
             overrides[group] = float(value)
         try:
             report = compare(
-                _load(args.baseline), _load(args.candidate),
+                read(args.baseline), read(args.candidate),
                 tolerances=overrides, gate_wall=args.gate_wall,
             )
         except (OSError, ValueError) as exc:
@@ -1130,7 +1055,7 @@ def main(argv=None) -> int:
         print("OK: no regressions beyond tolerance")
         return 0
     if args.command == "report":
-        doc = _load(args.artifact)
+        doc = read(args.artifact)
         print(render_report(doc))
         if args.csv:
             write_report_csv(args.csv, doc)
@@ -1154,7 +1079,7 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}")
             return 2
-        write_artifact(args.out, doc)
+        write(args.out, doc)
         print(f"# scaling: {len(doc['points'])} rungs -> {args.out} "
               f"(schema {doc['schema']})")
         print(render_scaling(doc))

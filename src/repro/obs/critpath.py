@@ -35,6 +35,7 @@ import bisect
 import csv
 from dataclasses import dataclass, field
 
+from repro.artifact import Cursor, dumps, read
 from repro.machine.params import FUGAKU, MachineParams
 from repro.obs.trace import MODEL, SpanRecord, TRACER, Tracer
 
@@ -112,6 +113,19 @@ def partitions(attribution, completion: float) -> bool:
     1e-9 relative — the invariant every critical-path account (whole run,
     per rank, serialized) obeys."""
     return abs(sum(attribution) - completion) <= 1e-9 * max(completion, 1e-12)
+
+
+def require_partition(record: Cursor, completion: float) -> None:
+    """A serialized record's non-empty ``attribution`` object holds numbers
+    that :func:`partitions` its ``completion``."""
+    attr = record.obj("attribution", nonempty=True)
+    for secs in attr.each():
+        secs.number()
+    if not partitions(attr.value.values(), completion):
+        record.fail(
+            f"sums to {sum(attr.value.values())!r}, not completion {completion!r}",
+            "attribution",
+        )
 
 
 def traced_round(
@@ -388,7 +402,6 @@ def main(argv=None) -> int:
     (the structured form ``repro diag`` and external tooling consume).
     """
     import argparse
-    import json as _json
     import sys
 
     parser = argparse.ArgumentParser(
@@ -406,9 +419,7 @@ def main(argv=None) -> int:
     from repro.obs.export import spans_from_chrome
 
     try:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            doc = _json.load(fh)
-        spans = spans_from_chrome(doc)
+        spans = spans_from_chrome(read(args.trace))
     except (OSError, ValueError) as exc:
         print(f"critpath: cannot load {args.trace}: {exc}", file=sys.stderr)
         return 2
@@ -423,7 +434,7 @@ def main(argv=None) -> int:
     if args.csv:
         write_critpath_csv(args.csv, result)
     if args.json:
-        print(_json.dumps(critpath_to_dict(result), indent=1, sort_keys=True))
+        print(dumps(critpath_to_dict(result)), end="")
     else:
         print(render_critical_path(result))
     return 0

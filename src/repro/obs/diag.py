@@ -28,9 +28,10 @@ CI gating; identical artifacts produce an empty finding list and a
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+
+from repro.artifact import Cursor, read, write
 
 #: Versioned schema identifier checked by :func:`validate_diag_doc`.
 SCHEMA = "repro-diag/1"
@@ -146,8 +147,7 @@ def artifact_kind(doc: dict) -> str:
 
 def load_artifact(path: str) -> tuple[str, dict]:
     """Load ``path`` and classify it; returns ``(kind, doc)``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read(path)
     return artifact_kind(doc), doc
 
 
@@ -510,59 +510,37 @@ def render_diag(report: DiagReport, top: int = 5) -> str:
     return "\n".join(lines)
 
 
-def _require(cond: bool, path: str, why: str) -> None:
-    if not cond:
-        raise ValueError(f"diag report invalid at {path}: {why}")
-
-
 def validate_diag_doc(doc: dict) -> int:
     """Validate a ``repro-diag/1`` report; returns the finding count."""
-    _require(isinstance(doc, dict), "$", "not an object")
-    _require(doc.get("schema") == SCHEMA, "$.schema",
-             f"expected {SCHEMA!r}, got {doc.get('schema')!r}")
-    _require(doc.get("kind") in ("bench", "scaling", "rankprof", "trace"),
-             "$.kind", f"invalid {doc.get('kind')!r}")
-    total = doc.get("total")
-    _require(isinstance(total, dict), "$.total", "missing totals")
-    for k in ("old", "new", "delta"):
-        v = total.get(k)
-        _require(isinstance(v, (int, float)) and math.isfinite(v),
-                 f"$.total.{k}", f"invalid {v!r}")
-    _require(
-        abs(total["delta"] - (total["new"] - total["old"])) <= 1e-9,
-        "$.total.delta", "delta != new - old",
-    )
-    _require(isinstance(doc.get("verdict"), str) and doc["verdict"],
-             "$.verdict", "missing verdict")
-    findings = doc.get("findings")
-    _require(isinstance(findings, list), "$.findings", "missing findings")
+    c = Cursor(doc, "diag report")
+    c.schema(SCHEMA)
+    kind = c.text("kind")
+    c.require(kind in ("bench", "scaling", "rankprof", "trace"),
+              f"unknown kind {kind!r}", "kind")
+    total = c.obj("total")
+    old, new, delta = (total.number(k, finite=True) for k in ("old", "new", "delta"))
+    total.require(abs(delta - (new - old)) <= 1e-9, "delta != new - old", "delta")
+    c.text("verdict", nonempty=True)
+    findings = c.arr("findings")
     prev = math.inf
     share_sum = 0.0
-    for i, f in enumerate(findings):
-        ctx = f"$.findings[{i}]"
-        _require(isinstance(f, dict), ctx, "not an object")
-        for k in ("scope", "stage", "category", "shape", "detail"):
-            _require(isinstance(f.get(k), str), f"{ctx}.{k}", "not a string")
-        _require(f["shape"] in SHAPES, f"{ctx}.shape", f"invalid {f['shape']!r}")
-        d = f.get("delta")
-        _require(isinstance(d, (int, float)) and math.isfinite(d),
-                 f"{ctx}.delta", f"invalid {d!r}")
-        _require(abs(d) <= prev + 1e-12, f"{ctx}.delta",
-                 "findings not ranked by |delta|")
+    for f in findings.each():
+        for k in ("scope", "stage", "category", "detail"):
+            f.text(k)
+        shape = f.text("shape")
+        f.require(shape in SHAPES, f"unknown shape {shape!r}", "shape")
+        d = f.number("delta", finite=True)
+        f.require(abs(d) <= prev + 1e-12, "findings not ranked by |delta|", "delta")
         prev = abs(d)
-        s = f.get("share")
-        _require(isinstance(s, (int, float)) and 0.0 <= s <= 1.0,
-                 f"{ctx}.share", f"invalid {s!r}")
+        s = f.number("share", lo=0.0)
+        f.require(s <= 1.0, f"share {s!r} above 1", "share")
         share_sum += s
-        cohort = f.get("cohort")
-        _require(
-            isinstance(cohort, list) and all(isinstance(r, int) for r in cohort),
-            f"{ctx}.cohort", f"invalid {cohort!r}",
-        )
-    if findings:
-        _require(abs(share_sum - 1.0) <= 1e-6, "$.findings[*].share",
-                 f"shares sum to {share_sum!r}, not 1.0")
-    return len(findings)
+        for rank in f.arr("cohort").each():
+            rank.integer()
+    if findings.value:
+        findings.require(abs(share_sum - 1.0) <= 1e-6,
+                         f"shares sum to {share_sum!r}, not 1.0")
+    return len(findings.value)
 
 
 def main(argv=None) -> int:
@@ -611,9 +589,7 @@ def main(argv=None) -> int:
     if args.json:
         doc = report.to_dict()
         validate_diag_doc(doc)
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write(args.json, doc)
     return 0
 
 

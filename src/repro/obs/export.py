@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import numbers
 
+from repro.artifact import Cursor
 from repro.obs.metrics import METRICS, Counter, Gauge, MetricsRegistry
 from repro.obs.trace import MODEL, TRACER, Tracer, WALL
 
@@ -148,39 +149,28 @@ def write_chrome_trace(
 def validate_chrome_trace(doc: dict) -> int:
     """Validate a trace-event document; returns the event count.
 
-    Raises :class:`ValueError` naming the first offending event.  Checks
-    the invariants viewers depend on: the ``traceEvents`` array, known
-    phase types, string names, integer pid/tid, and finite non-negative
-    microsecond timestamps/durations on timed events.
+    Raises ``ValueError("trace document invalid at <path>: <why>")``
+    naming the first offending event field.  Checks the invariants
+    viewers depend on: the ``traceEvents`` array, known phase types,
+    string names, integer pid/tid, and non-negative, non-NaN microsecond
+    timestamps/durations on timed events.
     """
-    if not isinstance(doc, dict):
-        raise ValueError(f"trace document must be an object, got {type(doc).__name__}")
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        raise ValueError("trace document lacks a 'traceEvents' array")
-    for i, ev in enumerate(events):
-        ctx = f"traceEvents[{i}]"
-        if not isinstance(ev, dict):
-            raise ValueError(f"{ctx} is not an object")
+    events = Cursor(doc, "trace document").arr("traceEvents")
+    for ev in events.each():
         ph = ev.get("ph")
         if ph not in ("X", "B", "E", "i", "I", "M", "C"):
-            raise ValueError(f"{ctx} has unknown phase {ph!r}")
-        if not isinstance(ev.get("name"), str) or not ev["name"]:
-            raise ValueError(f"{ctx} lacks a non-empty string 'name'")
+            ev.fail(f"unknown phase {ph!r}", "ph")
+        ev.text("name", nonempty=True)
         for field in ("pid", "tid"):
-            if field in ev and not isinstance(ev[field], int):
-                raise ValueError(f"{ctx} field {field!r} must be an integer")
+            if field in ev.value:
+                ev.integer(field)
         if ph in ("X", "i", "I", "C"):
-            ts = ev.get("ts")
-            if not isinstance(ts, numbers.Real) or ts != ts or ts < 0:
-                raise ValueError(f"{ctx} has invalid ts {ts!r}")
+            ev.number("ts", lo=0)
         if ph == "X":
-            dur = ev.get("dur")
-            if not isinstance(dur, numbers.Real) or dur != dur or dur < 0:
-                raise ValueError(f"{ctx} has invalid dur {dur!r}")
-        if "args" in ev and not isinstance(ev["args"], dict):
-            raise ValueError(f"{ctx} field 'args' must be an object")
-    return len(events)
+            ev.number("dur", lo=0)
+        if "args" in ev.value:
+            ev.require(isinstance(ev.value["args"], dict), "args must be an object", "args")
+    return len(events.value)
 
 
 def spans_from_chrome(doc: dict) -> list:
@@ -222,10 +212,3 @@ def spans_from_chrome(doc: dict) -> list:
             )
         )
     return spans
-
-
-def validate_chrome_trace_file(path: str) -> int:
-    """Load ``path`` as JSON and validate it; returns the event count."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return validate_chrome_trace(doc)

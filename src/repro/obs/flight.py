@@ -19,9 +19,10 @@ rebuilds a recorder from a dump so replay round-trips exactly.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Any
+
+from repro.artifact import Cursor, read, write
 
 #: Versioned schema identifier checked by :func:`validate_flight_doc`.
 SCHEMA = "repro-flightrec/1"
@@ -97,9 +98,7 @@ class FlightRecorder:
         """Dump to ``path`` as JSON; returns the document written."""
         doc = self.dump(reason, meta)
         validate_flight_doc(doc)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write(path, doc)
         return doc
 
     @classmethod
@@ -124,81 +123,47 @@ class FlightRecorder:
         return rec
 
 
-def load_flight_doc(path: str) -> dict:
-    """Load and validate one flight-recorder dump."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    validate_flight_doc(doc)
-    return doc
-
-
 # -- schema ---------------------------------------------------------------
-def _require(cond: bool, path: str, why: str) -> None:
-    if not cond:
-        raise ValueError(f"flight document invalid at {path}: {why}")
-
-
 def validate_flight_doc(doc: dict) -> int:
     """Validate a ``repro-flightrec/1`` document; returns the frame count.
 
-    Raises :class:`ValueError` naming the first offending path — the
-    same contract as ``validate_bench_doc`` / ``validate_chrome_trace``.
+    Raises ``ValueError("flight document invalid at <path>: <why>")``
+    naming the first offending path.  Everything
+    :meth:`FlightRecorder.from_doc` reads is checked here.
     """
-    _require(isinstance(doc, dict), "$", "not an object")
-    _require(
-        doc.get("schema") == SCHEMA,
-        "$.schema", f"expected {SCHEMA!r}, got {doc.get('schema')!r}",
-    )
-    _require(isinstance(doc.get("reason"), str) and bool(doc["reason"]),
-             "$.reason", "missing non-empty reason")
-    _require(isinstance(doc.get("meta"), dict), "$.meta", "missing meta object")
-    limits = doc.get("limits")
-    _require(isinstance(limits, dict), "$.limits", "missing limits")
-    for k in ("max_steps", "max_events"):
-        _require(
-            isinstance(limits.get(k), int) and limits[k] >= 1,
-            f"$.limits.{k}", f"invalid {limits.get(k)!r}",
-        )
-    totals = doc.get("totals")
-    _require(isinstance(totals, dict), "$.totals", "missing totals")
-    frames = doc.get("frames")
-    _require(isinstance(frames, list), "$.frames", "missing frames array")
-    _require(len(frames) <= limits["max_steps"], "$.frames",
-             f"{len(frames)} frames exceed max_steps {limits['max_steps']}")
-    last_step = None
-    for i, frame in enumerate(frames):
-        ctx = f"$.frames[{i}]"
-        _require(isinstance(frame, dict), ctx, "not an object")
-        step = frame.get("step")
-        _require(isinstance(step, int) and step >= 0, f"{ctx}.step",
-                 f"invalid {step!r}")
-        _require(last_step is None or step > last_step, f"{ctx}.step",
-                 f"steps not strictly increasing ({last_step} -> {step})")
+    c = Cursor(doc, "flight document")
+    c.schema(SCHEMA)
+    c.text("reason", nonempty=True)
+    c.obj("meta")
+    limits = c.obj("limits")
+    max_steps = limits.integer("max_steps", lo=1)
+    max_events = limits.integer("max_events", lo=1)
+    totals = c.obj("totals")
+    totals.integer("frames_seen", lo=0)
+    totals.integer("events_seen", lo=0)
+    frames = c.arr("frames")
+    n = len(frames.value)
+    frames.require(n <= max_steps, f"{n} frames exceed max_steps {max_steps}")
+    last_step = -1
+    for frame in frames.each():
+        step = frame.integer("step", lo=0)
+        frame.require(step > last_step,
+                      f"steps not strictly increasing ({last_step} -> {step})", "step")
         last_step = step
         for part in ("wall", "model"):
-            table = frame.get(part)
-            _require(isinstance(table, dict), f"{ctx}.{part}", "missing stage table")
-            for stage, v in table.items():
-                _require(
-                    isinstance(v, (int, float)) and v >= 0,
-                    f"{ctx}.{part}.{stage}", f"invalid {v!r}",
-                )
-    events = doc.get("events")
-    _require(isinstance(events, list), "$.events", "missing events array")
-    _require(len(events) <= limits["max_events"], "$.events",
-             f"{len(events)} events exceed max_events {limits['max_events']}")
-    last_seq = None
-    for i, event in enumerate(events):
-        ctx = f"$.events[{i}]"
-        _require(isinstance(event, dict), ctx, "not an object")
-        _require(isinstance(event.get("kind"), str) and bool(event["kind"]),
-                 f"{ctx}.kind", "missing kind")
-        seq = event.get("seq")
-        _require(isinstance(seq, int) and seq >= 0, f"{ctx}.seq", f"invalid {seq!r}")
-        _require(last_seq is None or seq > last_seq, f"{ctx}.seq",
-                 f"events out of order ({last_seq} -> {seq})")
+            for seconds in frame.obj(part).each():
+                seconds.number(lo=0)
+    events = c.arr("events")
+    n = len(events.value)
+    events.require(n <= max_events, f"{n} events exceed max_events {max_events}")
+    last_seq = -1
+    for event in events.each():
+        event.text("kind", nonempty=True)
+        seq = event.integer("seq", lo=0)
+        event.require(seq > last_seq, f"events out of order ({last_seq} -> {seq})",
+                      "seq")
         last_seq = seq
-    return len(frames)
+    return len(frames.value)
 
 
 def check_autodump(path: str, died: bool) -> tuple[bool, str]:
@@ -208,7 +173,7 @@ def check_autodump(path: str, died: bool) -> tuple[bool, str]:
     from repro.md.stages import Stage
 
     try:
-        doc = load_flight_doc(path)
+        doc = read(path, validate_flight_doc)
     except (OSError, ValueError) as exc:
         return False, f"dump invalid: {exc}"
     frames = doc["frames"]

@@ -35,8 +35,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.artifact import Cursor
 from repro.machine.params import FUGAKU, MachineParams
-from repro.obs.critpath import CriticalPathResult, partitions, traced_round
+from repro.obs.critpath import (
+    CriticalPathResult,
+    partitions,
+    require_partition,
+    traced_round,
+)
 
 #: Versioned schema identifier checked by :func:`validate_rankprof_doc`.
 SCHEMA = "repro-rankprof/1"
@@ -279,64 +285,32 @@ def to_dict(result: RankProfileResult, label: str = "local") -> dict:
     }
 
 
-def _require(cond: bool, path: str, why: str) -> None:
-    if not cond:
-        raise ValueError(f"rankprof document invalid at {path}: {why}")
-
-
 def validate_rankprof_doc(doc: dict) -> int:
     """Validate a ``repro-rankprof/1`` document; returns the row count.
 
     The critical invariant is re-checked on the serialized form: every
     row's attribution must sum to its completion within float tolerance.
+    ``max_mean`` / ``p99_p50`` may be NaN (a phase whose mean or p50 is 0).
     """
-    _require(isinstance(doc, dict), "$", "not an object")
-    _require(doc.get("schema") == SCHEMA, "$.schema",
-             f"expected {SCHEMA!r}, got {doc.get('schema')!r}")
-    ranks = doc.get("ranks")
-    _require(isinstance(ranks, int) and ranks > 0, "$.ranks", f"invalid {ranks!r}")
-    phases = doc.get("phases")
-    _require(isinstance(phases, dict) and phases, "$.phases", "missing phases")
+    c = Cursor(doc, "rankprof document")
+    c.schema(SCHEMA)
+    ranks = c.integer("ranks", lo=1)
     rows_total = 0
-    for phase, body in phases.items():
-        ctx = f"$.phases.{phase}"
-        _require(phase in PROFILE_PHASES, ctx, f"unknown phase {phase!r}")
-        rows = body.get("rows") if isinstance(body, dict) else None
-        _require(isinstance(rows, list) and rows, f"{ctx}.rows", "missing rows")
+    for body in c.obj("phases", nonempty=True).each():
+        body.require(body.key in PROFILE_PHASES, f"unknown phase {body.key!r}")
         seen = set()
-        for i, row in enumerate(rows):
-            rctx = f"{ctx}.rows[{i}]"
-            _require(isinstance(row, dict), rctx, "not an object")
-            r = row.get("rank")
-            _require(isinstance(r, int) and 0 <= r < ranks, f"{rctx}.rank",
-                     f"invalid {r!r}")
-            _require(r not in seen, f"{rctx}.rank", f"duplicate rank {r}")
+        for row in body.arr("rows", nonempty=True).each():
+            r = row.integer("rank", lo=0)
+            row.require(r < ranks, f"rank {r} outside {ranks} ranks", "rank")
+            row.require(r not in seen, f"duplicate rank {r}", "rank")
             seen.add(r)
-            comp = row.get("completion")
-            _require(
-                isinstance(comp, (int, float)) and math.isfinite(comp) and comp >= 0,
-                f"{rctx}.completion", f"invalid {comp!r}",
-            )
-            attr = row.get("attribution")
-            _require(isinstance(attr, dict) and attr, f"{rctx}.attribution",
-                     "missing attribution")
-            _require(
-                partitions(attr.values(), comp),
-                f"{rctx}.attribution",
-                f"sums to {sum(attr.values())!r}, not completion {comp!r}",
-            )
+            require_partition(row, row.number("completion", lo=0, finite=True))
             rows_total += 1
-        imb = body.get("imbalance")
-        _require(isinstance(imb, dict), f"{ctx}.imbalance", "missing imbalance")
+        imb = body.obj("imbalance")
         for k in ("mean", "max", "max_mean", "p99_p50"):
-            v = imb.get(k)
-            _require(isinstance(v, (int, float)), f"{ctx}.imbalance.{k}",
-                     f"invalid {v!r}")
-        strag = imb.get("stragglers")
-        _require(
-            isinstance(strag, list) and all(isinstance(s, int) for s in strag),
-            f"{ctx}.imbalance.stragglers", f"invalid {strag!r}",
-        )
+            imb.number(k)
+        for straggler in imb.arr("stragglers").each():
+            straggler.integer()
     return rows_total
 
 

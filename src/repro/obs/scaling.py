@@ -29,13 +29,8 @@ import math
 import time
 from dataclasses import dataclass
 
-from repro.obs.bench import (
-    STAGES,
-    BenchConfig,
-    _model_stages,
-    sample_wall,
-    write_artifact,
-)
+from repro.artifact import Cursor
+from repro.obs.bench import STAGES, BenchConfig, _model_stages, sample_wall
 
 #: Versioned schema identifier checked by :func:`validate_scaling_doc`.
 SCHEMA = "repro-scaling/1"
@@ -195,62 +190,47 @@ def capture_scaling(
 
 
 # -- validation -----------------------------------------------------------
-def _require(cond: bool, path: str, why: str) -> None:
-    if not cond:
-        raise ValueError(f"scaling document invalid at {path}: {why}")
-
-
 def validate_scaling_doc(doc: dict) -> int:
-    """Validate a ``repro-scaling/1`` document; returns the rung count."""
+    """Validate a ``repro-scaling/1`` document; returns the rung count.
+
+    A rung's embedded rankprof table fails as
+    ``scaling document invalid at $.points[i].rankprof: rankprof document
+    invalid at <path>: <why>``.
+    """
     from repro.obs.rankprof import validate_rankprof_doc
 
-    _require(isinstance(doc, dict), "$", "not an object")
-    _require(doc.get("schema") == SCHEMA, "$.schema",
-             f"expected {SCHEMA!r}, got {doc.get('schema')!r}")
-    spec = doc.get("spec")
-    _require(isinstance(spec, dict), "$.spec", "missing spec")
+    c = Cursor(doc, "scaling document")
+    c.schema(SCHEMA)
+    spec = c.obj("spec")
     for k in ("potential", "pattern", "variant"):
-        _require(isinstance(spec.get(k), str), f"$.spec.{k}", "missing")
-    points = doc.get("points")
-    _require(isinstance(points, list) and points, "$.points", "missing points")
+        spec.text(k)
+    points = c.arr("points", nonempty=True)
     prev_ranks = 0
-    for i, pt in enumerate(points):
-        ctx = f"$.points[{i}]"
-        _require(isinstance(pt, dict), ctx, "not an object")
-        ranks = pt.get("ranks")
-        _require(isinstance(ranks, int) and ranks > prev_ranks, f"{ctx}.ranks",
-                 f"rungs must strictly increase, got {ranks!r}")
+    for pt in points.each():
+        ranks = pt.integer("ranks")
+        pt.require(ranks > prev_ranks, f"rungs must strictly increase, got {ranks!r}",
+                   "ranks")
         prev_ranks = ranks
-        for k in ("efficiency", "divergence"):
-            v = pt.get(k)
-            _require(isinstance(v, (int, float)) and math.isfinite(v),
-                     f"{ctx}.{k}", f"invalid {v!r}")
-        model = pt.get("model")
-        _require(isinstance(model, dict) and isinstance(model.get("stages"), dict),
-                 f"{ctx}.model", "missing model stages")
-        _require(set(model["stages"]) == set(STAGES), f"{ctx}.model.stages",
-                 f"stage set mismatch {sorted(model['stages'])}")
-        pred = pt.get("predicted")
-        _require(
-            isinstance(pred, dict)
-            and isinstance(pred.get("step_time"), (int, float))
-            and pred["step_time"] > 0,
-            f"{ctx}.predicted", "missing predicted step_time",
-        )
-        imb = pt.get("imbalance")
-        _require(isinstance(imb, dict) and "max_mean" in imb and "p99_p50" in imb,
-                 f"{ctx}.imbalance", "missing imbalance")
-        rp = pt.get("rankprof")
-        _require(isinstance(rp, dict), f"{ctx}.rankprof", "missing rankprof")
+        pt.number("efficiency", finite=True)
+        pt.number("divergence", finite=True)
+        stages = pt.obj("model").obj("stages")
+        stages.require(set(stages.value) == set(STAGES),
+                       f"stage set mismatch {sorted(stages.value)}")
+        pred = pt.obj("predicted")
+        pred.require(pred.number("step_time") > 0, "step time must be positive",
+                     "step_time")
+        imb = pt.obj("imbalance")
+        imb.number("max_mean")
+        imb.number("p99_p50")
+        rankprof = pt.obj("rankprof")
         try:
-            validate_rankprof_doc(rp)
+            validate_rankprof_doc(rankprof.value)
         except ValueError as exc:
-            _require(False, f"{ctx}.rankprof", str(exc))
-    _require(
-        abs(points[0]["efficiency"] - 1.0) < 1e-9, "$.points[0].efficiency",
-        "first rung must have efficiency 1.0",
-    )
-    return len(points)
+            rankprof.fail(str(exc))
+    first = next(points.each())
+    first.require(abs(first.number("efficiency") - 1.0) < 1e-9,
+                  "first rung must have efficiency 1.0", "efficiency")
+    return len(points.value)
 
 
 def render_scaling(doc: dict) -> str:
@@ -275,7 +255,3 @@ def render_scaling(doc: dict) -> str:
             f"{strag if strag else 'none'}"
         )
     return "\n".join(lines)
-
-
-#: A scaling artifact is written like every other bench artifact.
-write_scaling = write_artifact

@@ -19,7 +19,7 @@ Total: 206 scenarios in the full tier (>= 200 by construction).
 
 from __future__ import annotations
 
-import json
+from repro.artifact import dumps
 
 #: The legacy hand-written differential grid (order matters: the seed
 #: formula indexes this list).
@@ -128,4 +128,4 @@ def core_spec() -> dict:
 
 def dumps_core_spec() -> str:
     """Byte-stable serialization of :func:`core_spec` (the committed file)."""
-    return json.dumps(core_spec(), indent=1, sort_keys=True) + "\n"
+    return dumps(core_spec())

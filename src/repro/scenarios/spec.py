@@ -37,9 +37,10 @@ Spec document shape::
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import zlib
+
+from repro.artifact import dumps, read
 
 #: Schema tag of the hand-written spec file.
 SPEC_SCHEMA = "repro-scenario-spec/1"
@@ -427,13 +428,12 @@ def fleet_doc(spec: dict, scenarios: list[dict]) -> dict:
 
 def dumps_fleet(spec: dict, scenarios: list[dict]) -> str:
     """Byte-stable serialization (same spec -> byte-identical output)."""
-    return json.dumps(fleet_doc(spec, scenarios), indent=1, sort_keys=True) + "\n"
+    return dumps(fleet_doc(spec, scenarios))
 
 
 def load_json(path: str) -> dict:
     """Load one JSON document (spec or fleet)."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read(path)
     if not isinstance(doc, dict):
         raise SpecError(f"{path}: top-level JSON value is not an object")
     return doc

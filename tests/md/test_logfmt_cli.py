@@ -125,12 +125,13 @@ class TestObservabilityFlags:
         assert "# repro:" not in out
 
     def test_trace_file_validates(self, tmp_path, capsys):
-        from repro.obs.export import validate_chrome_trace_file
+        from repro.artifact import read
+        from repro.obs.export import validate_chrome_trace
 
         path = tmp_path / "t.json"
         rc = main([*self.ARGS, "--trace", str(path)])
         assert rc == 0
-        assert validate_chrome_trace_file(str(path)) > 0
+        assert validate_chrome_trace(read(str(path))) > 0
         out = capsys.readouterr().out
         assert "Span-derived stage breakdown" in out
 
@@ -142,12 +143,13 @@ class TestObservabilityFlags:
         assert "messages_total" in out
 
     def test_selfcheck_composes_with_trace(self, tmp_path, capsys):
-        from repro.obs.export import validate_chrome_trace_file
+        from repro.artifact import read
+        from repro.obs.export import validate_chrome_trace
 
         path = tmp_path / "sc.json"
         rc = main(["--selfcheck", "--trace", str(path)])
         assert rc == 0
-        assert validate_chrome_trace_file(str(path)) > 0
+        assert validate_chrome_trace(read(str(path))) > 0
         out = capsys.readouterr().out
         assert "repro self-check:" in out
         assert "# trace:" in out

@@ -4,11 +4,11 @@ import json
 
 import pytest
 
+from repro.artifact import read
 from repro.cli import main
 from repro.obs.export import (
     chrome_trace_events,
     validate_chrome_trace,
-    validate_chrome_trace_file,
     write_chrome_trace,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -69,7 +69,7 @@ class TestExport:
         tracer, registry = small_trace()
         path = tmp_path / "trace.json"
         doc = write_chrome_trace(str(path), tracer, registry)
-        assert validate_chrome_trace_file(str(path)) == len(doc["traceEvents"])
+        assert validate_chrome_trace(read(str(path))) == len(doc["traceEvents"])
 
 
 class TestValidator:
@@ -122,7 +122,7 @@ class TestCliSmoke:
             ]
         )
         assert rc == 0
-        assert validate_chrome_trace_file(str(path)) > 0
+        assert validate_chrome_trace(read(str(path))) > 0
         out = capsys.readouterr().out
         assert "Span-derived stage breakdown" in out
         assert "metrics report:" in out

@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from repro.artifact import dumps
 from repro.machine.params import FUGAKU
 from repro.network.simulator import Message, NetworkSimulator
 from repro.network.stacks import MpiStack, UtofuStack
@@ -216,7 +217,9 @@ class TestCLI:
         assert main([str(path)]) == 0
         assert "critical path" in capsys.readouterr().out.lower()
         assert main([str(path), "--json"]) == 0
-        doc = _json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        doc = _json.loads(out)
+        assert out == dumps(doc)  # the artifact byte format, one trailing newline
         assert doc["schema"] == "repro-critpath/1"
         assert sum(doc["attribution"].values()) == pytest.approx(
             doc["total"], rel=1e-9

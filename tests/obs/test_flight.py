@@ -4,10 +4,10 @@ import json
 
 import pytest
 
+from repro.artifact import read
 from repro.obs.flight import (
     SCHEMA,
     FlightRecorder,
-    load_flight_doc,
     validate_flight_doc,
 )
 
@@ -103,7 +103,7 @@ class TestDumpRoundTrip:
     def test_write_and_load(self, tmp_path):
         path = str(tmp_path / "flight.json")
         doc = self.build().write(path, "on-demand")
-        loaded = load_flight_doc(path)
+        loaded = read(path, validate_flight_doc)
         assert loaded == json.loads(json.dumps(doc))  # JSON-stable
 
 
@@ -133,6 +133,15 @@ class TestValidator:
         rec.record_frame(frame(1, wall={"Comm": -0.1}))
         with pytest.raises(ValueError, match="Comm"):
             validate_flight_doc(rec.dump("r"))
+
+    def test_rejects_totals_from_doc_cannot_read(self):
+        doc = FlightRecorder().dump("r")
+        doc["totals"] = {}
+        with pytest.raises(ValueError, match=r"\$\.totals\.frames_seen"):
+            FlightRecorder.from_doc(doc)
+        doc["totals"] = {"frames_seen": 0, "events_seen": -1}
+        with pytest.raises(ValueError, match=r"\$\.totals\.events_seen"):
+            validate_flight_doc(doc)
 
     def test_rejects_overflowing_ring(self):
         rec = FlightRecorder(max_steps=2)
@@ -168,7 +177,7 @@ class TestAutoDump:
             telem.record_event("degradation", from_pattern="p2p", to_pattern="3stage")
         finally:
             TELEMETRY.autodump_path = prev
-        doc = load_flight_doc(path)
+        doc = read(path, validate_flight_doc)
         assert doc["reason"] == "degradation"
         assert [e["kind"] for e in doc["events"]] == ["retry", "degradation"]
 

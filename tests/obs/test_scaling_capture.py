@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.artifact import write
 from repro.obs import bench
 from repro.obs.bench import BenchConfig, build_simulation
 from repro.obs.scaling import (
@@ -17,7 +18,6 @@ from repro.obs.scaling import (
     render_scaling,
     validate_scaling_doc,
     workload_from_sim,
-    write_scaling,
 )
 from repro.perfmodel.scaling import modeled_ladder, ranks_to_nodes
 
@@ -149,7 +149,7 @@ class TestRenderAndIO:
 
     def test_write_round_trip(self, doc, tmp_path):
         path = tmp_path / "SCALING_unit.json"
-        write_scaling(str(path), doc)
+        write(str(path), doc)
         back = json.loads(path.read_text())
         assert validate_scaling_doc(back) == 2
         assert back["points"][0]["ranks"] == doc["points"][0]["ranks"]
