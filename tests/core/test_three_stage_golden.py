@@ -6,7 +6,13 @@ per-swap send/recv bodies; the exchange has ridden the shared plan
 replay since, and must reproduce every digest bit for bit.
 ``golden_p2p.json`` was written the same way for the p2p family at the
 last commit whose border stage built ``SendRoute`` / ``RecvRoute``
-objects (``--write-p2p``; the 3-stage file stays byte-unchanged).  Only
+objects (``--write-p2p``; the 3-stage file stays byte-unchanged).
+``golden_migration.json`` pins migration (``exchange()``) for every shape
+of both tables (``--write-migration``), written at the last commit whose
+migration went rank by rank through the mailboxes: three cycles of
+borders, a seeded displacement of every local atom and migration, hashing
+each rank's locals, the exchange-phase traffic records and, under
+``observe()``, the exchange-phase trace instants and message metrics.  Only
 exchange-level outputs are hashed — gathers, IEEE adds and sequential
 ``bincount`` sums, so the digests do not depend on the platform — and
 float arrays as ``arr + 0.0`` (``-0.0 == 0.0``, as every bit-identity
@@ -17,6 +23,7 @@ behaviour change)::
 
     PYTHONPATH=src python tests/core/test_three_stage_golden.py --write
     PYTHONPATH=src python tests/core/test_three_stage_golden.py --write-p2p
+    PYTHONPATH=src python tests/core/test_three_stage_golden.py --write-migration
 """
 
 import hashlib
@@ -28,14 +35,18 @@ import numpy as np
 import pytest
 
 from repro.core import FineGrainedP2PExchange, P2PExchange, ThreeStageExchange
+from repro.faults import FAULTS
+from repro.faults.plan import template_plan
 from repro.md import Box, Domain
 from repro.md.atoms import Atoms
 from repro.md.lattice import fcc_lattice
+from repro.obs import METRICS, TRACER, observe
 from repro.runtime import World
 from tests._world_arrays import scalar_phase
 
 GOLDEN = Path(__file__).with_name("golden_three_stage.json")
 GOLDEN_P2P = Path(__file__).with_name("golden_p2p.json")
+GOLDEN_MIGRATION = Path(__file__).with_name("golden_migration.json")
 
 #: name -> (grid, atoms, box edge, rcomm, radius); atoms == "fcc" is the
 #: `lj-3stage-27r` ledger shape (864 atoms, sub-box 3.36 < 2 x rcomm, so
@@ -67,8 +78,16 @@ P2P_SHAPES = {
 }
 
 
-def _exchange(name: str):
-    if name in SHAPES:
+#: migration case -> (shape name, whether it is a P2P_SHAPES row): every
+#: shape of both tables ("sparse" is in both)
+MIGRATION_CASES = {
+    **{f"3stage/{name}": (name, False) for name in SHAPES},
+    **{f"p2p/{name}": (name, True) for name in P2P_SHAPES},
+}
+
+
+def _exchange(name: str, p2p: bool = False):
+    if name in SHAPES and not p2p:
         grid, natoms, edge, rcomm, radius = SHAPES[name]
         seed = sorted(SHAPES).index(name)
         make = lambda world, domain: ThreeStageExchange(  # noqa: E731
@@ -211,6 +230,94 @@ def test_p2p_matches_route_object_digests(name):
     assert digests(name) == golden[name]
 
 
+def migration_digests(case: str, observed: bool = False) -> dict[str, str]:
+    """Three cycles of ``borders()``, a seeded displacement of every local
+    atom and ``exchange()`` on ``case``: each cycle's per-rank ``nlocal``
+    and locals' ``x / v / tag / type``, the exchange-phase traffic records
+    and — ``observed`` — the exchange-phase trace instants (name, cat,
+    track, sorted args) and message-metric updates."""
+    name, p2p = MIGRATION_CASES[case]
+    ex, seed = _exchange(name, p2p)
+    world = ex.world
+    ranks = range(world.size)
+    rng = np.random.default_rng(2000 + seed)
+    edge, sub = ex.domain.box.lengths, ex.domain.sub_lengths
+    for r in ranks:
+        a = ex.atoms_of(r)
+        a.v[:] = rng.normal(size=a.v.shape)
+    out: dict[str, str] = {}
+    seen = _Digest()
+    for cycle in range(3):
+        ex.borders()
+        for r in ranks:
+            a = ex.atoms_of(r)
+            step = (rng.random((a.nlocal, 3)) - 0.5) * sub  # up to half a sub-box
+            if cycle == 1:  # a full box edge as well: the wrap has work
+                step += rng.choice([-1.0, 1.0], size=step.shape) * edge
+            elif cycle == 2:  # past the next sub-box
+                step *= 3.0
+            a.x_local()[:] += step
+        if observed:
+            seen_from = len(TRACER.instants)
+            sizes = METRICS.histogram("message_size_bytes")
+            before = (METRICS.value("messages_total", phase="exchange"), list(sizes.counts), sizes.total)
+        ex.exchange()
+        d = _Digest()
+        for r in ranks:
+            a = ex.atoms_of(r)
+            n = a.nlocal
+            d.add(n, a.x[:n], a.v, a.tag[:n], a.type[:n])
+        out[f"cycle{cycle}"] = d.hex()
+        if observed:
+            for event in TRACER.instants[seen_from:]:
+                if event.args.get("phase") == "exchange":
+                    seen.add((event.name, event.cat, event.track, sorted(event.args.items())))
+            seen.add(
+                METRICS.value("messages_total", phase="exchange") - before[0],
+                [c - c0 for c, c0 in zip(sizes.counts, before[1])],
+                sizes.total - before[2],
+            )
+    d = _Digest()
+    for m in world.transport.log.messages:
+        if m.phase == "exchange":
+            d.add((int(m.src), int(m.dst), _plain(m.tag), int(m.nbytes), m.phase))
+    out["traffic"] = d.hex()
+    if observed:
+        out["observed"] = seen.hex()
+    world.transport.assert_drained()
+    return out
+
+
+def observed_migration_digests(case: str) -> dict[str, str]:
+    with observe():
+        return migration_digests(case, observed=True)
+
+
+@pytest.mark.parametrize("case", list(MIGRATION_CASES))
+def test_migration_matches_mailbox_digests(case):
+    golden = json.loads(GOLDEN_MIGRATION.read_text())[case]
+    assert migration_digests(case) == {k: v for k, v in golden.items() if k != "observed"}
+
+
+@pytest.mark.parametrize("case", list(MIGRATION_CASES))
+def test_observed_migration_matches_mailbox_digests(case):
+    """The same cycles inside ``observe()``: the same atoms and records, and
+    the trace instants and metric updates the mailbox round trip made."""
+    golden = json.loads(GOLDEN_MIGRATION.read_text())[case]
+    assert observed_migration_digests(case) == golden
+
+
+@pytest.mark.parametrize("case", list(MIGRATION_CASES))
+def test_migration_under_drop_plan_matches_plain_digests(case):
+    """No message fault touches migration: under the ``drop`` template
+    (which delays the border stage's messages) the cycles give the plain
+    digests."""
+    golden = json.loads(GOLDEN_MIGRATION.read_text())[case]
+    with FAULTS.inject(template_plan("drop")):
+        got = migration_digests(case)
+    assert got == {k: v for k, v in golden.items() if k != "observed"}
+
+
 @pytest.mark.parametrize("name", [*SHAPES, *P2P_SHAPES])
 def test_epoch_arrays_partition_tile_and_pair(name):
     """What a border stage writes, for every golden shape: per round the
@@ -333,6 +440,15 @@ def test_traced_run_event_multiset(tmp_path, capsys):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--write-migration"]:
+        GOLDEN_MIGRATION.write_text(
+            json.dumps(
+                {case: observed_migration_digests(case) for case in MIGRATION_CASES}, indent=1
+            )
+            + "\n"
+        )
+        print(f"wrote {GOLDEN_MIGRATION}")
+        sys.exit(0)
     if sys.argv[1:] == ["--write-p2p"]:
         GOLDEN_P2P.write_text(
             json.dumps({name: digests(name) for name in P2P_SHAPES}, indent=1) + "\n"
