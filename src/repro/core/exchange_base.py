@@ -34,9 +34,11 @@ An epoch exists from the end of a completed ``borders()`` to the next
 its row numbers were written against: replaying without one is a
 :class:`NoEpochError`, and a border stage that escalates installs none.
 
-The base class also does atom migration (**exchange** stage) and traffic
-modelling: every executed phase can report the message schedule it just
-performed, which the perfmodel prices on the network simulator.
+The base class also does atom migration (**exchange** stage) — one pass
+over every rank's local rows of the arena, no plane and no message: no
+fault may touch it — and traffic modelling: every executed phase can
+report the message schedule it just performed, which the perfmodel
+prices on the network simulator.
 """
 
 from __future__ import annotations
@@ -76,6 +78,12 @@ class _BorderPack(NamedTuple):
 
 def _cat(parts: tuple[np.ndarray, ...]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _leading_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Rows ``starts[i] : starts[i] + counts[i]`` of every slab, slab-major."""
+    first = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) + np.repeat(starts[:-1] - first, counts)
 
 
 class GhostExchange:
@@ -219,22 +227,28 @@ class GhostExchange:
         when the pattern cannot schedule arrays."""
         return np.maximum(counts * bytes_per_atom, 8), hops, np.zeros_like(counts)
 
+    def _adopt(self) -> AtomArena:
+        """The world's atoms in one arena — slabs sized to the analytic
+        maximum (section 3.4: what is registered never moves), so adoption
+        is the first stage's work (migration's or borders') and a no-op
+        after."""
+        budget = self._plan_budget()
+        self.arena = AtomArena.adopt(
+            [self.atoms_of(rank) for rank in range(self.world.size)],
+            budget.max_local_atoms() + budget.max_ghost_atoms(self.full_shell),
+        )
+        return self.arena
+
     def _border_setup(self) -> None:
         """Preparation before a border stage: once, the run's static
-        geometry; every time, the world's atoms in one arena — slabs sized
-        to the analytic maximum (section 3.4: what is registered never
-        moves), so adoption is the first stage's work and a no-op after."""
+        geometry; every time, :meth:`_adopt`."""
         if not self._geom:
             self._geom = [
                 [self._round_geometry(rank, k) for k in range(self.n_rounds)]
                 for rank in range(self.world.size)
             ]
             self._pairs = pair_table(self._geom)
-        budget = self._plan_budget()
-        self.arena = AtomArena.adopt(
-            [self.atoms_of(rank) for rank in range(self.world.size)],
-            budget.max_local_atoms() + budget.max_ghost_atoms(self.full_shell),
-        )
+        self._adopt()
 
     def _border_done(self, plane: str, epoch: Epoch) -> None:
         """After the last round, before ``epoch`` is installed (``plane``
@@ -759,61 +773,63 @@ class GhostExchange:
             self._exchange_impl()
 
     def _exchange_impl(self) -> None:
+        """One pass over every rank's local rows of the arena: gather and
+        wrap them once, find each row's owner, write them back with forces
+        zeroed — per rank, the rows it keeps in their old order, then
+        arrivals by ascending source rank, each in its source's row order.
+        A non-finite position raises before any slab is written.  No fault
+        may touch migration (``EXEMPT_PHASES``), so nothing rides a
+        mailbox: the log and an observer get what a send per destination
+        and a drain by source would have recorded."""
         world = self.world
-        transport = world.transport
-        transport.set_phase("exchange")
-        box = self.domain.box
-
-        outgoing: dict[int, list] = {}
-        for rank in range(world.size):
-            atoms = self.atoms_of(rank)
-            atoms.clear_ghosts()
-            x = atoms.x_local()
-            x[:] = box.wrap(x)
-            groups = self.domain.scatter(x)
-            my_pos = world.grid_pos_of(rank)
-            leaving: list[np.ndarray] = []
-            for pos, idx in groups.items():
-                if pos == my_pos:
-                    continue
-                leaving.append((pos, idx))
-            outgoing[rank] = leaving
-
-        for rank in range(world.size):
-            atoms = self.atoms_of(rank)
-            # Collect and remove in one pass so indices stay valid.
-            all_idx = (
-                np.concatenate([idx for _, idx in outgoing[rank]])
-                if outgoing[rank]
-                else np.empty(0, dtype=np.intp)
+        world.transport.set_phase("exchange")
+        size = world.size
+        arena = self._adopt()
+        nlocal = np.array([atoms.nlocal for atoms in arena.members])
+        src = np.repeat(np.arange(size), nlocal)
+        rows = _leading_rows(arena.starts, nlocal)
+        x = arena.x[rows]
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+        if bad.size:
+            at = bad[0]
+            raise ValueError(
+                f"{self.name}: rank {src[at]} holds atom {arena.tag[rows[at]]} at a "
+                f"non-finite position {x[at].tolist()}; it has no owner to migrate to"
             )
-            if all_idx.size:
-                x, v, tag, type_ = atoms.remove_local(all_idx)
-                # Re-split by destination, preserving group boundaries.
-                cursor = 0
-                for pos, idx in outgoing[rank]:
-                    n = idx.shape[0]
-                    sl = slice(cursor, cursor + n)
-                    dest = world.rank_at(pos)
-                    transport.send(
-                        rank, dest, ("exch",), (x[sl], v[sl], tag[sl], type_[sl])
-                    )
-                    cursor += n
-            # Every rank sends a (possibly empty) marker count so receives
-            # are deterministic.
-            transport.send(rank, rank, ("exch-done",), len(outgoing[rank]))
+        x = self.domain.box.wrap(x)
+        dest = self.domain.owner_rank(x)
+        moved = dest != src
+        order = np.argsort(dest * (size + 1) + np.where(moved, src + 1, 0), kind="stable")
+        v, tag, type_ = arena.v[rows], arena.tag[rows], arena.type[rows]
+        counts = np.bincount(dest, minlength=size)
+        for atoms, n in zip(arena.members, counts.tolist()):
+            atoms.clear_ghosts()
+            atoms.reserve(n)  # may re-lay the arena out: rows below are of the last layout
+            atoms.nlocal = n
+        rows = _leading_rows(arena.starts, counts)
+        arena.x[rows] = x[order]
+        arena.v[rows] = v[order]
+        arena.tag[rows] = tag[order]
+        arena.type[rows] = type_[order]
+        arena.f[rows] = 0.0
 
-        for rank in range(world.size):
-            atoms = self.atoms_of(rank)
-            transport.recv(rank, rank, ("exch-done",))
-            # Drain everything addressed to us this phase.
-            for src in range(world.size):
-                while True:
-                    payload = transport.try_recv(rank, src, ("exch",))
-                    if payload is None:
-                        break
-                    x, v, tag, type_ = payload
-                    atoms.add_local(x, v, tag, type_)
+        # Per source: one ("exch",) send per destination, then its
+        # ("exch-done",) count; per destination: that marker, then the
+        # drain by source.
+        row_bytes = 6 * x.itemsize + tag.itemsize + type_.itemsize  # x, v, tag, type
+        sent = np.bincount(src[moved] * size + dest[moved], minlength=size * size)
+        sent = sent.reshape(size, size).tolist()
+        msgs, received = [], []
+        for rank in range(size):
+            msgs.extend(
+                SentMessage(rank, peer, ("exch",), row_bytes * n, "exchange")
+                for peer, n in enumerate(sent[rank])
+                if n
+            )
+            msgs.append(SentMessage(rank, rank, ("exch-done",), 8, "exchange"))
+            received.append((rank, rank))
+            received.extend((peer, rank) for peer in range(size) if sent[peer][rank])
+        world.transport.record_moved(msgs, sum(m.nbytes for m in msgs), received)
 
     # -- statistics ----------------------------------------------------------------
     def messages_per_rank(self) -> dict[int, int]:

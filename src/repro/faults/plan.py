@@ -31,9 +31,10 @@ ring-stale  a reverse-stage ring PUT still in flight: the consumer
 ``drop``/``delay``/``reorder`` act on the functional message plane,
 ``tni-stall``/``vcq-credit``/``inject-jitter`` on the simulated-machine
 timeline, and ``rdma-stale``/``ring-stale`` on the one-sided RDMA plane.
-Atom migration (the ``exchange`` phase) is exempt from message faults:
-its drain protocol has no per-message expectation a receiver could
-retry against, exactly like real MPI migration has no timeout layer.
+Atom migration (the ``exchange`` phase) is exempt from message faults by
+construction: it moves no messages (one pass over the world's atom
+arena), so there is nothing for a fault to act on — only the traffic log
+records what its sends would have been.
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ class FaultSpec:
             for ph in self.phases:
                 if ph in EXEMPT_PHASES:
                     raise ValueError(
-                        f"phase {ph!r} is exempt from message faults (the "
-                        "migration drain protocol has no retry expectation)"
+                        f"phase {ph!r} is exempt from message faults "
+                        "(migration moves no messages)"
                     )
 
     def to_dict(self) -> dict:

@@ -223,58 +223,6 @@ class Atoms:
         self.nghost += n
         return start, n
 
-    def add_local(
-        self,
-        x: np.ndarray,
-        v: np.ndarray,
-        tag: np.ndarray,
-        type_: np.ndarray | None = None,
-    ) -> None:
-        """Append migrated-in local atoms (exchange stage).
-
-        Only legal while no ghosts are present (exchange happens right
-        before borders rebuilds them).
-        """
-        if self.nghost:
-            raise RuntimeError("cannot add local atoms while ghosts exist")
-        n = x.shape[0]
-        start = self.nlocal
-        self.reserve(start + n)
-        self._x[start : start + n] = x
-        self._v[start : start + n] = v
-        self._tag[start : start + n] = tag
-        self._type[start : start + n] = 0 if type_ is None else type_
-        self._f[start : start + n] = 0.0
-        self.nlocal += n
-
-    def remove_local(
-        self, indices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Remove local atoms by index; returns their (x, v, tag, type).
-
-        Only legal while no ghosts are present.
-        """
-        if self.nghost:
-            raise RuntimeError("cannot remove local atoms while ghosts exist")
-        indices = np.asarray(indices, dtype=np.intp)
-        if indices.size and (indices.min() < 0 or indices.max() >= self.nlocal):
-            raise IndexError("remove_local index out of local range")
-        out = (
-            self._x[indices].copy(),
-            self._v[indices].copy(),
-            self._tag[indices].copy(),
-            self._type[indices].copy(),
-        )
-        keep = np.ones(self.nlocal, dtype=bool)
-        keep[indices] = False
-        n_keep = int(keep.sum())
-        self._x[:n_keep] = self._x[: self.nlocal][keep]
-        self._v[:n_keep] = self._v[: self.nlocal][keep]
-        self._tag[:n_keep] = self._tag[: self.nlocal][keep]
-        self._type[:n_keep] = self._type[: self.nlocal][keep]
-        self.nlocal = n_keep
-        return out
-
     def zero_forces(self) -> None:
         """Zero the force rows of local and ghost atoms."""
         self._f[: self.ntotal] = 0.0

@@ -1,8 +1,9 @@
 """3D domain decomposition.
 
-Splits the global box across a ``(px, py, pz)`` rank grid (paper Fig. 1),
-assigns atoms to owners, and handles the *exchange* stage: migrating
-atoms whose positions left their sub-box to the owning neighbor rank.
+Splits the global box across a ``(px, py, pz)`` rank grid (paper Fig. 1)
+and assigns atoms to owners: the classification the *exchange* stage
+(migration) runs over every rank's atoms at once to move those whose
+positions left their sub-box to the owning rank.
 
 :func:`decompose_grid` chooses the rank grid the way LAMMPS does — the
 factorization of P minimizing communication surface for the given box
@@ -90,15 +91,15 @@ class Domain:
         np.clip(gp, 0, np.asarray(self.grid) - 1, out=gp)
         return gp
 
-    def owner_rank(self, x: np.ndarray, rank_of_pos) -> np.ndarray:
-        """Owning rank per position, via the world's ``rank_at`` mapping."""
+    def owner_rank(self, x: np.ndarray) -> np.ndarray:
+        """Owning rank per position, ranks numbered x fastest as in
+        :meth:`~repro.runtime.world.World.rank_at`."""
         gp = self.owner_grid_pos(x)
-        return np.asarray([rank_of_pos(tuple(p)) for p in gp], dtype=np.int64)
+        return gp[:, 0] + self.grid[0] * (gp[:, 1] + self.grid[1] * gp[:, 2])
 
     def scatter(self, x: np.ndarray) -> dict[tuple[int, int, int], np.ndarray]:
         """Index arrays of ``x`` grouped by owning grid position."""
-        gp = self.owner_grid_pos(x)
-        keys = gp[:, 0] + self.grid[0] * (gp[:, 1] + self.grid[1] * gp[:, 2])
+        keys = self.owner_rank(x)
         out: dict[tuple[int, int, int], np.ndarray] = {}
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]

@@ -243,22 +243,41 @@ class Transport:
                 session.note_reorder(key)
             else:  # pragma: no cover - defensive
                 raise TransportError(f"unknown fault verdict {verdict!r}")
-        nbytes = payload_nbytes(payload)
-        self.log.record(SentMessage(src, dst, tag, nbytes, self.phase))
+        msg = SentMessage(src, dst, tag, payload_nbytes(payload), self.phase)
+        self.log.record(msg)
+        self._note_send(msg)
+
+    def _note_send(self, msg: SentMessage) -> None:
+        """What one send shows an observer: a ``msg`` trace instant and the
+        message metrics (each only while its registry is on)."""
         if TRACER.enabled:
             TRACER.instant(
                 "msg",
                 cat="msg",
-                track=f"rank{src}",
-                src=src,
-                dst=dst,
-                phase=self.phase,
-                nbytes=nbytes,
-                tag=repr(tag),
+                track=f"rank{msg.src}",
+                src=msg.src,
+                dst=msg.dst,
+                phase=msg.phase,
+                nbytes=msg.nbytes,
+                tag=repr(msg.tag),
             )
         if METRICS.enabled:
-            METRICS.counter("messages_total", phase=self.phase).inc()
-            METRICS.histogram("message_size_bytes", buckets=SIZE_BUCKETS).observe(nbytes)
+            METRICS.counter("messages_total", phase=msg.phase).inc()
+            METRICS.histogram("message_size_bytes", buckets=SIZE_BUCKETS).observe(msg.nbytes)
+
+    def record_moved(
+        self, msgs: list[SentMessage], nbytes: int, received: list[tuple[int, int]]
+    ) -> None:
+        """Account a phase whose data moved without the mailboxes: the log
+        gets ``msgs`` (``nbytes`` their byte sum), an observer what
+        :meth:`send` would have emitted for each and :meth:`recv` for each
+        ``(src, dst)`` of ``received``, in order."""
+        self.log.record_phase(msgs, nbytes)
+        if TRACER.enabled or METRICS.enabled:
+            for msg in msgs:
+                self._note_send(msg)
+            for src, dst in received:
+                self._note_recv(src, dst)
 
     def send_fast(
         self, src: int, dst: int, tag: Hashable, payload: Any, nbytes: int

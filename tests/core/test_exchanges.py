@@ -1,8 +1,12 @@
 """Ghost-exchange implementations: structure, traffic accounting, and the
 central equivalence guarantees (every pattern produces the same physics)."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import LennardJones, SerialReference, quick_lj_simulation
 from repro.core import FineGrainedP2PExchange, P2PExchange, ThreeStageExchange
@@ -332,6 +336,105 @@ class TestExchangeMigration:
             atoms = ex.atoms_of(r)
             for t, vv in zip(atoms.tag[: atoms.nlocal], atoms.v):
                 assert np.allclose(vv, before[int(t)])
+
+
+def migration_world(grid, x, box_edge):
+    """A p2p exchange over ``x`` scattered by ownership; velocities seeded,
+    tags the input rows, species ``tag % 3``."""
+    world = World(int(np.prod(grid)), grid=grid)
+    domain = Domain(Box((0, 0, 0), (box_edge,) * 3), grid)
+    v = np.random.default_rng(len(x)).normal(size=x.shape)
+    groups = domain.scatter(x)
+    for rank in range(world.size):
+        idx = groups.get(world.grid_pos_of(rank), np.empty(0, dtype=np.intp))
+        atoms = Atoms()
+        atoms.set_local(x[idx], v[idx], idx.astype(np.int64), (idx % 3).astype(np.int32))
+        world.ranks[rank].state["atoms"] = atoms
+    return P2PExchange(world, domain, rcomm=2.0)
+
+
+def locals_of(ex):
+    """Each rank's ``(x, v, tag, type)`` of its local rows, copied."""
+    out = []
+    for r in range(ex.world.size):
+        a = ex.atoms_of(r)
+        n = a.nlocal
+        out.append((a.x[:n].copy(), a.v.copy(), a.tag[:n].copy(), a.type[:n].copy()))
+    return out
+
+
+def assert_migration_order(ex, before):
+    """Rank ``d``'s locals after ``exchange()``: the rows it kept in their
+    old order, then arrivals by ascending source rank, each in its
+    source's row order; positions wrapped, nothing else changed."""
+    box, size = ex.domain.box, ex.world.size
+    dest = [ex.domain.owner_rank(box.wrap(x)) for x, _, _, _ in before]
+    tags = []
+    for d in range(size):
+        sources = [d, *(s for s in range(size) if s != d)]
+        parts = [[col[dest[s] == d] for col in before[s]] for s in sources]
+        x, v, tag, type_ = (np.concatenate(col) for col in zip(*parts))
+        a = ex.atoms_of(d)
+        assert a.nghost == 0 and a.nlocal == len(tag)
+        assert np.array_equal(a.tag, tag) and np.array_equal(a.type, type_)
+        assert np.array_equal(a.x, box.wrap(x)) and np.array_equal(a.v, v)
+        assert ex.sub_box_of(d).contains(a.x).all()
+        tags.extend(a.tag.tolist())
+    assert sorted(tags) == sorted(t for _, _, tag, _ in before for t in tag.tolist())
+
+
+class TestMigrationOrder:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid=st.sampled_from([(1, 1, 1), (2, 1, 1), (2, 2, 2), (3, 3, 3)]),
+        natoms=st.integers(0, 60),  # few atoms on 27 ranks: many hold none
+        scale=st.sampled_from([0.5, 3.0, 12.0]),  # next sub-box, further, past the box
+        borders_first=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_kept_then_arrivals_by_source(self, grid, natoms, scale, borders_first, seed):
+        rng = np.random.default_rng(seed)
+        ex = migration_world(grid, rng.uniform(0, 9.0, size=(natoms, 3)), 9.0)
+        if borders_first:  # ghosts present, the arena adopted
+            ex.borders()
+        for r in range(ex.world.size):
+            a = ex.atoms_of(r)
+            a.x_local()[:] += rng.normal(0, scale, size=(a.nlocal, 3))
+        before = locals_of(ex)
+        ex.exchange()
+        assert_migration_order(ex, before)
+        ex.world.transport.assert_drained()
+
+    def test_a_slab_outgrowing_its_capacity_relays_the_arena_once(self):
+        ex = migration_world((2, 2, 2), np.random.default_rng(5).uniform(0, 12.0, (500, 3)), 12.0)
+        ex.borders()
+        capacity = ex.atoms_of(6).capacity
+        rng = np.random.default_rng(6)
+        lo = np.asarray(ex.sub_box_of(6).lo)
+        for r in range(8):  # every atom into rank 6's sub-box
+            a = ex.atoms_of(r)
+            a.x_local()[:] = lo + rng.uniform(0.5, 5.5, size=(a.nlocal, 3))
+        before = locals_of(ex)
+        relayouts = ex.arena.relayouts
+        ex.exchange()
+        assert ex.atoms_of(6).nlocal == 500 > capacity
+        assert ex.arena.relayouts == relayouts + 1
+        assert_migration_order(ex, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_position_names_rank_and_atom(self, bad):
+        ex = migration_world((2, 2, 2), np.random.default_rng(7).uniform(0, 12.0, (80, 3)), 12.0)
+        a = ex.atoms_of(5)
+        a.x_local()[1, 2] = bad
+        tag = int(a.tag[1])
+        before = locals_of(ex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"rank 5 holds atom {tag} at a non-finite"):
+                ex.exchange()
+        for (x, v, tags, types), (x1, v1, tags1, types1) in zip(before, locals_of(ex)):
+            assert np.array_equal(x, x1, equal_nan=True) and np.array_equal(v, v1)
+            assert np.array_equal(tags, tags1) and np.array_equal(types, types1)
 
 
 class TestFineGrained:

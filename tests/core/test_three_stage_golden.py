@@ -21,9 +21,9 @@ test here treats it).
 Regenerate (only when the *inputs* below change, never to absorb a
 behaviour change)::
 
-    PYTHONPATH=src python tests/core/test_three_stage_golden.py --write
-    PYTHONPATH=src python tests/core/test_three_stage_golden.py --write-p2p
-    PYTHONPATH=src python tests/core/test_three_stage_golden.py --write-migration
+    PYTHONPATH=src:. python tests/core/test_three_stage_golden.py --write
+    PYTHONPATH=src:. python tests/core/test_three_stage_golden.py --write-p2p
+    PYTHONPATH=src:. python tests/core/test_three_stage_golden.py --write-migration
 """
 
 import hashlib
@@ -260,7 +260,9 @@ def migration_digests(case: str, observed: bool = False) -> dict[str, str]:
         if observed:
             seen_from = len(TRACER.instants)
             sizes = METRICS.histogram("message_size_bytes")
-            before = (METRICS.value("messages_total", phase="exchange"), list(sizes.counts), sizes.total)
+            before = (
+                METRICS.value("messages_total", phase="exchange"), list(sizes.counts), sizes.total
+            )
         ex.exchange()
         d = _Digest()
         for r in ranks:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.md import Box, Domain, decompose_grid
+from repro.runtime import World
 
 
 @pytest.fixture
@@ -76,6 +77,15 @@ class TestOwnership:
         # exactly on the global hi edge wraps to 0
         gp = domain.owner_grid_pos(np.array([[12.0, 12.0, 12.0]]))
         assert gp.tolist() == [[0, 0, 0]]
+
+    @pytest.mark.parametrize("x", [
+        np.random.default_rng(4).uniform(-6, 18, size=(300, 3)),
+        np.array([[12.0, 12.0, 12.0], [11.999999999, 0.0, 6.0]]),  # the high edge
+    ])
+    def test_owner_rank_numbers_ranks_as_the_world_does(self, domain, x):
+        world = World(domain.size, grid=domain.grid)
+        want = [world.rank_at(tuple(p)) for p in domain.owner_grid_pos(x)]
+        assert domain.owner_rank(x).tolist() == want
 
 
 class TestScatter:
