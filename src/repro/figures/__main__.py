@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.figures            # everything
+    python -m repro.figures            # everything, then the claims scoreboard
     python -m repro.figures fig13      # one experiment
     python -m repro.figures --fast     # skip the real-MD accuracy run
 """
@@ -14,6 +14,7 @@ import time
 
 from repro.figures import (
     ablations,
+    claims,
     eqs,
     sensitivity_fig,
     topomap,
@@ -46,17 +47,20 @@ EXPERIMENTS = {
 
 
 def run(names=None, fast: bool = False) -> str:
+    """Render the named experiments; with every one run, end on the scoreboard."""
     names = list(names) if names else list(EXPERIMENTS)
     if fast and "fig11" in names:
         names.remove("fig11")  # the only one that runs real MD steps
-    parts = []
+    parts, results = [], {}
     for name in names:
         mod = EXPERIMENTS[name]
         t0 = time.perf_counter()
-        result = mod.compute()
-        text = mod.render(result)
+        results[name] = mod.compute()
+        text = mod.render(results[name])
         dt = time.perf_counter() - t0
         parts.append(f"=== {name} ({dt:.1f}s) ===\n{text}")
+    if results.keys() == EXPERIMENTS.keys():
+        parts.append("=== scoreboard ===\n" + claims.scoreboard(EXPERIMENTS, results))
     return "\n\n".join(parts)
 
 

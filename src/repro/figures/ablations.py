@@ -21,7 +21,7 @@ substrate so the design choices in DESIGN.md have numbers:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +54,8 @@ class AblationResult:
     atoms_routed: int
     tests_per_atom_brute: float = 0.0
     tests_per_atom_binned: float = 0.0
+    # step-time ablation: {workload: {variant: step seconds}}
+    step_times: dict = field(default_factory=dict)
 
     @property
     def combine_saving(self) -> float:
@@ -69,7 +71,7 @@ def compute(params: MachineParams = FUGAKU, n_atoms: int = 20000) -> AblationRes
     # Baseline: LAMMPS doubles buffers as ghosts grow during equilibration;
     # a typical run re-registers each of 13 neighbor buffers ~4 times plus
     # the position/force arrays a few times.
-    """Measure the three section 3.4/3.5 ablations."""
+    """Measure the three section 3.4/3.5 ablations and the step-time one."""
     growth_events = 13 * 4 + 2 * 3
     buf_bytes = 64 * 1024
     baseline_regs = growth_events
@@ -118,6 +120,7 @@ def compute(params: MachineParams = FUGAKU, n_atoms: int = 20000) -> AblationRes
         atoms_routed=n_atoms,
         tests_per_atom_brute=tests_brute,
         tests_per_atom_binned=tests_binned,
+        step_times=perf_ablation(params=params),
     )
 
 
@@ -184,4 +187,4 @@ def render(res: AblationResult) -> str:
         rows,
         title="Sections 3.4/3.5 — optimization ablations",
     )
-    return table + "\n\n" + render_perf_ablation(perf_ablation())
+    return table + "\n\n" + render_perf_ablation(res.step_times)

@@ -19,6 +19,8 @@ PAPER = {
     "conclusion": "p2p pattern theoretically takes less communication time "
     "than 3-stage on Fugaku (uTofu)",
     "t3_equals_t0": True,
+    "utofu_p2p_parallel_wins": True,
+    "mpi_naive_p2p_loses": True,
 }
 
 
@@ -69,8 +71,8 @@ def render(res: EqsResult) -> str:
     )
     notes = (
         f"\n uTofu p2p-parallel beats 3stage-parallel: {res.utofu_p2p_wins} "
-        "(paper: True)"
+        f"(paper: {PAPER['utofu_p2p_parallel_wins']})"
         f"\n MPI naive p2p loses to MPI 3-stage: {res.mpi_naive_p2p_loses} "
-        "(paper: True — motivates uTofu)"
+        f"(paper: {PAPER['mpi_naive_p2p_loses']} — motivates uTofu)"
     )
     return table + notes

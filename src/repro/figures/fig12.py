@@ -86,14 +86,19 @@ def render(res: Fig12Result) -> str:
         rows,
         title=f"Fig. 12 — step-by-step results on {res.nodes} nodes",
     )
+    s65, s1m7 = PAPER["total_speedup_65k"], PAPER["total_speedup_1m7"]
+    pair = PAPER["pair_reduction_65k"]
     notes = (
         f"\n total speedup 65K: LJ {res.speedup('lj-65k', 'opt'):.2f}x "
-        f"(paper 3.01x), EAM {res.speedup('eam-65k', 'opt'):.2f}x (paper 2.45x)"
+        f"(paper {s65['lj']}x), EAM {res.speedup('eam-65k', 'opt'):.2f}x "
+        f"(paper {s65['eam']}x)"
         f"\n total speedup 1.7M: LJ {res.speedup('lj-1.7m', 'opt'):.2f}x "
-        f"(paper 1.6x), EAM {res.speedup('eam-1.7m', 'opt'):.2f}x (paper 1.4x)"
+        f"(paper {s1m7['lj']}x), EAM {res.speedup('eam-1.7m', 'opt'):.2f}x "
+        f"(paper {s1m7['eam']}x)"
         f"\n comm reduction 65K LJ: {100 * res.comm_reduction('lj-65k'):.0f}% "
-        "(paper 77%)"
+        f"(paper {100 * PAPER['comm_reduction_65k']:.0f}%)"
         f"\n pair reduction 65K: LJ {100 * res.pair_reduction('lj-65k'):.0f}% "
-        f"(paper 43%), EAM {100 * res.pair_reduction('eam-65k'):.0f}% (paper 56%)"
+        f"(paper {100 * pair['lj']:.0f}%), "
+        f"EAM {100 * res.pair_reduction('eam-65k'):.0f}% (paper {100 * pair['eam']:.0f}%)"
     )
     return table + notes

@@ -70,12 +70,27 @@ class Fig13Result:
         """Parallel-efficiency series for one curve."""
         return parallel_efficiency(self.curves[(potential, variant)])
 
+    def reduction_last(self, potential: str, stage: str) -> float:
+        """Fractional ``stage`` reduction of opt vs ref at the last point."""
+        ref = self.curves[(potential, "ref")][-1].result.stages[stage]
+        return 1.0 - self.curves[(potential, "opt")][-1].result.stages[stage] / ref
 
-def compute(nodes_list=STRONG_SCALING_NODES, model: StageModel | None = None) -> Fig13Result:
+    def perf_last(self, potential: str) -> float:
+        """opt's performance at the last point: Mtau/day (LJ) or us/day (EAM)."""
+        return performance_per_day(self.curves[(potential, "opt")][-1], 0.005) / 1e6
+
+
+def compute(
+    nodes_list=STRONG_SCALING_NODES,
+    model: StageModel | None = None,
+    potentials=("lj", "eam"),
+) -> Fig13Result:
     """Sweep ref and opt over the strong-scaling node counts."""
     model = model if model is not None else StageModel()
     res = Fig13Result()
-    for pot, w in (("lj", lj_workload()), ("eam", eam_workload())):
+    workloads = {"lj": lj_workload, "eam": eam_workload}
+    for pot in potentials:
+        w = workloads[pot]()
         for vname in ("ref", "opt"):
             res.curves[(pot, vname)] = strong_scaling(
                 w, variant_by_name(vname), nodes_list, model=model
@@ -99,13 +114,14 @@ def render(res: Fig13Result) -> str:
             title="Fig. 13a — strong scaling (4.19M LJ / 3.46M EAM atoms)",
         )
     )
-    lj_perf = performance_per_day(res.curves[("lj", "opt")][-1], 0.005) / 1e6
-    eam_perf = performance_per_day(res.curves[("eam", "opt")][-1], 0.005) / 1e6
+    speedup, perf = PAPER["speedup_last"], PAPER["perf_last"]
     parts.append(
         f" headline speedup at 36864: LJ {res.speedup_last('lj'):.2f}x "
-        f"(paper 2.9x), EAM {res.speedup_last('eam'):.2f}x (paper 2.2x)\n"
-        f" performance: LJ {lj_perf:.1f} Mtau/day (paper 8.77), "
-        f"EAM {eam_perf:.2f} us/day (paper 2.87)"
+        f"(paper {speedup['lj']}x), EAM {res.speedup_last('eam'):.2f}x "
+        f"(paper {speedup['eam']}x)\n"
+        f" performance: LJ {res.perf_last('lj'):.1f} Mtau/day "
+        f"(paper {perf['lj_mtau_day']}), "
+        f"EAM {res.perf_last('eam'):.2f} us/day (paper {perf['eam_us_day']})"
     )
 
     # Fig. 13b

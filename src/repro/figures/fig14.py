@@ -68,6 +68,8 @@ def render(res: Fig14Result) -> str:
         f"\n linearity (1.0 = ideal): LJ {res.linearity('lj'):.3f}, "
         f"EAM {res.linearity('eam'):.3f} (paper: 'almost linear')"
         f"\n final system sizes: LJ {res.curves['lj'][-1].natoms / 1e9:.1f}G "
-        f"(paper 99G), EAM {res.curves['eam'][-1].natoms / 1e9:.1f}G (paper 72G)"
+        f"(paper {PAPER['atoms_final']['lj'] / 1e9:.0f}G), "
+        f"EAM {res.curves['eam'][-1].natoms / 1e9:.1f}G "
+        f"(paper {PAPER['atoms_final']['eam'] / 1e9:.0f}G)"
     )
     return table + notes

@@ -138,10 +138,10 @@ def render(res: Fig15Result) -> str:
         rows,
         title="Fig. 15 — extended neighborhoods (26 / 62 / 124 messages)",
     )
-    wins = res.wins()
+    wins, paper = res.wins(), PAPER["p2p_wins"]
     notes = (
-        f"\n p2p wins at 26: {wins[26]} (paper True), 62: {wins[62]} "
-        f"(paper True), 124: {wins[124]} (paper False — 3-stage scales "
+        f"\n p2p wins at 26: {wins[26]} (paper {paper[26]}), 62: {wins[62]} "
+        f"(paper {paper[62]}), 124: {wins[124]} (paper {paper[124]} — 3-stage scales "
         "linearly, p2p ~n^2)"
     )
     return table + notes

@@ -52,11 +52,15 @@ class Fig6Result:
         return t["utofu_3stage"] / t["4tni_p2p"]
 
 
-def compute(nodes: int = 768, model: StageModel | None = None) -> Fig6Result:
-    """Price all five implementations' exchange rounds."""
+def compute(
+    nodes: int = 768,
+    model: StageModel | None = None,
+    workloads=(LJ_WORKLOAD_65K, LJ_WORKLOAD_1M7),
+) -> Fig6Result:
+    """Price all five implementations' exchange rounds on each workload."""
     model = model if model is not None else StageModel()
     res = Fig6Result(nodes=nodes)
-    for w in (LJ_WORKLOAD_65K, LJ_WORKLOAD_1M7):
+    for w in workloads:
         res.times[w.name] = {
             name: model.exchange_round_time(variant_by_name(name), w, nodes)
             for name in VARIANT_ORDER
@@ -77,10 +81,12 @@ def render(res: Fig6Result) -> str:
     )
     notes = (
         f"\n 65K: uTofu-p2p vs MPI-3stage reduction: "
-        f"{100 * res.reduction('lj-65k'):.0f}% (paper: 79%)"
+        f"{100 * res.reduction('lj-65k'):.0f}% "
+        f"(paper: {100 * PAPER['reduction_utofu_p2p_vs_mpi_3stage']:.0f}%)"
         f"\n 65K: uTofu-3stage / uTofu-p2p: {res.utofu_ratio('lj-65k'):.2f}x "
-        "(paper: 1.5x)"
+        f"(paper: {PAPER['utofu_p2p_vs_utofu_3stage_speedup']}x)"
         f"\n 65K: MPI-p2p slower than MPI-3stage: "
-        f"{res.times['lj-65k']['mpi_p2p'] > res.times['lj-65k']['ref']} (paper: True)"
+        f"{res.times['lj-65k']['mpi_p2p'] > res.times['lj-65k']['ref']} "
+        f"(paper: {PAPER['mpi_p2p_slower_than_mpi_3stage']})"
     )
     return table + notes

@@ -16,7 +16,7 @@ from repro.machine.params import FUGAKU, MachineParams
 from repro.network import Message, UtofuStack, simulate_round
 
 PAPER = {
-    "parallel_gain_small_messages": ">= 1.5x below 512 B",
+    "parallel_gain_small_messages": 1.5,  # at least, below 512 B
     "single_6tni_below_single_4tni": True,
 }
 
@@ -91,11 +91,12 @@ def render(res: Fig8Result) -> str:
         rows,
         title="Fig. 8 — message rate / bandwidth vs size (1 node, 4 ranks)",
     )
+    k = res.sizes.index(256)
     notes = (
         f"\n parallel gain at 256 B: {res.parallel_gain(256):.2f}x "
-        "(paper: >= 1.5x below 512 B)"
+        f"(paper: >= {PAPER['parallel_gain_small_messages']}x below 512 B)"
         f"\n single-6TNI < single-4TNI at 256 B: "
-        f"{res.rates['single-6tni'][res.sizes.index(256)] < res.rates['single-4tni'][res.sizes.index(256)]}"
-        " (paper: True)"
+        f"{res.rates['single-6tni'][k] < res.rates['single-4tni'][k]}"
+        f" (paper: {PAPER['single_6tni_below_single_4tni']})"
     )
     return table + notes

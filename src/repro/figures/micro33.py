@@ -71,8 +71,10 @@ def render(res: Micro33Result) -> str:
     )
     notes = (
         f"\n OpenMP modify vs serial at {res.atoms} atoms: "
-        f"{res.openmp_modify_slowdown:.0f}x slower (paper: ~10x)"
+        f"{res.openmp_modify_slowdown:.0f}x slower "
+        f"(paper: ~{PAPER['modify_slowdown_at_22_atoms']:.0f}x)"
         f"\n fork/join values are the paper's measured constants "
-        "(5.8 us / 1.1 us), wired into MachineParams"
+        f"({PAPER['openmp_fork_join_us']} us / {PAPER['threadpool_fork_join_us']} us), "
+        "wired into MachineParams"
     )
     return table + notes

@@ -22,6 +22,7 @@ PAPER = {
     "p2p": {"total_msg": 13, "rows": [("a^2 r", 1, 3), ("a r^2", 2, 6), ("r^3", 3, 4)]},
     "total_atom_3stage": "8r^3 + 12ar^2 + 6a^2r",
     "total_atom_p2p": "4r^3 + 6ar^2 + 3a^2r",
+    "volume_ratio": 0.5,
 }
 
 
@@ -71,6 +72,6 @@ def render(res: Table1Result) -> str:
     )
     ratio = (
         f"\n p2p/3stage ghost volume ratio: {res.volume_ratio:.3f} "
-        "(paper: 0.5 — Newton's 3rd law halves the exchange)"
+        f"(paper: {PAPER['volume_ratio']} — Newton's 3rd law halves the exchange)"
     )
     return table + ratio

@@ -417,29 +417,19 @@ def render_telemetry_guard(guard: dict) -> str:
 def model_tables() -> dict:
     """The Table 1 / Table 3 / Fig. 13-headline model outputs."""
     from repro.figures import fig13, table1
-    from repro.perfmodel import StageModel, variant_by_name
 
     t1 = table1.compute()
-    model = StageModel()
-    table3 = []
-    for pot, w in (("lj", fig13.lj_workload()), ("eam", fig13.eam_workload())):
-        for vname in ("ref", "opt"):
-            r = model.step_times(w, 36864, variant_by_name(vname))
-            table3.append(
-                {
-                    "workload": w.name,
-                    "variant": vname,
-                    "nodes": 36864,
-                    "stages": dict(r.stages),
-                    "total": r.total,
-                }
-            )
-
-    def speedup(pot: str) -> float:
-        ref = next(e for e in table3 if e["workload"].startswith(pot) and e["variant"] == "ref")
-        opt = next(e for e in table3 if e["workload"].startswith(pot) and e["variant"] == "opt")
-        return ref["total"] / opt["total"]
-
+    last = fig13.compute(nodes_list=(36864,))
+    table3 = [
+        {
+            "workload": r.workload,
+            "variant": r.variant,
+            "nodes": r.nodes,
+            "stages": dict(r.stages),
+            "total": r.total,
+        }
+        for r in (pts[-1].result for pts in last.curves.values())
+    ]
     return {
         "table1": {
             "msgs_3stage": t1.three_stage.total_messages,
@@ -449,7 +439,10 @@ def model_tables() -> dict:
             "bytes_p2p": t1.p2p.total_bytes,
         },
         "table3": table3,
-        "fig13": {"lj_speedup_36864": speedup("lj"), "eam_speedup_36864": speedup("eam")},
+        "fig13": {
+            "lj_speedup_36864": last.speedup_last("lj"),
+            "eam_speedup_36864": last.speedup_last("eam"),
+        },
     }
 
 

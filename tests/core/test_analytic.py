@@ -34,10 +34,15 @@ class TestTable1Rows:
         assert ana.total_atoms == pytest.approx(expect)
 
     def test_p2p_moves_half_the_volume(self):
-        """The Newton's-law saving of Table 1."""
-        three = analyze_three_stage(A, R, RHO)
-        p2p = analyze_p2p(A, R, RHO)
-        assert p2p.total_atoms == pytest.approx(three.total_atoms / 2)
+        """The Newton's-law saving of Table 1, in 13 messages, across the
+        radius-1 regime (cutoff <= sub-box side; longer cutoffs are the
+        Fig. 15 scenarios)."""
+        geometries = [(a, r) for a in (0.5, 2.0, 8.0) for r in (0.3, 1.0, 3.0) if r <= a]
+        for a, r in [(A, R), *geometries]:
+            three = analyze_three_stage(a, r, RHO)
+            p2p = analyze_p2p(a, r, RHO)
+            assert p2p.total_atoms == pytest.approx(three.total_atoms / 2)
+            assert p2p.total_messages == 13
 
     def test_full_shell_p2p(self):
         ana = analyze_p2p(A, R, RHO, newton=False)

@@ -1,152 +1,136 @@
-"""Figure-module tests: structure, paper claims, rendering."""
+"""The paper's claims: one test per row of ``repro.figures.claims``.
+
+Every band lives in the claims table only.  The per-topic tests below
+name the rows they cover by id prefix and state no band of their own.
+"""
+
+from pathlib import Path
 
 import pytest
 
-from repro.figures import (
-    ablations,
-    eqs,
-    fig6,
-    fig8,
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    micro33,
-    table1,
-)
+from repro.figures import claims, eqs, fig12, fig13, table1, topomap
+from repro.figures.__main__ import EXPERIMENTS
+
+EXPERIMENTS_MD = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
+BEGIN, END = "<!-- scoreboard:begin", "<!-- scoreboard:end -->"
+
+
+@pytest.mark.parametrize("claim", claims.CLAIMS, ids=lambda c: c.id)
+def test_claim(claim, figure_results):
+    value, holds = claim.check(figure_results[claim.experiment])
+    assert holds, f"{claim.id}: {value!r} (band {claim.band})"
+
+
+def test_rows_are_unique_and_name_an_experiment():
+    ids = [c.id for c in claims.CLAIMS]
+    assert len(ids) == len(set(ids))
+    assert {c.experiment for c in claims.CLAIMS} == set(EXPERIMENTS)
+
+
+def test_split_is_every_published_fig12_fig13_number():
+    def leaves(d):
+        for v in d.values():
+            yield from leaves(v) if isinstance(v, dict) else [v]
+
+    split = [c for c in claims.CLAIMS if c.split is not None]
+    assert sorted(c.paper for c in split) == sorted(
+        [*leaves(fig12.PAPER), *leaves(fig13.PAPER)]
+    )
+    assert [c.split for c in split].count("fit") == 22
+    assert [c.split for c in split].count("held-out") == 9
+    assert len(claims.ROBUST) == 5
+
+
+def test_scoreboard_matches_experiments_md(figure_results):
+    text = EXPERIMENTS_MD.read_text()
+    begin = text.index("\n", text.index(BEGIN)) + 1
+    committed = text[begin : text.index(END)].rstrip("\n")
+    assert committed == claims.scoreboard(EXPERIMENTS, figure_results), (
+        "EXPERIMENTS.md's scoreboard is stale: paste the `=== scoreboard ===` "
+        "block of `python -m repro.figures`"
+    )
+
+
+def _rows(*prefixes):
+    """A test that the claim rows under ``prefixes`` hold."""
+
+    def test(self, figure_results):
+        rows = [c for c in claims.CLAIMS if c.id.startswith(prefixes)]
+        assert rows
+        failed = [c.id for c in rows if not c.check(figure_results[c.experiment])[1]]
+        assert not failed
+
+    return test
 
 
 class TestTable1:
-    def test_compute_and_claims(self):
-        res = table1.compute()
-        assert res.volume_ratio == pytest.approx(0.5)
-        assert res.three_stage.total_messages == 6
-        assert res.p2p.total_messages == 13
+    test_compute_and_claims = _rows("table1.")
 
-    def test_render_mentions_paper(self):
-        text = table1.render(table1.compute())
+    def test_render_mentions_paper(self, figure_results):
+        text = table1.render(figure_results["table1"])
         assert "Table 1" in text
-        assert "0.5" in text
+        assert f"paper: {table1.PAPER['volume_ratio']}" in text
 
 
 class TestEqs:
-    def test_claims(self):
-        res = eqs.compute()
-        assert res.utofu_p2p_wins
-        assert res.mpi_naive_p2p_loses
+    test_claims = _rows("eqs.")
 
-    def test_render(self):
-        text = eqs.render(eqs.compute())
+    def test_render(self, figure_results):
+        text = EXPERIMENTS["eqs"].render(figure_results["eqs"])
         assert "Eq3" in text and "Eq8" in text
+        assert f"(paper: {eqs.PAPER['utofu_p2p_parallel_wins']})" in text
 
 
 class TestFig6:
-    def test_orderings(self):
-        res = fig6.compute()
-        t = res.times["lj-65k"]
-        assert t["mpi_p2p"] > t["ref"]
-        assert t["opt"] < t["ref"]
-        assert 0.6 < res.reduction("lj-65k") < 0.95
+    test_orderings = _rows("fig6.")
 
-    def test_render(self):
-        assert "Fig. 6" in fig6.render(fig6.compute())
+    def test_render(self, figure_results):
+        assert "Fig. 6" in EXPERIMENTS["fig6"].render(figure_results["fig6"])
 
 
 class TestFig8:
-    def test_claims(self):
-        res = fig8.compute(per_rank=50)
-        assert res.parallel_gain(256) > 1.5
-        k = res.sizes.index(256)
-        assert res.rates["single-6tni"][k] < res.rates["single-4tni"][k]
-
-    def test_rates_decrease_with_size(self):
-        res = fig8.compute(per_rank=50)
-        for mode in res.rates:
-            r = res.rates[mode]
-            assert r[0] >= r[-1]
+    test_claims = _rows("fig8.single-6tni-slower", "fig8.parallel-gain.")
+    test_rates_decrease_with_size = _rows("fig8.rate-falls-with-size")
 
 
 class TestFig12:
-    @pytest.fixture(scope="class")
-    def res(self):
-        return fig12.compute()
+    test_speedup_bands = _rows("fig12.speedup.", "fig12.gain-shrinks-with-size")
+    test_reductions = _rows("fig12.comm-reduction.", "fig12.pair-reduction.")
 
-    def test_speedup_bands(self, res):
-        assert 2.2 <= res.speedup("lj-65k", "opt") <= 4.2
-        assert res.speedup("eam-65k", "opt") > res.speedup("eam-1.7m", "opt")
-
-    def test_reductions(self, res):
-        assert 0.6 <= res.comm_reduction("lj-65k") <= 0.9
-        assert res.pair_reduction("lj-65k") > 0.3
-
-    def test_render(self, res):
-        text = fig12.render(res)
-        assert "Fig. 12" in text and "paper 3.01x" in text
+    def test_render(self, figure_results):
+        text = fig12.render(figure_results["fig12"])
+        assert "Fig. 12" in text
+        assert f"paper {fig12.PAPER['total_speedup_65k']['lj']}x" in text
 
 
 class TestFig13:
-    @pytest.fixture(scope="class")
-    def res(self):
-        return fig13.compute()
+    test_headline = _rows("fig13.speedup.", "fig13.perf.")
+    test_efficiency_monotone = _rows("fig13.efficiency-falls")
 
-    def test_headline(self, res):
-        assert 2.2 <= res.speedup_last("lj") <= 3.8
-        assert 1.7 <= res.speedup_last("eam") <= 3.2
-
-    def test_efficiency_monotone(self, res):
-        for key in res.curves:
-            eff = fig13.parallel_efficiency(res.curves[key])
-            assert all(a >= b for a, b in zip(eff, eff[1:]))
-
-    def test_render_contains_table3(self, res):
-        text = fig13.render(res)
+    def test_render_contains_table3(self, figure_results):
+        text = fig13.render(figure_results["fig13"])
         assert "Table 3" in text
         assert "Origin-LJ" in text and "Opt-EAM" in text
 
 
 class TestFig14:
-    def test_linearity(self):
-        res = fig14.compute()
-        assert res.linearity("lj") > 0.9
-        assert res.curves["lj"][-1].natoms > 9e10
+    test_linearity = _rows("fig14.linearity.")
 
 
 class TestFig15:
-    def test_winners(self):
-        wins = fig15.compute().wins()
-        assert wins == {26: True, 62: True, 124: False}
-
-    def test_times_positive_and_ordered(self):
-        res = fig15.compute()
-        for s in res.scenarios:
-            assert s.p2p_time > 0 and s.three_stage_time > 0
-        # p2p time grows with neighbor count
-        p2p = [s.p2p_time for s in res.scenarios]
-        assert p2p[0] < p2p[1] < p2p[2]
+    test_winners = _rows("fig15.winners")
+    test_times_positive_and_ordered = _rows("fig15.p2p-time-grows")
 
 
 class TestMicro33:
-    def test_constants(self):
-        res = micro33.compute()
-        assert res.openmp_fork_join == pytest.approx(5.8e-6)
-        assert res.pool_fork_join == pytest.approx(1.1e-6)
-        assert res.openmp_modify_slowdown > 8
+    test_constants = _rows("micro33.")
 
 
 class TestAblations:
-    def test_compute(self):
-        res = ablations.compute(n_atoms=2000)
-        assert res.registrations_opt < res.registrations_baseline
-        assert 0 < res.combine_saving < 1
-        assert res.bins_test_reduction > 4
-
-    def test_perf_ablation_each_removal_costs(self):
-        results = ablations.perf_ablation()
-        for wname, times in results.items():
-            base = times["opt"]
-            for name, t in times.items():
-                assert t >= base * 0.999, f"{name} should not beat opt"
-            assert times["opt-openmp"] > base * 1.1  # threading is the big one
+    test_compute = _rows("ablations.prereg-", "ablations.combine-", "ablations.bins-")
+    test_perf_ablation_each_removal_costs = _rows(
+        "ablations.each-removal-costs", "ablations.openmp-removal-cost"
+    )
 
 
 class TestMainModule:
@@ -155,6 +139,7 @@ class TestMainModule:
 
         text = run(["table1", "eqs"])
         assert "table1" in text and "eqs" in text
+        assert "scoreboard" not in text
 
     def test_unknown_experiment(self):
         from repro.figures.__main__ import main
@@ -163,10 +148,7 @@ class TestMainModule:
 
 
 class TestTopoMap:
-    def test_hop_reduction(self):
-        from repro.figures import topomap
+    test_hop_reduction = _rows("topomap.")
 
-        res = topomap.compute(job_nodes=(4, 6, 4))
-        assert res.hop_reduction > 0.3
-        assert res.mapped.mean_hops < res.randomized.mean_hops
-        assert "topo map" in topomap.render(res)
+    def test_render(self, figure_results):
+        assert "topo map" in topomap.render(figure_results["topomap"])

@@ -61,7 +61,9 @@ class TestBuilders:
     def test_simulation_end_to_end(self):
         sim = LJ_BENCH.simulation((4, 4, 4), grid=(2, 2, 1), pattern="p2p")
         sim.run(5)
-        assert np.isfinite(sim.sample_thermo().total_energy)
+        sample = sim.sample_thermo()
+        assert np.isfinite(sample.total_energy)
+        assert sample.potential < 0  # cohesive liquid
 
     def test_eam_simulation_end_to_end(self):
         sim = EAM_BENCH.simulation((3, 3, 3), grid=(1, 1, 1))

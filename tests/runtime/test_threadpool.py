@@ -56,6 +56,7 @@ class TestOverheadModels:
     def test_empty_region_still_pays_fork_join(self):
         pool = ThreadPoolModel(6)
         assert pool.parallel_time([]) == pytest.approx(pool.fork_join)
+        assert pool.parallel_time([1e-6 * (i % 7) for i in range(13)]) >= pool.fork_join
 
     def test_openmp_dominates_tiny_work(self):
         """The paper's modify-stage observation: at 22 atoms the region

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.patterns import shell_offsets
+from repro.machine import FUGAKU
+from repro.network import Message, MpiStack, NetworkSimulator, UtofuStack
 from repro.runtime import World
 from repro.stencil import (
     DistributedField,
@@ -90,8 +92,19 @@ class TestHaloExchanges:
 
     def test_message_counts_match_patterns(self):
         world, field = make_field()
-        assert P2PHalo(field).messages_per_exchange() == 26
-        assert ThreeStageHalo(field).messages_per_exchange() == 6
+        p2p, staged = P2PHalo(field), ThreeStageHalo(field)
+        assert p2p.messages_per_exchange() == 26
+        assert staged.messages_per_exchange() == 6
+        # Section 5: the 26 direct messages over uTofu still beat the six
+        # staged MPI swaps on the machine model.
+        swaps = [Message(n, h) for n, h in staged.message_schedule()]
+        t_staged = NetworkSimulator(MpiStack(), FUGAKU).run_staged(
+            [swaps[i : i + 2] for i in range(0, len(swaps), 2)]
+        )
+        t_p2p = NetworkSimulator(UtofuStack(), FUGAKU).run_round(
+            [Message(n, h) for n, h in p2p.message_schedule()]
+        )
+        assert t_p2p.completion_time < t_staged.completion_time
 
     def test_3stage_forwarding_grows_messages(self):
         """Later dimensions carry the earlier halos — the stage-2/3
