@@ -221,10 +221,9 @@ class GhostExchange:
 
     def schedule_world(
         self, counts: np.ndarray, hops: np.ndarray, bytes_per_atom: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`comm_schedule` for every rank at once: ``(nbytes, hops,
-        thread)`` from the ``(ranks, sends)`` route tables, or ``None``
-        when the pattern cannot schedule arrays."""
+        thread)`` from the ``(ranks, sends)`` route tables."""
         return np.maximum(counts * bytes_per_atom, 8), hops, np.zeros_like(counts)
 
     def _adopt(self) -> AtomArena:

@@ -138,23 +138,22 @@ class FineGrainedP2PExchange(P2PExchange):
 
     def schedule_world(
         self, counts: np.ndarray, hops: np.ndarray, bytes_per_atom: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every rank's schedule from one vectorized costing pass.
 
         ``counts``/``hops`` are the ``(ranks, sends)`` tables of the
         epoch.  Returns ``(nbytes, hops, thread)`` in each rank's
         :meth:`comm_schedule` message order and leaves the same
         :class:`ThreadAssignment` lists :meth:`assign_threads` computes
-        rank by rank in the epoch's schedules — or ``None`` when the
-        stack cannot cost arrays.
+        rank by rank in the epoch's schedules.
         """
-        inj_fn = getattr(self.stack, "injection_intervals", None)
-        lat_fn = getattr(self.stack, "software_latencies", None)
-        if inj_fn is None or lat_fn is None:
-            return None
         nbytes = counts * bytes_per_atom
         # message_cost elementwise: same terms, same association.
-        costs = inj_fn(nbytes) + lat_fn(nbytes) + self.params.wire_times(nbytes, hops)
+        costs = (
+            self.stack.injection_intervals(nbytes)
+            + self.stack.software_latencies(nbytes)
+            + self.params.wire_times(nbytes, hops)
+        )
         scheds = [
             self._lpt(*rows)
             for rows in zip(nbytes.tolist(), hops.tolist(), costs.tolist())

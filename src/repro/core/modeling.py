@@ -121,14 +121,17 @@ def _world_times(
     hops from the static geometry) become
     the ``(ranks, messages)`` schedule :func:`rank_messages` would list
     rank by rank, and :func:`~repro.network.simulator.simulate_owned_rounds`
-    prices it — bit-identical to ``NetworkSimulator.run_round`` per rank
-    — into the epoch's cache.  ``None`` when nothing may be cached or
-    the schedule is not one the closed form takes (fenced stages,
-    ranks with differing send counts, multi-message protocols, shared
-    TNIs): callers then simulate rank by rank.
+    prices it into the epoch's cache — bit-identical to what
+    :func:`modeled_exchange_time` returns per rank.  A fenced pattern is
+    priced stage by stage, each rank's next stage starting at its own
+    completion plus the barrier (``NetworkSimulator.run_staged`` per
+    rank).  ``None`` when nothing may be cached or the schedule is not
+    one the closed form takes (ranks with differing send counts,
+    multi-message protocols, shared TNIs): callers then simulate rank by
+    rank.
     """
     cache = _cache_for(exchange)
-    if cache is None or exchange.sends_per_stage:
+    if cache is None:
         return None
     stack, bytes_per_atom, known = _payload(exchange, phase, params)
     key = (bytes_per_atom, known, params)
@@ -138,13 +141,23 @@ def _world_times(
     counts, hops = zip(*(plan.send_sizes() for plan in exchange._current().plans))
     if len(set(map(len, counts))) != 1:
         return None
-    schedule = exchange.schedule_world(np.array(counts), np.array(hops), bytes_per_atom)
-    if schedule is None:
-        return None
-    nbytes, hops, thread = schedule
-    times = simulate_owned_rounds(nbytes, hops, thread, thread, stack, params, known)
-    if times is not None:
-        cache[key] = times
+    nbytes, hops, thread = exchange.schedule_world(
+        np.array(counts), np.array(hops), bytes_per_atom
+    )
+    ranks, n = nbytes.shape
+    fence = exchange.sends_per_stage or max(n, 1)
+    barrier = NetworkSimulator(stack, params).barrier_cost
+    times = [0.0] * ranks
+    for lo in range(0, n, fence):
+        start = np.asarray(times) + barrier if lo else np.zeros(ranks)
+        stage = slice(lo, lo + fence)
+        times = simulate_owned_rounds(
+            nbytes[:, stage], hops[:, stage], thread[:, stage], thread[:, stage],
+            start, stack, params, known,
+        )
+        if times is None:
+            return None
+    cache[key] = times
     return times
 
 

@@ -19,9 +19,17 @@ byte arrive?*  It models exactly the effects the paper's analysis
   transmission is fully pipelined so hop latency is additive but
   serialization is paid once.
 
-Two entry points: :func:`simulate_round` for one bulk-synchronous round of
-messages, and :class:`NetworkSimulator` for staged patterns (the 3-stage
-exchange) with inter-stage barriers.
+Two pricers:
+
+* :func:`simulate_round`, the event loop — one bulk-synchronous round,
+  message by message.  It is the reference the other pricer is tested
+  against, and the only path for observers (tracer, metrics, fault
+  sessions), VCQ switches and multi-wire protocols.
+  :class:`NetworkSimulator` composes it into staged patterns (the
+  3-stage exchange) with inter-stage barriers.
+* :func:`simulate_owned_rounds`, the world pass — many independent
+  rounds (one per rank) in one vector pass, bit-identical to the event
+  loop row by row where every injection stream owns its TNI.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ import numpy as np
 
 from repro.faults.injector import FAULTS
 from repro.machine.params import FUGAKU, MachineParams
-from repro.network.events import Resource
 from repro.network.stacks import SoftwareStack, UtofuStack
 from repro.obs.metrics import HOP_BUCKETS, METRICS
 from repro.obs.trace import TRACER
@@ -92,25 +99,25 @@ def simulate_round(
     stack: SoftwareStack,
     params: MachineParams = FUGAKU,
     start_time: float = 0.0,
-    thread_clocks: dict[tuple[int, int], float] | None = None,
-    tni_engines: dict[int, Resource] | None = None,
     msg_base: int = 0,
     stage: int = 0,
 ) -> RoundResult:
-    """Simulate one round of message injections.
+    """Simulate one round of message injections: the event loop.
 
     Messages are processed in list order per thread (the order the code
-    would issue them); different threads proceed concurrently.  Optional
-    ``thread_clocks``/``tni_engines`` allow chaining rounds while keeping
-    resource history (used by :class:`NetworkSimulator`).
+    would issue them); different threads proceed concurrently from
+    ``start_time``, and every TNI engine starts the round idle.  This is
+    the reference every vectorized pricer is tested against, and the one
+    path that serves observers (tracer, metrics, fault sessions), VCQ
+    switches and multi-wire protocols.
 
     ``msg_base``/``stage`` give trace spans their provenance: every
     inject/queue/tni-engine/wire segment of logical message *i* carries
     ``msg=msg_base+i`` and its wire-segment index ``seg``, so
     :mod:`repro.obs.critpath` can reassemble the dependency chain.
     """
-    clocks: dict[tuple[int, int], float] = thread_clocks if thread_clocks is not None else {}
-    engines: dict[int, Resource] = tni_engines if tni_engines is not None else {}
+    clocks: dict[tuple[int, int], float] = {}
+    free: dict[int, float] = {}  # per-TNI engine horizon
     last_vcq: dict[tuple[int, int], int] = {}
 
     arrivals: list[float] = []
@@ -120,28 +127,18 @@ def simulate_round(
     trace_on = TRACER.enabled
     metrics_on = METRICS.enabled
     session = FAULTS.session
-
-    if session is None and not trace_on and not metrics_on:
-        # Hot path: no per-message bookkeeping is observable, so the
-        # injection streams can be computed with batched arithmetic.
-        # Returns None (fall through to the event loop) for protocol
-        # shapes the cumsum form cannot express bit-identically.
-        batched = _simulate_round_batched(
-            messages, stack, params, start_time, clocks, engines
-        )
-        if batched is not None:
-            return batched
-    if trace_on:
-        # A fresh round (no chained clocks/engines) gets its own base on
-        # the simulated timeline; chained rounds reuse the current one.
-        fresh = thread_clocks is None and tni_engines is None and start_time == 0.0
-        base = TRACER.begin_model_round() if fresh else TRACER.model_offset
-    else:
+    # A round from time zero gets its own base on the simulated timeline;
+    # a later stage of a staged pattern reuses the current one.
+    if not trace_on:
         base = 0.0
+    elif start_time == 0.0:
+        base = TRACER.begin_model_round()
+    else:
+        base = TRACER.model_offset
 
     for msg_idx, msg in enumerate(messages):
         key = (msg.rank, msg.thread)
-        clock = max(clocks.get(key, start_time), start_time)
+        clock = clocks.get(key, start_time)
         msg_id = msg_base + msg_idx
 
         n_wire = stack.protocol_message_count(msg.nbytes, msg.known_length)
@@ -149,21 +146,21 @@ def simulate_round(
 
         if metrics_on:
             METRICS.histogram("message_hops", buckets=HOP_BUCKETS).observe(msg.hops)
+        if trace_on:
+            injector = f"rank{msg.rank}/thr{msg.thread}"
 
         # VCQ switch: a thread moving to a different TNI's VCQ pays extra
         # software overhead (descriptor cache, function-call chain).
-        if key in last_vcq and last_vcq[key] != msg.tni:
+        if last_vcq.get(key, msg.tni) != msg.tni:
             if trace_on:
                 TRACER.add_model_span(
                     "vcq-switch", base + clock, params.vcq_switch_overhead,
-                    cat="vcq", track=f"rank{msg.rank}/thr{msg.thread}",
-                    tni=msg.tni, msg=msg_id, stage=stage,
+                    cat="vcq", track=injector, tni=msg.tni, msg=msg_id, stage=stage,
                 )
             clock += params.vcq_switch_overhead
         last_vcq[key] = msg.tni
 
         arrival = clock
-        injector = f"rank{msg.rank}/thr{msg.thread}"
         for i in range(n_wire):
             # A length-prefix protocol message is tiny; the payload is last.
             nbytes = 8 if (n_wire > 1 and i < n_wire - 1) else msg.nbytes
@@ -196,12 +193,15 @@ def simulate_round(
             clock += stack.injection_interval(nbytes)
             inject_time = clock
 
-            engine = engines.setdefault(msg.tni, Resource(f"tni{msg.tni}"))
             serial = max(nbytes / params.link_bandwidth, params.tni_engine_message_time)
             # A stalled TNI engine holds the message longer; the hold
             # extends the engine occupancy so queued successors also wait.
             tstall = session.tni_stall(msg.tni) if session is not None else 0.0
-            eng_start, _eng_end = engine.acquire(inject_time, serial + tstall)
+            hold = serial + tstall
+            if hold < 0:
+                raise ValueError(f"negative TNI engine hold {hold}")
+            eng_start = max(inject_time, free.get(msg.tni, 0.0))
+            free[msg.tni] = eng_start + hold
 
             arrival = (
                 eng_start
@@ -259,122 +259,12 @@ def simulate_round(
     )
 
 
-def _round_cost_terms(
-    nbytes: np.ndarray, hops: np.ndarray, stack: SoftwareStack, params: MachineParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """(injection intervals, engine serialization, software latencies,
-    hop terms) of single-wire-message rounds, elementwise what the event
-    loop computes per message — or ``None`` when the stack has no
-    vectorized cost hooks."""
-    inj_fn = getattr(stack, "injection_intervals", None)
-    lat_fn = getattr(stack, "software_latencies", None)
-    if inj_fn is None or lat_fn is None:
-        return None
-    return (
-        np.asarray(inj_fn(nbytes), dtype=np.float64),
-        np.maximum(nbytes / params.link_bandwidth, params.tni_engine_message_time),
-        np.asarray(lat_fn(nbytes), dtype=np.float64),
-        np.maximum(hops - 1.0, 0.0) * params.hop_latency,
-    )
-
-
-def _arrival(eng_start, serial, latency, rdma_latency, hop_term):
-    """The event loop's arrival sum, in its association order (floats or
-    arrays; a zero TNI stall adds exactly ``+ 0.0`` to non-negative
-    times — a bitwise no-op — so it is dropped)."""
-    return eng_start + serial + latency + rdma_latency + hop_term
-
-
-def _simulate_round_batched(
-    messages: list[Message],
-    stack: SoftwareStack,
-    params: MachineParams,
-    start_time: float,
-    clocks: dict[tuple[int, int], float],
-    engines: dict[int, Resource],
-) -> RoundResult | None:
-    """Cumsum-batched round, bit-identical to the event loop or ``None``.
-
-    Requirements (else fall back): the stack exposes vectorized cost
-    hooks, every logical message is a single wire message, and no
-    ``(rank, thread)`` stream touches more than one TNI (a multi-TNI
-    stream pays data-dependent VCQ-switch overhead the closed form does
-    not model).
-
-    Bit-identity rests on two facts: ``np.cumsum`` accumulates
-    sequentially (the same left-to-right sum as ``clock += interval``)
-    and the TNI engines are still acquired one-by-one in original
-    message order.
-    """
-    n = len(messages)
-    if stack.protocol_message_count(1, False) != 1 and not all(
-        m.known_length for m in messages
-    ):
-        return None
-
-    # Group messages into per-(rank, thread) injection streams; a stream
-    # that changes TNI mid-round needs the event loop's switch handling.
-    order: dict[tuple[int, int], list[int]] = {}
-    stream_tni: dict[tuple[int, int], int] = {}
-    for i, msg in enumerate(messages):
-        key = (msg.rank, msg.thread)
-        idxs = order.get(key)
-        if idxs is None:
-            order[key] = [i]
-            stream_tni[key] = msg.tni
-        elif stream_tni[key] != msg.tni:
-            return None
-        else:
-            idxs.append(i)
-
-    terms = _round_cost_terms(
-        np.fromiter((m.nbytes for m in messages), dtype=np.float64, count=n),
-        np.fromiter((m.hops for m in messages), dtype=np.float64, count=n),
-        stack, params,
-    )
-    if terms is None:
-        return None
-    intervals, serial, latencies, hop_term = terms
-
-    inject = np.empty(n, dtype=np.float64)
-    last_injection = start_time
-    for key, idxs in order.items():
-        base = max(clocks.get(key, start_time), start_time)
-        csum = np.cumsum(np.concatenate(([base], intervals[idxs])))
-        inject[idxs] = csum[1:]
-        final = float(csum[-1])
-        clocks[key] = final
-        if final > last_injection:
-            last_injection = final
-
-    inject_l = inject.tolist()
-    serial_l = serial.tolist()
-    lat_l = latencies.tolist()
-    hop_l = hop_term.tolist()
-    rdma_lat = params.rdma_put_latency
-    arrivals: list[float] = []
-    for i, msg in enumerate(messages):
-        tni = msg.tni
-        engine = engines.get(tni)
-        if engine is None:
-            engine = engines[tni] = Resource(f"tni{tni}")
-        s = serial_l[i]
-        eng_start, _eng_end = engine.acquire(inject_l[i], s)
-        arrivals.append(_arrival(eng_start, s, lat_l[i], rdma_lat, hop_l[i]))
-
-    return RoundResult(
-        completion_time=max(arrivals, default=start_time),
-        last_injection=last_injection,
-        arrivals=arrivals,
-        wire_messages=n,
-    )
-
-
 def simulate_owned_rounds(
     nbytes: np.ndarray,
     hops: np.ndarray,
     thread: np.ndarray,
     tni: np.ndarray,
+    start: np.ndarray,
     stack: SoftwareStack,
     params: MachineParams = FUGAKU,
     known_length: bool = True,
@@ -382,9 +272,12 @@ def simulate_owned_rounds(
     """Completion times of many independent rounds in one pass, or ``None``.
 
     Row ``r`` of the ``(rounds, messages)`` arrays is one rank's round in
-    issue order, simulated with fresh resources from time zero — what
-    ``NetworkSimulator.run_round`` returns as ``completion_time`` for
-    that row's :class:`Message` list, as Python floats, bit for bit.
+    issue order, starting at ``start[r]`` with idle TNI engines — what
+    :func:`simulate_round` returns as ``completion_time`` for that row's
+    :class:`Message` list and ``start_time=start[r]``, as Python floats,
+    bit for bit.  ``start`` is zeros for an unfenced round; a fenced
+    pattern chains its stages through it (:meth:`NetworkSimulator.run_staged`
+    per row).
 
     The closed form holds when *every injection stream owns its TNI
     engine for the round*: within a row, two messages share a thread iff
@@ -394,14 +287,14 @@ def simulate_owned_rounds(
     run here one stream *position* at a time across all streams of all
     rows — and no VCQ switch is ever paid.  Refused (``None``; callers
     fall back to the event loop) for anything else: a stream changing
-    TNI, two streams on one TNI, a stack without vectorized cost hooks or
-    with multi-message protocols for these lengths, and any observer — a
-    fault session, the tracer or the metrics registry — which needs the
-    per-message events.
+    TNI, two streams on one TNI, a multi-message protocol for these
+    lengths, and any observer — a fault session, the tracer or the
+    metrics registry — which needs the per-message events.
 
-    Streams are padded to the longest one with zeros: ``np.cumsum`` along
-    a stream is sequential, so ``i1 + i2 + ...`` is the per-stream
-    ``clock += interval`` sum (``0.0 + i1 == i1``), and padding is
+    Streams are padded to the longest one with zeros and the first
+    interval column carries the row's start: ``np.cumsum`` along a stream
+    is sequential, so ``(start + i1) + i2 + ...`` is the loop's ``clock =
+    start; clock += interval`` sum (``0.0 + i1 == i1``), and padding is
     trailing only — it never feeds an earlier position.
     """
     if FAULTS.session is not None or TRACER.enabled or METRICS.enabled:
@@ -410,15 +303,11 @@ def simulate_owned_rounds(
         return None
     rounds, n = nbytes.shape
     if n == 0:
-        return [0.0] * rounds
+        return np.asarray(start, dtype=np.float64).tolist()
     same_stream = thread[:, :, None] == thread[:, None, :]
     if not np.array_equal(same_stream, tni[:, :, None] == tni[:, None, :]):
         return None
-    terms = _round_cost_terms(
-        nbytes.astype(np.float64), hops.astype(np.float64), stack, params
-    )
-    if terms is None:
-        return None
+    size = nbytes.astype(np.float64)
 
     # A message's stream is named by the stream's first message; its
     # position is the number of earlier messages of the same stream.
@@ -432,16 +321,25 @@ def simulate_owned_rounds(
         out[cell] = values
         return out
 
-    intervals, serial, latencies, hop_term = (padded(term) for term in terms)
+    # The loop's per-message terms, elementwise and in its association.
+    intervals = padded(stack.injection_intervals(size))
+    intervals[:, :, 0] += start[:, None]
+    serial = padded(
+        np.maximum(size / params.link_bandwidth, params.tni_engine_message_time)
+    )
+    latencies = padded(stack.software_latencies(size))
+    hop_term = padded(np.maximum(hops - 1.0, 0.0) * params.hop_latency)
     inject = np.cumsum(intervals, axis=2)
     arrival = np.empty_like(inject)
     free = np.zeros((rounds, n))
     for k in range(depth):
-        start = np.maximum(inject[:, :, k], free)
-        free = start + serial[:, :, k]
-        arrival[:, :, k] = _arrival(
-            start, serial[:, :, k], latencies[:, :, k],
-            params.rdma_put_latency, hop_term[:, :, k],
+        eng_start = np.maximum(inject[:, :, k], free)
+        free = eng_start + serial[:, :, k]
+        # A zero TNI stall adds exactly ``+ 0.0`` to these non-negative
+        # times in the loop — a bitwise no-op — so it is dropped.
+        arrival[:, :, k] = (
+            eng_start + serial[:, :, k] + latencies[:, :, k]
+            + params.rdma_put_latency + hop_term[:, :, k]
         )
     return arrival[cell].max(axis=1).tolist()
 

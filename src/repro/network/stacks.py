@@ -17,7 +17,9 @@ Both stacks answer three questions for the simulator: the sender CPU time
 per message (:meth:`SoftwareStack.injection_interval`), any extra protocol
 messages (:meth:`SoftwareStack.protocol_message_count`), and fixed
 per-message software latency added on top of the wire time
-(:meth:`SoftwareStack.software_latency`).
+(:meth:`SoftwareStack.software_latency`).  The two cost questions also
+come elementwise over arrays of sizes (``injection_intervals`` /
+``software_latencies``) for the simulator's world pass.
 """
 
 from __future__ import annotations
@@ -46,6 +48,14 @@ class SoftwareStack:
 
     def protocol_message_count(self, nbytes: int, known_length: bool) -> int:
         """Wire messages actually needed to deliver one logical message."""
+        raise NotImplementedError
+
+    def injection_intervals(self, nbytes: np.ndarray) -> np.ndarray:
+        """:meth:`injection_interval` elementwise over an array of sizes."""
+        raise NotImplementedError
+
+    def software_latencies(self, nbytes: np.ndarray) -> np.ndarray:
+        """:meth:`software_latency` elementwise over an array of sizes."""
         raise NotImplementedError
 
     def supports_piggyback(self) -> bool:
@@ -80,11 +90,10 @@ class MpiStack(SoftwareStack):
             n += 1
         return n
 
-    # Vectorized forms for the batched simulator round: elementwise
-    # identical to the scalar methods above (np.where picks between the
-    # same two sums the scalar branch computes).
+    # Elementwise identical to the scalar methods above (np.where picks
+    # between the same two sums the scalar branch computes).
     def injection_intervals(self, nbytes: np.ndarray) -> np.ndarray:
-        """Per-message ``T_inj`` for an array of sizes (batched round)."""
+        """Per-message ``T_inj`` for an array of sizes."""
         p = self.params
         return np.where(
             nbytes > p.mpi_rendezvous_threshold,
@@ -126,9 +135,9 @@ class UtofuStack(SoftwareStack):
         """True — small payloads ride in the descriptor."""
         return True
 
-    # Vectorized forms for the batched simulator round (both constants).
+    # Elementwise forms of the scalar methods (both constants).
     def injection_intervals(self, nbytes: np.ndarray) -> np.ndarray:
-        """Per-message ``T_inj`` for an array of sizes (batched round)."""
+        """Per-message ``T_inj`` for an array of sizes."""
         return np.full(nbytes.shape, self.params.utofu_t_inj)
 
     def software_latencies(self, nbytes: np.ndarray) -> np.ndarray:

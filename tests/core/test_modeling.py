@@ -153,15 +153,32 @@ class TestWorldPricing:
             for rank in range(ex.world.size)
         }
         ex._epoch.priced.clear()  # drop what the run and the oracle cached
-        rounds = []
-        run_round = NetworkSimulator.run_round
+        rounds = []  # what went rank by rank on the event loop
+        run_round, run_staged = NetworkSimulator.run_round, NetworkSimulator.run_staged
         monkeypatch.setattr(
             NetworkSimulator, "run_round",
-            lambda self, msgs: rounds.append(len(msgs)) or run_round(self, msgs),
+            lambda self, msgs: rounds.append(msgs) or run_round(self, msgs),
+        )
+        monkeypatch.setattr(
+            NetworkSimulator, "run_staged",
+            lambda self, stages: rounds.append(sum(stages, [])) or run_staged(self, stages),
+        )
+        passes = []  # known_length of every world-pass call
+        monkeypatch.setattr(
+            modeling, "simulate_owned_rounds",
+            lambda *args: passes.append(args[-1]) or simulate_owned_rounds(*args),
         )
         rebuild = modeled_step_comm_time(ex, rebuild=True)
         plain = modeled_step_comm_time(ex, rebuild=False)
-        if kind != "3stage":
+        if kind == "3stage":
+            # Only the MPI two-message border goes rank by rank (refused
+            # on its first stage); forward/reverse — one cache entry —
+            # take the world pass, one call per 2-send stage.
+            assert passes == [False, True, True, True]
+            assert len(rounds) == ex.world.size
+            assert not any(m.known_length for msgs in rounds for m in msgs)
+        else:
+            assert passes == [True, True]  # border, then forward/reverse
             assert rounds == []  # every rank priced by the world pass
         for (phase, rank), t in expected.items():
             got = modeled_exchange_time(ex, phase, rank=rank)

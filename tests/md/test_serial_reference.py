@@ -35,12 +35,20 @@ class TestConstruction:
 
 class TestPhysics:
     def test_lattice_energy_per_atom_reasonable(self):
-        """FCC LJ at rho*=0.8442 has cohesive energy ~ -7.4 eps/atom
-        (truncated at 2.5 sigma: somewhat shallower)."""
+        """The perfect FCC crystal at rho* = 0.8442 has the energy per atom
+        of an independent lattice sum: half of ``4 (r^-12 - r^-6)`` over
+        every lattice vector shorter than the 2.5 sigma cutoff, unshifted
+        (the engine's truncation).  FCC sites are the points of a cubic
+        grid of spacing a/2 whose index sum is even."""
         x, _, box = lj_melt(t=0.0)
         ref = SerialReference(x, np.zeros_like(x), box, LennardJones(cutoff=2.5), dt=0.005)
-        e_per_atom = ref.energy / x.shape[0]
-        assert -8.0 < e_per_atom < -5.0
+        half = lj_density_to_cell(0.8442) / 2
+        g = np.arange(-int(2.5 / half) - 1, int(2.5 / half) + 2)
+        i, j, k = np.meshgrid(g, g, g, indexing="ij")
+        r = half * np.sqrt(i**2 + j**2 + k**2)[(i + j + k) % 2 == 0]
+        r = r[(r > 0) & (r < 2.5)]
+        lattice_sum = 0.5 * float(np.sum(4.0 * (r**-12 - r**-6)))
+        assert ref.energy / x.shape[0] == pytest.approx(lattice_sum, rel=1e-12)
 
     def test_energy_conservation(self):
         x, v, box = lj_melt(t=0.8, seed=2)

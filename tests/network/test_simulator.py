@@ -3,6 +3,7 @@ stage barriers, and the paper's qualitative orderings (Fig. 6, Fig. 8)."""
 
 import pytest
 
+from repro.faults import FAULTS
 from repro.machine import FUGAKU
 from repro.network import (
     Message,
@@ -75,6 +76,30 @@ class TestSerialization:
         near = utofu_sim.point_to_point_time(64, 1)
         far = utofu_sim.point_to_point_time(64, 3)
         assert far == pytest.approx(near + 2 * FUGAKU.hop_latency)
+
+    def test_queued_engine_starts_when_the_previous_hold_ends(self):
+        """Two ranks' messages on one TNI: the second waits for the
+        engine's horizon (the first's start plus its hold)."""
+        one = [Message(4096, rank=0, thread=0, tni=0)]
+        alone = simulate_round(one, UtofuStack()).completion_time
+        both = simulate_round(one + [Message(4096, rank=1, thread=0, tni=0)], UtofuStack())
+        hold = max(4096 / FUGAKU.link_bandwidth, FUGAKU.tni_engine_message_time)
+        assert both.arrivals == pytest.approx([alone, alone + hold], rel=1e-15)
+
+    def test_negative_engine_hold_rejected(self, monkeypatch):
+        class ShorteningStall:  # a fault session whose stall undercuts the hold
+            def vcq_credit_wait(self, rank, thread, tni):
+                return 0.0
+
+            def injection_jitter(self, rank, thread, tni):
+                return 0.0
+
+            def tni_stall(self, tni):
+                return -1.0
+
+        monkeypatch.setattr(FAULTS, "session", ShorteningStall())
+        with pytest.raises(ValueError, match="negative TNI engine hold"):
+            simulate_round([Message(64)], UtofuStack())
 
 
 class TestProtocolExpansion:
