@@ -1,7 +1,7 @@
 """One kernel for the reproduction's versioned JSON artifacts.
 
-Every ``repro-*/1`` document (bench, scaling, rankprof, diag, flight
-dumps) and every exported Chrome trace is checked through a
+Four kinds of document: ``repro-bench/1``, ``repro-rankprof/1``, flight
+dumps and exported Chrome traces.  Each is checked through a
 :class:`Cursor`, read with :func:`read` and written with :func:`write`.
 The first failed check raises ``ValueError("<noun> invalid at <path>:
 <why>")``, where ``<path>`` locates the offending value

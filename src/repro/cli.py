@@ -236,10 +236,6 @@ def main(argv=None) -> int:
         return analyze_main(argv[1:])
     if argv[:1] == ["telemetry"]:
         return telemetry_main(argv[1:])
-    if argv[:1] == ["diag"]:
-        from repro.obs.diag import main as diag_main
-
-        return diag_main(argv[1:])
     if argv[:1] == ["scenarios"]:
         from repro.scenarios.cli import main as scenarios_main
 

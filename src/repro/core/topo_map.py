@@ -113,19 +113,3 @@ class TopoMap:
             (p + o) % g for p, o, g in zip(rank_pos, offset, self.rank_grid)
         )
         return self.hops_between(rank_pos, target)
-
-    def average_neighbor_hops(self, offsets: list[tuple[int, int, int]]) -> float:
-        """Mean hops over all ranks for each of ``offsets`` — the locality
-        statistic that shows the embedding preserves the decomposition."""
-        total = 0.0
-        count = 0
-        gx, gy, gz = self.rank_grid
-        # Sample the rank grid coarsely for large jobs (exact for small).
-        step = max(1, gx // 8), max(1, gy // 8), max(1, gz // 8)
-        for x in range(0, gx, step[0]):
-            for y in range(0, gy, step[1]):
-                for z in range(0, gz, step[2]):
-                    for off in offsets:
-                        total += self.neighbor_hops((x, y, z), off)
-                        count += 1
-        return total / count if count else 0.0

@@ -28,15 +28,10 @@ One observability layer under every account the repository keeps:
   ring dumped on terminal failures, and an OpenMetrics exporter
   (``python -m repro telemetry``).  Unlike the tracer and the metrics
   registry, telemetry never disables the exchange fast path.
-* :mod:`repro.obs.rankprof` / :mod:`repro.obs.scaling` /
-  :mod:`repro.obs.diag` — the fourth tier, the **scaling observatory**:
-  critical-path attribution at *rank* granularity (per-rank × per-phase
-  × per-category tables, max/mean + p99/p50 imbalance, span-anchored
-  straggler evidence), scaling-curve capture across a rank-grid ladder
-  into ``repro-scaling/1`` artifacts (measured vs
-  ``repro.perfmodel.scaling`` prediction), and the automated diagnosis
-  engine ``python -m repro diag`` that diffs two artifacts into a
-  ranked stage/category/cohort explanation.
+* :mod:`repro.obs.rankprof` — critical-path attribution at *rank*
+  granularity: per-rank × per-phase × per-category tables, max/mean +
+  p99/p50 imbalance, and the straggler cohort with span-anchored
+  evidence, which is the diagnosis of a slow rank.
 
 Typical use::
 

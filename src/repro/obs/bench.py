@@ -165,14 +165,18 @@ def _stats(samples: list[float]) -> dict:
     }
 
 
-def sample_wall(cfg: BenchConfig, repeats: int):
-    """Build and run ``cfg`` ``repeats`` times; returns ``(sim, wall)``.
+def run_config(cfg: BenchConfig, repeats: int = 3) -> tuple[dict, object]:
+    """Execute one configuration; returns (run record, critpath tracer).
 
-    ``wall`` is the per-stage and total wall statistics over the repeats
-    (the ``wall`` record of a run or a scaling rung); ``sim`` is the
-    final repeat's simulation, from which callers take what is
-    deterministic (model breakdown, traffic, critical path).
+    The wall breakdown is measured ``repeats`` times; the model
+    breakdown, traffic, and critical path are deterministic and taken
+    from the final repeat.
     """
+    from repro.core.modeling import modeled_exchange_time
+    from repro.obs import observe
+    from repro.obs.critpath import analyze_critical_path
+    from repro.obs.trace import Tracer
+
     stage_samples: dict[str, list[float]] = {s: [] for s in STAGES}
     total_samples: list[float] = []
     sim = None
@@ -186,22 +190,6 @@ def sample_wall(cfg: BenchConfig, repeats: int):
         "stages": {s: _stats(v) for s, v in stage_samples.items()},
         "total": _stats(total_samples),
     }
-    return sim, wall
-
-
-def run_config(cfg: BenchConfig, repeats: int = 3) -> tuple[dict, object]:
-    """Execute one configuration; returns (run record, critpath tracer).
-
-    The wall breakdown is measured ``repeats`` times
-    (:func:`sample_wall`); the model breakdown, traffic, and critical
-    path are deterministic and taken from the final repeat.
-    """
-    from repro.core.modeling import modeled_exchange_time
-    from repro.obs import observe
-    from repro.obs.critpath import analyze_critical_path
-    from repro.obs.trace import Tracer
-
-    sim, wall = sample_wall(cfg, repeats)
     model = _model_stages(sim)
     traffic = {
         ph: {"count": count, "bytes": nbytes}
@@ -216,8 +204,8 @@ def run_config(cfg: BenchConfig, repeats: int = 3) -> tuple[dict, object]:
     snapshot.spans = list(tracer.spans)
     snapshot.instants = list(tracer.instants)
 
-    # Per-rank profile of the same phase: the imbalance account `repro
-    # diag` diffs (rank 0's row equals the critpath record above).
+    # Per-rank profile of the same phase: the imbalance account `compare`
+    # diffs (rank 0's row equals the critpath record above).
     from repro.obs.rankprof import bench_record, profile_exchange
 
     rankprof = bench_record(profile_exchange(sim.exchange, phases=("forward",)))
@@ -960,28 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("artifact")
     rep.add_argument("--csv", default=None, help="also write a per-stage CSV")
 
-    scl = sub.add_parser(
-        "scaling",
-        help="run one config across a rank-grid ladder and write a "
-        "repro-scaling/1 artifact (see repro.obs.scaling)",
-    )
-    scl.add_argument("--out", required=True, help="output artifact path")
-    scl.add_argument("--potential", choices=("lj", "eam"), default="lj")
-    scl.add_argument(
-        "--pattern", choices=("3stage", "p2p", "parallel-p2p"),
-        default="parallel-p2p",
-    )
-    scl.add_argument("--rdma", action="store_true")
-    scl.add_argument("--cells", type=int, nargs=3, default=(4, 4, 4),
-                     metavar=("CX", "CY", "CZ"))
-    scl.add_argument("--steps", type=int, default=10)
-    scl.add_argument("--repeats", type=int, default=2)
-    scl.add_argument(
-        "--ladder", default="1x2x2,2x2x2",
-        help="comma-separated rank grids, ordered by rank count "
-        "(default 1x2x2,2x2x2)",
-    )
-    scl.add_argument("--label", default=None, help="artifact label (default: out stem)")
     return p
 
 
@@ -1053,29 +1019,6 @@ def main(argv=None) -> int:
         if args.csv:
             write_report_csv(args.csv, doc)
             print(f"# csv -> {args.csv}")
-        return 0
-    if args.command == "scaling":
-        from repro.obs.scaling import (
-            ScalingSpec,
-            capture_scaling,
-            parse_ladder,
-            render_scaling,
-            validate_scaling_doc,
-        )
-
-        try:
-            ladder = parse_ladder(args.ladder)
-            spec = ScalingSpec(args.potential, args.pattern, args.rdma,
-                               tuple(args.cells), args.steps)
-            doc = capture_scaling(spec, ladder, args.repeats, _label(args))
-            validate_scaling_doc(doc)
-        except ValueError as exc:
-            print(f"error: {exc}")
-            return 2
-        write(args.out, doc)
-        print(f"# scaling: {len(doc['points'])} rungs -> {args.out} "
-              f"(schema {doc['schema']})")
-        print(render_scaling(doc))
         return 0
     return 2  # pragma: no cover
 

@@ -304,8 +304,8 @@ def render_critical_path(result: CriticalPathResult) -> str:
 def critpath_to_dict(result: CriticalPathResult) -> dict:
     """Structured (JSON-ready) form of a critical-path analysis.
 
-    The machine-readable twin of :func:`render_critical_path`, consumed
-    by ``repro diag`` and external tooling instead of parsing text.
+    The machine-readable twin of :func:`render_critical_path`, for
+    external tooling that would otherwise parse text.
     Versioned as ``repro-critpath/1``; attribution keys/values are the
     exact floats of the analysis (the partition invariant survives
     serialization).
@@ -399,7 +399,7 @@ def main(argv=None) -> int:
     Replays the model-clock spans of an exported Chrome trace through
     :func:`analyze_critical_path` and prints the attribution — as the
     text report by default, as ``repro-critpath/1`` JSON with ``--json``
-    (the structured form ``repro diag`` and external tooling consume).
+    (the structured form external tooling consumes).
     """
     import argparse
     import sys

@@ -180,8 +180,8 @@ def spans_from_chrome(doc: dict) -> list:
     events (``"ph": "X"``) map back to spans, pid back to the clock via
     the same ``_PID`` table, tid back to the track name via the
     ``thread_name`` metadata events, and microsecond timestamps back to
-    seconds.  This is what lets the critical-path analyzer and ``repro
-    diag`` replay a trace *file* instead of a live tracer — attribution
+    seconds.  This is what lets the critical-path analyzer replay a
+    trace *file* instead of a live tracer — attribution
     over an exported trace agrees with the live analysis to float
     round-trip precision.
     """

@@ -19,8 +19,10 @@ rank granularity:
   :class:`~repro.obs.sketch.QuantileSketch` es on the always-on
   telemetry plane;
 * :func:`to_dict` / :func:`validate_rankprof_doc` define the versioned
-  ``repro-rankprof/1`` artifact the diagnosis engine
-  (:mod:`repro.obs.diag`) diffs.
+  ``repro-rankprof/1`` artifact;
+* :func:`check_names_straggler` is the diagnosis contract: a stall on
+  one rank makes that rank, and only it, the straggler of every phase,
+  with ``fault`` its top category.
 
 The exactness contract carries over bit-for-bit: each rank's
 attribution partitions its modeled exchange time exactly (the critpath
@@ -347,6 +349,26 @@ def check_document(doc: dict, result: RankProfileResult) -> tuple[bool, str]:
     except ValueError as exc:
         return False, str(exc)
     return rows == len(result.profiles), f"{rows} rows"
+
+
+def check_names_straggler(
+    clean: RankProfileResult, perturbed: RankProfileResult, rank: int
+) -> tuple[bool, str]:
+    """A fault stall on ``rank`` alone makes it the sole straggler.
+
+    Passes when ``clean`` has no straggler in any phase and, in every
+    phase of ``perturbed``, the straggler cohort is exactly ``(rank,)``
+    with ``fault`` that row's top category.
+    """
+    calm = not any(clean.imbalance(ph).stragglers for ph in clean.phases)
+    seen = []
+    for phase in perturbed.phases:
+        cohort = perturbed.imbalance(phase).stragglers
+        top = next((p.top_category for p in perturbed.by_phase(phase) if p.rank == rank), None)
+        seen.append((phase, cohort, top))
+    ok = calm and bool(seen) and all(c == (rank,) and t == "fault" for _, c, t in seen)
+    return ok, f"clean stragglers: {'none' if calm else 'some'}; " + ", ".join(
+        f"{ph} stragglers {list(c)} (rank {rank} top {t})" for ph, c, t in seen)
 
 
 def render_rank_profile(result: RankProfileResult) -> str:

@@ -87,38 +87,6 @@ def weak_scaling(
     return out
 
 
-def ranks_to_nodes(ranks: int, params: MachineParams = FUGAKU) -> int:
-    """Node count whose rank budget best matches ``ranks``.
-
-    The stage model is parameterized by *nodes* (``StageModel.ranks``
-    multiplies by ``params.ranks_per_node``); the functional engine is
-    parameterized by *ranks*.  This is the bridge the scaling
-    observatory uses to project a measured rank grid onto the model's
-    node axis — never below one node.
-    """
-    if ranks < 1:
-        raise ValueError(f"ranks must be >= 1, got {ranks}")
-    return max(1, round(ranks / params.ranks_per_node))
-
-
-def modeled_ladder(
-    workload: Workload,
-    variant: Variant | str,
-    ranks_list,
-    params: MachineParams = FUGAKU,
-    model: StageModel | None = None,
-) -> list[ScalingPoint]:
-    """Strong-scaling sweep over *rank* counts (for measured ladders).
-
-    Maps each rank count through :func:`ranks_to_nodes` and prices the
-    fixed-size workload at the resulting node counts.  Used by
-    ``repro.obs.scaling`` to put predicted and measured curves on the
-    same axis.
-    """
-    nodes_list = [ranks_to_nodes(r, params) for r in ranks_list]
-    return strong_scaling(workload, variant, nodes_list, params, model)
-
-
 def parallel_efficiency(points: list[ScalingPoint]) -> list[float]:
     """Fig. 13a percentages: efficiency vs the first (768-node) point.
 

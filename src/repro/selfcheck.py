@@ -30,7 +30,6 @@ from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.stages import Stage
 from repro.obs import observe, rankprof, telemetry
 from repro.obs.critpath import check_horizon_messages, check_partitions_modeled, traced_round
-from repro.obs.diag import check_names_faulted_rank, diagnose
 from repro.obs.flight import check_autodump
 from repro.obs.report import check_forward_counts, check_phase_traffic, check_stage_breakdown
 from repro.scenarios import core_spec, default_fleet, registry
@@ -107,7 +106,7 @@ def run_selfcheck(cells=(4, 4, 4), steps: int = 20, seed: int = 7, fault_plan=No
     _observability_checks(add, x, v, box, steps=max(steps // 2, 5))
     _analysis_checks(add, x, v, box)
     _telemetry_checks(add, x, v, box, steps=max(steps // 2, 5))
-    _scaling_observatory_checks(add, x, v, box)
+    _rankprof_checks(add, x, v, box)
     _fleet_checks(add)
     if fault_plan is not None:
         _fault_checks(add, x, v, box, fault_plan)
@@ -180,7 +179,7 @@ def _telemetry_checks(add, x, v, box, steps: int) -> None:
         add("forced RetryExhaustedError auto-dumps a valid flight record", *check_autodump(dump, died))
 
 
-def _scaling_observatory_checks(add, x, v, box) -> None:
+def _rankprof_checks(add, x, v, box) -> None:
     sim = _sim(x, v, box, "parallel-p2p", rdma=True, model_machine_time=True)
     sim.setup()
     prof = rankprof.profile_exchange(sim.exchange, phases=("forward", "reverse"))
@@ -193,9 +192,8 @@ def _scaling_observatory_checks(add, x, v, box) -> None:
     add("rankprof document validates as repro-rankprof/1", *rankprof.check_document(doc, prof))
     with FAULTS.inject(JITTER_PLAN):
         jittered = rankprof.profile_exchange(sim.exchange, phases=("forward", "reverse"))
-    jit = rankprof.to_dict(jittered, label="selfcheck-jittered")
-    add("diag names the perturbed rank cohort, category, and shape",
-        *check_names_faulted_rank(diagnose(doc, jit, "clean", "jittered"), 2))
+    add("rankprof names the jittered rank as the sole fault straggler",
+        *rankprof.check_names_straggler(prof, jittered, 2))
 
 
 def _fleet_checks(add) -> None:

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.faults.injector import FAULTS
 from repro.obs.bench import BenchConfig, build_simulation
 from repro.obs.critpath import traced_round
 from repro.obs.rankprof import (
@@ -13,6 +14,7 @@ from repro.obs.rankprof import (
     RankProfileResult,
     bench_record,
     check_document,
+    check_names_straggler,
     check_partitions,
     check_rank0_row,
     check_telescopes,
@@ -24,6 +26,7 @@ from repro.obs.rankprof import (
     validate_rankprof_doc,
 )
 from repro.obs.telemetry import TELEMETRY, StepTelemetry
+from repro.selfcheck import JITTER_PLAN
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +124,27 @@ class TestImbalance:
         cats = prof.categories("forward")
         total = sum(p.completion for p in prof.by_phase("forward"))
         assert sum(cats.values()) == pytest.approx(total, rel=1e-9)
+
+
+class TestNamesStraggler:
+    """A 2 us inject stall on rank 2 alone (the selfcheck's plan)."""
+
+    @pytest.fixture(scope="class")
+    def jittered(self, sim):
+        with FAULTS.inject(JITTER_PLAN):
+            return profile_exchange(sim.exchange, phases=("forward", "reverse"))
+
+    def test_names_the_stalled_rank(self, prof, jittered):
+        ok, detail = check_names_straggler(prof, jittered, 2)
+        assert ok, detail
+
+    def test_fails_for_another_rank(self, prof, jittered):
+        ok, detail = check_names_straggler(prof, jittered, 3)
+        assert not ok, detail
+
+    def test_fails_without_a_straggler(self, prof):
+        ok, detail = check_names_straggler(prof, prof, 2)
+        assert not ok, detail
 
 
 class TestArtifact:

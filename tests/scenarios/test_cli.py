@@ -1,6 +1,6 @@
 """`repro scenarios` CLI: generation determinism + error-path contract.
 
-Error-path contract (shared with `repro diag`): inputs failing a
+Error-path contract: inputs failing a
 *check* print the failing check and exit 1 — never a traceback; IO and
 usage problems exit 2.
 """

@@ -1,5 +1,5 @@
-"""The artifact kernel: one path contract and one byte format for the six
-document kinds (bench, scaling, rankprof, diag, flight dumps, Chrome traces)."""
+"""The artifact kernel: one path contract and one byte format for the four
+document kinds (bench, rankprof, flight dumps, Chrome traces)."""
 
 import copy
 import functools
@@ -9,20 +9,16 @@ from pathlib import Path
 import pytest
 
 from repro.artifact import dumps, read
-from repro.obs.bench import validate_bench_doc
-from repro.obs.diag import validate_diag_doc
+from repro.obs.bench import BenchConfig, build_simulation, validate_bench_doc
 from repro.obs.export import validate_chrome_trace
 from repro.obs.flight import FlightRecorder, validate_flight_doc
-from repro.obs.rankprof import validate_rankprof_doc
-from repro.obs.scaling import validate_scaling_doc
+from repro.obs.rankprof import profile_exchange, to_dict, validate_rankprof_doc
 
 BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "baseline"
 
 VALIDATORS = {
     "bench": validate_bench_doc,
-    "scaling": validate_scaling_doc,
     "rankprof": validate_rankprof_doc,
-    "diag": validate_diag_doc,
     "flight": validate_flight_doc,
     "trace": validate_chrome_trace,
 }
@@ -30,9 +26,7 @@ VALIDATORS = {
 #: Top-level keys each validator requires; every other key is optional.
 REQUIRED = {
     "bench": {"schema", "label", "meta", "runs", "model_tables"},
-    "scaling": {"schema", "spec", "points"},
     "rankprof": {"schema", "ranks", "phases"},
-    "diag": {"schema", "kind", "total", "verdict", "findings"},
     "flight": {"schema", "reason", "meta", "limits", "totals", "frames", "events"},
     "trace": {"traceEvents"},
 }
@@ -42,10 +36,8 @@ REQUIRED = {
 BOOL_PLANTS = {
     "bench": (("runs", 0, "traffic", "forward", "count"),
               ("runs", 0, "wall", "stages", "Comm", "min")),
-    "scaling": (("points", 0, "ranks"), ("points", 1, "predicted", "step_time")),
     "rankprof": (("phases", "forward", "rows", 0, "rank"),
                  ("phases", "forward", "imbalance", "mean")),
-    "diag": (("findings", 0, "cohort", 0), ("findings", 0, "share")),
     "flight": (("limits", "max_steps"), ("frames", 0, "wall", "Comm")),
     "trace": (("traceEvents", 0, "pid"), ("traceEvents", 1, "dur")),
 }
@@ -53,24 +45,14 @@ BOOL_PLANTS = {
 
 @functools.cache
 def _valid_docs():
-    scaling = read(str(BASELINE / "SCALING_seed.json"))
+    sim = build_simulation(BenchConfig("lj", "parallel-p2p", (2, 2, 2), rdma=True))
+    sim.setup()
     recorder = FlightRecorder(max_steps=1)
     recorder.record_frame({"step": 0, "wall": {"Comm": 0.5}, "model": {}})
     recorder.record_event("retry")
     return {
         "bench": read(str(BASELINE / "BENCH_seed.json")),
-        "scaling": scaling,
-        "rankprof": scaling["points"][0]["rankprof"],
-        "diag": {
-            "schema": "repro-diag/1", "kind": "rankprof", "old": "a", "new": "b",
-            "total": {"old": 1.0, "new": 3.0, "delta": 2.0},
-            "verdict": "regressed",
-            "findings": [{
-                "scope": "forward", "delta": 2.0, "share": 1.0, "stage": "Comm",
-                "category": "fault", "cohort": [2], "shape": "imbalance",
-                "detail": "rank 2 slowed", "evidence": {},
-            }],
-        },
+        "rankprof": to_dict(profile_exchange(sim.exchange)),
         "flight": recorder.dump("unit"),
         "trace": {
             "traceEvents": [
@@ -123,10 +105,7 @@ def test_json_booleans_are_not_numbers(kind, field, planted):
         VALIDATORS[kind](doc)
 
 
-@pytest.mark.parametrize(
-    "name, validate",
-    [("BENCH_seed.json", validate_bench_doc), ("SCALING_seed.json", validate_scaling_doc)],
-)
+@pytest.mark.parametrize("name, validate", [("BENCH_seed.json", validate_bench_doc)])
 def test_committed_artifacts_round_trip_byte_identically(name, validate):
     path = BASELINE / name
     assert dumps(read(str(path), validate)) == path.read_text(encoding="utf-8")

@@ -83,7 +83,7 @@ CHECK_NAMES = (
     "rankprof completions telescope to modeled_exchange_time bit-exactly",
     "rankprof rank-0 row equals whole-run critpath attribution bit-exactly",
     "rankprof document validates as repro-rankprof/1",
-    "diag names the perturbed rank cohort, category, and shape",
+    "rankprof names the jittered rank as the sole fault straggler",
     "fleet expansion deterministic, duplicate-free, >= 200 configs",
     "legacy 24-config grid embedded in the fleet (same seeds)",
     "whole fleet passes L0+L1 (schema + commlint feasibility)",
