@@ -1,9 +1,10 @@
-"""Static + dynamic protocol analysis for the exchange/RDMA stack.
+"""Protocol analysis for the exchange/RDMA stack.
 
 Two cooperating passes guard the paper's protocol invariants:
 
-* :mod:`repro.analysis.commlint` — AST/introspection lint (``CLxxx``)
-  over the communication sources, no simulation required;
+* :mod:`repro.analysis.commlint` — invariant checks (``CLxxx``) on the
+  rings, windows and arena a built exchange holds, and on one
+  configuration (the scenario fleet's L1);
 * :mod:`repro.analysis.hb` — vector-clock happens-before race detector
   (``HBxxx``) over PR-1 trace events from an instrumented run.
 

@@ -5,14 +5,14 @@ Usage (as a subcommand of ``python -m repro``)::
     python -m repro analyze                      # full analysis, text report
     python -m repro analyze --json               # machine-readable output
     python -m repro analyze --strict             # exit 1 on ANY finding
-    python -m repro analyze --paths src/foo.py   # lint specific sources
     python -m repro analyze --trace run.json     # race-detect a saved trace
     python -m repro analyze --faults plan.json   # probe run under a plan
 
-By default the command runs both passes: commlint (static + live
-introspection) over the communication stack, and the happens-before
-detector over a short traced probe run of every exchange variant.  On a
-healthy tree both report zero findings and the exit code is 0; the CI
+By default the command runs both passes: commlint (the live checks of a
+built ``p2p`` + rdma exchange's rings, windows and arena, plus the VCQ
+binding and shell generators), and the happens-before detector over a
+short traced probe run of every exchange variant.  On a healthy tree
+both report zero findings and the exit code is 0; the CI
 ``lint-and-analyze`` job runs ``--strict`` on every push.
 """
 
@@ -40,15 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     """Argument parser for the ``analyze`` subcommand."""
     p = argparse.ArgumentParser(
         prog="python -m repro analyze",
-        description="Static (commlint) + dynamic (happens-before) protocol analysis.",
-    )
-    p.add_argument(
-        "--paths", nargs="+", default=None, metavar="PATH",
-        help="files/directories for commlint (default: the exchange/RDMA stack)",
-    )
-    p.add_argument(
-        "--no-introspect", action="store_true",
-        help="skip the live-module introspective checks (pure AST lint)",
+        description="Live invariant checks (commlint) + happens-before protocol analysis.",
     )
     p.add_argument(
         "--no-dynamic", action="store_true",
@@ -138,10 +130,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     from repro.analysis.commlint import run_commlint
 
     combined = AnalysisReport(tool="analyze")
-    commlint = run_commlint(
-        paths=args.paths, introspect=not args.no_introspect
-    )
-    combined.extend(commlint)
+    combined.extend(run_commlint())
 
     dynamic: AnalysisReport | None = None
     if args.trace is not None:

@@ -1,6 +1,6 @@
 """Findings and reports shared by commlint and the race detector.
 
-Every diagnostic the analysis layer produces — a static protocol-rule
+Every diagnostic the analysis layer produces — a protocol-rule
 violation (``CLxxx``) or a dynamic happens-before hazard (``HBxxx``) —
 is a :class:`Finding` with a stable rule ID, a location, and a one-line
 message.  The :class:`AnalysisReport` aggregates them and renders the
@@ -63,7 +63,6 @@ class AnalysisReport:
     findings: list[Finding] = field(default_factory=list)
     files_analyzed: list[str] = field(default_factory=list)
     events_analyzed: int = 0
-    suppressed: int = 0
 
     def add(self, finding: Finding) -> None:
         """Record one finding."""
@@ -76,7 +75,6 @@ class AnalysisReport:
             f for f in other.files_analyzed if f not in self.files_analyzed
         )
         self.events_analyzed += other.events_analyzed
-        self.suppressed += other.suppressed
 
     @property
     def ok(self) -> bool:
@@ -130,7 +128,6 @@ class AnalysisReport:
                 "by_rule": self.by_rule(),
                 "files_analyzed": len(self.files_analyzed),
                 "events_analyzed": self.events_analyzed,
-                "suppressed": self.suppressed,
             },
         }
 
@@ -153,6 +150,5 @@ class AnalysisReport:
         if self.events_analyzed:
             coverage.append(f"{self.events_analyzed} trace event(s)")
         scope = " over " + ", ".join(coverage) if coverage else ""
-        suffix = f" ({self.suppressed} suppressed)" if self.suppressed else ""
-        lines.append(f"  {len(self.findings)} finding(s){scope}{suffix}")
+        lines.append(f"  {len(self.findings)} finding(s){scope}")
         return "\n".join(lines)

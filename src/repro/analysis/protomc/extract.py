@@ -253,19 +253,15 @@ def model_from_scenario(scenario: dict, pattern: str | None = None) -> CommModel
     )
 
 
-def model_from_exchange(
-    exchange: GhostExchange,
-    *,
-    ring_depth: int = 4,
-    slot_atoms: int = 0,
-    label: str | None = None,
-) -> CommModel:
+def model_from_exchange(exchange: GhostExchange, *, label: str | None = None) -> CommModel:
     """Model a *live* exchange from its installed epoch: static round
     geometry (peers, tags) x the border stage's bounds (atom counts).
 
     Call after ``exchange.borders()``.  Forward tags are shared by both
     endpoints of a route, so the reverse stage is the exact flip: sends
-    retrace recv routes and vice versa.
+    retrace recv routes and vice versa.  Ring depth and slot size are the
+    exchange's own: its ``ring_depth`` (4 for 3-stage, which has none) and its
+    budget's ``max_atoms_per_message()``.
     """
     programs: list[tuple[Op, ...]] = []
     n_ranks = exchange.world.size
@@ -301,9 +297,9 @@ def model_from_exchange(
         label=label or f"live/{exchange.name}",
         n_ranks=n_ranks,
         programs=tuple(programs),
-        ring_depth=ring_depth,
-        slot_atoms=slot_atoms,
-        rings=bool(getattr(exchange, "rdma", False)),
+        ring_depth=getattr(exchange, "ring_depth", 4),
+        slot_atoms=exchange._plan_budget().max_atoms_per_message(),
+        rings=rdma,
         ladder=degradation_ladder(exchange.name),
     )
 

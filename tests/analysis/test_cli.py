@@ -7,24 +7,22 @@ from repro.analysis.cli import main as analyze_main
 from repro.analysis.findings import SCHEMA
 
 
-SEEDED = "ring = RecvBufferRing(engine, 0, cap, depth=3)\n"
-
-
 class TestAnalyzeCli:
     def test_clean_static_run_exits_zero(self, capsys):
         assert analyze_main(["--no-dynamic"]) == 0
         out = capsys.readouterr().out
         assert "0 finding(s)" in out
 
-    def test_seeded_bug_exits_one_and_names_the_rule(self, tmp_path, capsys):
-        fixture = tmp_path / "seeded.py"
-        fixture.write_text(SEEDED)
-        code = analyze_main(
-            ["--paths", str(fixture), "--no-introspect", "--no-dynamic"]
-        )
-        assert code == 1
+    def test_seeded_bug_exits_one_and_names_the_rule(self, capsys, monkeypatch):
+        """A live exchange whose receive rings are built 3 deep fails."""
+        from repro.analysis import commlint
+
+        probe = commlint.probe_exchange
+        monkeypatch.setattr(commlint, "probe_exchange", lambda: probe(ring_depth=3))
+        assert analyze_main(["--no-dynamic"]) == 1
         out = capsys.readouterr().out
-        assert "CL001" in out and "seeded.py:1" in out
+        assert "CL001: rank 0 ring 0: depth 3 < 4" in out
+        assert "rdma_buffers.py:" in out
 
     def test_json_report_matches_schema(self, capsys):
         assert analyze_main(["--no-dynamic", "--json"]) == 0
@@ -32,16 +30,14 @@ class TestAnalyzeCli:
         assert doc["schema"] == SCHEMA
         assert doc["tool"] == "analyze"
         assert doc["findings"] == []
-        from repro.analysis.commlint import DEFAULT_MODULES
-
-        assert doc["summary"]["files_analyzed"] == len(DEFAULT_MODULES)
+        assert doc["summary"]["files_analyzed"] == 1
 
     def test_strict_fails_on_warning_findings(self, tmp_path, capsys, monkeypatch):
         """--strict gates on *any* finding, not only errors."""
         from repro.analysis import cli as analysis_cli
         from repro.analysis.findings import AnalysisReport, Finding
 
-        def warn_only(paths=None, introspect=True):
+        def warn_only():
             report = AnalysisReport(tool="commlint")
             report.add(Finding(rule="CL001", message="w", severity="warning"))
             return report

@@ -1,15 +1,17 @@
-"""commlint: seeded-bug fixtures, suppressions, and the clean-tree gate."""
+"""commlint: seeded bugs in a live exchange, the clean-tree gate, config mode."""
 
 from repro.analysis.commlint import (
-    DEFAULT_MODULES,
     MIN_RING_DEPTH,
     RULES,
+    CommProfile,
+    _fine_binding_violations,
+    _shell_symmetry_violations,
     check_clean,
     check_flags_seeded_bug,
-    default_paths,
-    lint_source,
+    exchange_violations,
+    lint_config,
+    probe_exchange,
     run_commlint,
-    run_introspection,
 )
 from repro.analysis.findings import SCHEMA, AnalysisReport, Finding
 
@@ -18,194 +20,155 @@ def rules_of(findings):
     return sorted({f.rule for f in findings})
 
 
+def profile(**overrides):
+    """A clean single configuration (the fleet's 2x2x2 LJ geometry)."""
+    base = dict(label="cfg", sub_box_edge=3.36, rcomm=2.8, density=0.8442)
+    base.update(overrides)
+    return CommProfile(**base)
+
+
 class TestSeededBugs:
-    """Each §3 invariant violation is flagged by its stable rule ID."""
+    """Each §3 invariant violation is flagged by its stable rule ID: on the
+    rings, windows and arena a built exchange holds, on the live VCQ
+    binding and shell generators, and (stage order) on one configuration."""
 
     def test_ring_depth_three_flags_cl001(self):
         ok, detail = check_flags_seeded_bug()
         assert ok, detail
 
-    def test_ring_depth_positional_literal(self):
-        src = "ring = RecvBufferRing(engine, 0, cap, 2)\n"
-        findings = lint_source(src)
-        assert rules_of(findings) == ["CL001"]
-        assert f"2 < {MIN_RING_DEPTH}" in findings[0].message
-
-    def test_default_ring_depth_below_four(self):
-        src = "def make(engine, ring_depth=3):\n    return ring_depth\n"
-        assert rules_of(lint_source(src)) == ["CL001"]
-
-    def test_endpoint_ring_depth_keyword(self):
-        src = "ep = RdmaEndpoint(rank=0, engine=e, ring_depth=1)\n"
-        assert rules_of(lint_source(src)) == ["CL001"]
-
     def test_ring_depth_four_is_clean(self):
-        src = "ring = RecvBufferRing(engine, 0, cap, depth=4)\n"
-        assert lint_source(src) == []
+        exchange = probe_exchange()
+        depths = {ring.depth for ep in exchange.endpoints.values() for ring in ep.recv_rings}
+        assert depths == {MIN_RING_DEPTH}
+        assert exchange_violations(exchange) == []
 
-    def test_duplicated_vcq_binding_flags_cl002(self):
-        src = "a = ControlQueue(1, 2)\nb = ControlQueue(1, 2)\n"
-        findings = lint_source(src)
+    def test_duplicated_vcq_binding_flags_cl002(self, monkeypatch):
+        """A TNI handing every rank the same CQ index is a shared CQ."""
+        from repro.machine import tni as tni_mod
+
+        original = tni_mod.TNI.allocate_cq
+
+        def shared(self, rank):
+            return tni_mod.ControlQueue(original(self, rank).tni, 0)
+
+        monkeypatch.setattr(tni_mod.TNI, "allocate_cq", shared)
+        findings = run_commlint().findings
         assert rules_of(findings) == ["CL002"]
-        assert findings[0].line == 2
-        assert "first at line 1" in findings[0].message
+        assert findings[0].path.endswith("tni.py")
 
     def test_distinct_bindings_are_clean(self):
-        src = "a = ControlQueue(1, 2)\nb = ControlQueue(1, 3)\n"
-        assert lint_source(src) == []
+        assert _fine_binding_violations(4) == []
 
     def test_reverse_before_forward_flags_cl004(self):
-        src = (
-            "def round(self):\n"
-            "    self.reverse(f)\n"
-            "    self.forward(x)\n"
-        )
-        assert rules_of(lint_source(src)) == ["CL004"]
+        order = ("borders", "reverse", "forward")
+        assert rules_of(lint_config(profile(stage_order=order))) == ["CL004"]
 
     def test_forward_before_borders_flags_cl004(self):
-        src = (
-            "def round(self):\n"
-            "    self.forward(x)\n"
-            "    self.borders(x)\n"
-        )
-        assert rules_of(lint_source(src)) == ["CL004"]
+        order = ("forward", "borders", "reverse")
+        assert rules_of(lint_config(profile(stage_order=order))) == ["CL004"]
 
     def test_correct_stage_order_is_clean(self):
-        src = (
-            "def round(self):\n"
-            "    self.borders(x)\n"
-            "    self.forward(x)\n"
-            "    self.reverse(f)\n"
-        )
-        assert lint_source(src) == []
+        assert lint_config(profile(stage_order=("borders", "forward", "reverse"))) == []
 
-    def test_asymmetric_newton_plan_flags_cl005(self):
-        src = (
-            "SEND_OFFSETS = [(1, 0, 0), (0, 1, 0)]\n"
-            "RECV_OFFSETS = [(-1, 0, 0), (0, 1, 0)]\n"
-        )
-        assert rules_of(lint_source(src)) == ["CL005"]
+    def test_asymmetric_newton_plan_flags_cl005(self, monkeypatch):
+        """A half shell holding both ``o`` and ``-o`` exchanges pairs twice."""
+        from repro.core import patterns
+
+        def overlapping(radius=1):
+            return [o for o in patterns.shell_offsets(radius) if max(o) > 0]
+
+        monkeypatch.setattr(patterns, "half_shell_offsets", overlapping)
+        assert rules_of(run_commlint().findings) == ["CL005"]
 
     def test_half_shell_negation_plan_is_clean(self):
-        src = (
-            "SEND_OFFSETS = [(1, 0, 0), (0, 1, 0)]\n"
-            "RECV_OFFSETS = [(-1, 0, 0), (0, -1, 0)]\n"
-        )
-        assert lint_source(src) == []
-
-    def test_negation_closed_full_shell_is_clean(self):
-        src = (
-            "SEND_OFFSETS = [(1, 0, 0), (-1, 0, 0)]\n"
-            "RECV_OFFSETS = [(1, 0, 0), (-1, 0, 0)]\n"
-        )
-        assert lint_source(src) == []
-
-    def test_literal_stag_put_flags_cl006(self):
-        src = "engine.put(src, 0, 9, dst_stag=1234, dst_offset=off, count=n)\n"
-        findings = lint_source(src)
-        assert rules_of(findings) == ["CL006"]
-        assert "literal stag 1234" in findings[0].message
-
-    def test_literal_remote_offset_flags_cl006(self):
-        src = "engine.put(src, 0, 9, dst_stag=s, dst_offset=640, count=n)\n"
-        assert rules_of(lint_source(src)) == ["CL006"]
+        exchange = probe_exchange()
+        negated = [tuple(-o for o in off) for off in exchange.recv_offsets]
+        assert exchange.send_offsets == negated
+        assert _shell_symmetry_violations(1) == _shell_symmetry_violations(2) == []
 
     def test_put_positions_without_window_exchange_flags_cl006(self):
-        src = (
-            "def forward(self):\n"
-            "    self.endpoint.put_positions(peer, block)\n"
-        )
-        assert rules_of(lint_source(src)) == ["CL006"]
+        exchange = probe_exchange()
+        exchange.endpoints[3].remote.clear()
+        findings = exchange_violations(exchange)
+        assert [f.rule for f in findings] == ["CL006"]
+        assert "rank 3 send 0: no exchanged remote window (and 12 more)" == findings[0].message
 
     def test_put_positions_with_window_exchange_is_clean(self):
-        src = (
-            "def _exchange_windows(self):\n"
-            "    pass\n"
-            "def forward(self):\n"
-            "    self.endpoint.put_positions(peer, block)\n"
-        )
-        assert lint_source(src) == []
+        exchange = probe_exchange()
+        for endpoint in exchange.endpoints.values():
+            assert sorted(endpoint.remote) == list(range(len(endpoint.send_buffers)))
+        assert exchange_violations(exchange) == []
 
-    def test_undersized_literal_ring_capacity_flags_cl007(self):
-        src = "ring = RecvBufferRing(engine, 0, 64, depth=4)\n"
-        findings = lint_source(src)
-        assert rules_of(findings) == ["CL007"]
-        assert "bare literal 64" in findings[0].message
+    def test_deregistered_window_stag_flags_cl006(self):
+        exchange = probe_exchange()
+        window = exchange.endpoints[0].remote[0]
+        cache = exchange.engine.cache_for(window.rank)
+        cache.deregister(cache.lookup(window.x_stag))
+        findings = exchange_violations(exchange)
+        assert [f.rule for f in findings] == ["CL006"]
+        assert f"stag {window.x_stag} is not registered on rank {window.rank}" in (
+            findings[0].message
+        )
+
+    def test_shrunk_ring_flags_cl007(self):
+        from repro.core.rdma_buffers import RecvBufferRing
+
+        exchange = probe_exchange()
+        exchange.endpoints[1].recv_rings[2] = RecvBufferRing(exchange.engine, 1, 64, 4)
+        findings = exchange_violations(exchange)
+        assert [f.rule for f in findings] == ["CL007"]
+        assert findings[0].message.startswith("rank 1 ring 2: capacity 64 <")
 
     def test_budget_derived_capacity_is_clean(self):
-        src = (
-            "cap = budget.max_atoms_per_message() * 3 + 1\n"
-            "ring = RecvBufferRing(engine, 0, cap, depth=4)\n"
-        )
-        assert lint_source(src) == []
+        exchange = probe_exchange()
+        needed = exchange._plan_budget().max_atoms_per_message() * 3 + 1
+        capacities = {
+            ring.capacity for ep in exchange.endpoints.values() for ring in ep.recv_rings
+        }
+        assert capacities == {needed}
 
-    def test_literal_pool_budget_flags_cl008(self):
-        src = "arena = AtomArena.adopt(members, 4096)\n"
-        findings = lint_source(src)
-        assert rules_of(findings) == ["CL008"]
-        assert "bare literal 4096" in findings[0].message
+    def test_counted_relayout_flags_cl008(self):
+        """A slab grown past its capacity re-lays the arena out: CL008 (and
+        CL007, the registered regions now trail the storage)."""
+        exchange = probe_exchange()
+        atoms = exchange.atoms_of(0)
+        atoms.reserve(atoms.capacity + 1)
+        findings = [f for f in exchange_violations(exchange) if f.rule == "CL008"]
+        assert [f.message for f in findings] == [
+            "the arena was re-laid out 1 time(s): a slab outgrew its capacity"
+        ]
+        assert findings[0].path.endswith("atoms.py")
 
     def test_pool_with_budget_object_is_clean(self):
-        src = (
-            "budget = self._plan_budget()\n"
-            "arena = AtomArena.adopt(\n"
-            "    members, budget.max_local_atoms() + budget.max_ghost_atoms(False)\n"
-            ")\n"
-        )
-        assert lint_source(src) == []
-
-
-class TestSuppressions:
-    def test_same_line_disable_hides_the_finding(self):
-        src = (
-            "ring = RecvBufferRing(engine, 0, cap, depth=3)"
-            "  # commlint: disable=CL001\n"
-        )
-        assert lint_source(src) == []
-        assert lint_source.last_suppressed == 1
-
-    def test_file_level_disable_hides_everywhere(self):
-        src = (
-            "# commlint: disable-file=CL001\n"
-            "a = RecvBufferRing(engine, 0, cap, depth=3)\n"
-            "b = RecvBufferRing(engine, 0, cap, depth=2)\n"
-        )
-        assert lint_source(src) == []
-        assert lint_source.last_suppressed == 2
-
-    def test_disable_of_other_rule_does_not_hide(self):
-        src = (
-            "ring = RecvBufferRing(engine, 0, cap, depth=3)"
-            "  # commlint: disable=CL002\n"
-        )
-        assert rules_of(lint_source(src)) == ["CL001"]
-
-    def test_suppressed_count_reported_by_run_commlint(self, tmp_path):
-        fixture = tmp_path / "seeded.py"
-        fixture.write_text(
-            "ring = RecvBufferRing(engine, 0, cap, depth=3)"
-            "  # commlint: disable=CL001\n"
-        )
-        report = run_commlint(paths=[str(fixture)], introspect=False)
-        assert report.clean
-        assert report.suppressed == 1
+        exchange = probe_exchange()
+        budget = exchange._plan_budget()
+        rows = budget.max_local_atoms() + budget.max_ghost_atoms(exchange.full_shell)
+        arena = exchange.arena
+        assert min(a.capacity for a in arena.members) >= rows
+        assert arena.relayouts == 0
 
 
 class TestCleanTree:
     """The shipping communication stack must produce zero findings."""
 
-    def test_default_paths_cover_the_stack(self):
-        paths = default_paths()
-        assert len(paths) == len(DEFAULT_MODULES)
-        assert all(p.endswith(".py") for p in paths)
-
     def test_full_run_is_clean(self):
         report = run_commlint()
         assert check_clean(report)[0], report.render()
-        assert len(report.files_analyzed) == len(DEFAULT_MODULES)
+        assert report.files_analyzed == ["<exchange:p2p+rdma 2x2x2>"]
 
     def test_introspection_is_clean(self):
-        assert run_introspection() == []
+        """Every other built variant passes the live pass too."""
+        from repro.md.lattice import fcc_lattice, lj_density_to_cell, maxwell_velocities
+        from repro.md.potentials import LennardJones
+        from repro.md.simulation import Simulation, SimulationConfig
+
+        x, box = fcc_lattice((4, 4, 4), lj_density_to_cell(0.8442))
+        v = maxwell_velocities(x.shape[0], 1.44, seed=7)
+        for pattern, rdma in (("3stage", False), ("p2p", False), ("parallel-p2p", True)):
+            cfg = SimulationConfig(dt=0.005, skin=0.3, pattern=pattern, rdma=rdma)
+            sim = Simulation(x, v, box, LennardJones(cutoff=2.5), cfg, grid=(2, 2, 2))
+            sim.setup()
+            assert exchange_violations(sim.exchange) == [], pattern
 
     def test_introspection_catches_broken_binding(self, monkeypatch):
         """CL003 fires when the live fine binding stops yielding 24 CQs."""
@@ -220,8 +183,7 @@ class TestCleanTree:
             return vcq_map
 
         monkeypatch.setattr(tni_mod.NodeNIC, "bind_fine", skewed)
-        findings = run_introspection()
-        assert "CL003" in {f.rule for f in findings}
+        assert "CL003" in rules_of(run_commlint().findings)
 
     def test_introspection_catches_an_uncounted_relayout(self, monkeypatch):
         """CL008 fires, anchored at AtomArena, when growing a slab past the
@@ -235,7 +197,7 @@ class TestCleanTree:
             self.relayouts -= 1
 
         monkeypatch.setattr(AtomArena, "grow", uncounted)
-        findings = [f for f in run_introspection() if f.rule == "CL008"]
+        findings = [f for f in run_commlint().findings if f.rule == "CL008"]
         assert [f.message for f in findings] == [
             "over-budget growth was not counted (relayouts=0, expected 1)"
         ]
@@ -271,51 +233,15 @@ class TestReportSchema:
 class TestInflightCapacity:
     """CL009: ring capacity must absorb the worst-case same-route burst."""
 
-    @staticmethod
-    def _profile(**overrides):
-        from repro.analysis.commlint import CommProfile
-
-        base = dict(
-            label="cl009", sub_box_edge=3.36, rcomm=2.8, density=0.8442
-        )
-        base.update(overrides)
-        return CommProfile(**base)
-
     def test_default_unfenced_profile_is_clean(self):
-        from repro.analysis.commlint import lint_config
-
-        assert rules_of(lint_config(self._profile())) == []
+        assert rules_of(lint_config(profile())) == []
 
     def test_fenced_rdma_profile_is_clean(self):
-        from repro.analysis.commlint import lint_config
-
-        profile = self._profile(rdma=True, inflight_epochs=1)
-        assert "CL009" not in rules_of(lint_config(profile))
+        assert "CL009" not in rules_of(lint_config(profile(rdma=True, inflight_epochs=1)))
 
     def test_overcommitted_schedule_flags_cl009(self):
         """A schedule leaving many epochs un-drained overflows 4 slots."""
-        from repro.analysis.commlint import lint_config
-
-        profile = self._profile(inflight_epochs=30)
-        assert "CL009" in rules_of(lint_config(profile))
+        assert "CL009" in rules_of(lint_config(profile(inflight_epochs=30)))
 
     def test_nonpositive_epochs_flag_cl009(self):
-        from repro.analysis.commlint import lint_config
-
-        profile = self._profile(inflight_epochs=0)
-        assert "CL009" in rules_of(lint_config(profile))
-
-    def test_static_literal_depth_below_epochs(self):
-        src = "ring = RecvBufferRing(engine, 0, cap, depth=4, inflight_epochs=6)\n"
-        assert rules_of(lint_source(src)) == ["CL009"]
-
-    def test_static_depth_covering_epochs_is_clean(self):
-        src = "ring = RecvBufferRing(engine, 0, cap, depth=6, inflight_epochs=3)\n"
-        assert lint_source(src) == []
-
-    def test_same_line_disable_hides_cl009(self):
-        src = (
-            "ring = RecvBufferRing(engine, 0, cap, depth=4, "
-            "inflight_epochs=6)  # commlint: disable=CL009\n"
-        )
-        assert lint_source(src) == []
+        assert "CL009" in rules_of(lint_config(profile(inflight_epochs=0)))

@@ -217,6 +217,20 @@ class TestFleetVerification:
         ok, detail = check_live_extraction({"p2p": scenario_exchange(scenario, "p2p")})
         assert ok, detail
 
+    @pytest.mark.parametrize("depth", [4, 3])
+    def test_live_model_carries_the_exchanges_ring_depth(self, depth):
+        """Depth and slot size are the live exchange's own: 3-deep rdma
+        rings overflow under the 2x2x2 offset aliasing (P3), 4 prove."""
+        from repro.analysis.commlint import probe_exchange
+        from repro.analysis.protomc.extract import model_from_exchange
+
+        exchange = probe_exchange(ring_depth=depth)
+        model = model_from_exchange(exchange)
+        slot = exchange._plan_budget().max_atoms_per_message()
+        assert (model.ring_depth, model.slot_atoms) == (depth, slot)
+        result = verify_model(model)
+        assert [c.prop for c in result.counterexamples] == ([] if depth == 4 else ["P3"])
+
     def test_model_role_uses_canonical_grid(self, fleet):
         from repro.analysis.protomc.extract import CANONICAL_GRID
 
