@@ -47,7 +47,7 @@ RULES: dict[str, str] = {
     "CL006": "RDMA window not pre-registered, or a send without an exchanged window (§3.4)",
     "CL007": "RDMA buffer below the analytic ghost maximum (§3.4)",
     "CL008": "atom arena slab not dominated by the GhostBudget analytic maximum (§3.4)",
-    "CL009": "per-route in-flight capacity (ring depth x slot size) below the "
+    "CL009": "per-route ring depth (one message per slot) below the "
              "worst-case burst of the send schedule (§3.4)",
 }
 
@@ -452,23 +452,21 @@ def lint_config(profile: CommProfile) -> list[Finding]:
     # CL008: an arena sized by this budget never re-lays out in budget.
     findings += shared(_pool_dominance_violations(budget))
 
-    # CL009: per-route in-flight capacity (ring depth x slot size) must
-    # cover the worst-case burst the send schedule can leave outstanding
-    # (inflight_epochs stage-epochs of the worst message) — the arithmetic
-    # precursor to protomc's exact P3 bound.
-    capacity = profile.ring_depth * per_message
-    burst = profile.inflight_epochs * worst
+    # CL009: a ring slot holds one message (``rdma_buffers`` sizes every
+    # slot by max_atoms_per_message(), which CL007 checks dominates each
+    # shell message), so a route's ring_depth slots must cover the
+    # inflight_epochs messages the send schedule can leave outstanding on
+    # it — the arithmetic precursor to protomc's exact P3 bound.
     if profile.inflight_epochs < 1:
         findings.append(_cfg_finding(
             profile, "CL009",
             f"inflight_epochs {profile.inflight_epochs} < 1",
         ))
-    elif capacity < burst:
+    elif profile.ring_depth < profile.inflight_epochs:
         findings.append(_cfg_finding(
             profile, "CL009",
-            f"in-flight capacity {profile.ring_depth} x {per_message} = "
-            f"{capacity} atoms is below the worst-case burst "
-            f"{profile.inflight_epochs} x {worst:.1f} = {burst:.1f}",
+            f"ring depth {profile.ring_depth} slots is below the worst-case "
+            f"burst of {profile.inflight_epochs} outstanding messages per route",
             "an adversarially delayed drain overflows the route's ring "
             "slots; raise ring_depth or fence between stages "
             "(repro verify proves the exact bound per scenario)",

@@ -11,8 +11,11 @@ link traversals and worst-link congestion.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core import JobShape, TopoMap
 from repro.core.patterns import half_shell_offsets
@@ -45,24 +48,21 @@ def compute(job_nodes: tuple[int, int, int] = (8, 12, 8), seed: int = 7) -> Topo
     """Route neighbor traffic under topo-map and random placements."""
     tm = TopoMap(JobShape(job_nodes))
     offsets = half_shell_offsets(1)
-    gx, gy, gz = tm.rank_grid
-    total_sends = gx * gy * gz * len(offsets)
+    n_ranks = math.prod(tm.rank_grid)
+    total_sends = n_ranks * len(offsets)
 
-    topo_pairs = neighbor_traffic_pairs(tm, offsets)
+    topo_src, topo_dst = neighbor_traffic_pairs(tm, offsets)
 
-    rng = random.Random(seed)
-    positions = [(x, y, z) for x in range(gx) for y in range(gy) for z in range(gz)]
-    shuffled = positions[:]
-    rng.shuffle(shuffled)
-    placement = dict(zip(positions, shuffled))
-    random_pairs = neighbor_traffic_pairs(tm, offsets, placement)
+    placement = list(range(n_ranks))
+    random.Random(seed).shuffle(placement)
+    random_src, random_dst = neighbor_traffic_pairs(tm, offsets, np.array(placement))
 
     return TopoMapResult(
         job_nodes=job_nodes,
-        mapped=link_congestion(tm.topology, topo_pairs),
-        randomized=link_congestion(tm.topology, random_pairs),
-        on_node_fraction_mapped=1.0 - len(topo_pairs) / total_sends,
-        on_node_fraction_random=1.0 - len(random_pairs) / total_sends,
+        mapped=link_congestion(tm.topology, topo_src, topo_dst),
+        randomized=link_congestion(tm.topology, random_src, random_dst),
+        on_node_fraction_mapped=1.0 - len(topo_src) / total_sends,
+        on_node_fraction_random=1.0 - len(random_src) / total_sends,
     )
 
 

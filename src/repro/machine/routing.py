@@ -11,14 +11,27 @@ random placement piles unrelated routes onto shared links.
 A link is identified as ``(node_coord, axis, direction)`` — the egress
 port used.  Each node has at most 10 ports (2 per torus axis of x, y,
 z, b; 1 each for the mesh axes a, c), matching the hardware.
+
+:func:`neighbor_traffic_pairs` and :func:`link_congestion` work on
+``(N, 6)`` coordinate arrays and route every message in one pass;
+:func:`route` and :class:`Link` are the one-route-at-a-time oracle they
+are tested against.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass
 
-from repro.machine.topology import AXIS_NAMES, TORUS_AXES, TofuCoord, TofuTopology
+import numpy as np
+
+from repro.machine.topology import (
+    AXIS_NAMES,
+    TOFU_CELL_SHAPE,
+    TORUS_AXES,
+    TofuCoord,
+    TofuTopology,
+)
 
 
 @dataclass(frozen=True)
@@ -89,57 +102,83 @@ class CongestionReport:
         return self.max_link_load / mean if mean > 0 else 0.0
 
 
+def _coords_for_virtual(v: np.ndarray) -> np.ndarray:
+    """``(N, 3)`` virtual-grid nodes -> ``(N, 6)`` coordinates: the array
+    form of :meth:`TofuTopology.coord_for_virtual`."""
+    span = np.array(TOFU_CELL_SHAPE)
+    cells, local = np.divmod(v, span)
+    intra = np.where(cells % 2 == 0, local, span - 1 - local)  # serpentine
+    return np.concatenate([cells, intra], axis=1)
+
+
+def link_loads(topo: TofuTopology, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """How many of the ``(src[i], dst[i])`` routes cross each link.
+
+    ``src`` and ``dst`` are ``(N, 6)`` coordinate arrays.  Every route is
+    expanded at once, axis by axis in the order :func:`route` walks them.
+    Entry ``node_index * 12 + axis * 2 + (direction > 0)`` of the result
+    is the load of the egress port :class:`Link` names.
+    """
+    src = np.asarray(src, dtype=np.int64).reshape(-1, 6)
+    dst = np.asarray(dst, dtype=np.int64).reshape(-1, 6)
+    shape = np.array(topo.full_shape)
+    for c in (src, dst):
+        if ((c < 0) | (c >= shape)).any():
+            raise ValueError(f"coordinate outside topology {topo.full_shape}")
+    strides = np.array([math.prod(topo.full_shape[k + 1:]) for k in range(6)])  # row-major
+    loads = np.zeros(topo.node_count * 12, dtype=np.int64)
+    node = src @ strides  # node index of each route's current hop
+    for axis, (size, stride) in enumerate(zip(topo.full_shape, strides)):
+        s, d = src[:, axis], dst[:, axis]
+        fwd, back = (d - s) % size, (s - d) % size
+        # torus: the short way round (ties go +); mesh: straight at dst
+        up = (fwd <= back) if TORUS_AXES[axis] and size > 1 else (d >= s)
+        hops = np.where(up, fwd, back)
+        # hop j of a route leaves from coordinate s + j * step on this axis
+        j = np.arange(hops.sum()) - np.repeat(np.cumsum(hops) - hops, hops)
+        step = np.where(up, 1, -1)
+        coord = (np.repeat(s, hops) + np.repeat(step, hops) * j) % size
+        at = np.repeat(node - s * stride, hops) + coord * stride
+        loads += np.bincount(at * 12 + axis * 2 + np.repeat(up, hops), minlength=loads.size)
+        node += (d - s) * stride
+    return loads
+
+
 def link_congestion(
-    topo: TofuTopology, pairs: list[tuple[TofuCoord, TofuCoord]]
+    topo: TofuTopology, src: np.ndarray, dst: np.ndarray
 ) -> CongestionReport:
-    """Route every (src, dst) pair and report link-load statistics.
+    """Route every ``(src[i], dst[i])`` pair and report link-load statistics.
 
     Same-node pairs contribute zero links (NoC traffic, not network).
     """
-    loads: Counter = Counter()
-    traversals = 0
-    for src, dst in pairs:
-        for link in route(topo, src, dst):
-            loads[link] += 1
-            traversals += 1
+    loads = link_loads(topo, src, dst)
     return CongestionReport(
-        total_messages=len(pairs),
-        total_link_traversals=traversals,
-        max_link_load=max(loads.values(), default=0),
-        distinct_links=len(loads),
+        total_messages=len(src),
+        total_link_traversals=int(loads.sum()),
+        max_link_load=int(loads.max()),
+        distinct_links=int(np.count_nonzero(loads)),
     )
 
 
 def neighbor_traffic_pairs(
-    topo_map, offsets: list[tuple[int, int, int]], placement: dict | None = None
-) -> list[tuple[TofuCoord, TofuCoord]]:
-    """(src, dst) node coordinates for every rank's sends to ``offsets``.
+    topo_map, offsets: list[tuple[int, int, int]], placement: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, dst)`` node coordinates, ``(N, 6)`` each, of every rank's
+    sends to ``offsets`` that leave the node (ranks in row-major order,
+    offsets within a rank).
 
-    ``placement`` optionally remaps rank grid positions to other rank
-    grid positions (e.g. a random permutation) to model a
-    topology-oblivious scheduler; ``None`` is the paper's topo map.
+    ``placement`` optionally remaps rank grid positions: rank ``i``
+    (row-major) runs where rank ``placement[i]`` would, e.g. a random
+    permutation modelling a topology-oblivious scheduler; ``None`` is the
+    paper's topo map.
     """
-    pairs = []
-    gx, gy, gz = topo_map.rank_grid
-    for x in range(gx):
-        for y in range(gy):
-            for z in range(gz):
-                src_pos = (x, y, z)
-                for off in offsets:
-                    dst_pos = tuple(
-                        (p + o) % g for p, o, g in zip(src_pos, off, topo_map.rank_grid)
-                    )
-                    a, b = src_pos, dst_pos
-                    if placement is not None:
-                        a, b = placement[a], placement[b]
-                    na = topo_map.node_of_rank(a)
-                    nb = topo_map.node_of_rank(b)
-                    if na == nb:
-                        continue  # intra-node: no network links
-                    pairs.append(
-                        (
-                            topo_map.topology.coord_for_virtual(na),
-                            topo_map.topology.coord_for_virtual(nb),
-                        )
-                    )
-    return pairs
+    grid = np.array(topo_map.rank_grid)
+    pos = np.stack(np.unravel_index(np.arange(grid.prod()), grid), axis=1)
+    to = (pos[:, None, :] + np.array(offsets)[None, :, :]) % grid
+    a = np.repeat(np.arange(len(pos)), len(offsets))
+    b = np.ravel_multi_index(to.reshape(-1, 3).T, grid)
+    if placement is not None:
+        a, b = placement[a], placement[b]
+    na, nb = pos[a] // topo_map.brick, pos[b] // topo_map.brick
+    off_node = (na != nb).any(axis=1)  # intra-node: no network links
+    return _coords_for_virtual(na[off_node]), _coords_for_virtual(nb[off_node])

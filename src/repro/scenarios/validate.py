@@ -9,7 +9,7 @@ progressively more expensive:
 ========  ==============================================================
 L0        structural schema checks on the scenario document itself
           (``repro-scenario/1`` shape, per-axis value constraints)
-L1        commlint CL001–CL008 feasibility on the derived
+L1        commlint CL001–CL009 feasibility on the derived
           :class:`~repro.analysis.commlint.CommProfile` (ring depth,
           VCQ/CQ binding, stage order, Newton symmetry at the stencil
           radius, window exchange, GhostBudget dominance, stencil reach)
@@ -251,7 +251,7 @@ def comm_profile(scenario: dict) -> CommProfile:
 
 
 def check_l1(scenario: dict) -> list[ValidationIssue]:
-    """commlint CL001–CL008 on the derived comm profile."""
+    """commlint CL001–CL009 on the derived comm profile."""
     from repro.analysis.commlint import lint_config
 
     return [

@@ -243,5 +243,23 @@ class TestInflightCapacity:
         """A schedule leaving many epochs un-drained overflows 4 slots."""
         assert "CL009" in rules_of(lint_config(profile(inflight_epochs=30)))
 
+    def test_five_outstanding_messages_overflow_four_slots(self):
+        """A slot holds one message: 5 outstanding epochs need 5 slots,
+        whatever the message size (the atom arithmetic passed this)."""
+        assert "CL009" in rules_of(lint_config(profile(inflight_epochs=5)))
+        assert "CL009" not in rules_of(
+            lint_config(profile(inflight_epochs=5, ring_depth=5))
+        )
+
+    def test_every_fleet_scenario_fits_its_rings(self):
+        """Fleet profiles keep ring_depth >= MIN_RING_DEPTH (CL001) and at
+        most 3 outstanding epochs, so CL009 passes them all."""
+        from repro.scenarios.registry import default_fleet
+        from repro.scenarios.validate import comm_profile
+
+        profiles = [comm_profile(s) for s in default_fleet()]
+        assert max(p.inflight_epochs for p in profiles) <= 3 < MIN_RING_DEPTH
+        assert [p.label for p in profiles if "CL009" in rules_of(lint_config(p))] == []
+
     def test_nonpositive_epochs_flag_cl009(self):
         assert "CL009" in rules_of(lint_config(profile(inflight_epochs=0)))

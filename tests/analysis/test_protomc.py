@@ -217,6 +217,16 @@ class TestFleetVerification:
         ok, detail = check_live_extraction({"p2p": scenario_exchange(scenario, "p2p")})
         assert ok, detail
 
+    @pytest.mark.parametrize("depth", [None, 3])
+    def test_live_extraction_sees_the_rdma_plane(self, depth):
+        """The rdma p2p probe exchange proves at its default ring depth;
+        3-deep rings fail the live check (P3)."""
+        from repro.analysis.commlint import probe_exchange
+
+        ok, detail = check_live_extraction({"p2p": probe_exchange(ring_depth=depth)})
+        assert detail == "p2p: 13/13 border sends"  # Table 1, Newton half shell
+        assert ok is (depth is None)
+
     @pytest.mark.parametrize("depth", [4, 3])
     def test_live_model_carries_the_exchanges_ring_depth(self, depth):
         """Depth and slot size are the live exchange's own: 3-deep rdma

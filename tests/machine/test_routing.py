@@ -1,17 +1,45 @@
 """Dimension-order routing and the topo-map congestion advantage."""
 
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import JobShape, TopoMap
 from repro.core.patterns import half_shell_offsets
+from repro.figures import topomap
 from repro.machine import TofuCoord, TofuTopology
 from repro.machine.routing import (
+    CongestionReport,
     link_congestion,
+    link_loads,
     neighbor_traffic_pairs,
     route,
 )
+
+
+def as_arrays(pairs):
+    """``(src, dst)``, ``(N, 6)`` each, of a list of ``TofuCoord`` pairs."""
+    return tuple(
+        np.array([pair[k].as_tuple() for pair in pairs], dtype=np.int64) for k in (0, 1)
+    )
+
+
+def congestion_of(topo, pairs):
+    """The vector ``link_congestion`` over a list of ``TofuCoord`` pairs."""
+    return link_congestion(topo, *as_arrays(pairs))
+
+
+def oracle_loads(topo, pairs):
+    """Per-link loads built one :func:`route` at a time, keyed by link id."""
+    return Counter(
+        topo.node_index(link.node) * 12 + link.axis * 2 + (link.direction > 0)
+        for a, b in pairs
+        for link in route(topo, a, b)
+    )
 
 
 @pytest.fixture
@@ -59,20 +87,82 @@ class TestRoute:
 
 class TestCongestion:
     def test_empty_report(self, topo):
-        rep = link_congestion(topo, [])
+        rep = congestion_of(topo, [])
         assert rep.max_link_load == 0
         assert rep.mean_hops == 0.0
 
     def test_disjoint_routes_load_one(self, topo):
         a, b = topo.coord_of(0), topo.coord_of(1)
         c, d = topo.coord_of(10), topo.coord_of(11)
-        rep = link_congestion(topo, [(a, b), (c, d)])
+        rep = congestion_of(topo, [(a, b), (c, d)])
         assert rep.max_link_load == 1
 
     def test_shared_route_counts(self, topo):
         a, b = topo.coord_of(0), topo.coord_of(1)
-        rep = link_congestion(topo, [(a, b)] * 5)
+        rep = congestion_of(topo, [(a, b)] * 5)
         assert rep.max_link_load == 5
+
+
+@st.composite
+def routed_pairs(draw):
+    """A small topology (1-3 cells per axis, so size-1 and size-2 tori
+    occur) and a list of node pairs on it."""
+    topo = TofuTopology(tuple(draw(st.integers(1, 3)) for _ in range(3)))
+    node = st.integers(0, topo.node_count - 1).map(topo.coord_of)
+    return topo, draw(st.lists(st.tuples(node, node), max_size=12))
+
+
+class TestVectorRouting:
+    """The array pass against the one-route-at-a-time oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(routed_pairs())
+    def test_matches_route_oracle(self, case):
+        topo, pairs = case
+        loads = link_loads(topo, *as_arrays(pairs))
+        want = oracle_loads(topo, pairs)
+        assert {i: int(loads[i]) for i in np.flatnonzero(loads)} == want
+        assert congestion_of(topo, pairs) == CongestionReport(
+            total_messages=len(pairs),
+            total_link_traversals=sum(want.values()),
+            max_link_load=max(want.values(), default=0),
+            distinct_links=len(want),
+        )
+
+    def test_out_of_topology_rejected(self, topo):
+        src = np.array([[0, 0, 0, 0, 0, 0]])
+        with pytest.raises(ValueError):
+            link_congestion(topo, src, np.array([[0, 0, 0, 2, 0, 0]]))
+
+    def test_pairs_match_scalar_placement(self):
+        """Rank ``i`` runs where rank ``placement[i]`` would: the array
+        unfold equals ``node_of_rank`` + ``coord_for_virtual``."""
+        tm = TopoMap(JobShape((4, 6, 2)))  # odd cells on x and y: serpentine
+        offsets = half_shell_offsets(1)
+        gx, gy, gz = tm.rank_grid
+        positions = [(x, y, z) for x in range(gx) for y in range(gy) for z in range(gz)]
+        index = {p: i for i, p in enumerate(positions)}
+        placement = list(range(len(positions)))
+        random.Random(3).shuffle(placement)
+        want = []
+        for i, p in enumerate(positions):
+            for off in offsets:
+                q = tuple((a + o) % g for a, o, g in zip(p, off, tm.rank_grid))
+                na = tm.node_of_rank(positions[placement[i]])
+                nb = tm.node_of_rank(positions[placement[index[q]]])
+                if na != nb:
+                    want.append(
+                        tm.topology.coord_for_virtual(na).as_tuple()
+                        + tm.topology.coord_for_virtual(nb).as_tuple()
+                    )
+        src, dst = neighbor_traffic_pairs(tm, offsets, np.array(placement))
+        assert np.hstack([src, dst]).tolist() == [list(w) for w in want]
+
+    def test_paper_job_reports_pinned(self):
+        """The 768-node figure's reports, as the scalar path gave them."""
+        res = topomap.compute((8, 12, 8))
+        assert res.mapped == CongestionReport(35328, 55296, 36, 3584)
+        assert res.randomized == CongestionReport(39898, 186681, 62, 7680)
 
 
 class TestTopoMapAdvantage:
@@ -80,25 +170,8 @@ class TestTopoMapAdvantage:
     a random placement on both hops and congestion."""
 
     def _compare(self, job_nodes):
-        tm = TopoMap(JobShape(job_nodes))
-        offsets = half_shell_offsets(1)
-        topo_pairs = neighbor_traffic_pairs(tm, offsets)
-
-        rng = random.Random(7)
-        positions = [
-            (x, y, z)
-            for x in range(tm.rank_grid[0])
-            for y in range(tm.rank_grid[1])
-            for z in range(tm.rank_grid[2])
-        ]
-        shuffled = positions[:]
-        rng.shuffle(shuffled)
-        placement = dict(zip(positions, shuffled))
-        random_pairs = neighbor_traffic_pairs(tm, offsets, placement)
-
-        mapped = link_congestion(tm.topology, topo_pairs)
-        randomized = link_congestion(tm.topology, random_pairs)
-        return mapped, randomized
+        res = topomap.compute(job_nodes)
+        return res.mapped, res.randomized
 
     def test_topo_map_reduces_mean_hops(self):
         mapped, randomized = self._compare((4, 6, 4))
@@ -113,6 +186,6 @@ class TestTopoMapAdvantage:
         co-located and never touch the network."""
         tm = TopoMap(JobShape((4, 6, 4)))
         offsets = half_shell_offsets(1)
-        pairs = neighbor_traffic_pairs(tm, offsets)
+        src, dst = neighbor_traffic_pairs(tm, offsets)
         total_sends = tm.rank_grid[0] * tm.rank_grid[1] * tm.rank_grid[2] * 13
-        assert len(pairs) < total_sends  # some stayed on-node
+        assert len(src) == len(dst) < total_sends  # some stayed on-node
