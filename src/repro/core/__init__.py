@@ -46,7 +46,7 @@ from repro.core.analytic import (
 from repro.core.exchange_base import GhostExchange, NoEpochError
 from repro.core.three_stage import ThreeStageExchange
 from repro.core.p2p import P2PExchange
-from repro.core.fine_p2p import FineGrainedP2PExchange, ThreadAssignment
+from repro.core.fine_p2p import FineGrainedP2PExchange
 from repro.core.rdma_buffers import (
     BufferOverwriteError,
     RdmaEndpoint,
@@ -87,7 +87,6 @@ __all__ = [
     "ThreeStageExchange",
     "P2PExchange",
     "FineGrainedP2PExchange",
-    "ThreadAssignment",
     "RecvBufferRing",
     "RdmaEndpoint",
     "RemoteWindow",

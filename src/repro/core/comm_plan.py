@@ -269,7 +269,7 @@ class Epoch:
     on.
     """
 
-    __slots__ = ("plans", "arena", "layout", "world", "records", "priced", "schedules")
+    __slots__ = ("plans", "arena", "layout", "world", "records", "priced")
 
     def __init__(
         self, plans: list[RankPlan], pairs: list[tuple[np.ndarray, ...]], arena: AtomArena
@@ -282,8 +282,6 @@ class Epoch:
         self.records: dict = {}
         #: modeled times (:mod:`repro.core.modeling`)
         self.priced: dict = {}
-        #: (rank, bytes per atom) -> LPT schedule (fine-grained p2p)
-        self.schedules: dict = {}
 
     def _world_rounds(self, pairs: list[tuple[np.ndarray, ...]]) -> list[WorldRound]:
         """The world tables: per round the plans' arrays rank-concatenated

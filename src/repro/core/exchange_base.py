@@ -52,7 +52,6 @@ from repro.core.ghost import GhostBudget
 from repro.faults.injector import FAULTS, RetryExhaustedError
 from repro.md.atoms import AtomArena, Atoms
 from repro.md.domain import Domain
-from repro.network.simulator import Message
 from repro.network.stacks import SoftwareStack, UtofuStack
 from repro.obs.metrics import METRICS
 from repro.obs.telemetry import TELEMETRY
@@ -119,9 +118,11 @@ class GhostExchange:
     #: what the modeled clock prices the pattern on (the paper's pairings:
     #: p2p on uTofu, the 3-stage baseline on MPI) ...
     stack_cls: type[SoftwareStack] = UtofuStack
-    #: ... and how many consecutive sends share one fenced stage of it
-    #: (None: every send is in flight at once)
+    #: ... how many consecutive sends share one fenced stage of it
+    #: (None: every send is in flight at once) ...
     sends_per_stage: int | None = None
+    #: ... and how many threads inject one rank's sends
+    n_comm_threads: int = 1
 
     def __init__(
         self, world: World, domain: Domain, rcomm: float, radius: int = 1
@@ -209,22 +210,6 @@ class GhostExchange:
         ``landed`` is the rank's receive bounds so far: its local count,
         then the end row of every block the earlier rounds delivered."""
         raise NotImplementedError
-
-    def comm_schedule(self, rank: int, bytes_per_atom: int = 24) -> list[Message]:
-        """Simulator-ready messages for one forward exchange of ``rank``:
-        unless the pattern says otherwise, one thread injects every send
-        on TNI 0."""
-        return [
-            Message(max(count * bytes_per_atom, 8), hops, rank, thread=0, tni=0)
-            for count, hops in zip(*self._current().plans[rank].send_sizes())
-        ]
-
-    def schedule_world(
-        self, counts: np.ndarray, hops: np.ndarray, bytes_per_atom: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`comm_schedule` for every rank at once: ``(nbytes, hops,
-        thread)`` from the ``(ranks, sends)`` route tables."""
-        return np.maximum(counts * bytes_per_atom, 8), hops, np.zeros_like(counts)
 
     def _adopt(self) -> AtomArena:
         """The world's atoms in one arena — slabs sized to the analytic

@@ -7,41 +7,19 @@ thread injected a message.  What changes is the *schedule*: each rank's
 thread driving its own VCQ bound to a distinct TNI (the 4 ranks x 6 CQs
 = 24-CQ layout of Fig. 7), so injections proceed in parallel.
 
-Load balancing follows Fig. 10: the per-message cost estimate combines
-payload serialization (message size) and path length (hops) — the 3
-face messages are big but near, the 4 corner messages small but far —
-and LPT assignment over the 6 threads equalizes the per-thread totals.
-
-:meth:`comm_schedule` exports the resulting (thread, TNI)-annotated
-message list; the perfmodel feeds it to the network simulator, which is
-where the paper's >=50 % message-rate boost for <512 B messages (Fig. 8)
-and the 77 % communication-time cut (Fig. 12) come from.
+The class only declares its thread count; the pricer
+(:func:`repro.core.modeling.schedule`) balances each rank's sends over
+the threads by Fig. 10's cost — payload serialization (message size) and
+path length (hops): the 3 face messages are big but near, the 4 corner
+messages small but far — with LPT assignment, and the network simulator
+turns that schedule into the paper's >=50 % message-rate boost for
+<512 B messages (Fig. 8) and the 77 % communication-time cut (Fig. 12).
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import NamedTuple
-
-import numpy as np
-
 from repro.core.p2p import P2PExchange
 from repro.machine.params import FUGAKU, MachineParams
-from repro.network.simulator import Message
-from repro.network.stacks import SoftwareStack, UtofuStack
-from repro.obs.metrics import METRICS
-from repro.obs.trace import TRACER
-from repro.runtime.threadpool import ThreadPoolModel, lpt_bins
-
-
-class ThreadAssignment(NamedTuple):
-    """One neighbor message pinned to a communication thread/TNI."""
-
-    neighbor_index: int
-    nbytes: int
-    hops: int
-    thread: int
-    tni: int
 
 
 class FineGrainedP2PExchange(P2PExchange):
@@ -57,12 +35,9 @@ class FineGrainedP2PExchange(P2PExchange):
         *args,
         n_comm_threads: int | None = None,
         params: MachineParams = FUGAKU,
-        stack: SoftwareStack | None = None,
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
-        self.params = params
-        self.stack = stack if stack is not None else UtofuStack(params=params)
         self.n_comm_threads = (
             n_comm_threads if n_comm_threads is not None else params.comm_threads_per_rank
         )
@@ -71,120 +46,3 @@ class FineGrainedP2PExchange(P2PExchange):
                 f"comm threads {self.n_comm_threads} must be in "
                 f"[1, {params.tnis_per_node}] (one VCQ per TNI per rank)"
             )
-        self.pool = ThreadPoolModel(self.n_comm_threads, params)
-
-    # -- scheduling --------------------------------------------------------
-    def message_cost(self, nbytes: int, hops: int) -> float:
-        """Estimated per-message cost used for load balancing (Fig. 10).
-
-        Injection CPU + software latency + wire: exactly what one thread
-        is occupied/waiting for.
-        """
-        return (
-            self.stack.injection_interval(nbytes)
-            + self.stack.software_latency(nbytes)
-            + self.params.wire_time(nbytes, hops)
-        )
-
-    def assign_threads(self, rank: int, bytes_per_atom: int = 24) -> list[ThreadAssignment]:
-        """LPT-balance this rank's forward sends over the comm threads.
-
-        Thread *t* drives the VCQ bound to TNI *t* (fine binding of
-        Fig. 7), so the TNI index equals the thread index.  With
-        observability off the schedule is served from the epoch (a pure
-        function of its send sizes, kept per ``(rank, bytes_per_atom)``);
-        tracing/metrics runs always recompute so spans and counters stay
-        complete.
-        """
-        epoch = self._current()
-        if not TRACER.enabled and not METRICS.enabled:
-            cached = epoch.schedules.get((rank, bytes_per_atom))
-            if cached is None:
-                cached = epoch.schedules[rank, bytes_per_atom] = self._assign_threads_impl(
-                    rank, bytes_per_atom
-                )
-            return cached
-        with TRACER.span(
-            f"{self.name}.schedule", cat="schedule", track="comm",
-            rank=rank, n_messages=len(epoch.plans[rank].send_bounds) - 1,
-        ):
-            out = self._assign_threads_impl(rank, bytes_per_atom)
-        if METRICS.enabled:
-            METRICS.counter("comm_schedules_total").inc()
-            loads = [0.0] * self.n_comm_threads
-            for a in out:
-                loads[a.thread] += self.message_cost(a.nbytes, a.hops)
-            mean = sum(loads) / len(loads)
-            if mean > 0:
-                METRICS.gauge("comm_thread_balance").set(max(loads) / mean)
-        return out
-
-    def _assign_threads_impl(
-        self, rank: int, bytes_per_atom: int
-    ) -> list[ThreadAssignment]:
-        counts, hops = self._current().plans[rank].send_sizes()
-        nbytes = [count * bytes_per_atom for count in counts]
-        return self._lpt(nbytes, hops, list(map(self.message_cost, nbytes, hops)))
-
-    def _lpt(
-        self, nbytes: list[int], hops: list[int], costs: list[float]
-    ) -> list[ThreadAssignment]:
-        """One rank's schedule: thread-major, LPT order within a thread."""
-        return [
-            ThreadAssignment(i, nbytes[i], hops[i], thread, thread)
-            for thread, idxs in enumerate(lpt_bins(costs, self.n_comm_threads))
-            for i in idxs
-        ]
-
-    def schedule_world(
-        self, counts: np.ndarray, hops: np.ndarray, bytes_per_atom: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every rank's schedule from one vectorized costing pass.
-
-        ``counts``/``hops`` are the ``(ranks, sends)`` tables of the
-        epoch.  Returns ``(nbytes, hops, thread)`` in each rank's
-        :meth:`comm_schedule` message order and leaves the same
-        :class:`ThreadAssignment` lists :meth:`assign_threads` computes
-        rank by rank in the epoch's schedules.
-        """
-        nbytes = counts * bytes_per_atom
-        # message_cost elementwise: same terms, same association.
-        costs = (
-            self.stack.injection_intervals(nbytes)
-            + self.stack.software_latencies(nbytes)
-            + self.params.wire_times(nbytes, hops)
-        )
-        scheds = [
-            self._lpt(*rows)
-            for rows in zip(nbytes.tolist(), hops.tolist(), costs.tolist())
-        ]
-        schedules = self._current().schedules
-        for rank, sched in enumerate(scheds):
-            schedules[rank, bytes_per_atom] = sched
-        table = np.fromiter(
-            chain.from_iterable(chain.from_iterable(scheds)), np.int64, 5 * counts.size
-        ).reshape(*counts.shape, 5)
-        return table[:, :, 1], table[:, :, 2], table[:, :, 3]
-
-    def comm_schedule(self, rank: int, bytes_per_atom: int = 24) -> list[Message]:
-        """Simulator-ready messages for one forward exchange of ``rank``."""
-        return [
-            Message(
-                nbytes=a.nbytes,
-                hops=a.hops,
-                rank=rank,
-                thread=a.thread,
-                tni=a.tni,
-                known_length=True,  # message-combine: length rides inside
-            )
-            for a in self.assign_threads(rank, bytes_per_atom)
-        ]
-
-    def balance_quality(self, rank: int, bytes_per_atom: int = 24) -> float:
-        """max/mean per-thread cost — 1.0 is a perfect balance."""
-        assignments = self.assign_threads(rank, bytes_per_atom)
-        loads = [0.0] * self.n_comm_threads
-        for a in assignments:
-            loads[a.thread] += self.message_cost(a.nbytes, a.hops)
-        mean = sum(loads) / len(loads)
-        return max(loads) / mean if mean > 0 else 1.0

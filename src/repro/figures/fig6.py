@@ -6,9 +6,13 @@ uTofu-p2p, and the thread-pool (parallel) variant, on both the 65K and
 1.7M systems.  Headline: uTofu-p2p cuts 79 % vs MPI-3stage, and naive
 MPI-p2p is *slower* than MPI-3stage.
 
-We regenerate the bars with the network simulator pricing each
-variant's exchange round (no MD compute, no OS noise — a tight comm
-loop keeps ranks synchronized, see the stagemodel docstring).
+We regenerate the bars with ``StageModel.exchange_round_time``: one
+node's forward round priced by the engine's pricer
+(:func:`repro.core.modeling.price_exchange`) — no MD compute, no OS
+noise (a tight comm loop keeps ranks synchronized, see the stagemodel
+docstring), no packing and no thread-pool fork / join, as the paper
+measures.  Forward rounds run at lengths the border stage fixed, so
+only the border would pay MPI's two-message length protocol.
 """
 
 from __future__ import annotations

@@ -45,7 +45,6 @@ ESTIMATED_PARAMS = (
     "tni_engine_message_time",
     "vcq_switch_overhead",
     "registration_base",
-    "buffer_copy_bandwidth",
 )
 
 

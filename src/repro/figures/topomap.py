@@ -51,18 +51,20 @@ def compute(job_nodes: tuple[int, int, int] = (8, 12, 8), seed: int = 7) -> Topo
     n_ranks = math.prod(tm.rank_grid)
     total_sends = n_ranks * len(offsets)
 
-    topo_src, topo_dst = neighbor_traffic_pairs(tm, offsets)
-
     placement = list(range(n_ranks))
     random.Random(seed).shuffle(placement)
-    random_src, random_dst = neighbor_traffic_pairs(tm, offsets, np.array(placement))
-
+    # One placement's pairs at a time: at the paper's largest job they
+    # are tens of MB each.
+    mapped = link_congestion(tm.topology, *neighbor_traffic_pairs(tm, offsets))
+    randomized = link_congestion(
+        tm.topology, *neighbor_traffic_pairs(tm, offsets, np.array(placement))
+    )
     return TopoMapResult(
         job_nodes=job_nodes,
-        mapped=link_congestion(tm.topology, topo_src, topo_dst),
-        randomized=link_congestion(tm.topology, random_src, random_dst),
-        on_node_fraction_mapped=1.0 - len(topo_src) / total_sends,
-        on_node_fraction_random=1.0 - len(random_src) / total_sends,
+        mapped=mapped,
+        randomized=randomized,
+        on_node_fraction_mapped=1.0 - mapped.total_messages / total_sends,
+        on_node_fraction_random=1.0 - randomized.total_messages / total_sends,
     )
 
 

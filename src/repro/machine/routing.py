@@ -13,7 +13,8 @@ port used.  Each node has at most 10 ports (2 per torus axis of x, y,
 z, b; 1 each for the mesh axes a, c), matching the hardware.
 
 :func:`neighbor_traffic_pairs` and :func:`link_congestion` work on
-``(N, 6)`` coordinate arrays and route every message in one pass;
+``(N, 6)`` coordinate arrays and route :data:`CHUNK` messages per NumPy
+pass, so the working set stays bounded at the paper's 147 456-rank job;
 :func:`route` and :class:`Link` are the one-route-at-a-time oracle they
 are tested against.
 """
@@ -32,6 +33,10 @@ from repro.machine.topology import (
     TofuCoord,
     TofuTopology,
 )
+
+
+#: messages routed per array pass (the 768-node figure takes two)
+CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -114,33 +119,37 @@ def _coords_for_virtual(v: np.ndarray) -> np.ndarray:
 def link_loads(topo: TofuTopology, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """How many of the ``(src[i], dst[i])`` routes cross each link.
 
-    ``src`` and ``dst`` are ``(N, 6)`` coordinate arrays.  Every route is
-    expanded at once, axis by axis in the order :func:`route` walks them.
-    Entry ``node_index * 12 + axis * 2 + (direction > 0)`` of the result
-    is the load of the egress port :class:`Link` names.
+    ``src`` and ``dst`` are ``(N, 6)`` coordinate arrays.  The routes are
+    expanded :data:`CHUNK` at a time, axis by axis in the order
+    :func:`route` walks them, and the chunks' loads add up.  Entry
+    ``node_index * 12 + axis * 2 + (direction > 0)`` of the result is the
+    load of the egress port :class:`Link` names.
     """
-    src = np.asarray(src, dtype=np.int64).reshape(-1, 6)
-    dst = np.asarray(dst, dtype=np.int64).reshape(-1, 6)
+    src = np.asarray(src).reshape(-1, 6)
+    dst = np.asarray(dst).reshape(-1, 6)
     shape = np.array(topo.full_shape)
     for c in (src, dst):
         if ((c < 0) | (c >= shape)).any():
             raise ValueError(f"coordinate outside topology {topo.full_shape}")
     strides = np.array([math.prod(topo.full_shape[k + 1:]) for k in range(6)])  # row-major
     loads = np.zeros(topo.node_count * 12, dtype=np.int64)
-    node = src @ strides  # node index of each route's current hop
-    for axis, (size, stride) in enumerate(zip(topo.full_shape, strides)):
-        s, d = src[:, axis], dst[:, axis]
-        fwd, back = (d - s) % size, (s - d) % size
-        # torus: the short way round (ties go +); mesh: straight at dst
-        up = (fwd <= back) if TORUS_AXES[axis] and size > 1 else (d >= s)
-        hops = np.where(up, fwd, back)
-        # hop j of a route leaves from coordinate s + j * step on this axis
-        j = np.arange(hops.sum()) - np.repeat(np.cumsum(hops) - hops, hops)
-        step = np.where(up, 1, -1)
-        coord = (np.repeat(s, hops) + np.repeat(step, hops) * j) % size
-        at = np.repeat(node - s * stride, hops) + coord * stride
-        loads += np.bincount(at * 12 + axis * 2 + np.repeat(up, hops), minlength=loads.size)
-        node += (d - s) * stride
+    for lo in range(0, len(src), CHUNK):
+        chunk_src = src[lo : lo + CHUNK].astype(np.int64)
+        chunk_dst = dst[lo : lo + CHUNK].astype(np.int64)
+        node = chunk_src @ strides  # node index of each route's current hop
+        for axis, (size, stride) in enumerate(zip(topo.full_shape, strides)):
+            s, d = chunk_src[:, axis], chunk_dst[:, axis]
+            fwd, back = (d - s) % size, (s - d) % size
+            # torus: the short way round (ties go +); mesh: straight at dst
+            up = (fwd <= back) if TORUS_AXES[axis] and size > 1 else (d >= s)
+            hops = np.where(up, fwd, back)
+            # hop j of a route leaves from coordinate s + j * step on this axis
+            j = np.arange(hops.sum()) - np.repeat(np.cumsum(hops) - hops, hops)
+            step = np.where(up, 1, -1)
+            coord = (np.repeat(s, hops) + np.repeat(step, hops) * j) % size
+            at = np.repeat(node - s * stride, hops) + coord * stride
+            loads += np.bincount(at * 12 + axis * 2 + np.repeat(up, hops), minlength=loads.size)
+            node += (d - s) * stride
     return loads
 
 
@@ -163,9 +172,9 @@ def link_congestion(
 def neighbor_traffic_pairs(
     topo_map, offsets: list[tuple[int, int, int]], placement: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(src, dst)`` node coordinates, ``(N, 6)`` each, of every rank's
-    sends to ``offsets`` that leave the node (ranks in row-major order,
-    offsets within a rank).
+    """``(src, dst)`` node coordinates, ``(N, 6)`` int16 each, of every
+    rank's sends to ``offsets`` that leave the node (ranks in row-major
+    order, offsets within a rank), built :data:`CHUNK` sends at a time.
 
     ``placement`` optionally remaps rank grid positions: rank ``i``
     (row-major) runs where rank ``placement[i]`` would, e.g. a random
@@ -173,12 +182,24 @@ def neighbor_traffic_pairs(
     paper's topo map.
     """
     grid = np.array(topo_map.rank_grid)
-    pos = np.stack(np.unravel_index(np.arange(grid.prod()), grid), axis=1)
-    to = (pos[:, None, :] + np.array(offsets)[None, :, :]) % grid
-    a = np.repeat(np.arange(len(pos)), len(offsets))
-    b = np.ravel_multi_index(to.reshape(-1, 3).T, grid)
+    n_ranks = int(grid.prod())
+    node = np.stack(np.unravel_index(np.arange(n_ranks), grid), axis=1)
     if placement is not None:
-        a, b = placement[a], placement[b]
-    na, nb = pos[a] // topo_map.brick, pos[b] // topo_map.brick
-    off_node = (na != nb).any(axis=1)  # intra-node: no network links
-    return _coords_for_virtual(na[off_node]), _coords_for_virtual(nb[off_node])
+        node = node[placement]  # where each rank runs
+    node = (node // topo_map.brick).astype(np.int16)
+    src = np.empty((n_ranks * len(offsets), 6), dtype=np.int16)
+    dst = np.empty_like(src)
+    n = 0
+    per_chunk = max(CHUNK // len(offsets), 1)
+    for lo in range(0, n_ranks, per_chunk):
+        ranks = np.arange(lo, min(lo + per_chunk, n_ranks))
+        pos = np.stack(np.unravel_index(ranks, grid), axis=1)
+        to = (pos[:, None, :] + np.array(offsets)[None, :, :]) % grid
+        na = node[np.repeat(ranks, len(offsets))]
+        nb = node[np.ravel_multi_index(to.reshape(-1, 3).T, grid)]
+        off_node = (na != nb).any(axis=1)  # intra-node: no network links
+        m = int(off_node.sum())
+        src[n : n + m] = _coords_for_virtual(na[off_node])
+        dst[n : n + m] = _coords_for_virtual(nb[off_node])
+        n += m
+    return src[:n], dst[:n]

@@ -6,15 +6,20 @@ The model composes, per step:
   the 12 worker threads, a fixed list-traversal cost, the parallel-region
   fork/join overhead (OpenMP for the baseline variants, thread pool for
   ``opt`` — the section 3.3 measurement), a load-imbalance factor, and
-  for EAM the two mid-pair ghost exchanges priced on this variant's
-  communication configuration (they are counted in Pair, as LAMMPS and
-  Table 3 do).
+  for EAM the two mid-pair ghost exchanges (8 bytes per atom) priced
+  like the Comm rounds (they are counted in Pair, as LAMMPS and Table 3
+  do).
 * **Neigh** — rebuild cost amortized over the rebuild interval.
-* **Comm** — forward + reverse rounds every step plus border + exchange
-  on rebuild steps, all priced by the discrete-event network simulator
-  on the variant's actual message schedule (stack, pattern, threads,
-  TNI binding), plus the scale-dependent synchronization-noise
-  absorption described below.
+* **Comm** — forward + reverse rounds every step plus border on rebuild
+  steps, and the migration as 0.3 of a border round.  Each round is
+  priced by :func:`repro.core.modeling.price_exchange`, the engine's own
+  pricer, on one node's row: its 4 ranks each send Table 1's message
+  classes, sharing the node's 6 TNIs by the variant's threads and TNI
+  binding.  The rounds carry no buffer copies (Fig. 6 is measured
+  packing excluded); a variant that injects on several threads pays the
+  thread pool's fork / join once per round here, where the step is
+  assembled.  The scale-dependent synchronization-noise absorption
+  described below comes on top.
 * **Modify** — NVE update + its parallel-region overhead (the stage the
   paper saw go 10x slower under OpenMP at small atom counts).
 * **Other** — output plus, for EAM's ``check yes`` policy, the global
@@ -42,15 +47,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.analytic import analyze_p2p, analyze_three_stage
+from repro.core.modeling import price_exchange
+from repro.core.three_stage import ThreeStageExchange
 from repro.machine.params import FUGAKU, MachineParams
-from repro.network.simulator import Message, NetworkSimulator
 from repro.perfmodel.variants import Variant
 from repro.runtime.collectives import allreduce_cost
-from repro.runtime.threadpool import WorkItem, split_load
-
-BYTES_PER_ATOM_FORWARD = 24  # 3 float64 coordinates
-BYTES_PER_ATOM_BORDER = 32  # coordinates + tag
 
 
 @dataclass(frozen=True)
@@ -190,132 +194,51 @@ class StageModel:
         return self.calib.c_os_noise * math.log(max(self.ranks(nodes), 2))
 
     # -- communication rounds --------------------------------------------------
-    def _node_messages(
-        self,
-        variant: Variant,
-        w: Workload,
-        nodes: int,
-        bytes_per_atom: int,
-    ) -> list[list[Message]] | list[Message]:
-        """Message schedule of one node's 4 ranks for one exchange.
-
-        Returns a list of stages (3-stage) or a flat list (p2p).
-        """
+    def rank_row(
+        self, variant: Variant, w: Workload, nodes: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One rank's sends as a ``(1, sends)`` table of expected atoms and
+        hops: Table 1's message classes at this scale, class by class."""
         a = self.sub_box_edge(w, nodes)
-        known = variant.message_combine
         if variant.pattern == "3stage":
-            ana = analyze_three_stage(a, w.rcomm, w.density, bytes_per_atom)
-            stages = []
-            for cls in ana.classes:
-                stage = []
-                for rank in range(self.params.ranks_per_node):
-                    for _ in range(cls.count):
-                        stage.append(
-                            Message(
-                                nbytes=max(cls.nbytes, 8),
-                                hops=cls.hops,
-                                rank=rank,
-                                thread=0,
-                                tni=rank % self.params.tnis_per_node,
-                                known_length=known,
-                            )
-                        )
-                stages.append(stage)
-            return stages
+            ana = analyze_three_stage(a, w.rcomm, w.density)
+        else:
+            ana = analyze_p2p(
+                a, w.rcomm, w.density, newton=w.newton, radius=w.shell_radius
+            )
+        row = [(c.atoms, c.hops) for c in ana.classes for _ in range(c.count)]
+        atoms, hops = zip(*row)
+        return np.array([atoms]), np.array([hops])
 
-        ana = analyze_p2p(
-            a,
-            w.rcomm,
-            w.density,
-            bytes_per_atom,
-            newton=w.newton,
-            radius=w.shell_radius,
-        )
-        per_rank: list[tuple[int, int]] = []
-        for cls in ana.classes:
-            per_rank.extend([(max(cls.nbytes, 8), cls.hops)] * cls.count)
-
-        msgs: list[Message] = []
-        for rank in range(self.params.ranks_per_node):
-            if variant.comm_threads > 1:
-                # Fig. 10 load balancing: LPT over the comm threads by
-                # estimated message cost; thread t drives TNI t.
-                stack = variant.stack(self.params)
-                items = [
-                    WorkItem(
-                        payload=(nbytes, hops),
-                        cost=stack.injection_interval(nbytes)
-                        + self.params.wire_time(nbytes, hops),
-                    )
-                    for nbytes, hops in per_rank
-                ]
-                for thread, bucket in enumerate(
-                    split_load(items, variant.comm_threads)
-                ):
-                    for item in bucket:
-                        nbytes, hops = item.payload
-                        msgs.append(
-                            Message(
-                                nbytes=nbytes,
-                                hops=hops,
-                                rank=rank,
-                                thread=thread,
-                                tni=thread,
-                                known_length=known,
-                            )
-                        )
-            else:
-                for i, (nbytes, hops) in enumerate(per_rank):
-                    if variant.tnis_used > 1:
-                        tni = i % variant.tnis_used  # VCQ hopping (6tni mode)
-                    else:
-                        tni = rank % self.params.tnis_per_node
-                    msgs.append(
-                        Message(
-                            nbytes=nbytes,
-                            hops=hops,
-                            rank=rank,
-                            thread=0,
-                            tni=tni,
-                            known_length=known,
-                        )
-                    )
-        return msgs
+    def pattern_facts(self, variant: Variant) -> dict:
+        """What :func:`~repro.core.modeling.price_exchange` needs of the
+        variant besides its row."""
+        return {
+            "stack": variant.stack(self.params),
+            "params": self.params,
+            "threads": variant.comm_threads,
+            "fence": (
+                ThreeStageExchange.sends_per_stage if variant.pattern == "3stage" else None
+            ),
+            "hop_tnis": variant.tnis_used,
+        }
 
     def exchange_round_time(
-        self,
-        variant: Variant,
-        w: Workload,
-        nodes: int,
-        bytes_per_atom: int = BYTES_PER_ATOM_FORWARD,
+        self, variant: Variant, w: Workload, nodes: int, phase: str = "forward"
     ) -> float:
-        """One forward-equivalent exchange on this variant (no noise).
+        """One exchange round of ``phase`` on this variant (no noise, no
+        fork / join, no copies).
 
-        Pack/unpack is part of the exchange: the staged pattern pays it
-        serially inside every stage (the "threefold magnification" the
-        paper describes at 1.7M atoms, section 4.2), while p2p overlaps
-        copying with the transmission of earlier messages — only the
-        portion exceeding the wire time remains visible.
+        The row is the symmetric node: its 4 ranks send the same row and
+        share the node's 6 TNIs — one TNI per rank when one thread
+        injects, thread *t* on TNI *t* when several do (the 24 CQs on 6
+        TNIs of section 3.3).
         """
-        stack = variant.stack(self.params)
-        sim = NetworkSimulator(stack, self.params)
-        sched = self._node_messages(variant, w, nodes, bytes_per_atom)
-        if variant.pattern == "3stage":
-            flat = [m for stage in sched for m in stage]
-            pack = sum(m.nbytes for m in flat) / (
-                self.params.buffer_copy_bandwidth * self.params.ranks_per_node
-            )
-            t = sim.run_staged(sched).completion_time + 2.0 * pack  # pack+unpack
-        else:
-            pack = sum(m.nbytes for m in sched) / (
-                self.params.buffer_copy_bandwidth * self.params.ranks_per_node
-            )
-            wire = sim.run_round(sched).completion_time
-            t = max(wire, 2.0 * pack)  # copies hide behind transmission
-        if variant.comm_threads > 1:
-            # Thread-pool dispatch + join wraps the parallel round.
-            t += self.params.threadpool_fork_join
-        return t
+        atoms, hops = self.rank_row(variant, w, nodes)
+        return price_exchange(
+            atoms, hops, phase,
+            node_ranks=self.params.ranks_per_node, **self.pattern_facts(variant),
+        )[0]
 
     # -- stages -------------------------------------------------------------------
     def step_times(
@@ -334,10 +257,13 @@ class StageModel:
         pair_regions = c.pair_regions_eam if is_eam else c.pair_regions_lj
 
         # --- communication rounds (pure message time) -------------------
-        fwd = self.exchange_round_time(variant, w, nodes, BYTES_PER_ATOM_FORWARD)
+        # The thread pool's fork / join wraps every parallel round once.
+        fork_join = p.threadpool_fork_join if variant.comm_threads > 1 else 0.0
+        fwd = self.exchange_round_time(variant, w, nodes, "forward") + fork_join
         rev = fwd if w.newton else 0.0
-        border = self.exchange_round_time(variant, w, nodes, BYTES_PER_ATOM_BORDER)
-        exchange_mig = 0.3 * fwd  # migration is a sparse subset of a border
+        border = self.exchange_round_time(variant, w, nodes, "border")
+        exchange_mig = 0.3 * border  # migration is a sparse subset of a border
+        border += fork_join
 
         # Ablations of the section 3.4/3.5 optimizations ---------------
         n_msgs = 13 if w.newton else 26
@@ -381,9 +307,7 @@ class StageModel:
             # Two mid-pair ghost exchanges (density reverse + fp forward),
             # priced on this variant's comm configuration — the pair-stage
             # communication the paper also optimizes (section 4.2).
-            pair += 2.0 * self.exchange_round_time(
-                variant, w, nodes, bytes_per_atom=8
-            )
+            pair += 2.0 * (self.exchange_round_time(variant, w, nodes, "pair") + fork_join)
 
         # --- neigh ------------------------------------------------------------
         neigh = (

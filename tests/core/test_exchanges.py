@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from repro import LennardJones, SerialReference, quick_lj_simulation
 from repro.core import FineGrainedP2PExchange, P2PExchange, ThreeStageExchange
+from repro.core.modeling import rank_messages
 from repro.core.p2p import check_preregistered
+from repro.machine import FUGAKU
 from repro.md import Box, Domain
 from repro.md.atoms import Atoms
 from repro.md.lattice import fcc_lattice, lj_density_to_cell, maxwell_velocities
+from repro.network import UtofuStack
 from repro.runtime import World
 
 
@@ -448,15 +451,17 @@ class TestFineGrained:
         for r in range(8):
             assert np.allclose(plain.atoms_of(r).x, fine.atoms_of(r).x)
 
-    def test_thread_assignment_covers_all_messages(self):
+    def test_thread_schedule_covers_all_messages(self):
         world, domain, _, _ = build_world((2, 2, 2), natoms=300, seed=12)
         fine = FineGrainedP2PExchange(world, domain, rcomm=2.0)
         fine.borders()
-        assignments = fine.assign_threads(0)
-        assert len(assignments) == 13
-        assert {a.neighbor_index for a in assignments} == set(range(13))
-        assert all(0 <= a.thread < 6 for a in assignments)
-        assert all(a.tni == a.thread for a in assignments)
+        msgs = rank_messages(fine, 0, 24, True)
+        counts, hops = fine._epoch.plans[0].send_sizes()
+        assert len(msgs) == 13
+        assert sorted((m.nbytes, m.hops) for m in msgs) == sorted(
+            (max(24 * c, 8), h) for c, h in zip(counts, hops)
+        )
+        assert all(0 <= m.thread < 6 and m.tni == m.thread for m in msgs)
 
     def test_load_balance_quality(self):
         """Fig. 10's goal: thread loads within ~2x of the mean even with
@@ -464,15 +469,15 @@ class TestFineGrained:
         world, domain, _, _ = build_world((2, 2, 2), natoms=2000, seed=13)
         fine = FineGrainedP2PExchange(world, domain, rcomm=2.0)
         fine.borders()
-        assert fine.balance_quality(0) < 2.0
-
-    def test_comm_schedule_messages(self):
-        world, domain, _, _ = build_world((2, 2, 2), natoms=300, seed=14)
-        fine = FineGrainedP2PExchange(world, domain, rcomm=2.0)
-        fine.borders()
-        sched = fine.comm_schedule(0)
-        assert len(sched) == 13
-        assert all(m.known_length for m in sched)  # message combine
+        stack = UtofuStack()
+        loads = [0.0] * fine.n_comm_threads
+        for m in rank_messages(fine, 0, 24, True):
+            loads[m.thread] += (
+                stack.injection_interval(m.nbytes)
+                + stack.software_latency(m.nbytes)
+                + FUGAKU.wire_time(m.nbytes, m.hops)
+            )
+        assert max(loads) / (sum(loads) / len(loads)) < 2.0
 
     def test_invalid_thread_count(self):
         world, domain, _, _ = build_world((2, 2, 2))

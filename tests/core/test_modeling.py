@@ -1,12 +1,15 @@
 """Modeled-machine-time bridge tests (repro.core.modeling)."""
 
+import numpy as np
 import pytest
 
 from repro import quick_lj_simulation
 from repro.core import FineGrainedP2PExchange, modeling
+from repro.core.analytic import analyze_simulation
 from repro.core.modeling import (
     modeled_exchange_time,
     modeled_step_comm_time,
+    price_exchange,
     rank_messages,
     stack_for_exchange,
 )
@@ -16,6 +19,14 @@ from repro.md import Stage
 from repro.network import MpiStack, NetworkSimulator, UtofuStack
 from repro.network.simulator import simulate_owned_rounds
 from repro.obs.trace import tracing
+from repro.perfmodel import (
+    EAM_WORKLOAD_1M7,
+    LJ_WORKLOAD_65K,
+    VARIANTS,
+    StageModel,
+    Workload,
+    variant_by_name,
+)
 from repro.runtime import WorkItem, split_load
 
 
@@ -95,19 +106,6 @@ class TestSimulationIntegration:
             totals[pattern] = sim.timers.model[Stage.COMM]
         assert totals["parallel-p2p"] < totals["p2p"] < totals["3stage"]
 
-    def test_measured_sizes_agree_with_analytic_model(self):
-        """The functional route sizes must match the analytic Table 1
-        volumes that the perfmodel uses (cross-layer consistency)."""
-        from repro.core import analyze_p2p
-
-        sim = quick_lj_simulation(cells=(6, 6, 6), ranks=(2, 2, 2), pattern="p2p")
-        sim.setup()
-        a = float(sim.domain.sub_lengths[0])
-        density = sim.natoms / sim.box.volume
-        ana = analyze_p2p(a, sim.exchange.rcomm, density)
-        measured = sum(sim.exchange._epoch.plans[0].send_sizes()[0])
-        assert measured == pytest.approx(ana.total_atoms, rel=0.25)
-
 
 # -- one pricing pass per epoch ----------------------------------------------
 def live_exchange(kind):
@@ -131,8 +129,7 @@ def live_exchange(kind):
 def event_loop_time(exchange, phase, rank, params=FUGAKU):
     """One rank's phase on ``NetworkSimulator``, spelled out."""
     stack = stack_for_exchange(exchange, params)
-    known = isinstance(stack, UtofuStack) or phase != "border"
-    msgs = rank_messages(exchange, rank, {"border": 32}.get(phase, 24), known)
+    msgs = rank_messages(exchange, rank, *modeling.PHASES[phase])
     sim = NetworkSimulator(stack, params)
     if exchange.sends_per_stage:
         return sim.run_staged([msgs[i : i + 2] for i in range(0, len(msgs), 2)]).completion_time
@@ -178,15 +175,19 @@ class TestWorldPricing:
             assert len(rounds) == ex.world.size
             assert not any(m.known_length for msgs in rounds for m in msgs)
         else:
-            assert passes == [True, True]  # border, then forward/reverse
+            # The border's length is news to the receiver (known_length
+            # False) but uTofu still sends one message; forward/reverse.
+            assert passes == [False, True]
             assert rounds == []  # every rank priced by the world pass
         for (phase, rank), t in expected.items():
             got = modeled_exchange_time(ex, phase, rank=rank)
             assert got == t and type(got) is float
         ranks = range(ex.world.size)
         slowest = {p: max(expected[p, r] for r in ranks) for p in PHASES}
-        assert rebuild == slowest["border"] * 1.3 + slowest["reverse"]
-        assert plain == slowest["forward"] + slowest["reverse"]
+        # The thread pool's fork / join, once per parallel round.
+        fj = FUGAKU.threadpool_fork_join if kind == "parallel-p2p" else 0.0
+        assert rebuild == slowest["border"] * 1.3 + fj + (slowest["reverse"] + fj)
+        assert plain == slowest["forward"] + fj + (slowest["reverse"] + fj)
         assert type(rebuild) is float and type(plain) is float
 
     def test_reverse_is_served_from_forwards_entry(self, monkeypatch):
@@ -203,28 +204,29 @@ class TestWorldPricing:
         modeled_exchange_time(ex, "forward", rank=5)
         assert len(passes) == 2
 
-    @pytest.mark.parametrize("kind", ["parallel-p2p", "serial-pool"])
-    def test_world_pass_fills_the_schedule_cache(self, kind):
-        ex = live_exchange(kind)
-        ex._epoch.priced.clear()
-        ex._epoch.schedules.clear()
-        modeled_step_comm_time(ex, rebuild=True)
-        assert set(ex._epoch.schedules) == {
-            (rank, width) for rank in range(ex.world.size) for width in (32, 24)
-        }
-        for (rank, width), sched in ex._epoch.schedules.items():
-            assert sched == ex._assign_threads_impl(rank, width)
-            assert all(type(v) is int for a in sched for v in a)
-            # ... which is split_load's rule over the scalar costs.
-            items = [
-                WorkItem(n, ex.message_cost(count * width, hops))
-                for n, (count, hops) in enumerate(zip(*ex._epoch.plans[rank].send_sizes()))
-            ]
-            assert [
-                (item.payload, thread)
-                for thread, bucket in enumerate(split_load(items, ex.n_comm_threads))
-                for item in bucket
-            ] == [(a.neighbor_index, a.thread) for a in sched]
+    def test_threads_are_split_loads_rule_over_one_cost(self):
+        """The pricer's thread of every send is LPT (``split_load``) over
+        injection + software latency + wire of the 8-byte-floored payload
+        (one thread issues in route order, as p2p does)."""
+        ex = live_exchange("parallel-p2p")
+        stack = stack_for_exchange(ex)
+        for rank in range(ex.world.size):
+            counts, hops = ex._epoch.plans[rank].send_sizes()
+            for width in (32, 24):
+                sizes = [(max(count * width, 8), h) for count, h in zip(counts, hops)]
+                items = [
+                    WorkItem(
+                        (n, h),
+                        stack.injection_interval(n) + stack.software_latency(n)
+                        + FUGAKU.wire_time(n, h),
+                    )
+                    for n, h in sizes
+                ]
+                assert [
+                    (item.payload, thread)
+                    for thread, bucket in enumerate(split_load(items, ex.n_comm_threads))
+                    for item in bucket
+                ] == [((m.nbytes, m.hops), m.thread) for m in rank_messages(ex, rank, width, True)]
 
     @pytest.mark.parametrize("kind", ["p2p", "parallel-p2p"])
     def test_observers_and_refusals_fall_through_to_the_event_loop(self, kind, monkeypatch):
@@ -253,3 +255,68 @@ class TestWorldPricing:
             ex._epoch.priced.clear()
             assert got == modeled_step_comm_time(ex, rebuild=False, params=second)
             ex._epoch.priced.clear()
+
+
+# -- the two clocks -------------------------------------------------------
+#: stage-model variant -> the engine pattern it models
+CLOCK_PAIRS = (("opt", "parallel-p2p"), ("4tni_p2p", "p2p"), ("ref", "3stage"))
+
+
+@pytest.fixture(scope="module")
+def strong_runs():
+    """lj-strong-27r's geometry (6x6x6 cells on 3x3x3 ranks, 32 atoms per
+    rank), 40 steps into a run, by pattern."""
+    runs = {}
+    for _, pattern in CLOCK_PAIRS:
+        sim = quick_lj_simulation(
+            cells=(6, 6, 6), ranks=(3, 3, 3), pattern=pattern, rdma=pattern != "3stage"
+        )
+        sim.run(40)
+        runs[pattern] = sim
+    return runs
+
+
+def stage_workload(sim):
+    """The stage model's workload at ``sim``'s density, shell and atoms
+    per rank, on one node."""
+    return Workload(
+        "engine", "lj", sim.natoms // sim.world.size * FUGAKU.ranks_per_node,
+        sim.natoms / sim.box.volume, sim.exchange.rcomm, 0.005, rebuild_every=20,
+    )
+
+
+class TestTwoClocks:
+    @pytest.mark.parametrize("phase", ["forward", "border"])
+    @pytest.mark.parametrize("variant,pattern", CLOCK_PAIRS)
+    def test_stage_model_rank_row_prices_as_the_engine(self, strong_runs, variant, pattern, phase):
+        """The stage model's one-rank analytic row, priced by the one
+        pricer, against the engine's slowest rank."""
+        sim, model, v = strong_runs[pattern], StageModel(), variant_by_name(variant)
+        atoms, hops = model.rank_row(v, stage_workload(sim), 1)
+        (analytic,) = price_exchange(atoms, hops, phase, **model.pattern_facts(v))
+        engine = max(
+            modeled_exchange_time(sim.exchange, phase, rank=rank)
+            for rank in range(sim.world.size)
+        )
+        assert analytic == pytest.approx(engine, rel=0.05)
+
+    @pytest.mark.parametrize("phase", sorted(modeling.PHASES))
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_node_row_never_cheaper_than_one_rank(self, variant, phase):
+        """Sharing the node's TNIs can only delay a round."""
+        model, v = StageModel(), variant_by_name(variant)
+        for w, nodes in ((LJ_WORKLOAD_65K, 768), (LJ_WORKLOAD_65K, 36864), (EAM_WORKLOAD_1M7, 768)):
+            atoms, hops = model.rank_row(v, w, nodes)
+            (one,) = price_exchange(atoms, hops, phase, **model.pattern_facts(v))
+            assert model.exchange_round_time(v, w, nodes, phase) >= one
+
+
+class TestCensus:
+    @pytest.mark.parametrize("pattern", ["p2p", "3stage"])
+    def test_atoms_sent_per_forward_match_table1(self, strong_runs, pattern):
+        """What each rank sends per forward, against the Table 1 classes
+        the stage model prices (bin-granular border selection overshoots
+        the analytic shell volume)."""
+        sim = strong_runs[pattern]
+        sent = np.mean([sum(plan.send_sizes()[0]) for plan in sim.exchange._epoch.plans])
+        assert sent == pytest.approx(analyze_simulation(sim).total_atoms, rel=0.12)

@@ -21,6 +21,7 @@ import pytest
 
 from repro import LennardJones, Simulation, SimulationConfig
 from repro.core import NoEpochError, P2PExchange, ThreeStageExchange
+from repro.core.modeling import rank_messages
 from repro.faults import FAULTS, FaultPlan, FaultSpec, RetryExhaustedError, RetryPolicy
 from repro.md import Box, Domain
 from repro.md.atoms import Atoms
@@ -130,7 +131,7 @@ class TestPlanInvalidation:
             ex.reverse,
             lambda: scalar_phase(ex.forward_scalar_world, scalars),
             lambda: scalar_phase(ex.reverse_sum_scalar_world, scalars),
-            lambda: ex.comm_schedule(0),
+            lambda: rank_messages(ex, 0, 24, True),
             ex.messages_per_rank,
         ):
             with pytest.raises(NoEpochError, match=r"borders\(\)"):

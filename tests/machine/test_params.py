@@ -69,9 +69,6 @@ class TestCostFunctions:
         with pytest.raises(ValueError):
             FUGAKU.wire_time(64, -1)
 
-    def test_copy_time_linear(self):
-        assert FUGAKU.copy_time(2000) == pytest.approx(2 * FUGAKU.copy_time(1000))
-
 
 class TestEvolve:
     def test_evolve_returns_new_instance(self):

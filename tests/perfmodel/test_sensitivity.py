@@ -12,7 +12,7 @@ class TestBaseline:
 
     def test_failed_lists_names(self):
         failed = evaluate_claims(replace(FUGAKU, mpi_t_inj=0.0))
-        assert failed == ("fig6.mpi-p2p-slower.lj-65k",)
+        assert failed == ("fig6.mpi-p2p-slower.lj-65k", "fig13.comm-halved.lj")
 
 
 class TestRobustness:
