@@ -1,13 +1,13 @@
 """One kernel for the reproduction's versioned JSON artifacts.
 
-Four kinds of document: ``repro-bench/1``, ``repro-rankprof/1``, flight
-dumps and exported Chrome traces.  Each is checked through a
-:class:`Cursor`, read with :func:`read` and written with :func:`write`.
-The first failed check raises ``ValueError("<noun> invalid at <path>:
-<why>")``, where ``<path>`` locates the offending value
-(``$.runs[1].wall.total``) and is built only when a check fails.  JSON
-booleans are not numbers here, although Python counts ``bool`` as an
-``int``.
+Three kinds of document: ``repro-rankprof/1``, flight dumps and
+exported Chrome traces.  Each is checked through a :class:`Cursor`,
+read with :func:`read` and written with :func:`write`.  The first
+failed check raises ``ValueError("<noun> invalid at <path>: <why>")``,
+where ``<path>`` locates the offending value
+(``$.phases.forward.rows[1].rank``) and is built only when a check
+fails.  JSON booleans are not numbers here, although Python counts
+``bool`` as an ``int``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def _is_number(value: Any) -> bool:
 class Cursor:
     """A position in a JSON document: the value there and how it was reached.
 
-    ``Cursor(doc, "bench document")`` stands at the root (``$``).  Keyed
+    ``Cursor(doc, "rankprof document")`` stands at the root (``$``).  Keyed
     accessors (``c.integer("ranks")``) check one member of the object
     under the cursor and return it; called without a key they check the
     value under the cursor itself.  :meth:`obj` and :meth:`arr` return a

@@ -406,7 +406,7 @@ class GhostExchange:
         .TELEMETRY`) is deliberately **not** consulted: it is fed from
         the counters this class already maintains, once per step, so
         live percentiles and the flight recorder coexist with the full
-        speedup (the ``telemetry-overhead`` bench guard enforces <5%
+        speedup (the telemetry overhead guard enforces <5%
         wall).  Refusals are counted per cause for that same feed.
         """
         session = FAULTS.session

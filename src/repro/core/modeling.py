@@ -202,10 +202,11 @@ def _rank_row(exchange: GhostExchange, rank: int) -> tuple[np.ndarray, np.ndarra
 
 def _cache_for(exchange: GhostExchange) -> dict | None:
     """The epoch's cache of priced times and message lists, or ``None``
-    when results must not be cached: traced/metered/faulted runs always
-    re-simulate so their per-round model spans, counters and stall
-    injections stay complete."""
-    if FAULTS.session is not None or TRACER.enabled or METRICS.enabled:
+    when results must not be cached: traced/metered runs and sessions
+    with timing faults always re-simulate so their per-round model spans,
+    counters and stall injections stay complete."""
+    session = FAULTS.session
+    if (session is not None and session.timing_faults) or TRACER.enabled or METRICS.enabled:
         return None
     return exchange._current().priced
 

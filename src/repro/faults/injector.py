@@ -5,7 +5,7 @@ design (``TRACER``/``METRICS``): it starts with **no active session**,
 every instrumentation site guards on ``FAULTS.session is None`` (one
 attribute read), and the functional and modeled paths are byte-identical
 to the fault-free build until a :class:`~repro.faults.plan.FaultPlan`
-is activated — the ``faults-off`` bench guard enforces it.
+is activated — the ``faults-off`` overhead guard enforces it.
 
 With a session active:
 
@@ -23,7 +23,7 @@ With a session active:
 
 Every injection, absorption, retry, degradation and escalation is
 counted in :class:`FaultStats` and emitted as trace events/metrics so
-``critpath`` and ``bench`` can attribute the cost of surviving faults.
+``critpath`` and ``rankprof`` can attribute the cost of surviving faults.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.faults.plan import (
     EXEMPT_PHASES,
     MESSAGE_KINDS,
     RDMA_KINDS,
+    TIMING_KINDS,
     FaultPlan,
     FaultSpec,
     RetryPolicy,
@@ -127,11 +128,13 @@ class FaultSession:
         self._by_kind: dict[str, list[_SpecState]] = {}
         for st in self._specs:
             self._by_kind.setdefault(st.spec.kind, []).append(st)
-        # Per-plane arming flags: the envelope protocol and RDMA deferral
-        # checks only pay their cost when the plan can actually fire on
-        # that plane (the faults-off bench guard measures the idle cost).
+        # Per-plane arming flags: the envelope protocol, RDMA deferral and
+        # the modeled clock's event loop only pay their cost when the plan
+        # can actually fire on that plane (the faults-off guard measures
+        # the idle cost).
         self.message_faults = any(s.kind in MESSAGE_KINDS for s in plan.faults)
         self.rdma_faults = any(s.kind in RDMA_KINDS for s in plan.faults)
+        self.timing_faults = any(s.kind in TIMING_KINDS for s in plan.faults)
         self.stats = FaultStats()
         # Held messages per mailbox key (src, dst, tag).
         self._limbo: dict[tuple[int, int, Hashable], list[_HeldMessage]] = {}

@@ -288,8 +288,8 @@ def simulate_owned_rounds(
     rows — and no VCQ switch is ever paid.  Refused (``None``; callers
     fall back to the event loop) for anything else: a stream changing
     TNI, two streams on one TNI, a multi-message protocol for these
-    lengths, and any observer — a fault session, the tracer or the
-    metrics registry — which needs the per-message events.
+    lengths, and any observer — a fault session with timing faults, the
+    tracer or the metrics registry — which needs the per-message events.
 
     Streams are padded to the longest one with zeros and the first
     interval column carries the row's start: ``np.cumsum`` along a stream
@@ -297,7 +297,8 @@ def simulate_owned_rounds(
     start; clock += interval`` sum (``0.0 + i1 == i1``), and padding is
     trailing only — it never feeds an earlier position.
     """
-    if FAULTS.session is not None or TRACER.enabled or METRICS.enabled:
+    session = FAULTS.session
+    if (session is not None and session.timing_faults) or TRACER.enabled or METRICS.enabled:
         return None
     if not known_length and stack.protocol_message_count(1, False) != 1:
         return None

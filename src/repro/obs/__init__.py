@@ -16,11 +16,11 @@ One observability layer under every account the repository keeps:
 * :mod:`repro.obs.critpath` — critical-path analysis of the simulated
   exchange: which inject/TNI/wire/barrier segments determined the
   completion time, attributed per category and per resource.
-* :mod:`repro.obs.bench` — the continuous benchmark harness
-  (``python -m repro.obs.bench run|compare|report``) recording wall and
-  model breakdowns, traffic, critical paths, and the Table 1/3 +
-  Fig. 13 model outputs into versioned ``BENCH_*.json`` artifacts with
-  regression gating (see docs/benchmarking.md).
+* :mod:`repro.obs.bench` — the two wall-clock overhead guards
+  (``python -m repro.obs.bench faults-off|telemetry``: an idle fault
+  session and the telemetry plane change neither modeled time nor
+  traffic and stay under their wall bounds) and the Table 1/3 + Fig. 13
+  model outputs the perf ledger prices (see docs/benchmarking.md).
 * :mod:`repro.obs.telemetry` / :mod:`repro.obs.sketch` /
   :mod:`repro.obs.flight` — the third, **always-on** tier: batched
   counters/gauges fed from fast-path bookkeeping, mergeable quantile

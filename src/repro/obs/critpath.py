@@ -343,56 +343,6 @@ def write_critpath_csv(path: str, result: CriticalPathResult) -> None:
             writer.writerow([i, cat, repr(secs), f"{pct:.2f}", CATEGORY_LABELS.get(cat, cat)])
 
 
-def critpath_counter_events(result: CriticalPathResult, pid: int = 2) -> list[dict]:
-    """Perfetto counter-track events for the critical-path occupancy.
-
-    Emits a ``critical-path`` counter that steps to 1 on the active
-    category at each chain-link boundary (a stacked step plot of *what*
-    the exchange was limited by over time), plus one final cumulative
-    ``critpath-seconds`` sample per category.  Feed the list to
-    :func:`repro.obs.export.chrome_trace_events` via ``extra_events``.
-    """
-    cats = sorted({seg.cat for seg in result.segments})
-    events: list[dict] = []
-    for seg in result.segments:
-        args = {c: (1.0 if c == seg.cat else 0.0) for c in cats}
-        events.append(
-            {
-                "name": "critical-path",
-                "cat": "critpath",
-                "ph": "C",
-                "pid": pid,
-                "tid": 0,
-                "ts": max(seg.start, 0.0) * 1e6,
-                "args": args,
-            }
-        )
-    if result.segments:
-        events.append(
-            {
-                "name": "critical-path",
-                "cat": "critpath",
-                "ph": "C",
-                "pid": pid,
-                "tid": 0,
-                "ts": max(result.completion, 0.0) * 1e6,
-                "args": {c: 0.0 for c in cats},
-            }
-        )
-        events.append(
-            {
-                "name": "critpath-seconds",
-                "cat": "critpath",
-                "ph": "C",
-                "pid": pid,
-                "tid": 0,
-                "ts": max(result.completion, 0.0) * 1e6,
-                "args": dict(result.attribution),
-            }
-        )
-    return events
-
-
 def main(argv=None) -> int:
     """``python -m repro.obs.critpath TRACE.json [--json] [--csv PATH]``.
 

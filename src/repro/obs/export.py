@@ -42,16 +42,12 @@ def _clean_args(args: dict) -> dict:
 def chrome_trace_events(
     tracer: Tracer | None = None,
     registry: MetricsRegistry | None = None,
-    extra_events: list[dict] | None = None,
 ) -> dict:
     """Build the trace-event JSON document for ``tracer`` (+ metrics).
 
     Counters and gauges from ``registry`` (default: the global one) ride
     along as a final batch of counter (``"ph": "C"``) samples so the
-    totals are visible in the same viewer.  ``extra_events`` appends
-    pre-built trace events (e.g. the critical-path counter tracks from
-    :func:`repro.obs.critpath.critpath_counter_events`); they pass
-    through :func:`validate_chrome_trace` like everything else.
+    totals are visible in the same viewer.
     """
     tracer = tracer if tracer is not None else TRACER
     registry = registry if registry is not None else METRICS
@@ -127,9 +123,6 @@ def chrome_trace_events(
                 }
             )
 
-    if extra_events:
-        events.extend(extra_events)
-
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -137,10 +130,9 @@ def write_chrome_trace(
     path: str,
     tracer: Tracer | None = None,
     registry: MetricsRegistry | None = None,
-    extra_events: list[dict] | None = None,
 ) -> dict:
     """Serialize :func:`chrome_trace_events` to ``path``; returns the doc."""
-    doc = chrome_trace_events(tracer, registry, extra_events)
+    doc = chrome_trace_events(tracer, registry)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     return doc

@@ -13,7 +13,7 @@ layer, a degradation-ladder transition, or a selfcheck failure — the
 ring is dumped as a versioned ``repro-flightrec/1`` JSON document, the
 post-mortem artifact CI uploads and ``python -m repro telemetry dump``
 produces on demand.  :func:`validate_flight_doc` is the schema contract
-(same style as ``validate_bench_doc``), and :meth:`FlightRecorder.from_doc`
+(same style as ``validate_rankprof_doc``), and :meth:`FlightRecorder.from_doc`
 rebuilds a recorder from a dump so replay round-trips exactly.
 """
 

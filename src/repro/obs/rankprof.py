@@ -1,7 +1,7 @@
 """Per-rank critical-path profiler: load imbalance at rank granularity.
 
 The critical-path analyzer (:mod:`repro.obs.critpath`) explains one
-rank's modeled exchange; the bench harness records rank 0's.  But the
+rank's modeled exchange.  But the
 paper's scaling cliffs (Figs. 11-15) are *distribution* phenomena — a
 handful of slow ranks, or one saturated category on a straggler cohort,
 decide the strong-scaling knee.  This module extends the attribution to
@@ -26,10 +26,11 @@ rank granularity:
 
 The exactness contract carries over bit-for-bit: each rank's
 attribution partitions its modeled exchange time exactly (the critpath
-invariant), rank 0's row *is* the whole-run attribution the bench
-harness already records (same spans, same analysis), and profiling is a
-pure observer — the 24-configuration differential suite proves ghosts
-and forces stay bit-identical with the profiler enabled.
+invariant), rank 0's row *is* the attribution ``critpath`` gives rank
+0's round alone (same spans, same analysis; :func:`check_rank0_row`),
+and profiling is a pure observer — the 24-configuration differential
+suite proves ghosts and forces stay bit-identical with the profiler
+enabled.
 """
 
 from __future__ import annotations
@@ -403,25 +404,3 @@ def render_rank_profile(result: RankProfileResult) -> str:
                     f"[{ev['start'] * 1e6:.3f}, {ev['end'] * 1e6:.3f}]us"
                 )
     return "\n".join(lines)
-
-
-def bench_record(result: RankProfileResult, phase: str = "forward") -> dict:
-    """Compact per-rank record embedded in ``repro-bench/1`` runs."""
-    imb = result.imbalance(phase)
-    return {
-        "phase": phase,
-        "ranks": [
-            {
-                "rank": p.rank,
-                "completion": p.completion,
-                "attribution": dict(p.attribution),
-                "natoms": p.natoms,
-            }
-            for p in result.by_phase(phase)
-        ],
-        "imbalance": {
-            "max_mean": imb.max_mean,
-            "p99_p50": imb.p99_p50,
-            "stragglers": list(imb.stragglers),
-        },
-    }

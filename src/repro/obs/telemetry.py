@@ -26,9 +26,9 @@ The batching discipline:
   path never sees them.
 
 The module-level :data:`TELEMETRY` control starts **enabled** (unlike
-``TRACER``/``METRICS``): the ``telemetry-overhead`` bench guard holds
-its cost under 5% wall on the exchange-dominated suite with the fast
-path still active in both arms.
+``TRACER``/``METRICS``): the telemetry overhead guard
+(``python -m repro.obs.bench telemetry``) holds its cost under 5% wall
+on exchange-dominated runs with the fast path still active in both arms.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ expansion covers:
   absorbable plan templates);
 * an 80-scenario analytic model sweep (potential x variant x the
   Fig. 13 node ladder x Newton x stencil radius);
-* the 6 bench configs of the ``ci`` suite (smoke + comm-fastpath).
+* the 6 bench configs the two overhead guards of :mod:`repro.obs.bench`
+  run (``SMOKE`` + ``COMM_FASTPATH``), smoke-run at L3.
 
 Total: 206 scenarios in the full tier (>= 200 by construction).
 """

@@ -16,8 +16,12 @@ from repro.core.modeling import (
 from repro.faults import FAULTS, FaultPlan, FaultSpec
 from repro.machine import FUGAKU
 from repro.md import Stage
+from repro.md.presets import PRESETS
 from repro.network import MpiStack, NetworkSimulator, UtofuStack
 from repro.network.simulator import simulate_owned_rounds
+from repro.obs import observe
+from repro.obs.bench import model_tables
+from repro.obs.critpath import analyze_critical_path
 from repro.obs.trace import tracing
 from repro.perfmodel import (
     EAM_WORKLOAD_1M7,
@@ -105,6 +109,68 @@ class TestSimulationIntegration:
             sim.run(10)
             totals[pattern] = sim.timers.model[Stage.COMM]
         assert totals["parallel-p2p"] < totals["p2p"] < totals["3stage"]
+
+    def test_model_metrics_deterministic(self):
+        """Two fresh runs of one configuration model the same machine:
+        stage seconds, traffic and rank 0's forward critical path."""
+
+        def modeled_run():
+            sim = PRESETS["lj"].simulation(
+                (4, 4, 4), (2, 2, 2), pattern="3stage", rdma=False,
+                model_machine_time=True, thermo_every=0,
+            )
+            sim.run(3)
+            log = sim.world.transport.log
+            traffic = {
+                ph: (log.summary(ph).count, log.summary(ph).total_bytes)
+                for ph in {m.phase for m in log.messages}
+            }
+            with observe(metrics=False) as (tracer, _):
+                modeled_exchange_time(sim.exchange, "forward", rank=0)
+            cp = analyze_critical_path(tracer)
+            return dict(sim.timers.model), traffic, dict(cp.attribution)
+
+        assert modeled_run() == modeled_run()
+
+
+class TestModelTables:
+    def test_model_tables_present(self):
+        """The Table 1 / Fig. 13 outputs the perf ledger's paper-model
+        workload prices."""
+        t = model_tables()
+        assert (t["table1"]["msgs_p2p"], t["table1"]["msgs_3stage"]) == (13, 6)
+        assert t["fig13"]["lj_speedup_36864"] > 2.0
+        assert t["fig13"]["eam_speedup_36864"] > 1.5
+        assert {r["variant"] for r in t["table3"]} == {"ref", "opt"}
+
+    def test_table1_p2p_halves_the_ghost_volume(self):
+        """Newton's third law: the half shell carries half the 3-stage
+        ghost atoms, and so (up to per-message rounding) half the bytes."""
+        t1 = model_tables()["table1"]
+        assert t1["volume_ratio"] == pytest.approx(0.5, rel=1e-12)
+        assert t1["bytes_p2p"] / t1["bytes_3stage"] == pytest.approx(0.5, rel=0.01)
+
+    @pytest.mark.parametrize("row", range(4))
+    def test_table3_stages_sum_to_the_total(self, row):
+        r = model_tables()["table3"][row]
+        assert r["nodes"] == 36864
+        assert set(r["stages"]) == {s.value for s in Stage}
+        assert sum(r["stages"].values()) == pytest.approx(r["total"], rel=1e-12)
+
+    @pytest.mark.parametrize("potential", ["lj", "eam"])
+    def test_fig13_speedup_is_the_table3_ref_over_opt(self, potential):
+        """The headline speedup and Table 3 price the same 36 864-node
+        step: ref total over opt total, with every stage but Other cut."""
+        t = model_tables()
+        rows = {
+            r["variant"]: r for r in t["table3"] if r["workload"] == f"{potential}-strong"
+        }
+        ref, opt = rows["ref"], rows["opt"]
+        assert t["fig13"][f"{potential}_speedup_36864"] == pytest.approx(
+            ref["total"] / opt["total"], rel=1e-12
+        )
+        for stage in ("Pair", "Neigh", "Comm", "Modify"):
+            assert opt["stages"][stage] < ref["stages"][stage], stage
 
 
 # -- one pricing pass per epoch ----------------------------------------------

@@ -5,19 +5,22 @@ import csv
 import pytest
 
 from repro.artifact import dumps
+from repro.core.modeling import modeled_exchange_time
 from repro.machine.params import FUGAKU
+from repro.md.presets import PRESETS
 from repro.network.simulator import Message, NetworkSimulator
 from repro.network.stacks import MpiStack, UtofuStack
-from repro.obs import observe
+from repro.obs import critpath, observe
+from repro.obs.bench import COMM_FASTPATH, SMOKE, build_simulation
 from repro.obs.critpath import (
     CATEGORY_LABELS,
-    CriticalPathResult,
     analyze_critical_path,
-    critpath_counter_events,
+    check_horizon_messages,
+    check_partitions_modeled,
     render_critical_path,
     write_critpath_csv,
 )
-from repro.obs.export import chrome_trace_events, validate_chrome_trace
+from repro.obs.export import chrome_trace_events
 from repro.obs.trace import Tracer
 
 
@@ -107,6 +110,55 @@ class TestBottleneckStory:
         cp = analyze_critical_path(tracer)
         assert sum(cp.resource_blocked.values()) > 0
 
+    def test_three_stage_vs_p2p_story(self):
+        """Table 1's claim on a live exchange: rank 0's 3-stage forward
+        sends fewer, bigger messages than parallel-p2p + rdma, and still
+        completes later."""
+        paths = {}
+        for pattern, rdma in (("3stage", False), ("parallel-p2p", True)):
+            sim = PRESETS["lj"].simulation(
+                (4, 4, 4), (2, 2, 2), pattern=pattern, rdma=rdma, thermo_every=0
+            )
+            sim.run(2)
+            with observe(metrics=False) as (tracer, _):
+                modeled_exchange_time(sim.exchange, "forward", rank=0)
+            paths[pattern] = analyze_critical_path(tracer)
+        staged, p2p = paths["3stage"], paths["parallel-p2p"]
+        assert staged.messages < p2p.messages
+        assert staged.completion - staged.base > p2p.completion - p2p.base
+
+
+@pytest.fixture(scope="module")
+def guard_runs():
+    """Each overhead-guard configuration, two steps in, by key."""
+    runs = {}
+    for cfg in SMOKE + COMM_FASTPATH:
+        sim = build_simulation(cfg)
+        sim.run(2)
+        runs[cfg.key] = sim
+    return runs
+
+
+GUARD_KEYS = [cfg.key for cfg in SMOKE + COMM_FASTPATH]
+
+
+class TestLiveExchangeRounds:
+    """Rank 0's forward of every pattern family the guards price, traced on
+    a live exchange."""
+
+    @pytest.mark.parametrize("key", GUARD_KEYS)
+    def test_chain_completes_at_the_modeled_time_and_partitions(self, guard_runs, key):
+        modeled, cp = critpath.traced_round(guard_runs[key].exchange)
+        ok, detail = check_partitions_modeled(cp, modeled)
+        assert ok, detail
+        assert cp.total_attributed == pytest.approx(cp.total_time, rel=1e-9)
+
+    @pytest.mark.parametrize("key", GUARD_KEYS)
+    def test_horizon_sees_rank0s_send_schedule(self, guard_runs, key):
+        _, cp = critpath.traced_round(guard_runs[key].exchange)
+        ok, detail = check_horizon_messages(cp, guard_runs[key].exchange)
+        assert ok, detail
+
 
 class TestInputsAndEdges:
     def test_empty_tracer(self):
@@ -146,19 +198,6 @@ class TestRenderers:
         assert len(rows) == 1 + len(cp.attribution)
         total = sum(float(r[2]) for r in rows[1:])
         assert total == pytest.approx(cp.total_time, rel=1e-12)
-
-    def test_counter_events_validate_in_trace(self):
-        tracer, _ = traced_round(p2p_messages())
-        cp = analyze_critical_path(tracer)
-        extra = critpath_counter_events(cp)
-        assert extra, "no counter events emitted"
-        doc = chrome_trace_events(tracer, extra_events=extra)
-        assert validate_chrome_trace(doc) == len(doc["traceEvents"])
-        names = {e["name"] for e in extra}
-        assert names == {"critical-path", "critpath-seconds"}
-
-    def test_counter_events_empty_result(self):
-        assert critpath_counter_events(CriticalPathResult()) == []
 
 
 class TestStructuredExport:

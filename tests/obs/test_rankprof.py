@@ -6,13 +6,13 @@ import math
 import pytest
 
 from repro.faults.injector import FAULTS
-from repro.obs.bench import BenchConfig, build_simulation
+from repro.md.presets import PRESETS
+from repro.obs.bench import SMOKE, build_simulation
 from repro.obs.critpath import traced_round
 from repro.obs.rankprof import (
     PROFILE_PHASES,
     SCHEMA,
     RankProfileResult,
-    bench_record,
     check_document,
     check_names_straggler,
     check_partitions,
@@ -31,7 +31,10 @@ from repro.selfcheck import JITTER_PLAN
 
 @pytest.fixture(scope="module")
 def sim():
-    s = build_simulation(BenchConfig("lj", "parallel-p2p", (2, 2, 2), rdma=True))
+    s = PRESETS["lj"].simulation(
+        (4, 4, 4), (2, 2, 2), pattern="parallel-p2p", rdma=True,
+        model_machine_time=True, thermo_every=0,
+    )
     s.run(2)
     return s
 
@@ -174,15 +177,20 @@ class TestArtifact:
         with pytest.raises(ValueError, match="not completion"):
             validate_rankprof_doc(bad)
 
-    def test_bench_record_shape(self, prof):
-        rec = bench_record(prof)
-        assert rec["phase"] == "forward"
-        assert len(rec["ranks"]) == prof.ranks
-        assert {"max_mean", "p99_p50", "stragglers"} <= set(rec["imbalance"])
-        for row in rec["ranks"]:
-            assert sum(row["attribution"].values()) == pytest.approx(
-                row["completion"], rel=1e-9
-            )
+    @pytest.mark.parametrize("cfg", SMOKE, ids=lambda cfg: cfg.key)
+    def test_each_pattern_family_serializes_a_valid_profile(self, cfg):
+        """Every pattern family the faults-off guard prices profiles into
+        a document that validates, one row per rank and phase, each row
+        the untraced modeled time of its round."""
+        sim = build_simulation(cfg)
+        sim.run(2)
+        result = profile_exchange(sim.exchange, phases=("forward", "reverse"))
+        doc = to_dict(result, label=cfg.key)
+        assert (doc["pattern"], doc["ranks"]) == (cfg.pattern, sim.world.size)
+        assert validate_rankprof_doc(doc) == 2 * sim.world.size
+        for check in (check_partitions(result), check_document(doc, result),
+                      check_telescopes(result, sim.exchange)):
+            assert check[0], check[1]
 
     def test_render_lists_every_rank(self, prof):
         text = render_rank_profile(prof)

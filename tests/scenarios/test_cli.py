@@ -107,41 +107,3 @@ class TestErrorPaths:
     def test_missing_spec_file_exits_2(self, tmp_path, capsys):
         assert scenarios_main(["generate", str(tmp_path / "gone.json")]) == 2
         assert "scenarios:" in capsys.readouterr().err
-
-
-class TestBenchFleet:
-    def test_bench_fleet_runs_the_bench_role_configs(self, tmp_path, capsys):
-        """`bench fleet <spec>` prices every bench-role scenario with the
-        existing per-group machinery and writes a repro-bench/1 artifact."""
-        from repro.obs import bench
-
-        spec = json.loads(dumps_core_spec())
-        # Keep only the three smoke-sized configs for runtime.
-        blk = next(b for b in spec["blocks"] if b["name"] == "bench-ci")
-        blk["axes"]["config"] = [
-            c for c in blk["axes"]["config"] if c["grid"] == [2, 2, 2]
-        ]
-        spec["blocks"] = [blk]
-        spec_path = tmp_path / "bench.spec.json"
-        spec_path.write_text(json.dumps(spec), encoding="utf-8")
-        out = tmp_path / "fleet_bench.json"
-        assert bench.main(
-            ["fleet", str(spec_path), "--out", str(out), "--repeats", "1"]
-        ) == 0
-        doc = json.loads(out.read_text())
-        assert doc["suite"] == "fleet:fleet-core"
-        assert len(doc["runs"]) == 3
-        assert bench.validate_bench_doc(doc) == 3
-        assert "bench fleet: 3 configs" in capsys.readouterr().out
-
-    def test_bench_fleet_without_bench_scenarios_exits_2(self, tmp_path, capsys):
-        from repro.obs import bench
-
-        spec = json.loads(dumps_core_spec())
-        spec["blocks"] = [b for b in spec["blocks"] if b["role"] != "bench"]
-        spec_path = tmp_path / "nobench.spec.json"
-        spec_path.write_text(json.dumps(spec), encoding="utf-8")
-        assert bench.main(
-            ["fleet", str(spec_path), "--out", str(tmp_path / "o.json")]
-        ) == 2
-        assert "error:" in capsys.readouterr().out

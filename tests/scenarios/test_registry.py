@@ -84,6 +84,19 @@ class TestTiers:
         assert len(fault_scenarios()) == 48
         assert len(model_scenarios()) == 80
 
+    def test_bench_block_is_the_overhead_guards_configs(self):
+        """The ``bench-ci`` block lists the configs the two overhead
+        guards of ``repro.obs.bench`` price, in the same order."""
+        from repro.obs.bench import COMM_FASTPATH, SMOKE
+
+        fields = ("potential", "pattern", "grid", "rdma", "cells", "steps")
+        block = [tuple(s["params"][f] for f in fields) for s in bench_scenarios()]
+        guards = [
+            (c.potential, c.pattern, list(c.grid), c.rdma, list(c.cells), c.steps)
+            for c in SMOKE + COMM_FASTPATH
+        ]
+        assert block == guards
+
     def test_invalid_mode_is_rejected(self, monkeypatch):
         monkeypatch.setenv(FLEET_ENV, "bogus")
         with pytest.raises(ValueError, match="REPRO_FLEET"):

@@ -1,23 +1,19 @@
-"""The artifact kernel: one path contract and one byte format for the four
-document kinds (bench, rankprof, flight dumps, Chrome traces)."""
+"""The artifact kernel: one path contract and one byte format for the three
+document kinds (rankprof, flight dumps, Chrome traces)."""
 
 import copy
 import functools
 import re
-from pathlib import Path
 
 import pytest
 
-from repro.artifact import dumps, read
-from repro.obs.bench import BenchConfig, build_simulation, validate_bench_doc
+from repro.artifact import read
+from repro.md.presets import PRESETS
 from repro.obs.export import validate_chrome_trace
 from repro.obs.flight import FlightRecorder, validate_flight_doc
 from repro.obs.rankprof import profile_exchange, to_dict, validate_rankprof_doc
 
-BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "baseline"
-
 VALIDATORS = {
-    "bench": validate_bench_doc,
     "rankprof": validate_rankprof_doc,
     "flight": validate_flight_doc,
     "trace": validate_chrome_trace,
@@ -25,7 +21,6 @@ VALIDATORS = {
 
 #: Top-level keys each validator requires; every other key is optional.
 REQUIRED = {
-    "bench": {"schema", "label", "meta", "runs", "model_tables"},
     "rankprof": {"schema", "ranks", "phases"},
     "flight": {"schema", "reason", "meta", "limits", "totals", "frames", "events"},
     "trace": {"traceEvents"},
@@ -34,8 +29,6 @@ REQUIRED = {
 #: Per kind, one integer field and one number field a JSON ``true`` /
 #: ``false`` could pose as (Python counts ``bool`` as an ``int``).
 BOOL_PLANTS = {
-    "bench": (("runs", 0, "traffic", "forward", "count"),
-              ("runs", 0, "wall", "stages", "Comm", "min")),
     "rankprof": (("phases", "forward", "rows", 0, "rank"),
                  ("phases", "forward", "imbalance", "mean")),
     "flight": (("limits", "max_steps"), ("frames", 0, "wall", "Comm")),
@@ -45,13 +38,14 @@ BOOL_PLANTS = {
 
 @functools.cache
 def _valid_docs():
-    sim = build_simulation(BenchConfig("lj", "parallel-p2p", (2, 2, 2), rdma=True))
+    sim = PRESETS["lj"].simulation(
+        (4, 4, 4), (2, 2, 2), pattern="parallel-p2p", rdma=True, thermo_every=0
+    )
     sim.setup()
     recorder = FlightRecorder(max_steps=1)
     recorder.record_frame({"step": 0, "wall": {"Comm": 0.5}, "model": {}})
     recorder.record_event("retry")
     return {
-        "bench": read(str(BASELINE / "BENCH_seed.json")),
         "rankprof": to_dict(profile_exchange(sim.exchange)),
         "flight": recorder.dump("unit"),
         "trace": {
@@ -103,12 +97,6 @@ def test_json_booleans_are_not_numbers(kind, field, planted):
     node[path[-1]] = planted
     with pytest.raises(ValueError, match=re.escape(f" invalid at {jsonpath(path)}: ")):
         VALIDATORS[kind](doc)
-
-
-@pytest.mark.parametrize("name, validate", [("BENCH_seed.json", validate_bench_doc)])
-def test_committed_artifacts_round_trip_byte_identically(name, validate):
-    path = BASELINE / name
-    assert dumps(read(str(path), validate)) == path.read_text(encoding="utf-8")
 
 
 def test_read_validates_before_returning(tmp_path):
