@@ -29,12 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.exchange_base import GhostExchange
-from repro.faults.injector import FAULTS
 from repro.machine.params import FUGAKU, MachineParams
-from repro.network.simulator import Message, NetworkSimulator, simulate_owned_rounds
+from repro.network.simulator import Message, NetworkSimulator, observed, simulate_rounds
 from repro.network.stacks import SoftwareStack
-from repro.obs.metrics import METRICS
-from repro.obs.trace import TRACER
 from repro.runtime.threadpool import lpt_bins
 
 #: phase -> (payload bytes per atom, whether the receiver knows the
@@ -148,9 +145,12 @@ def price_exchange(
     ``first_rank + r * node_ranks`` (fault sessions and trace tracks name
     them).  A fenced stage starts at the previous stage's completion plus
     the barrier.  Many rows take the world pass
-    (:func:`~repro.network.simulator.simulate_owned_rounds`); one row, or
-    a schedule the world pass refuses, takes the event loop row by row —
-    the two agree bit for bit.
+    (:func:`~repro.network.simulator.simulate_rounds`) whatever their
+    shape — the MPI two-message border, shared TNIs and VCQ hopping
+    included.  One row takes the event loop (a loop of a node's ~50
+    messages beats NumPy's fixed cost), and so does every row under an
+    observer — the tracer, metrics, timing faults — the one thing the
+    world pass refuses.  The two agree bit for bit.
     """
     bytes_per_atom, known = _phase(phase)
     s = schedule(atoms, hops, bytes_per_atom, stack, params, threads, fence, node_ranks, hop_tnis)
@@ -161,7 +161,7 @@ def price_exchange(
         times = [0.0] * rows
         for i, st in enumerate(s.stages):
             start = np.asarray(times) + sim.barrier_cost if i else np.zeros(rows)
-            times = simulate_owned_rounds(
+            times = simulate_rounds(
                 s.nbytes[:, st], s.hops[:, st], stream[:, st], s.tni[:, st],
                 start, stack, params, known,
             )
@@ -205,10 +205,7 @@ def _cache_for(exchange: GhostExchange) -> dict | None:
     when results must not be cached: traced/metered runs and sessions
     with timing faults always re-simulate so their per-round model spans,
     counters and stall injections stay complete."""
-    session = FAULTS.session
-    if (session is not None and session.timing_faults) or TRACER.enabled or METRICS.enabled:
-        return None
-    return exchange._current().priced
+    return None if observed() else exchange._current().priced
 
 
 def rank_messages(

@@ -7,9 +7,10 @@
   (``T_inj``), per-TNI engine serialization and contention, pipelined
   wire transfer.  This is what turns the paper's Table 1 geometry into
   the times of Figs. 6, 8, 12 and 13.  Two pricers: the event loop
-  :func:`simulate_round` (the reference; observers, faults, VCQ switches
-  and multi-wire protocols) and the world pass
-  :func:`simulate_owned_rounds` (every rank's round in one vector pass).
+  :func:`simulate_round` (the reference, and the one path for observers:
+  tracer, metrics, timing faults) and the world pass
+  :func:`simulate_rounds` (many rounds in one vector pass: shared TNI
+  engines, VCQ switches and two-message protocols included).
 """
 
 from repro.network.stacks import SoftwareStack, MpiStack, UtofuStack, stack_by_name
@@ -17,8 +18,8 @@ from repro.network.simulator import (
     Message,
     NetworkSimulator,
     RoundResult,
-    simulate_owned_rounds,
     simulate_round,
+    simulate_rounds,
 )
 
 __all__ = [
@@ -30,5 +31,5 @@ __all__ = [
     "NetworkSimulator",
     "RoundResult",
     "simulate_round",
-    "simulate_owned_rounds",
+    "simulate_rounds",
 ]

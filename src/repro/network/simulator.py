@@ -23,18 +23,20 @@ Two pricers:
 
 * :func:`simulate_round`, the event loop — one bulk-synchronous round,
   message by message.  It is the reference the other pricer is tested
-  against, and the only path for observers (tracer, metrics, fault
-  sessions), VCQ switches and multi-wire protocols.
+  against, and the only path for observers (tracer, metrics, sessions
+  with timing faults), which need its per-message events.
   :class:`NetworkSimulator` composes it into staged patterns (the
   3-stage exchange) with inter-stage barriers.
-* :func:`simulate_owned_rounds`, the world pass — many independent
-  rounds (one per rank) in one vector pass, bit-identical to the event
-  loop row by row where every injection stream owns its TNI.
+* :func:`simulate_rounds`, the world pass — many independent rounds in
+  one vector pass, bit-identical to the event loop row by row for every
+  round shape: streams sharing a TNI engine, VCQ switches and
+  two-message protocols included.  It refuses only observers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +110,7 @@ def simulate_round(
     would issue them); different threads proceed concurrently from
     ``start_time``, and every TNI engine starts the round idle.  This is
     the reference every vectorized pricer is tested against, and the one
-    path that serves observers (tracer, metrics, fault sessions), VCQ
-    switches and multi-wire protocols.
+    path that serves observers (tracer, metrics, fault sessions).
 
     ``msg_base``/``stage`` give trace spans their provenance: every
     inject/queue/tni-engine/wire segment of logical message *i* carries
@@ -259,7 +260,52 @@ def simulate_round(
     )
 
 
-def simulate_owned_rounds(
+def observed() -> bool:
+    """Whether an observer — the tracer, the metrics registry, a fault
+    session with timing faults — wants the event loop's per-message
+    events (the one thing the world pass refuses)."""
+    session = FAULTS.session
+    timing = session is not None and session.timing_faults
+    return timing or TRACER.enabled or METRICS.enabled
+
+
+class _Queues(NamedTuple):
+    """FIFO queues of a flat key array, list order kept within a key,
+    laid out *position-major*: every queue's first element, then every
+    second one, ...  Queues rank longest first, so those still running
+    at position ``k`` are the first ``active[k]``."""
+
+    order: np.ndarray  # the list in key order
+    same: np.ndarray  # key-ordered element ``i + 1`` is in ``i``'s queue
+    slot: np.ndarray  # list index -> position-major index
+    active: list[int]
+    keys: np.ndarray  # each queue's key, by rank
+
+    def lay_out(self, values: np.ndarray) -> np.ndarray:
+        """List-order ``values`` in position-major layout."""
+        out = np.empty_like(values)
+        out[self.slot] = values
+        return out
+
+
+def _queues(key: np.ndarray) -> _Queues:
+    """:class:`_Queues` of the flat ``key`` array."""
+    order = np.argsort(key, kind="stable")
+    ks = key[order]
+    same = ks[1:] == ks[:-1]
+    head = np.flatnonzero(np.concatenate(([True], ~same)))
+    length = np.diff(np.append(head, ks.size))
+    by_length = np.argsort(-length, kind="stable")
+    rank = np.empty_like(head)
+    rank[by_length] = np.arange(head.size)
+    pos = np.arange(ks.size) - np.repeat(head, length)
+    active = np.bincount(pos)
+    slot = np.empty_like(order)
+    slot[order] = (np.cumsum(active) - active)[pos] + np.repeat(rank, length)
+    return _Queues(order, same, slot, active.tolist(), ks[head[by_length]])
+
+
+def simulate_rounds(
     nbytes: np.ndarray,
     hops: np.ndarray,
     thread: np.ndarray,
@@ -271,78 +317,84 @@ def simulate_owned_rounds(
 ) -> list[float] | None:
     """Completion times of many independent rounds in one pass, or ``None``.
 
-    Row ``r`` of the ``(rounds, messages)`` arrays is one rank's round in
-    issue order, starting at ``start[r]`` with idle TNI engines — what
-    :func:`simulate_round` returns as ``completion_time`` for that row's
-    :class:`Message` list and ``start_time=start[r]``, as Python floats,
-    bit for bit.  ``start`` is zeros for an unfenced round; a fenced
-    pattern chains its stages through it (:meth:`NetworkSimulator.run_staged`
-    per row).
+    Row ``r`` of the ``(rounds, messages)`` arrays is one round in issue
+    order from ``start[r]`` with idle TNI engines; ``thread`` names each
+    message's injection stream in its row (a :class:`Message`'s ``(rank,
+    thread)``).  Row ``r``'s result is :func:`simulate_round`'s
+    ``completion_time`` for its :class:`Message` list and
+    ``start_time=start[r]``, as a Python float, bit for bit, for every
+    round shape: streams sharing a TNI engine, a stream hopping VCQs, a
+    two-message protocol (an 8-byte length segment before each payload).
+    A fenced pattern chains its stages through ``start``
+    (:meth:`NetworkSimulator.run_staged` per row).  ``None`` (callers fall
+    back to the event loop) only when :func:`observed`.
 
-    The closed form holds when *every injection stream owns its TNI
-    engine for the round*: within a row, two messages share a thread iff
-    they share a TNI.  Then an engine only ever sees one stream, in
-    stream order, so its queue is the recurrence ``start_k =
-    max(inject_k, free); free = start_k + serial_k`` down that stream —
-    run here one stream *position* at a time across all streams of all
-    rows — and no VCQ switch is ever paid.  Refused (``None``; callers
-    fall back to the event loop) for anything else: a stream changing
-    TNI, two streams on one TNI, a multi-message protocol for these
-    lengths, and any observer — a fault session with timing faults, the
-    tracer or the metrics registry — which needs the per-message events.
-
-    Streams are padded to the longest one with zeros and the first
-    interval column carries the row's start: ``np.cumsum`` along a stream
-    is sequential, so ``(start + i1) + i2 + ...`` is the loop's ``clock =
-    start; clock += interval`` sum (``0.0 + i1 == i1``), and padding is
-    trailing only — it never feeds an earlier position.
+    Two FIFO recurrences in the loop's association, each run one queue
+    position at a time across all queues of all rows (:class:`_Queues`;
+    everything is O(rows · messages)): per ``(row, stream)``, ``clock =
+    start; clock += switch; clock += interval``, the switch being
+    ``vcq_switch_overhead`` when the stream's previous message used
+    another TNI; then per ``(row, TNI)`` in list order, ``eng_start =
+    max(inject, free); free = eng_start + serial``.  Where every stream
+    owns its TNI the engine queue *is* the stream: one layout serves both.
     """
-    session = FAULTS.session
-    if (session is not None and session.timing_faults) or TRACER.enabled or METRICS.enabled:
-        return None
-    if not known_length and stack.protocol_message_count(1, False) != 1:
+    if observed():
         return None
     rounds, n = nbytes.shape
-    if n == 0:
+    if nbytes.size == 0:
         return np.asarray(start, dtype=np.float64).tolist()
-    same_stream = thread[:, :, None] == thread[:, None, :]
-    if not np.array_equal(same_stream, tni[:, :, None] == tni[:, None, :]):
-        return None
-    size = nbytes.astype(np.float64)
+    # Wire segments in issue order (the stacks' count depends on the
+    # length flag alone): 8-byte length segments, the payload last.
+    wire = stack.protocol_message_count(1, known_length)
+    size = np.repeat(nbytes.astype(np.float64).ravel(), wire)
+    size.reshape(-1, wire)[:, :-1] = 8.0
+    row = np.repeat(np.arange(rounds), n * wire)
+    per_row = int(thread.max()) + 1
+    streams = _queues(row * per_row + np.repeat(thread.ravel(), wire))
+    tni = np.repeat(tni.ravel(), wire)
+    serial = np.maximum(size / params.link_bandwidth, params.tni_engine_message_time)
 
-    # A message's stream is named by the stream's first message; its
-    # position is the number of earlier messages of the same stream.
-    stream = same_stream.argmax(axis=2)
-    pos = np.tril(same_stream, -1).sum(axis=2)
-    depth = int(pos.max()) + 1
-    cell = (np.arange(rounds)[:, None], stream, pos)
+    moved = np.diff(tni[streams.order]) != 0
+    switch = np.empty(size.size, dtype=bool)
+    switch[streams.order] = np.concatenate(([False], streams.same & moved))
+    hopping = bool(switch.any())
+    vcq = streams.lay_out(np.where(switch, params.vcq_switch_overhead, 0.0))
+    interval = streams.lay_out(stack.injection_intervals(size))
+    clock = np.asarray(start, dtype=np.float64)[streams.keys // per_row]
+    inject = np.empty_like(interval)
+    lo = 0
+    for m in streams.active:
+        hi = lo + m
+        if hopping:  # ``+ 0.0`` on a stream staying on its TNI: a no-op
+            clock[:m] += vcq[lo:hi]
+        clock[:m] += interval[lo:hi]
+        inject[lo:hi] = clock[:m]
+        lo = hi
 
-    def padded(values: np.ndarray) -> np.ndarray:
-        out = np.zeros((rounds, n, depth))
-        out[cell] = values
-        return out
-
-    # The loop's per-message terms, elementwise and in its association.
-    intervals = padded(stack.injection_intervals(size))
-    intervals[:, :, 0] += start[:, None]
-    serial = padded(
-        np.maximum(size / params.link_bandwidth, params.tni_engine_message_time)
+    engine = row * (int(tni.max()) + 1) + tni
+    # Owned: one stream per engine; the first slots are the streams' heads.
+    if not hopping and np.bincount(engine[streams.slot < streams.active[0]]).max() == 1:
+        engines = streams
+    else:
+        engines = _queues(engine)
+        inject = engines.lay_out(inject[streams.slot])
+    hold = engines.lay_out(serial)
+    eng_start = np.empty_like(inject)
+    free = np.zeros(engines.active[0])
+    lo = 0
+    for m in engines.active:
+        hi = lo + m
+        eng_start[lo:hi] = np.maximum(inject[lo:hi], free[:m])
+        free[:m] = eng_start[lo:hi] + hold[lo:hi]
+        lo = hi
+    # A zero TNI stall adds exactly ``+ 0.0`` to these non-negative times
+    # in the loop — a bitwise no-op — so it is dropped.
+    arrival = (
+        eng_start[engines.slot] + serial + stack.software_latencies(size)
+        + params.rdma_put_latency
+        + np.maximum(np.repeat(hops.ravel(), wire) - 1.0, 0.0) * params.hop_latency
     )
-    latencies = padded(stack.software_latencies(size))
-    hop_term = padded(np.maximum(hops - 1.0, 0.0) * params.hop_latency)
-    inject = np.cumsum(intervals, axis=2)
-    arrival = np.empty_like(inject)
-    free = np.zeros((rounds, n))
-    for k in range(depth):
-        eng_start = np.maximum(inject[:, :, k], free)
-        free = eng_start + serial[:, :, k]
-        # A zero TNI stall adds exactly ``+ 0.0`` to these non-negative
-        # times in the loop — a bitwise no-op — so it is dropped.
-        arrival[:, :, k] = (
-            eng_start + serial[:, :, k] + latencies[:, :, k]
-            + params.rdma_put_latency + hop_term[:, :, k]
-        )
-    return arrival[cell].max(axis=1).tolist()
+    return arrival.reshape(rounds, n, wire)[:, :, -1].max(axis=1).tolist()
 
 
 class NetworkSimulator:

@@ -40,7 +40,6 @@ from repro.perfmodel.scaling import (
     parallel_efficiency,
     performance_per_day,
 )
-from repro.perfmodel.export import breakdown_to_csv, scaling_to_csv
 
 __all__ = [
     "Variant",
@@ -59,6 +58,4 @@ __all__ = [
     "weak_scaling",
     "parallel_efficiency",
     "performance_per_day",
-    "scaling_to_csv",
-    "breakdown_to_csv",
 ]

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,6 +152,24 @@ class StageTimesResult:
         return {k: (v, self.percent(k)) for k, v in self.stages.items()}
 
 
+@lru_cache(maxsize=256)
+def _table1_row(
+    pattern: str, a: float, rcomm: float, density: float, newton: bool, radius: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Table 1's message classes at sub-box edge ``a``, class by class, as
+    read-only ``(1, sends)`` atoms and hops: a pure function of its
+    arguments, so every ``MachineParams`` that leaves ``a`` alone shares
+    one row."""
+    if pattern == "3stage":
+        ana = analyze_three_stage(a, rcomm, density)
+    else:
+        ana = analyze_p2p(a, rcomm, density, newton=newton, radius=radius)
+    row = [(c.atoms, c.hops) for c in ana.classes for _ in range(c.count)]
+    atoms, hops = (np.array([col]) for col in zip(*row))
+    atoms.flags.writeable = hops.flags.writeable = False
+    return atoms, hops
+
+
 class StageModel:
     """Prices one MD step of a workload on a variant at a node count."""
 
@@ -199,16 +218,10 @@ class StageModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """One rank's sends as a ``(1, sends)`` table of expected atoms and
         hops: Table 1's message classes at this scale, class by class."""
-        a = self.sub_box_edge(w, nodes)
-        if variant.pattern == "3stage":
-            ana = analyze_three_stage(a, w.rcomm, w.density)
-        else:
-            ana = analyze_p2p(
-                a, w.rcomm, w.density, newton=w.newton, radius=w.shell_radius
-            )
-        row = [(c.atoms, c.hops) for c in ana.classes for _ in range(c.count)]
-        atoms, hops = zip(*row)
-        return np.array([atoms]), np.array([hops])
+        return _table1_row(
+            variant.pattern, self.sub_box_edge(w, nodes), w.rcomm, w.density,
+            w.newton, w.shell_radius,
+        )
 
     def pattern_facts(self, variant: Variant) -> dict:
         """What :func:`~repro.core.modeling.price_exchange` needs of the

@@ -288,7 +288,7 @@ def test_200_step_run_equals_the_oracle_path(potential, monkeypatch):
 
     old = build()
     old.exchange.borders = lambda: ref.borders(old.exchange)
-    monkeypatch.setattr(modeling, "simulate_owned_rounds", lambda *args: None)
+    monkeypatch.setattr(modeling, "simulate_rounds", lambda *args: None)
     old.run(200)
 
     assert new.rebuilds == old.rebuilds >= 3

@@ -18,7 +18,7 @@ from repro.machine import FUGAKU
 from repro.md import Stage
 from repro.md.presets import PRESETS
 from repro.network import MpiStack, NetworkSimulator, UtofuStack
-from repro.network.simulator import simulate_owned_rounds
+from repro.network.simulator import simulate_rounds
 from repro.obs import observe
 from repro.obs.bench import model_tables
 from repro.obs.critpath import analyze_critical_path
@@ -228,23 +228,20 @@ class TestWorldPricing:
         )
         passes = []  # known_length of every world-pass call
         monkeypatch.setattr(
-            modeling, "simulate_owned_rounds",
-            lambda *args: passes.append(args[-1]) or simulate_owned_rounds(*args),
+            modeling, "simulate_rounds",
+            lambda *args: passes.append(args[-1]) or simulate_rounds(*args),
         )
         rebuild = modeled_step_comm_time(ex, rebuild=True)
         plain = modeled_step_comm_time(ex, rebuild=False)
         if kind == "3stage":
-            # Only the MPI two-message border goes rank by rank (refused
-            # on its first stage); forward/reverse — one cache entry —
-            # take the world pass, one call per 2-send stage.
-            assert passes == [False, True, True, True]
-            assert len(rounds) == ex.world.size
-            assert not any(m.known_length for msgs in rounds for m in msgs)
+            # The MPI two-message border and forward/reverse — one cache
+            # entry — each take the world pass, one call per 2-send stage.
+            assert passes == [False] * 3 + [True] * 3
         else:
             # The border's length is news to the receiver (known_length
             # False) but uTofu still sends one message; forward/reverse.
             assert passes == [False, True]
-            assert rounds == []  # every rank priced by the world pass
+        assert rounds == []  # every rank priced by the world pass
         for (phase, rank), t in expected.items():
             got = modeled_exchange_time(ex, phase, rank=rank)
             assert got == t and type(got) is float
@@ -261,8 +258,8 @@ class TestWorldPricing:
         ex._epoch.priced.clear()
         passes = []
         monkeypatch.setattr(
-            modeling, "simulate_owned_rounds",
-            lambda *args: passes.append(args[-1]) or simulate_owned_rounds(*args),
+            modeling, "simulate_rounds",
+            lambda *args: passes.append(args[-1]) or simulate_rounds(*args),
         )
         modeled_step_comm_time(ex, rebuild=True)  # border + reverse
         assert len(passes) == 2
@@ -305,7 +302,7 @@ class TestWorldPricing:
         with FAULTS.inject(FaultPlan(faults=(stall,))):
             assert modeled_step_comm_time(ex, rebuild=True) == expected
         ex._epoch.priced.clear()
-        monkeypatch.setattr(modeling, "simulate_owned_rounds", lambda *args: None)
+        monkeypatch.setattr(modeling, "simulate_rounds", lambda *args: None)
         assert modeled_step_comm_time(ex, rebuild=True) == expected
 
     def test_cache_is_keyed_on_the_params_value(self):

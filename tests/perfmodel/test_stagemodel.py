@@ -5,6 +5,7 @@ wins, by roughly what factor, where crossovers fall.  Bands are set
 around the paper's numbers with generous but meaningful margins.
 """
 
+import numpy as np
 import pytest
 
 from repro.perfmodel import (
@@ -15,6 +16,8 @@ from repro.perfmodel import (
     StageModel,
     variant_by_name,
 )
+from repro.core.analytic import analyze_p2p
+from repro.machine import FUGAKU
 from repro.perfmodel.scaling import STRONG_EAM_ATOMS, STRONG_LJ_ATOMS
 from repro.perfmodel.stagemodel import Workload
 
@@ -55,6 +58,30 @@ class TestBasics:
     def test_stage_result_percentages_sum_to_100(self, model):
         res = model.step_times(lj_strong(), 768, variant_by_name("ref"))
         assert sum(res.percent(s) for s in res.stages) == pytest.approx(100.0)
+
+
+class TestRankRow:
+    def test_row_is_table1_class_by_class(self, model):
+        w, v = lj_strong(), variant_by_name("opt")
+        atoms, hops = model.rank_row(v, w, 768)
+        ana = analyze_p2p(
+            model.sub_box_edge(w, 768), w.rcomm, w.density,
+            newton=w.newton, radius=w.shell_radius,
+        )
+        want = [(c.atoms, c.hops) for c in ana.classes for _ in range(c.count)]
+        assert atoms.shape == hops.shape == (1, len(want))
+        assert list(zip(atoms[0].tolist(), hops[0].tolist())) == want
+
+    def test_one_read_only_row_per_shape(self, model):
+        w, v = lj_strong(), variant_by_name("ref")
+        perturbed = StageModel(FUGAKU.evolve(vcq_switch_overhead=2 * FUGAKU.vcq_switch_overhead))
+        atoms, hops = model.rank_row(v, w, 768)
+        again = perturbed.rank_row(v, w, 768)
+        assert again[0] is atoms and again[1] is hops
+        for arr in (atoms, hops):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
+        assert not np.shares_memory(atoms, model.rank_row(v, w, 1536)[0])
 
 
 class TestCommRounds:
