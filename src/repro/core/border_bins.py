@@ -20,17 +20,27 @@ included: ``np.nonzero`` of the (neighbor, atom) membership matrix is
 row-major, i.e. neighbor-major with atoms ascending — exactly the order
 successive ``np.flatnonzero(border_mask(...))`` calls concatenate in.
 
+The table depends on the send offsets only, so one classifier holds every
+rank's sub-box edges and routes the whole world in one pass: each rank's
+local atoms are a row of a padded ``(ranks, width)`` block, and the C
+order of the ``(rank, neighbor, atom)`` membership array is rank-major,
+then the per-rank order above.
+
 Tests verify it against the brute-force region test on random atoms,
 including ``r`` in ``(a/2, a]`` and atoms exactly on the thresholds.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.md.region import SubBox
 
 _AXIS_WEIGHTS = np.array([1, 2, 4], dtype=np.uint8)
+#: the code of a padding row: no neighbor takes it
+_EMPTY = 64
 #: 3x3x3 bin id of each six-bit code: digit_k = 1 - low_k + high_k.
 _BIN_OF_CODE = np.array(
     [
@@ -42,46 +52,52 @@ _BIN_OF_CODE = np.array(
 
 
 class BorderBins:
-    """Six-flag classification of a sub-box for border-atom routing.
+    """Six-flag classification of one sub-box — or of every rank's at
+    once — for border-atom routing.
 
     Parameters
     ----------
-    sub_box:
-        This rank's sub-box.
+    sub_boxes:
+        This rank's sub-box, or every rank's in rank order (the world
+        classifier of :meth:`route_world`).
     rcomm:
         Ghost-shell thickness (cutoff + skin).  Must not exceed any
         sub-box edge — beyond that a radius-1 shell no longer covers the
         cutoff (that long-cutoff regime routes via the generic region
         test instead).
     send_offsets:
-        Neighbor offsets (components in ``{-1, 0, +1}``) this rank
-        *sends border atoms to*.
+        Neighbor offsets (components in ``{-1, 0, +1}``) a rank *sends
+        border atoms to* — the same for every rank, so the membership
+        table is shared.
     """
 
     def __init__(
         self,
-        sub_box: SubBox,
+        sub_boxes: SubBox | Sequence[SubBox],
         rcomm: float,
         send_offsets: list[tuple[int, int, int]],
     ) -> None:
-        lengths = sub_box.lengths
+        boxes = [sub_boxes] if isinstance(sub_boxes, SubBox) else list(sub_boxes)
         if rcomm <= 0:
             raise ValueError(f"rcomm must be positive, got {rcomm}")
-        if np.any(rcomm > lengths):
-            raise ValueError(
-                f"rcomm {rcomm} exceeds sub-box lengths {tuple(lengths)}; "
-                "border bins require sub-boxes wider than the shell"
-            )
-        self.sub_box = sub_box
+        for box in boxes:
+            if np.any(rcomm > box.lengths):
+                raise ValueError(
+                    f"rcomm {rcomm} exceeds sub-box lengths {tuple(box.lengths)}; "
+                    "border bins require sub-boxes wider than the shell"
+                )
+        self.sub_boxes = boxes
         self.rcomm = rcomm
         self.send_offsets = list(send_offsets)
-        # The same float expressions border_mask compares against.
-        self._low_edge = np.asarray(sub_box.lo) + rcomm
-        self._high_edge = np.asarray(sub_box.hi) - rcomm
-        # Neighbor x code membership (neighbor-major so np.nonzero comes
+        # The same float expressions border_mask compares against, one
+        # row per sub-box.
+        self._low_edge = np.array([np.asarray(box.lo) + rcomm for box in boxes])
+        self._high_edge = np.array([np.asarray(box.hi) - rcomm for box in boxes])
+        # Neighbor x code membership (neighbor-major so a nonzero comes
         # out in send-offset order): code bit k = low flag of axis k,
         # bit 3+k = high flag.  A neighbor takes a code iff the code
-        # carries every flag its offset requires.
+        # carries every flag its offset requires; no neighbor takes
+        # _EMPTY, the code of a padding row.
         required = np.array(
             [
                 sum(1 << (k if o < 0 else 3 + k) for k, o in enumerate(off) if o)
@@ -90,15 +106,25 @@ class BorderBins:
             dtype=np.uint8,
         )
         codes = np.arange(64, dtype=np.uint8)
-        self._table: np.ndarray = (codes & required[:, None]) == required[:, None]
+        self._table = np.zeros((len(self.send_offsets), _EMPTY + 1), dtype=bool)
+        self._table[:, :64] = (codes & required[:, None]) == required[:, None]
 
     def code_of(self, x: np.ndarray) -> np.ndarray:
         """Six-bit border code per position: bit ``k`` set when within
         ``rcomm`` of the low face of axis ``k``, bit ``3 + k`` of the high
-        face (two comparisons per axis, no branching)."""
+        face (two comparisons per axis, no branching).
+
+        ``x`` is ``(n, 3)`` positions in the one sub-box, or ``(boxes,
+        width, 3)``: row ``b`` of it compared against sub-box ``b``.
+        """
         x = np.atleast_2d(x)
-        code: np.ndarray = (x < self._low_edge) @ _AXIS_WEIGHTS
-        code |= ((x >= self._high_edge) @ _AXIS_WEIGHTS) << 3
+        low, high = self._low_edge, self._high_edge
+        if x.ndim == 3:
+            low, high = low[:, None], high[:, None]
+        elif len(self.sub_boxes) > 1:
+            raise ValueError("(n, 3) positions need a one-box BorderBins")
+        code: np.ndarray = (x < low) @ _AXIS_WEIGHTS
+        code |= ((x >= high) @ _AXIS_WEIGHTS) << 3
         return code
 
     def bin_of(self, x: np.ndarray) -> np.ndarray:
@@ -112,18 +138,34 @@ class BorderBins:
         bins: np.ndarray = _BIN_OF_CODE[self.code_of(x)]
         return bins
 
+    def route_world(self, x: np.ndarray, nlocal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(idx, counts)`` for every sub-box at once: box ``b``'s atoms
+        are ``x[b, :nlocal[b]]`` (rows past that are padding, never
+        routed).  ``idx`` holds row numbers within a box, box-major, then
+        send-offset-major, rows ascending — box ``b``'s block is what the
+        13/26 ``np.flatnonzero(border_mask(...))`` sweeps over its atoms
+        concatenate to; ``counts[b, n]`` is how many neighbor ``n`` gets.
+
+        One classification and one ``flatnonzero`` over a ``(boxes,
+        neighbors, width)`` membership array, whose C order is that order.
+        """
+        boxes, width = x.shape[:2]
+        code = self.code_of(x)
+        code[np.arange(width) >= np.asarray(nlocal)[:, None]] = _EMPTY
+        # (neighbors, boxes, width) -> box-major, flattened in C order
+        flat = np.flatnonzero(self._table[:, code].transpose(1, 0, 2))
+        sends = len(self.send_offsets)
+        counts = np.bincount(flat // width, minlength=boxes * sends)
+        return flat % width, counts.reshape(boxes, sends)
+
     def route_flat(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(idx, counts)``: the rows of ``x`` every neighbor needs,
         concatenated in send-offset order (rows ascending within a
-        neighbor), and how many each neighbor gets.
-
-        One classification and one ``np.nonzero``; ``idx`` is what the
-        13/26 ``np.flatnonzero(border_mask(...))`` sweeps concatenate to.
-        """
-        nbr, idx = np.nonzero(self._table[:, self.code_of(x)])
-        # nonzero hands out strided columns of one (n, 2) block; the plan
-        # gathers through idx every step, so make it contiguous once.
-        return np.ascontiguousarray(idx), np.bincount(nbr, minlength=len(self.send_offsets))
+        neighbor), and how many each neighbor gets — :meth:`route_world`
+        of a one-box classifier."""
+        x = np.atleast_2d(x)
+        idx, counts = self.route_world(x[None], np.array([x.shape[0]]))
+        return idx, counts[0]
 
     def route(self, x: np.ndarray) -> list[np.ndarray]:
         """Index arrays of ``x`` to send to each neighbor (views of

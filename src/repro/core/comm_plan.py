@@ -8,23 +8,27 @@ exchange hot path.  What the exchange knows splits in two:
   about a neighbour that the decomposition fixes — peer, tags (base and
   on the wire, per phase), hops, PBC shift, and which of the sender's
   sends each receive pairs with.  A route's peer, tag and hops live here
-  and nowhere else.
+  and nowhere else.  :class:`WorldGeometry` holds the same, world-wide:
+  per round the columns over every rank the border stage packs and logs
+  through.
 * **An epoch** (:class:`Epoch`, one per border stage): per rank four
   arrays in a :class:`RankPlan` — which atom rows to gather
   (``fwd_idx``), the shift each row gets (``shift_rows``), where each
   send's rows sit in the packed buffer (``send_bounds``) and where each
   received block lands (``recv_bounds``) — the one offset and one length
   per neighbour the border stage piggybacks.  A route is geometry x
-  bounds; the border stage writes the arrays as it packs and lands each
-  round, and the next one replaces the epoch whole, together with
-  everything derived from it (wiring, traffic records, priced times).
+  bounds; the border stage writes them world-wide, one
+  :class:`BorderRound` per round, as it packs and lands each round, and
+  the plans are rank slices of those arrays; the next stage replaces the
+  epoch whole, together with everything derived from it (wiring, traffic
+  records, priced times).
 
 The ranks' atoms share one :class:`~repro.md.atoms.AtomArena`, so the
 epoch also holds the plans **world-wide**: per :class:`Round` of the
 schedule (one for the direct-neighbour patterns, one per swap for the
 staged 3-stage sweep) a :class:`WorldRound` of arena row numbers — the
-plans' arrays rank-concatenated plus slab starts, read through the static
-pairing.  The per-step work of a round is one gather each way through a
+round's packed rows plus slab starts, permuted into destination order
+through the static pairing.  The per-step work of a round is one gather each way through a
 staging block as long as the arena:
 
 * **forward**: one ``np.take`` and one vectorized shift add.  The direct
@@ -63,6 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.md.atoms import AtomArena
+from repro.runtime.transport import SentMessage
 
 
 class RoundGeometry:
@@ -132,12 +137,12 @@ class RankPlan:
     through; send ``j`` owns packed rows ``send_bounds[j]:send_bounds[j +
     1]`` and receive ``i`` lands in atom rows ``recv_bounds[i]:
     recv_bounds[i + 1]`` — sends and receives numbered round-major, as the
-    geometry lists them.
+    geometry lists them.  An epoch's plans are views of its world arrays.
     """
 
     __slots__ = (
         "geom", "fwd_idx", "shift_rows", "send_bounds", "recv_bounds",
-        "n_pack", "rounds",
+        "n_pack", "_rounds",
     )
 
     def __init__(
@@ -154,18 +159,26 @@ class RankPlan:
         self.send_bounds = send_bounds
         self.recv_bounds = recv_bounds
         self.n_pack = int(send_bounds[-1])
-        self.rounds: list[Round] = []
-        s = r = 0
-        for g in geom:
-            s_hi, r_hi = s + len(g.send_peers), r + len(g.recv_peers)
-            rows = slice(int(send_bounds[s]), int(send_bounds[s_hi]))
-            self.rounds.append(
-                Round(
-                    rows, fwd_idx[rows], shift_rows[rows],
-                    slice(s, s_hi), slice(r, r_hi), int(recv_bounds[r]),
+        self._rounds: list[Round] | None = None
+
+    @property
+    def rounds(self) -> list[Round]:
+        """The plan cut per :class:`Round` (on first use: the direct plane
+        replays the world tables and never asks)."""
+        if self._rounds is None:
+            self._rounds = []
+            s = r = 0
+            for g in self.geom:
+                s_hi, r_hi = s + len(g.send_peers), r + len(g.recv_peers)
+                rows = slice(int(self.send_bounds[s]), int(self.send_bounds[s_hi]))
+                self._rounds.append(
+                    Round(
+                        rows, self.fwd_idx[rows], self.shift_rows[rows],
+                        slice(s, s_hi), slice(r, r_hi), int(self.recv_bounds[r]),
+                    )
                 )
-            )
-            s, r = s_hi, r_hi
+                s, r = s_hi, r_hi
+        return self._rounds
 
     # -- routes: geometry x bounds -------------------------------------------
     def sends(self, k: int, phase: str | None = None) -> zip:
@@ -191,36 +204,97 @@ class RankPlan:
         return np.diff(self.send_bounds).tolist(), hops
 
 
-def pair_table(geom: list[list[RoundGeometry]]) -> list[tuple[np.ndarray, ...]]:
-    """The static send<->recv pairing of the whole world, per round:
-    ``(src, send position, dst, recv position)`` columns, one row per
-    route, positions indexing the rank-concatenated ``send_bounds`` /
-    ``recv_bounds`` (``n + 1`` entries per rank).  ``geom[rank][k]`` is
-    the rank's part in round ``k``."""
-
-    def firsts(counts: list[list[int]]) -> np.ndarray:
-        # (ranks, rounds) route counts -> where each one's first route sits
-        n = np.array(counts)
-        per_rank = n.sum(axis=1) + 1
-        return (np.cumsum(per_rank) - per_rank)[:, None] + np.cumsum(n, axis=1) - n
-
-    s_first = firsts([[len(g.send_peers) for g in rounds] for rounds in geom])
-    r_first = firsts([[len(g.recv_peers) for g in rounds] for rounds in geom])
-    table = []
-    for k in range(len(geom[0])):
-        rows = [
-            (src, s_first[src][k] + slot, dst, r_first[dst][k] + i)
-            for dst, rounds in enumerate(geom)
-            for i, (src, slot) in enumerate(zip(rounds[k].recv_peers, rounds[k].recv_slots))
-        ]
-        table.append(tuple(np.array(rows, dtype=np.intp).T))
-    return table
-
-
-def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``arange(first[i], first[i] + counts[i])`` for every ``i``, concatenated."""
     ends = np.cumsum(counts)
     return np.repeat(first - (ends - counts), counts) + np.arange(int(counts.sum()))
+
+
+class WorldGeometry:
+    """The run's static part, world-wide: every rank's
+    :class:`RoundGeometry` as columns over all ranks, per round.
+
+    Every rank plays a part of the same shape in a round — as many sends
+    and receives as every other rank — so a round's per-send values are
+    ``(ranks, sends)`` tables, flattened rank-major: the PBC shift of each
+    send (``shifts``), the flat send each receive pairs with, receives in
+    destination order — rank by rank, receive by receive (``pairs``) — and
+    the hops of every send of the run (``hops``, ``(ranks, sends)``
+    round-major).  Built once, by the first border stage.
+    """
+
+    def __init__(self, geom: list[list[RoundGeometry]]) -> None:
+        self.geom = geom
+        self.n_sends: list[int] = []
+        self.n_recvs: list[int] = []
+        self.shifts: list[np.ndarray] = []
+        self.pairs: list[np.ndarray] = []
+        for k in range(len(geom[0])):
+            parts = [rounds[k] for rounds in geom]
+            shapes = {(len(g.send_peers), len(g.recv_peers)) for g in parts}
+            if len(shapes) > 1:
+                raise ValueError(
+                    f"round {k}: ranks differ in their (sends, receives): {sorted(shapes)}"
+                )
+            ((n_sends, n_recvs),) = shapes
+            self.n_sends.append(n_sends)
+            self.n_recvs.append(n_recvs)
+            self.shifts.append(np.concatenate([g.shifts for g in parts]))
+            self.pairs.append(
+                np.array(
+                    [
+                        src * n_sends + slot
+                        for g in parts
+                        for src, slot in zip(g.recv_peers, g.recv_slots)
+                    ],
+                    dtype=np.intp,
+                )
+            )
+        self.hops = np.array(
+            [[h for g in rounds for h in g.send_hops] for rounds in geom], dtype=np.int64
+        )
+        self._routes: dict[tuple, list[tuple]] = {}
+
+    def records(
+        self, k: int, phase: str, sends: bool, counts: np.ndarray, width: int
+    ) -> list[SentMessage]:
+        """The traffic records of every send (receive) of round ``k``,
+        rank-major in route order, carrying ``counts`` rows of ``width``
+        bytes: the static ``(rank, peer, tag on phase's wire)`` columns
+        times the epoch's counts."""
+        key = (k, phase, sends)
+        routes = self._routes.get(key)
+        if routes is None:
+            routes = self._routes[key] = [
+                (rank, peer, tag)
+                for rank, rounds in enumerate(self.geom)
+                for peer, tag in zip(
+                    rounds[k].send_peers if sends else rounds[k].recv_peers,
+                    rounds[k].wire_tags(phase)[0 if sends else 1],
+                )
+            ]
+        return [
+            SentMessage(rank, peer, tag, n * width, phase)
+            for (rank, peer, tag), n in zip(routes, counts.tolist())
+        ]
+
+    def dest_order(self, k: int, counts: np.ndarray) -> np.ndarray:
+        """Round ``k``'s packed rows — ``counts`` of them per send,
+        source-packed — listed in destination order."""
+        flat = counts.ravel()
+        pairs = self.pairs[k]
+        return ranges((np.cumsum(flat) - flat)[pairs], flat[pairs])
+
+
+class BorderRound(NamedTuple):
+    """What one round of a border stage packed, world-wide, in
+    source-packed order — rank by rank, send by send, rows ascending."""
+
+    idx: np.ndarray  # the rows sent, numbered within the sender's slab
+    shift_rows: np.ndarray  # the PBC shift each one got
+    counts: np.ndarray  # (ranks, sends): rows per send
+    #: the packed rows in destination order (:meth:`WorldGeometry.dest_order`)
+    order: np.ndarray
 
 
 class WorldRound(NamedTuple):
@@ -261,70 +335,122 @@ class Epoch:
     when the stage completes and dropped whole by the next migration, so
     invalidating any of it is replacing the epoch.
 
-    ``world`` is every plane's wiring, a :class:`WorldRound` per round of
-    arena row numbers; plans whose send and paired receive disagree on a
-    row count cannot be wired and are refused (``ValueError``).  Row
-    numbers mean something under one layout of one arena only: the epoch
-    names both (``arena``, ``layout``) and is stale once the arena's moved
-    on.
+    Built from the stage's world arrays — a :class:`BorderRound` per round
+    and every rank's receive bounds, ``(ranks, receives + 1)`` — whose
+    rank slices are the plans.  ``world`` is every plane's wiring, a
+    :class:`WorldRound` per round of arena row numbers; arrays whose send
+    and paired receive disagree on a row count cannot be wired and are
+    refused (``ValueError``).  Row numbers mean something under one layout
+    of one arena only: the epoch names both (``arena``, ``layout``) and is
+    stale once the arena's moved on.
     """
 
-    __slots__ = ("plans", "arena", "layout", "world", "records", "priced")
+    __slots__ = (
+        "plans", "arena", "layout", "world", "counts", "landed", "recv_bounds",
+        "send_sizes", "records", "priced",
+    )
 
     def __init__(
-        self, plans: list[RankPlan], pairs: list[tuple[np.ndarray, ...]], arena: AtomArena
+        self,
+        geometry: WorldGeometry,
+        rounds: list[BorderRound],
+        recv_bounds: np.ndarray,
+        arena: AtomArena,
     ) -> None:
-        self.plans = plans
         self.arena = arena
         self.layout = arena.layout
-        self.world = self._world_rounds(pairs)
+        #: per round, the ``(ranks, sends)`` rows of every send ...
+        self.counts = [rnd.counts for rnd in rounds]
+        #: ... and of every receive, destination order
+        self.landed: list[np.ndarray] = []
+        #: ``(ranks, receives + 1)``: every rank's receive bounds
+        self.recv_bounds = recv_bounds
+        counts = np.concatenate(self.counts, axis=1)
+        send_bounds = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.intp)
+        np.cumsum(counts, axis=1, out=send_bounds[:, 1:])
+        #: ``(atom count, hops)`` of every rank's sends, ``(ranks, sends)``
+        #: round-major: what the modeled clock prices
+        self.send_sizes = (counts, geometry.hops)
+        self.world = self._world_rounds(geometry, rounds, send_bounds, recv_bounds)
+        self.plans = self._plans(geometry, rounds, send_bounds, recv_bounds)
         #: (phase, vec, forward) -> the phase's traffic records and byte sum
         self.records: dict = {}
         #: modeled times (:mod:`repro.core.modeling`)
         self.priced: dict = {}
 
-    def _world_rounds(self, pairs: list[tuple[np.ndarray, ...]]) -> list[WorldRound]:
-        """The world tables: per round the plans' arrays rank-concatenated
-        (source-packed order), plus slab starts, read through the static
-        pairing (destination order)."""
-        plans, starts = self.plans, self.arena.starts[:-1]
-        send_bounds = np.concatenate([plan.send_bounds for plan in plans])
-        recv_bounds = np.concatenate([plan.recv_bounds for plan in plans])
-        recv_ends = [plan.recv_bounds.tolist() for plan in plans]
+    @staticmethod
+    def _plans(
+        geometry: WorldGeometry,
+        rounds: list[BorderRound],
+        send_bounds: np.ndarray,
+        recv_bounds: np.ndarray,
+    ) -> list[RankPlan]:
+        """Every rank's plan, its arrays rank slices of the world's (the
+        rounds' packed rows regrouped rank-major when there are several)."""
+        fwd_idx, shift_rows = rounds[0].idx, rounds[0].shift_rows
+        if len(rounds) > 1:
+            n = np.stack([rnd.counts.sum(axis=1) for rnd in rounds], axis=1)
+            per_round = n.sum(axis=0)
+            first = np.cumsum(n, axis=0) - n + (np.cumsum(per_round) - per_round)
+            rank_major = ranges(first.ravel(), n.ravel())
+            fwd_idx = np.concatenate([rnd.idx for rnd in rounds])[rank_major]
+            shift_rows = np.concatenate([rnd.shift_rows for rnd in rounds])[rank_major]
+        n_pack = send_bounds[:, -1]
+        return [
+            RankPlan(geom, fwd_idx[a : a + n], shift_rows[a : a + n], sends, recvs)
+            for geom, a, n, sends, recvs in zip(
+                geometry.geom, (np.cumsum(n_pack) - n_pack).tolist(), n_pack.tolist(),
+                send_bounds, recv_bounds,
+            )
+        ]
+
+    def _world_rounds(
+        self,
+        geometry: WorldGeometry,
+        rounds: list[BorderRound],
+        send_bounds: np.ndarray,
+        recv_bounds: np.ndarray,
+    ) -> list[WorldRound]:
+        """The world tables: per round the packed rows plus slab starts
+        (source-packed order), permuted into destination order."""
+        starts = self.arena.starts[:-1]
         world = []
-        for k, (src, s_at, dst, r_at) in enumerate(pairs):
-            counts = send_bounds[s_at + 1] - send_bounds[s_at]
-            landed = recv_bounds[r_at + 1] - recv_bounds[r_at]
-            if not np.array_equal(counts, landed):
-                i = int(np.flatnonzero(counts != landed)[0])
+        s = r = 0
+        for k, rnd in enumerate(rounds):
+            n_sends, n_recvs = geometry.n_sends[k], geometry.n_recvs[k]
+            pairs = geometry.pairs[k]
+            sent = rnd.counts.ravel()[pairs]
+            landed = np.diff(recv_bounds[:, r : r + n_recvs + 1], axis=1).ravel()
+            if not np.array_equal(sent, landed):
+                i = int(np.flatnonzero(sent != landed)[0])
                 raise ValueError(
-                    f"round {k}: rank {src[i]} sends {counts[i]} rows to rank {dst[i]}, "
-                    f"whose paired receive lands {landed[i]}"
+                    f"round {k}: rank {pairs[i] // n_sends} sends {sent[i]} rows to rank "
+                    f"{i // n_recvs}, whose paired receive lands {landed[i]}"
                 )
-            rounds = [plan.rounds[k] for plan in plans]
-            n_rows = np.array([rnd.idx.size for rnd in rounds])
-            bins = np.concatenate([rnd.idx for rnd in rounds]) + np.repeat(starts, n_rows)
+            self.landed.append(sent)
+            n_rows = rnd.counts.sum(axis=1)
+            bins = rnd.idx + np.repeat(starts, n_rows)
+            lo, hi = recv_bounds[:, r], recv_bounds[:, r + n_recvs]
+            ghost_rows = np.empty_like(bins)
+            ghost_rows[rnd.order] = ranges(starts + lo, hi - lo)
             # where a rank's packed rows of the round begin, world-wide,
             # less where they begin in its own send bounds
-            packed_at = np.cumsum(n_rows) - n_rows - [rnd.rows.start for rnd in rounds]
-            # pair tables list routes in destination order
-            packed = _ranges(packed_at[src] + send_bounds[s_at], counts)
-            ghost_rows = np.empty_like(bins)
-            ghost_rows[packed] = _ranges(starts[dst] + recv_bounds[r_at], counts)
+            packed_at = np.cumsum(n_rows) - n_rows - send_bounds[:, s]
             spans, owned = [], np.zeros(self.arena.rows, dtype=bool)
             a = 0
-            for start, ends, rnd in zip(starts.tolist(), recv_ends, rounds):
-                lo, hi = ends[rnd.recvs.start], ends[rnd.recvs.stop]
-                if hi > lo:
-                    spans.append((start + lo, start + hi, a, a + hi - lo))
-                    a += hi - lo
-                if rnd.idx.size:
-                    owned[start : start + rnd.scatter_len] = True
-            shifts = np.concatenate([rnd.shifts for rnd in rounds])
+            for start, low, high, sends in zip(
+                starts.tolist(), lo.tolist(), hi.tolist(), n_rows.tolist()
+            ):
+                if high > low:
+                    spans.append((start + low, start + high, a, a + high - low))
+                    a += high - low
+                if sends:
+                    owned[start : start + low] = True
             world.append(
                 WorldRound(
-                    np.take(bins, packed), np.take(shifts, packed, axis=0), spans,
-                    ghost_rows, bins, shifts, packed_at.tolist(), owned,
+                    np.take(bins, rnd.order), np.take(rnd.shift_rows, rnd.order, axis=0),
+                    spans, ghost_rows, bins, rnd.shift_rows, packed_at.tolist(), owned,
                 )
             )
+            s, r = s + n_sends, r + n_recvs
         return world

@@ -43,11 +43,16 @@ prices on the network simulator.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from repro.core.comm_plan import Epoch, RankPlan, RoundGeometry, WorldRound, pair_table
+from repro.core.comm_plan import (
+    BorderRound,
+    Epoch,
+    RoundGeometry,
+    WorldGeometry,
+    WorldRound,
+    ranges,
+)
 from repro.core.ghost import GhostBudget
 from repro.faults.injector import FAULTS, RetryExhaustedError
 from repro.md.atoms import AtomArena, Atoms
@@ -62,27 +67,6 @@ from repro.runtime.world import World
 
 class NoEpochError(RuntimeError):
     """A replay or schedule was asked for with no border stage to replay."""
-
-
-class _BorderPack(NamedTuple):
-    """One rank's packed border payload of one round, sends concatenated."""
-
-    idx: np.ndarray  # send rows, send-major
-    bounds: list[int]  # the round's send j owns rows bounds[j]:bounds[j + 1]
-    shift_rows: np.ndarray
-    x: np.ndarray
-    tag: np.ndarray
-    type: np.ndarray
-
-
-def _cat(parts: tuple[np.ndarray, ...]) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _leading_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Rows ``starts[i] : starts[i] + counts[i]`` of every slab, slab-major."""
-    first = np.cumsum(counts) - counts
-    return np.arange(counts.sum()) + np.repeat(starts[:-1] - first, counts)
 
 
 class GhostExchange:
@@ -151,9 +135,9 @@ class GhostExchange:
         self.retries = 0
         self.retry_model_time = 0.0
         # Static for the run, built by the first border stage: every
-        # (rank, round)'s geometry and the world's send<->recv pairing.
+        # (rank, round)'s geometry, and as world-wide columns.
         self._geom: list[list[RoundGeometry]] = []
-        self._pairs: list[tuple[np.ndarray, ...]] = []
+        self._world_geom: WorldGeometry | None = None
         # The one per-epoch value (section 3.4 reuse discipline): what the
         # last completed border stage wrote, replayed until migration
         # drops it.  Everything cached per epoch hangs off it.
@@ -203,12 +187,14 @@ class GhostExchange:
         raise NotImplementedError
 
     def _select_border(
-        self, rank: int, k: int, landed: list[int]
-    ) -> tuple[np.ndarray, list[int]]:
-        """The atom rows ``rank`` sends in round ``k``, send-major with rows
-        ascending within a send, and the row count of each send.
-        ``landed`` is the rank's receive bounds so far: its local count,
-        then the end row of every block the earlier rounds delivered."""
+        self, k: int, landed: list[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(idx, counts)``: the rows every rank sends in round ``k`` —
+        numbered within the rank's slab, rank-major, then send-major, rows
+        ascending — and the ``(ranks, sends)`` row count of each send.
+        ``landed`` is every rank's receive bounds so far, one ``(ranks,)``
+        column each: the local counts, then the end row of every block
+        the earlier rounds delivered."""
         raise NotImplementedError
 
     def _adopt(self) -> AtomArena:
@@ -231,7 +217,7 @@ class GhostExchange:
                 [self._round_geometry(rank, k) for k in range(self.n_rounds)]
                 for rank in range(self.world.size)
             ]
-            self._pairs = pair_table(self._geom)
+            self._world_geom = WorldGeometry(self._geom)
         self._adopt()
 
     def _border_done(self, plane: str, epoch: Epoch) -> None:
@@ -270,20 +256,40 @@ class GhostExchange:
             )
         return epoch
 
-    def _new_epoch(self, arrays: list[tuple[np.ndarray, ...]]) -> Epoch:
-        """An epoch from every rank's ``(fwd_idx, shift_rows, send_bounds,
-        recv_bounds)`` — whoever ran the border stage installs it as
-        ``_epoch`` once the stage has completed.  Arrays whose send and
-        paired receive disagree on a row count are a ``ValueError``."""
+    def _world_epoch(self, rounds: list[BorderRound], recv_bounds: np.ndarray) -> Epoch:
+        """An epoch from a border stage's world arrays — whoever ran the
+        stage installs it as ``_epoch`` once the stage has completed.
+        Arrays whose send and paired receive disagree on a row count are a
+        ``ValueError``."""
         if self._stage.shape[0] < self.arena.rows:
             # a round lands on distinct ghost rows: never more than the arena has
             self._stage = np.empty((self.arena.rows, 3))
         self._plan_builds += 1
-        return Epoch(
-            [RankPlan(geom, *columns) for geom, columns in zip(self._geom, arrays)],
-            self._pairs,
-            self.arena,
-        )
+        return Epoch(self._world_geom, rounds, recv_bounds, self.arena)
+
+    def _new_epoch(self, arrays: list[tuple[np.ndarray, ...]]) -> Epoch:
+        """An epoch from every rank's ``(fwd_idx, shift_rows, send_bounds,
+        recv_bounds)``, cut per round into world arrays
+        (:meth:`_world_epoch`)."""
+        geometry = self._world_geom
+        send_bounds = np.stack([columns[2] for columns in arrays])
+        rounds, s = [], 0
+        for k, n in enumerate(geometry.n_sends):
+            rows = [
+                slice(lo, hi)
+                for lo, hi in zip(send_bounds[:, s].tolist(), send_bounds[:, s + n].tolist())
+            ]
+            counts = np.diff(send_bounds[:, s : s + n + 1], axis=1)
+            rounds.append(
+                BorderRound(
+                    np.concatenate([columns[0][at] for columns, at in zip(arrays, rows)]),
+                    np.concatenate([columns[1][at] for columns, at in zip(arrays, rows)]),
+                    counts,
+                    geometry.dest_order(k, counts),
+                )
+            )
+            s += n
+        return self._world_epoch(rounds, np.stack([columns[3] for columns in arrays]))
 
     def _plan_budget(self) -> GhostBudget:
         """The analytic ghost budget sizing the arena's slabs (and RDMA
@@ -309,20 +315,20 @@ class GhostExchange:
         reneighborings, so the per-message records are computed once
         per epoch in the mailbox plane's send order — round-major (the
         reverse replay walks the rounds backwards), then rank-major,
-        then route order — and appended wholesale on each replay.
+        then route order — from the static route columns and the epoch's
+        row counts, and appended wholesale on each replay.
         """
-        records = self._current().records
-        cached = records.get((phase, vec, forward))
+        epoch = self._current()
+        cached = epoch.records.get((phase, vec, forward))
         if cached is None:
             width = 24 if vec else 8
-            msgs = []
+            msgs, rows = [], 0
             rounds = range(self.n_rounds)
             for k in rounds if forward else reversed(rounds):
-                for rank, plan in enumerate(self._epoch.plans):
-                    routes = plan.sends(k, phase) if forward else plan.recvs(k, phase)
-                    for peer, lo, hi, tag in routes:
-                        msgs.append(SentMessage(rank, peer, tag, (hi - lo) * width, phase))
-            cached = records[phase, vec, forward] = (msgs, sum(m.nbytes for m in msgs))
+                counts = epoch.counts[k].ravel() if forward else epoch.landed[k]
+                msgs += self._world_geom.records(k, phase, forward, counts, width)
+                rows += int(counts.sum())
+            cached = epoch.records[phase, vec, forward] = (msgs, rows * width)
         return cached
 
     def plan_stats(self) -> dict[str, int]:
@@ -565,114 +571,107 @@ class GhostExchange:
             self._borders_impl()
 
     def _borders_impl(self) -> None:
-        """Per round: pack every rank's selected atoms once, then the plane.
+        """Per round, one world pass: select every rank's rows, pack them
+        (:meth:`_pack_round`), then the plane.
 
         The shape of the forward/reverse replay: one selection and three
-        ``np.take`` gathers per rank produce the concatenated send rows of
-        the round; ``_plane`` picks who carries the slices; ghosts land in
-        canonical recv order on either plane, and the next round selects
-        among them.  Packing appends to the rank's send bounds, landing to
-        its receive bounds; with the gather arrays themselves they are the
-        epoch, installed once every round (and the pattern's
-        ``_border_done``) went through — an escalation on the way leaves
-        no epoch behind.
+        ``np.take`` gathers over the arena produce every rank's send rows
+        of the round; ``_plane`` (asked once) picks who carries them;
+        ghosts land in canonical recv order on either plane, and the next
+        round selects among them.  The packed rounds and every rank's
+        receive bounds are the epoch's world arrays, installed once every
+        round (and the pattern's ``_border_done``) went through — an
+        escalation on the way leaves no epoch behind.
         """
         world = self.world
         world.transport.set_phase("border")
         self._border_setup()
         self._epoch = None
-        for rank in range(world.size):
-            self.atoms_of(rank).clear_ghosts()
+        for atoms in self.arena.members:
+            atoms.clear_ghosts()
         plane = self._plane("border")
         deliver = getattr(self, f"_{plane}_border")
-        sent = [[0] for _ in range(world.size)]
-        landed = [[self.atoms_of(rank).nlocal] for rank in range(world.size)]
+        landed = [np.array([atoms.nlocal for atoms in self.arena.members])]
         rounds = []
         for k in range(self.n_rounds):
             with self._round_span(k):
-                packs = [
-                    self._pack_border(rank, k, sent[rank], landed[rank])
-                    for rank in range(world.size)
-                ]
-                deliver(packs, k, landed)
-            rounds.append(packs)
-        epoch = self._new_epoch(
-            [
-                (
-                    _cat(tuple(pack.idx for pack in packs)),
-                    _cat(tuple(pack.shift_rows for pack in packs)),
-                    np.array(sent[rank]),
-                    np.array(landed[rank]),
-                )
-                for rank, packs in enumerate(zip(*rounds))
-            ]
-        )
+                rnd, payload = self._pack_round(k, landed)
+                landed += deliver(rnd, payload, k, landed[-1])
+            rounds.append(rnd)
+        epoch = self._world_epoch(rounds, np.stack(landed, axis=1))
         self._border_done(plane, epoch)
         self._epoch = epoch
 
-    def _pack_border(
-        self, rank: int, k: int, sent: list[int], landed: list[int]
-    ) -> _BorderPack:
-        """Gather the payload rows ``rank`` sends in round ``k`` and append
-        the round's sends to ``sent``, the rank's send bounds.
-
-        ``idx`` is send-major with rows ascending, so every route's rows
-        are a slice of it and the gathers are the per-route ``x[send_idx]
-        + shift`` bit for bit (the shift add stays unconditional: the
-        ``-0.0`` rule of the plan replay).
-        """
-        atoms = self.atoms_of(rank)
-        idx, counts = self._select_border(rank, k, landed)
-        bounds = [0, *np.cumsum(counts).tolist()]
-        base = sent[-1]
-        sent.extend(base + b for b in bounds[1:])
-        shift_rows = np.repeat(self._geom[rank][k].shifts, counts, axis=0)
-        x = np.take(atoms.x, idx, axis=0)
+    def _pack_round(
+        self, k: int, landed: list[np.ndarray]
+    ) -> tuple[BorderRound, tuple[np.ndarray, ...]]:
+        """Every rank's round-``k`` payload, source-packed: one gather
+        each of ``x``, ``tag`` and ``type`` over the arena, positions
+        shifted by the static ``(rank, send)`` shift table repeated by the
+        counts — the per-route ``x[send_idx] + shift`` bit for bit (the add
+        stays unconditional: the ``-0.0`` rule of the plan replay)."""
+        idx, counts = self._select_border(k, landed)
+        arena, geometry = self.arena, self._world_geom
+        rows = idx + np.repeat(arena.starts[:-1], counts.sum(axis=1))
+        shift_rows = np.repeat(geometry.shifts[k], counts.ravel(), axis=0)
+        x = np.take(arena.x, rows, axis=0)
         x += shift_rows
-        return _BorderPack(
-            idx, bounds, shift_rows, x, np.take(atoms.tag, idx), np.take(atoms.type, idx)
+        payload = (x, np.take(arena.tag, rows), np.take(arena.type, rows))
+        return BorderRound(idx, shift_rows, counts, geometry.dest_order(k, counts)), payload
+
+    def _direct_border(
+        self, rnd: BorderRound, payload: tuple[np.ndarray, ...], k: int, ends: np.ndarray
+    ) -> list[np.ndarray]:
+        """Land the whole round at once — every receiver's slab reserved
+        first (a re-layout happens before any row is written), then one
+        gather of the payload into destination order and one append per
+        rank of its contiguous slice — and log the records the
+        per-message sends would have written.  ``ends`` is every rank's
+        row count so far; returns the round's receive bounds, a column per
+        receive."""
+        x, tag, type_ = payload
+        geometry, arena = self._world_geom, self.arena
+        counts = rnd.counts.ravel()
+        row_bytes = 3 * x.itemsize + tag.itemsize + type_.itemsize
+        self.world.transport.log.record_phase(
+            geometry.records(k, "border", True, counts, row_bytes),
+            row_bytes * int(counts.sum()),
         )
+        got = counts[geometry.pairs[k]].reshape(len(ends), -1)
+        total = got.sum(axis=1)
+        need = ends + total
+        for rank in np.flatnonzero(need > np.diff(arena.starts)).tolist():
+            arena.members[rank].reserve(int(need[rank]))
+        x, tag, type_ = (np.take(column, rnd.order, axis=0) for column in payload)
+        stops = np.cumsum(total).tolist()
+        for atoms, a, b in zip(arena.members, [0, *stops], stops):
+            atoms.append_ghosts(x[a:b], tag[a:b], type_[a:b])
+        return list((ends[:, None] + np.cumsum(got, axis=1)).T)
 
-    def _direct_border(self, packs: list[_BorderPack], k: int, landed: list[list[int]]) -> None:
-        """Write every payload slice straight into its receiver's ghost
-        rows — one append per rank, no mailbox round trip per route — and
-        log the records the per-message sends would have written."""
-        msgs = []
-        for rank, pack in enumerate(packs):
-            row_bytes = 3 * pack.x.itemsize + pack.tag.itemsize + pack.type.itemsize
-            geom = self._geom[rank][k]
-            for peer, tag, lo, hi in zip(
-                geom.send_peers, geom.wire_tags("border")[0], pack.bounds, pack.bounds[1:]
-            ):
-                msgs.append(SentMessage(rank, peer, tag, row_bytes * (hi - lo), "border"))
-        self.world.transport.log.record_phase(msgs, sum(m.nbytes for m in msgs))
-        for rank, ends in enumerate(landed):
-            geom = self._geom[rank][k]
-            blocks = []
-            for src, slot in zip(geom.recv_peers, geom.recv_slots):
-                pack = packs[src]
-                lo, hi = pack.bounds[slot], pack.bounds[slot + 1]
-                blocks.append((pack.x[lo:hi], pack.tag[lo:hi], pack.type[lo:hi]))
-                ends.append(ends[-1] + hi - lo)
-            self.atoms_of(rank).append_ghosts(*(_cat(column) for column in zip(*blocks)))
-
-    def _mailbox_border(self, packs: list[_BorderPack], k: int, landed: list[list[int]]) -> None:
-        """Every payload slice through ``Transport.send`` and the retrying
-        ``_recv``, one message at a time: what faults act on and the
-        tracer sees."""
+    def _mailbox_border(
+        self, rnd: BorderRound, payload: tuple[np.ndarray, ...], k: int, ends: np.ndarray
+    ) -> list[np.ndarray]:
+        """Every send's payload slice through ``Transport.send`` and the
+        retrying ``_recv``, one message at a time: what faults act on and
+        the tracer see."""
         transport = self.world.transport
-        for rank, pack in enumerate(packs):
+        stops = np.cumsum(rnd.counts.ravel()).tolist()
+        sends = (
+            (rank, peer, tag)
+            for rank, rounds in enumerate(self._geom)
+            for peer, tag in zip(rounds[k].send_peers, rounds[k].wire_tags("border")[0])
+        )
+        for (rank, peer, tag), lo, hi in zip(sends, [0, *stops], stops):
+            transport.send(rank, peer, tag, tuple(column[lo:hi] for column in payload))
+        landed = []
+        for rank, atoms in enumerate(self.arena.members):
             geom = self._geom[rank][k]
-            for peer, tag, lo, hi in zip(
-                geom.send_peers, geom.wire_tags("border")[0], pack.bounds, pack.bounds[1:]
-            ):
-                transport.send(rank, peer, tag, (pack.x[lo:hi], pack.tag[lo:hi], pack.type[lo:hi]))
-        for rank, ends in enumerate(landed):
-            atoms = self.atoms_of(rank)
-            geom = self._geom[rank][k]
+            row = []
             for src, tag in zip(geom.recv_peers, geom.wire_tags("border")[1]):
                 start, count = atoms.append_ghosts(*self._recv(transport, rank, src, tag))
-                ends.append(start + count)
+                row.append(start + count)
+            landed.append(row)
+        return list(np.array(landed).T)
 
     # -- the retry policy layer -----------------------------------------------
     def _retry(self, poll, span: str, span_args: dict, phase: str, **who):
@@ -771,7 +770,7 @@ class GhostExchange:
         arena = self._adopt()
         nlocal = np.array([atoms.nlocal for atoms in arena.members])
         src = np.repeat(np.arange(size), nlocal)
-        rows = _leading_rows(arena.starts, nlocal)
+        rows = ranges(arena.starts[:-1], nlocal)
         x = arena.x[rows]
         bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
         if bad.size:
@@ -790,7 +789,7 @@ class GhostExchange:
             atoms.clear_ghosts()
             atoms.reserve(n)  # may re-lay the arena out: rows below are of the last layout
             atoms.nlocal = n
-        rows = _leading_rows(arena.starts, counts)
+        rows = ranges(arena.starts[:-1], counts)
         arena.x[rows] = x[order]
         arena.v[rows] = v[order]
         arena.tag[rows] = tag[order]

@@ -32,7 +32,7 @@ from repro.core.exchange_base import GhostExchange
 from repro.machine.params import FUGAKU, MachineParams
 from repro.network.simulator import Message, NetworkSimulator, observed, simulate_rounds
 from repro.network.stacks import SoftwareStack
-from repro.runtime.threadpool import lpt_bins
+from repro.runtime.threadpool import lpt_bins, lpt_rows
 
 #: phase -> (payload bytes per atom, whether the receiver knows the
 #: length).  Forward and reverse move 3 doubles per atom at lengths the
@@ -71,7 +71,10 @@ def schedule(
     Each of a row's ``node_ranks`` ranks sends the row's sends.  With
     ``threads`` > 1 a rank's sends are LPT-balanced over its threads by
     injection + software latency + wire cost, thread-major; thread *t*
-    drives TNI *t*.  One thread injects on its rank's own TNI, or hops
+    drives TNI *t*.  Several rows (a rebuild's 27 ranks) are balanced
+    at once by :func:`~repro.runtime.threadpool.lpt_rows`; a single row
+    (the stage model's node) keeps :func:`~repro.runtime.threadpool.lpt_bins`,
+    which is cheaper there — the same rule, bit for bit.  One thread injects on its rank's own TNI, or hops
     over ``hop_tnis`` TNIs' VCQs send by send (6TNI-single).  ``fence``
     consecutive sends of every rank share one stage (None: one stage).
     """
@@ -85,11 +88,12 @@ def schedule(
             + stack.software_latencies(nbytes)
             + params.wire_times(nbytes, hops)
         )
-        order = thread.copy()
-        for row, row_costs in enumerate(costs.tolist()):
-            bins = lpt_bins(row_costs, threads)
-            order[row] = [i for b in bins for i in b]
-            thread[row] = [t for t, b in enumerate(bins) for _ in b]
+        if rows == 1:  # one row: the list LPT beats NumPy's fixed cost
+            bins = lpt_bins(costs[0].tolist(), threads)
+            order = np.array([[i for b in bins for i in b]], dtype=np.intp)
+            thread = np.array([[t for t, b in enumerate(bins) for _ in b]], dtype=np.int64)
+        else:
+            order, thread = lpt_rows(costs, threads)
         nbytes = np.take_along_axis(nbytes, order, 1)
         hops = np.take_along_axis(hops, order, 1)
     fence = fence or max(sends, 1)
@@ -264,23 +268,18 @@ def modeled_exchange_time(
 
 
 def _world_times(exchange: GhostExchange, phase: str, params: MachineParams) -> list[float]:
-    """Every rank's modeled time for ``phase``: the epoch's ``(ranks,
-    sends)`` tables priced in one call (rank by rank when ranks differ in
-    send count), bit-identical to :func:`modeled_exchange_time` per rank."""
+    """Every rank's modeled time for ``phase``: the ``(ranks, sends)``
+    tables of atoms and hops the epoch carries (every rank plays a part of
+    the same shape in a round), priced in one call — one schedule, one row
+    LPT, one world pass — bit-identical to :func:`modeled_exchange_time`
+    per rank."""
     key = _key(phase, params)
     cache = _cache_for(exchange)
     times = cache.get(key) if cache is not None else None
     if times is not None and None not in times:
         return times
-    counts, hops = zip(*(plan.send_sizes() for plan in exchange._current().plans))
-    facts = _facts(exchange, params)
-    if len(set(map(len, counts))) == 1:
-        times = price_exchange(np.array(counts), np.array(hops), phase, **facts)
-    else:
-        times = [
-            modeled_exchange_time(exchange, phase, params, rank)
-            for rank in range(exchange.world.size)
-        ]
+    counts, hops = exchange._current().send_sizes
+    times = price_exchange(counts, hops, phase, **_facts(exchange, params))
     if cache is not None:
         cache[key] = times
     return times

@@ -45,7 +45,7 @@ from repro.core.patterns import (
     offset_hops,
     shell_offsets,
 )
-from repro.core.rdma_buffers import BufferOverwriteError, RdmaEndpoint
+from repro.core.rdma_buffers import BufferOverwriteError, RdmaEndpoint, RemoteWindow
 from repro.faults.injector import FAULTS, RetryExhaustedError
 from repro.machine.rdma import RdmaEngine
 from repro.md.atoms import AtomArena
@@ -89,8 +89,10 @@ class P2PExchange(GhostExchange):
             self.recv_offsets = shell_offsets(radius)
             self.send_offsets = list(self.recv_offsets)
 
-        self._bins: dict[int, BorderBins] = {}
+        # Radius 1 classifies every rank's atoms in one pass.
+        self._bins = BorderBins(self._subs, rcomm, self.send_offsets) if radius == 1 else None
         self._window_msgs: tuple[list[SentMessage], int] | None = None
+        self._windows: list[tuple] | None = None
 
         # RDMA plane state
         self.engine: RdmaEngine | None = None
@@ -143,27 +145,29 @@ class P2PExchange(GhostExchange):
         return RoundGeometry(sends, recvs)
 
     def _select_border(
-        self, rank: int, k: int, landed: list[int]
-    ) -> tuple[np.ndarray, list[int]]:
-        """Route ``rank``'s local atoms to the send offsets: neighbor-major
-        with rows ascending — the order the per-offset ``flatnonzero``
-        sweeps concatenate in."""
-        x_local = self.atoms_of(rank).x_local()
-        if self.radius == 1:
-            bins = self._bins.get(rank)
-            if bins is None:
-                bins = self._bins[rank] = BorderBins(
-                    self.sub_box_of(rank), self.rcomm, self.send_offsets
-                )
-            return bins.route_flat(x_local)
+        self, k: int, landed: list[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Route every rank's local atoms to the send offsets: per rank
+        neighbor-major with rows ascending — the order the per-offset
+        ``flatnonzero`` sweeps concatenate in.  Radius 1 is one world
+        classification over a padded block of every slab's local rows
+        (:meth:`BorderBins.route_world`)."""
+        nlocal = landed[0]
+        if self._bins is not None:
+            rows = self.arena.starts[:-1, None] + np.arange(nlocal.max(initial=0))
+            return self._bins.route_world(np.take(self.arena.x, rows, axis=0, mode="clip"), nlocal)
         # Long-cutoff shells (radius > 1): the generic region test, one
-        # sweep per offset.
-        sub = self.sub_box_of(rank)
-        parts = [
-            np.flatnonzero(sub.border_mask(x_local, o_send, self.rcomm))
-            for o_send in self.send_offsets
-        ]
-        return np.concatenate(parts), [part.shape[0] for part in parts]
+        # sweep per offset and rank.
+        parts, counts = [], []
+        for rank, sub in enumerate(self._subs):
+            x_local = self.atoms_of(rank).x_local()
+            sweeps = [
+                np.flatnonzero(sub.border_mask(x_local, o_send, self.rcomm))
+                for o_send in self.send_offsets
+            ]
+            parts += sweeps
+            counts.append([sweep.shape[0] for sweep in sweeps])
+        return np.concatenate(parts), np.array(counts, dtype=np.intp)
 
     # -- RDMA setup -----------------------------------------------------------------
     def _border_setup(self) -> None:
@@ -200,6 +204,7 @@ class P2PExchange(GhostExchange):
                     atoms = self.atoms_of(rank)
                     if self.endpoints[rank].revalidate(atoms._x, atoms._f):
                         self.reregistrations += 1
+                        self._windows = None
                 self._registered = (arena, arena.layout)
             self._exchange_windows(plane, epoch)
 
@@ -214,15 +219,11 @@ class P2PExchange(GhostExchange):
         transport = self.world.transport
         transport.set_phase("border-piggyback")
         if plane == "direct":
-            for rank, plan in enumerate(epoch.plans):
-                endpoint = self.endpoints[rank]
-                slots = self._geom[rank][0].recv_slots
-                for n_idx, (src, lo, _, _) in enumerate(plan.recvs(0)):
-                    # Keyed by the *sender's* send index: the slot its
-                    # put_positions uses.
-                    self.endpoints[src].install_remote(
-                        slots[n_idx], endpoint.window_for_neighbor(n_idx, lo * 3)
-                    )
+            # Every route's window from its static part and the epoch's
+            # ghost offset: where its receive lands.
+            offsets = (epoch.recv_bounds[:, :-1] * 3).ravel().tolist()
+            for (install, slot, rank, x_stag, ring), offset in zip(self._window_parts(), offsets):
+                install(slot, RemoteWindow(rank, x_stag, offset, ring))
             transport.log.record_phase(*self._window_messages())
             return
         with TRACER.span(
@@ -239,6 +240,23 @@ class P2PExchange(GhostExchange):
                     _, window = self._recv(transport, rank, peer, tag)
                     # Keyed by *our* send index: the slot put_positions uses.
                     endpoint.install_remote(s_idx, window)
+
+    def _window_parts(self) -> list[tuple]:
+        """What never changes about a route's window until a
+        re-registration, per route rank-major in receive order: the
+        sender's ``install_remote`` and the slot it is keyed by (the
+        *sender's* send index: the slot its ``put_positions`` uses), and
+        the advertising rank, its position array's STag and the ring
+        serving the route."""
+        if self._windows is None:
+            self._windows = [
+                (self.endpoints[src].install_remote, slot, rank, endpoint.x_region.stag,
+                 tuple(endpoint.recv_rings[n_idx].stags()))
+                for rank, (geom,) in enumerate(self._geom)
+                for endpoint in (self.endpoints[rank],)
+                for n_idx, (src, slot) in enumerate(zip(geom.recv_peers, geom.recv_slots))
+            ]
+        return self._windows
 
     def _window_messages(self) -> tuple[list[SentMessage], int]:
         """The piggyback phase's traffic records and their byte sum.

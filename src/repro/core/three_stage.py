@@ -46,6 +46,16 @@ class ThreeStageExchange(GhostExchange):
         super().__init__(world, domain, rcomm, radius)
         self.swaps = three_stage_swaps(radius)
         self.n_rounds = len(self.swaps)
+        # Per swap, every rank's threshold on the face it flows through.
+        self._faces = [
+            np.array(
+                [
+                    sub.hi[swap.dim] - rcomm if swap.dir > 0 else sub.lo[swap.dim] + rcomm
+                    for sub in self._subs
+                ]
+            )[:, None]
+            for swap in self.swaps
+        ]
 
     def _round_span(self, k: int):
         swap = self.swaps[k]
@@ -63,12 +73,13 @@ class ThreeStageExchange(GhostExchange):
         )
 
     def _select_border(
-        self, rank: int, k: int, landed: list[int]
-    ) -> tuple[np.ndarray, list[int]]:
+        self, k: int, landed: list[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The atoms within ``rcomm`` of the face swap ``k`` flows through,
-        among the swap's candidates: rounds before ``k`` have delivered,
-        one block each, so swap ``j``'s block is rows ``landed[j]:landed[j
-        + 1]``."""
+        among every rank's candidates at once (one compare over a padded
+        block of their rows): rounds before ``k`` have delivered, one
+        block each, so swap ``j``'s block is rows ``landed[j]:landed[j +
+        1]``."""
         swap = self.swaps[k]
         first = k - k % (2 * self.radius)  # the dimension's first swap
         if k - first >= 2:
@@ -79,12 +90,12 @@ class ThreeStageExchange(GhostExchange):
             # Both directions of a dim scan only the atoms present when
             # the dimension's swaps began (LAMMPS' nlast): the -d swap
             # must not re-send ghosts the +d swap just delivered.
-            lo, hi = 0, landed[first]
-        along = self.atoms_of(rank).x[lo:hi, swap.dim]
-        sub = self.sub_box_of(rank)
-        if swap.dir > 0:
-            mask = along >= sub.hi[swap.dim] - self.rcomm
-        else:
-            mask = along < sub.lo[swap.dim] + self.rcomm
-        idx = np.flatnonzero(mask) + lo
-        return idx, [idx.shape[0]]
+            lo, hi = np.zeros_like(landed[first]), landed[first]
+        width = np.arange((hi - lo).max(initial=0))
+        rows = (self.arena.starts[:-1] + lo)[:, None] + width
+        along = np.take(self.arena.x[:, swap.dim], rows, mode="clip")
+        face = self._faces[k]
+        mask = along >= face if swap.dir > 0 else along < face
+        mask &= width < (hi - lo)[:, None]
+        rank, row = np.nonzero(mask)
+        return row + lo[rank], np.count_nonzero(mask, axis=1)[:, None]

@@ -123,27 +123,6 @@ class NodeNIC:
             t.reset_time()
 
     # -- binding policies ---------------------------------------------------
-    def bind_coarse(self, local_ranks: list[int], tni_count: int | None = None):
-        """Coarse-grained binding: rank *i* gets one VCQ on TNI ``i % n``.
-
-        ``tni_count`` limits how many TNIs are used (the paper's 4-TNI
-        coarse mode binds 4 ranks to TNIs 0..3).  Returns a mapping
-        ``rank -> [VCQ]`` (one VCQ each).
-        """
-        n = tni_count if tni_count is not None else len(local_ranks)
-        if not 1 <= n <= self.tni_count:
-            raise TNIAllocationError(
-                f"cannot bind over {n} TNIs on a node with {self.tni_count}"
-            )
-        out: dict[int, list[VirtualControlQueue]] = {}
-        for i, rank in enumerate(local_ranks):
-            tni = self.tnis[i % n]
-            cq = tni.allocate_cq(rank)
-            vcq = VirtualControlQueue(owner_rank=rank, thread=0, cq=cq)
-            self._vcqs.append(vcq)
-            out[rank] = [vcq]
-        return out
-
     def bind_fine(self, local_ranks: list[int]):
         """Fine-grained binding: every rank gets one VCQ on *every* TNI.
 
@@ -161,22 +140,6 @@ class NodeNIC:
             self._vcqs.extend(vcqs)
             out[rank] = vcqs
         return out
-
-    def bind_single_rank_multi_tni(self, rank: int, tni_count: int):
-        """One rank, one thread, VCQs on ``tni_count`` TNIs (6TNI-p2p mode).
-
-        The paper's "6TNI single-thread" variant: a lone thread round-robins
-        its messages over 6 VCQs.  Useful or not is a measured question —
-        Fig. 8 shows it *loses* to 4 TNIs because of per-call overhead.
-        """
-        if not 1 <= tni_count <= self.tni_count:
-            raise TNIAllocationError(f"tni_count {tni_count} out of range")
-        vcqs = []
-        for tni in self.tnis[:tni_count]:
-            cq = tni.allocate_cq(rank)
-            vcqs.append(VirtualControlQueue(owner_rank=rank, thread=0, cq=cq))
-        self._vcqs.extend(vcqs)
-        return vcqs
 
     # -- queries -------------------------------------------------------------
     def vcqs_of(self, rank: int) -> list[VirtualControlQueue]:

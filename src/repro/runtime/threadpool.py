@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from repro.machine.params import FUGAKU, MachineParams
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
@@ -54,6 +56,32 @@ def lpt_bins(costs: Sequence[float], n_bins: int) -> list[list[int]]:
         bins[j].append(i)
         loads[j] += costs[i]
     return bins
+
+
+def lpt_rows(costs: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`lpt_bins` of every row of a ``(rows, items)`` cost table at
+    once: ``(order, bin)`` tables, each row its items bin-major in the
+    order :func:`lpt_bins` fills them, and the bin of each.
+
+    Row for row the same rule and the same float additions: items in
+    cost-descending stable order, each to the least-loaded bin, the lowest
+    index on ties, loads summed in that order — one NumPy step per item
+    for all rows, so it pays off from a few rows up.
+    """
+    if n_bins < 1:
+        raise ValueError(f"n_threads must be >= 1, got {n_bins}")
+    rows, items = costs.shape
+    ranked = np.argsort(-costs, axis=1, kind="stable")
+    ranked_costs = np.take_along_axis(costs, ranked, axis=1)
+    loads = np.zeros((rows, n_bins))
+    bin_of = np.empty((rows, items), dtype=np.intp)
+    every = np.arange(rows)
+    for i in range(items):
+        least = loads.argmin(axis=1)
+        bin_of[:, i] = least
+        loads[every, least] += ranked_costs[:, i]
+    by_bin = np.argsort(bin_of, axis=1, kind="stable")
+    return np.take_along_axis(ranked, by_bin, 1), np.take_along_axis(bin_of, by_bin, 1)
 
 
 def split_load(items: Sequence[WorkItem], n_threads: int) -> list[list[WorkItem]]:

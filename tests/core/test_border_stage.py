@@ -19,6 +19,8 @@ from test_three_stage_golden import routes_of
 
 from repro import quick_lj_simulation
 from repro.core import BorderBins, FineGrainedP2PExchange, P2PExchange, modeling
+from repro.core.comm_plan import RoundGeometry, WorldGeometry
+from repro.core.ghost import GhostBudget
 from repro.core.patterns import half_shell_offsets, shell_offsets
 from repro.faults import FAULTS, FaultPlan, FaultSpec
 from repro.md import Box, Domain
@@ -181,10 +183,17 @@ def test_small_grid_with_repeated_peers(rcomm):
 # -- the routing itself ----------------------------------------------------
 @st.composite
 def routing_cases(draw):
-    lo = [draw(st.floats(-20, 20)) for _ in range(3)]
-    edge = [draw(st.floats(0.5, 6.0)) for _ in range(3)]
-    sub = SubBox(tuple(lo), tuple(low + e for low, e in zip(lo, edge)), (1, 1, 1), (3, 3, 3))
-    a = float(sub.lengths.min())
+    """One to four random sub-boxes, one ``r_comm`` in (0, a] of the
+    narrowest edge, random atoms in each plus atoms exactly on the
+    thresholds the flags compare against."""
+    subs = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo = [draw(st.floats(-20, 20)) for _ in range(3)]
+        edge = [draw(st.floats(0.5, 6.0)) for _ in range(3)]
+        subs.append(
+            SubBox(tuple(lo), tuple(low + e for low, e in zip(lo, edge)), (1, 1, 1), (3, 3, 3))
+        )
+    a = min(float(sub.lengths.min()) for sub in subs)
     regime = draw(st.sampled_from(["below", "above", "edge"]))
     if regime == "below":
         rcomm = a * draw(st.floats(0.01, 0.5))
@@ -193,36 +202,118 @@ def routing_cases(draw):
     else:
         rcomm = a
     rcomm = min(rcomm, a)
-    n = draw(st.integers(0, 40))
-    unit = draw(
-        st.lists(st.tuples(*[st.floats(0, 1, exclude_max=True)] * 3), min_size=n, max_size=n)
-    )
-    x = np.asarray(sub.lo) + np.array(unit).reshape(n, 3) * sub.lengths
-    # Atoms exactly on the thresholds the flags compare against.
-    on_edge = [np.asarray(sub.lo) + rcomm, np.asarray(sub.hi) - rcomm]
-    x = np.concatenate([x, *[e[None, :] for e in on_edge]])
-    return sub, rcomm, x, draw(st.booleans())
+    xs = []
+    for sub in subs:
+        n = draw(st.integers(0, 40))
+        unit = draw(
+            st.lists(st.tuples(*[st.floats(0, 1, exclude_max=True)] * 3), min_size=n, max_size=n)
+        )
+        x = np.asarray(sub.lo) + np.array(unit).reshape(n, 3) * sub.lengths
+        on_edge = [np.asarray(sub.lo) + rcomm, np.asarray(sub.hi) - rcomm]
+        xs.append(np.concatenate([x, *[e[None, :] for e in on_edge]]))
+    return subs, rcomm, xs, draw(st.booleans())
 
 
 @settings(max_examples=150, deadline=None)
 @given(routing_cases())
 def test_route_equals_border_mask_sweeps(case):
     """Six-flag routing == the 13/26 brute-force sweeps, order included,
-    for every r_comm in (0, min edge]."""
-    sub, rcomm, x, full = case
+    for every r_comm in (0, min edge]: one sub-box at a time, and every
+    sub-box at once through the world classifier, whose padding rows
+    (threshold atoms, which would route) are never routed."""
+    subs, rcomm, xs, full = case
     offsets = (
         shell_offsets(1)
         if full
         else [tuple(-o for o in off) for off in half_shell_offsets(1)]
     )
-    bins = BorderBins(sub, rcomm, offsets)
-    sweeps = [np.flatnonzero(sub.border_mask(x, off, rcomm)) for off in offsets]
-    for routed, brute in zip(bins.route(x), sweeps):
-        assert np.array_equal(routed, brute)
-    idx, counts = bins.route_flat(x)
+    sweeps = [
+        [np.flatnonzero(sub.border_mask(x, off, rcomm)) for off in offsets]
+        for sub, x in zip(subs, xs)
+    ]
+    for sub, x, brute in zip(subs, xs, sweeps):
+        bins = BorderBins(sub, rcomm, offsets)
+        for routed, swept in zip(bins.route(x), brute):
+            assert np.array_equal(routed, swept)
+        idx, counts = bins.route_flat(x)
+        assert idx.dtype == np.intp and idx.flags.c_contiguous
+        assert np.array_equal(idx, np.concatenate(brute))
+        assert counts.tolist() == [s.size for s in brute]
+
+    nlocal = np.array([x.shape[0] for x in xs])
+    padded = np.empty((len(xs), nlocal.max() + 2, 3))
+    for row, sub, x in zip(padded, subs, xs):
+        row[:] = np.asarray(sub.hi) - rcomm
+        row[: x.shape[0]] = x
+    idx, counts = BorderBins(subs, rcomm, offsets).route_world(padded, nlocal)
     assert idx.dtype == np.intp and idx.flags.c_contiguous
-    assert np.array_equal(idx, np.concatenate(sweeps))
-    assert counts.tolist() == [s.size for s in sweeps]
+    assert np.array_equal(idx, np.concatenate([part for brute in sweeps for part in brute]))
+    assert counts.tolist() == [[s.size for s in brute] for brute in sweeps]
+
+
+def test_route_world_of_empty_sub_boxes():
+    """No local atoms anywhere: a zero-width block routes nothing."""
+    subs = [SubBox((0.0,) * 3, (4.0,) * 3, (1, 1, 1), (3, 3, 3))] * 3
+    idx, counts = BorderBins(subs, 1.0, shell_offsets(1)).route_world(
+        np.empty((3, 0, 3)), np.zeros(3, dtype=np.intp)
+    )
+    assert idx.size == 0 and counts.shape == (3, 26) and not counts.any()
+
+
+# -- the world pass's own rules ---------------------------------------------
+def test_a_border_stage_outgrowing_its_slabs_relays_out_before_landing():
+    """Slabs far below the ghost budget: every receiver that outgrows its
+    slab re-lays the arena out once (reserved for the whole round before
+    any row lands), and the ghosts equal the mailbox plane's, which grows
+    message by message."""
+    args = ("p2p", (3, 3, 3), 2.8, True, False, 11)
+    new, carried = build_exchange(*args), build_exchange(*args)
+    for ex in (new, carried):
+        ex._budget = GhostBudget(a=4.0, r=ex.rcomm, density=1e-6)
+    caps = [new.atoms_of(rank).capacity for rank in range(27)]
+    new.borders()
+    with observe():
+        carried.borders()
+    grown = [rank for rank in range(27) if new.atoms_of(rank).ntotal > caps[rank]]
+    assert grown and new.arena.relayouts == len(grown)
+    for rank in range(27):
+        a, b = new.atoms_of(rank), carried.atoms_of(rank)
+        need = a.ntotal
+        assert a.capacity == (max(need, 2 * caps[rank]) if rank in grown else caps[rank])
+        assert (a.nlocal, a.nghost) == (b.nlocal, b.nghost)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.tag, b.tag)
+        assert np.array_equal(a.type, b.type) and not a.f[a.nlocal :].any()
+    new.forward()  # the epoch's rows are of the final layout
+    carried.forward()
+    for rank in range(27):
+        assert np.array_equal(new.atoms_of(rank).x, carried.atoms_of(rank).x)
+
+
+def test_windows_follow_a_reregistration():
+    """A slab outgrown between two border stages moves every registration:
+    the next stage's windows name the new position arrays, not the
+    remembered ones."""
+    ex = build_exchange("p2p", (3, 3, 3), 2.8, True, True, 11)
+    ex.borders()
+    atoms = ex.atoms_of(4)
+    atoms.reserve(2 * atoms.capacity)  # the arena re-lays out
+    ex.borders()
+    assert ex.reregistrations > 0
+    for rank in range(27):
+        assert all(same_x for _, _, same_x, _ in installed_windows(ex, rank).values())
+
+
+def test_world_geometry_refuses_ranks_of_unequal_shape():
+    ex = build_exchange("p2p", (3, 3, 3), 2.8, True, False, 11)
+    ex.borders()
+    geom = [list(rounds) for rounds in ex._geom]
+    g = geom[1][0]
+    sends = list(zip(g.send_peers, g.shifts, g.send_tags, g.send_hops))[:-1]
+    geom[1][0] = RoundGeometry(
+        sends, list(zip(g.recv_peers, g.recv_tags, g.recv_hops, g.recv_slots))
+    )
+    with pytest.raises(ValueError, match=r"round 0: ranks differ in their \(sends, receives\)"):
+        WorldGeometry(geom)
 
 
 class Counter:
@@ -242,8 +333,8 @@ def count_calls(monkeypatch):
     return mask, code
 
 
-def test_radius1_classifies_once_per_rank_and_never_masks(monkeypatch):
-    """27 ranks at r_comm = 0.83 a: one classification per rank per
+def test_radius1_classifies_once_per_border_stage_and_never_masks(monkeypatch):
+    """27 ranks at r_comm = 0.83 a: one world classification per
     reneighbouring, zero border_mask calls."""
     sim = quick_lj_simulation(cells=(6, 6, 6), ranks=(3, 3, 3), pattern="parallel-p2p", rdma=True)
     assert sim.exchange.rcomm > sim.domain.sub_lengths.min() / 2
@@ -251,7 +342,7 @@ def test_radius1_classifies_once_per_rank_and_never_masks(monkeypatch):
     sim.run(25)
     assert sim.rebuilds >= 1
     assert mask.calls == 0
-    assert code.calls == 27 * (1 + sim.rebuilds)
+    assert code.calls == 1 + sim.rebuilds
 
 
 def test_radius2_still_uses_border_mask(monkeypatch):

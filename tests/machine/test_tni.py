@@ -32,27 +32,6 @@ class TestTNI:
         assert tni.owner_of(8) is None
 
 
-class TestCoarseBinding:
-    def test_four_ranks_four_tnis(self, nic):
-        vcqs = nic.bind_coarse([0, 1, 2, 3])
-        assert set(vcqs) == {0, 1, 2, 3}
-        tnis = {vcqs[r][0].tni for r in range(4)}
-        assert tnis == {0, 1, 2, 3}  # distinct TNIs, no contention
-        assert nic.cqs_in_use() == 4
-
-    def test_coarse_single_vcq_each(self, nic):
-        vcqs = nic.bind_coarse([0, 1, 2, 3])
-        assert all(len(v) == 1 for v in vcqs.values())
-
-    def test_limit_tni_count(self, nic):
-        vcqs = nic.bind_coarse([0, 1, 2, 3], tni_count=2)
-        assert {vcqs[r][0].tni for r in range(4)} == {0, 1}
-
-    def test_invalid_tni_count(self, nic):
-        with pytest.raises(TNIAllocationError):
-            nic.bind_coarse([0], tni_count=7)
-
-
 class TestFineBinding:
     def test_24_cqs_for_4_ranks(self, nic):
         """The paper's key count: 4 ranks x 6 TNIs = 24 individual CQs."""
@@ -72,20 +51,9 @@ class TestFineBinding:
         with pytest.raises(TNIAllocationError):
             nic.bind_fine([0])  # rank 0 already owns a CQ on every TNI
 
-
-class TestSingleRankMultiTNI:
-    def test_6tni_mode(self, nic):
-        vcqs = nic.bind_single_rank_multi_tni(0, 6)
-        assert len(vcqs) == 6
-        assert all(v.thread == 0 for v in vcqs)  # one thread, many VCQs
-
-    def test_out_of_range(self, nic):
-        with pytest.raises(TNIAllocationError):
-            nic.bind_single_rank_multi_tni(0, 0)
-
     def test_vcqs_of_query(self, nic):
-        nic.bind_single_rank_multi_tni(3, 4)
-        assert len(nic.vcqs_of(3)) == 4
+        nic.bind_fine([3])
+        assert len(nic.vcqs_of(3)) == 6
         assert nic.vcqs_of(9) == []
 
 

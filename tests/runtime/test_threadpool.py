@@ -1,10 +1,13 @@
 """Thread-pool vs OpenMP overhead models and LPT load balancing."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine import FUGAKU
 from repro.runtime import OpenMPModel, ThreadPoolModel, WorkItem, split_load
-from repro.runtime.threadpool import makespan
+from repro.runtime.threadpool import lpt_bins, lpt_rows, makespan
 
 
 class TestSplitLoad:
@@ -44,6 +47,39 @@ class TestSplitLoad:
 
     def test_makespan_empty(self):
         assert makespan([[], []]) == 0.0
+
+
+# Few distinct values, zero included, so rows are full of cost ties and of
+# load ties whose order of summation decides them.
+COSTS = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 2.5])
+
+
+class TestRowLPT:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 15), st.integers(1, 8), st.data())
+    def test_equals_lpt_bins_row_by_row(self, rows, items, n_bins, data):
+        """Ties, more threads than sends, zero-length rows and no rows at
+        all: every row's order and bins are lpt_bins' flattened."""
+        costs = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(COSTS, min_size=items, max_size=items),
+                    min_size=rows,
+                    max_size=rows,
+                )
+            ),
+            dtype=float,
+        ).reshape(rows, items)
+        order, bins = lpt_rows(costs, n_bins)
+        assert order.shape == bins.shape == (rows, items)
+        for row, got_order, got_bins in zip(costs.tolist(), order.tolist(), bins.tolist()):
+            expected = lpt_bins(row, n_bins)
+            assert got_order == [i for b in expected for i in b]
+            assert got_bins == [t for t, b in enumerate(expected) for _ in b]
+
+    def test_refuses_zero_bins(self):
+        with pytest.raises(ValueError):
+            lpt_rows(np.ones((2, 3)), 0)
 
 
 class TestOverheadModels:
